@@ -20,7 +20,7 @@ from qalcove.lie_data import (
     Weight,
     WeylElement,
 )
-from qalcove.quantum_bruhat import BRUHAT, QUANTUM
+from qalcove.quantum_bruhat import QUANTUM, qbg_step
 
 
 @dataclass(frozen=True)
@@ -236,10 +236,6 @@ class AdmissibleSubset:
             self._height = total
         return self._height
 
-    @property
-    def final_direction(self) -> WeylElement:
-        return self.path[-1]
-
     def to_json_dict(self) -> dict:
         return {
             "positions": list(self.positions),
@@ -248,17 +244,6 @@ class AdmissibleSubset:
             "path": [list(w.reduced_word()) for w in self.path],
             "edge_kinds": list(self.edge_kinds),
         }
-
-
-def _step(datum: RootDatum, w: WeylElement, root: int):
-    """QB(W) step w -> w r_root, or None if neither edge condition holds."""
-    t = w * datum.weyl.reflection(root)
-    if t.length == w.length + 1:
-        return t, BRUHAT
-    drop = datum.pairing(datum.positive_coroots[root], Weight((2,) * datum.rank))
-    if t.length == w.length + 1 - drop:
-        return t, QUANTUM
-    return None
 
 
 def _walk(chain: LambdaChain, positions) -> tuple[tuple, tuple] | None:
@@ -270,7 +255,7 @@ def _walk(chain: LambdaChain, positions) -> tuple[tuple, tuple] | None:
         if not last < pos <= len(chain.entries):
             raise InputError(f"position {pos} out of order or out of range")
         last = pos
-        step = _step(datum, path[-1], chain.entries[pos - 1].root)
+        step = qbg_step(datum, path[-1], chain.entries[pos - 1].root)
         if step is None:
             return None
         path.append(step[0])
@@ -285,15 +270,8 @@ def try_admissible(chain: LambdaChain, positions) -> AdmissibleSubset | None:
         return None
 
 
-def enumerate_admissible(
-    chain: LambdaChain, first_position: int | None = None
-) -> tuple[AdmissibleSubset, ...]:
-    """All admissible subsets, in lexicographic order of position tuples.
-
-    With first_position set, only subsets starting at that position (used to
-    partition the enumeration across workers); the empty set is produced only
-    in the unrestricted call.
-    """
+def enumerate_admissible(chain: LambdaChain) -> tuple[AdmissibleSubset, ...]:
+    """All admissible subsets, in lexicographic order of position tuples."""
     datum = chain.datum
     m = len(chain.entries)
     out: list[AdmissibleSubset] = []
@@ -309,7 +287,7 @@ def enumerate_admissible(
         out.append(a)
         start = prefix[-1] + 1 if prefix else 1
         for pos in range(start, m + 1):
-            step = _step(datum, path[-1], chain.entries[pos - 1].root)
+            step = qbg_step(datum, path[-1], chain.entries[pos - 1].root)
             if step is not None:
                 prefix.append(pos)
                 path.append(step[0])
@@ -319,12 +297,7 @@ def enumerate_admissible(
                 path.pop()
                 kinds.pop()
 
-    if first_position is None:
-        extend([], [datum.weyl.identity], [])
-    else:
-        step = _step(datum, datum.weyl.identity, chain.entries[first_position - 1].root)
-        if step is not None:
-            extend([first_position], [datum.weyl.identity, step[0]], [step[1]])
+    extend([], [datum.weyl.identity], [])
     return tuple(out)
 
 
@@ -340,9 +313,10 @@ def _alpha_signed(datum: RootDatum, p: int) -> int:
     return datum.simple_root_index[p - 1] + 1
 
 
-def _require_lex(chain: LambdaChain) -> None:
+def require_lex(chain: LambdaChain) -> None:
+    """Root operators and the bijection with paths exist over lex chains only."""
     if not chain.lex:
-        raise InputError("root operators are only defined on lex chains")
+        raise InputError("root operators and the path bijection need a lex chain")
 
 
 def _samples(A: AdmissibleSubset, alpha_signed: int):
@@ -370,7 +344,7 @@ def _rebuild(A: AdmissibleSubset, positions: tuple[int, ...]) -> AdmissibleSubse
 
 def f_operator(A: AdmissibleSubset, p: int) -> AdmissibleSubset | None:
     """Root operator f_p, or None when the subset is killed."""
-    _require_lex(A.chain)
+    require_lex(A.chain)
     alpha = _alpha_signed(A.chain.datum, p)
     finite, inf_sample = _samples(A, alpha)
     M = max([s for _, s in finite] + [inf_sample])
@@ -400,7 +374,7 @@ def f_operator(A: AdmissibleSubset, p: int) -> AdmissibleSubset | None:
 
 def e_operator(A: AdmissibleSubset, p: int) -> AdmissibleSubset | None:
     """Root operator e_p, or None when the subset is killed."""
-    _require_lex(A.chain)
+    require_lex(A.chain)
     alpha = _alpha_signed(A.chain.datum, p)
     finite, inf_sample = _samples(A, alpha)
     M = max([s for _, s in finite] + [inf_sample])
@@ -447,7 +421,7 @@ def _check_f_effect(A, new, p: int, m_idx: int | None, k_idx: int) -> None:
 
 
 def phi(A: AdmissibleSubset, p: int) -> int:
-    _require_lex(A.chain)
+    require_lex(A.chain)
     alpha = _alpha_signed(A.chain.datum, p)
     finite, inf_sample = _samples(A, alpha)
     M = max([s for _, s in finite] + [inf_sample])
@@ -456,7 +430,7 @@ def phi(A: AdmissibleSubset, p: int) -> int:
 
 
 def epsilon(A: AdmissibleSubset, p: int) -> int:
-    _require_lex(A.chain)
+    require_lex(A.chain)
     alpha = _alpha_signed(A.chain.datum, p)
     finite, inf_sample = _samples(A, alpha)
     M = max([s for _, s in finite] + [inf_sample])

@@ -9,7 +9,6 @@ shares no code with the model enumerations.
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import alcove_model, qls_model
@@ -93,20 +92,7 @@ class GradedCharacter:
         ]
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for (w, q), c in self._ordered():
-            factors = []
-            if c != 1:
-                factors.append(str(c))
-            if q == 1:
-                factors.append("q")
-            elif q > 1:
-                factors.append(f"q^{q}")
-            factors.append("x^(" + ", ".join(str(x) for x in w) + ")")
-            parts.append("*".join(factors))
-        return " + ".join(parts)
+        return _monomial_sum(((q, w, c) for (w, q), c in self._ordered()), "x^")
 
     def orbit_line(self, datum: RootDatum) -> str:
         """One-line form grouping each Weyl orbit into a single symbol."""
@@ -121,44 +107,35 @@ class GradedCharacter:
             for w in datum.weyl.elements:
                 if self.terms.get((w.act_weight(Weight(rep)).coords, q), 0) != c:
                     raise InputError("character is not constant on a Weyl orbit")
-        parts = []
-        for (q, rep), c in sorted(grouped.items(), key=lambda t: (t[0][0], tuple(-x for x in t[0][1]))):
-            factors = []
-            if c != 1:
-                factors.append(str(c))
-            if q == 1:
-                factors.append("q")
-            elif q > 1:
-                factors.append(f"q^{q}")
-            factors.append("m(" + ", ".join(str(x) for x in rep) + ")")
-            parts.append("*".join(factors))
-        return " + ".join(parts) if parts else "0"
+        ordered = sorted(grouped.items(), key=lambda t: (t[0][0], tuple(-x for x in t[0][1])))
+        return _monomial_sum(((q, rep, c) for (q, rep), c in ordered), "m")
+
+
+def _monomial_sum(terms, symbol: str) -> str:
+    """Render (q, coords, coeff) triples as coeff*q^n*symbol(coords) joined by
+    ' + '; a coefficient of 1 and the power q^0 are left out, and the empty sum
+    is 0."""
+    parts = []
+    for q, coords, c in terms:
+        factors = [] if c == 1 else [str(c)]
+        if q == 1:
+            factors.append("q")
+        elif q > 1:
+            factors.append(f"q^{q}")
+        factors.append(symbol + "(" + ", ".join(str(x) for x in coords) + ")")
+        parts.append("*".join(factors))
+    return " + ".join(parts) if parts else "0"
 
 
 # ------------------------------------------------------------- model routes
 
 
-def character_from_alcove(chain: LambdaChain, jobs: int = 1) -> GradedCharacter:
+def character_from_alcove(chain: LambdaChain) -> GradedCharacter:
     """Sum of q^height x^weight over all admissible subsets of the chain."""
-    rank = chain.datum.rank
-    if jobs <= 1 or len(chain) == 0:
-        terms: Counter = Counter()
-        for A in alcove_model.enumerate_admissible(chain):
-            terms[(A.weight.coords, A.height)] += 1
-        return GradedCharacter(rank, terms)
-
-    def partial(first: int) -> Counter:
-        out: Counter = Counter()
-        for A in alcove_model.enumerate_admissible(chain, first_position=first):
-            out[(A.weight.coords, A.height)] += 1
-        return out
-
-    merged: Counter = Counter()
-    merged[(chain.lam.coords, 0)] += 1  # the empty subset keeps weight lam
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        for part in pool.map(partial, range(1, len(chain) + 1)):
-            merged.update(part)
-    return GradedCharacter(rank, merged)
+    terms: Counter = Counter()
+    for A in alcove_model.enumerate_admissible(chain):
+        terms[(A.weight.coords, A.height)] += 1
+    return GradedCharacter(chain.datum.rank, terms)
 
 
 def character_from_qls(datum: RootDatum, lam: Weight) -> GradedCharacter:
@@ -173,25 +150,6 @@ def character_from_qls(datum: RootDatum, lam: Weight) -> GradedCharacter:
 # ----------------------------------------------------------- oracle route
 
 
-def _root_coords(datum: RootDatum, wt: Weight) -> tuple[Fraction, ...]:
-    """Coordinates of a weight in the simple-root basis (exact)."""
-    n = datum.rank
-    rows = [
-        [Fraction(datum.cartan[i][j]) for j in range(n)] + [Fraction(wt.coords[i])]
-        for i in range(n)
-    ]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if rows[r][col] != 0)
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        head = rows[col][col]
-        rows[col] = [x / head for x in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    return tuple(rows[i][n] for i in range(n))
-
-
 def _inner(datum: RootDatum, wt: Weight, root_coords) -> Fraction:
     """Invariant pairing of a weight with an element given in root coordinates."""
     d = datum.symmetrizers
@@ -202,7 +160,7 @@ def _inner(datum: RootDatum, wt: Weight, root_coords) -> Fraction:
 
 
 def _norm(datum: RootDatum, wt: Weight) -> Fraction:
-    return _inner(datum, wt, _root_coords(datum, wt))
+    return _inner(datum, wt, datum.weight_in_root_coords(wt))
 
 
 def dominant_representative(datum: RootDatum, wt: Weight) -> Weight:
@@ -223,7 +181,7 @@ def _dominant_multiplicities(datum: RootDatum, lam: Weight) -> dict[Weight, tupl
     n = datum.rank
     w0 = datum.weyl.longest
     span = lam - w0.act_weight(lam)
-    box = _root_coords(datum, span)
+    box = datum.weight_in_root_coords(span)
     if any(b.denominator != 1 or b < 0 for b in box):
         raise InternalError("weight span is not a nonnegative root combination")
     box = tuple(int(b) for b in box)
@@ -299,7 +257,7 @@ def decompose(datum: RootDatum, character: GradedCharacter) -> list[tuple[int, t
         while layer:
             top = max(
                 layer.terms,
-                key=lambda key: (sum(_root_coords(datum, Weight(key[0]))), key[0]),
+                key=lambda key: (sum(datum.weight_in_root_coords(Weight(key[0]))), key[0]),
             )
             coords = Weight(top[0])
             coeff = layer.terms[top]
@@ -317,18 +275,7 @@ def decompose(datum: RootDatum, character: GradedCharacter) -> list[tuple[int, t
 
 
 def format_decomposition(parts) -> str:
-    chunks = []
-    for q, coords, coeff in parts:
-        factors = []
-        if coeff != 1:
-            factors.append(str(coeff))
-        if q == 1:
-            factors.append("q")
-        elif q > 1:
-            factors.append(f"q^{q}")
-        factors.append("chi(" + ", ".join(str(x) for x in coords) + ")")
-        chunks.append("*".join(factors))
-    return " + ".join(chunks) if chunks else "0"
+    return _monomial_sum(parts, "chi")
 
 
 # ------------------------------------------------------------------ verdict

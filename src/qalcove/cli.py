@@ -40,16 +40,13 @@ def _parse_weight(datum: RootDatum, text: str) -> Weight:
     return datum.weight_from_coeffs(coeffs)
 
 
-def _parse_node_order(datum: RootDatum, text: str | None) -> tuple[int, ...] | None:
+def _parse_node_order(text: str | None) -> tuple[int, ...] | None:
     if text is None:
         return None
     try:
-        order = tuple(int(x) for x in text.split(","))
+        return tuple(int(x) for x in text.split(","))
     except ValueError:
         raise InputError(f"cannot parse node order {text!r}")
-    if sorted(order) != list(range(1, datum.rank + 1)):
-        raise InputError(f"node order {text!r} is not a permutation of 1..{datum.rank}")
-    return order
 
 
 def _parse_weyl(datum: RootDatum, text: str):
@@ -91,7 +88,7 @@ def _load_chain(datum: RootDatum, lam: Weight, filename: str) -> LambdaChain:
 def _chain_for(datum: RootDatum, lam: Weight, args) -> LambdaChain:
     if getattr(args, "chain_file", None):
         return _load_chain(datum, lam, args.chain_file)
-    return lex_chain(datum, lam, node_order=_parse_node_order(datum, args.node_order))
+    return lex_chain(datum, lam, node_order=_parse_node_order(args.node_order))
 
 
 def _guard(datum: RootDatum, length: int, budget: int) -> None:
@@ -157,7 +154,7 @@ def cmd_character(datum: RootDatum, args) -> int:
     if args.route == "alcove":
         chain = _chain_for(datum, lam, args)
         _guard(datum, len(chain), args.budget)
-        ch = character_from_alcove(chain, jobs=args.jobs)
+        ch = character_from_alcove(chain)
     elif args.route == "qls":
         _guard(datum, len(lex_chain(datum, lam)), args.budget)
         ch = character_from_qls(datum, lam)
@@ -202,8 +199,9 @@ def cmd_verify_crystal(datum: RootDatum, args) -> int:
             correspondence.build_isomorphism_to_tensor(datum, lam)
         except InternalError as exc:  # a failed isomorphism is a finding, not a crash
             tensor_ok, tensor_error = False, str(exc)
+    connected = graph.is_connected()
     clean = (
-        graph.is_connected()
+        connected
         and not intertwining["violations"]
         and not energy["violations"]
         and tensor_ok
@@ -212,7 +210,7 @@ def cmd_verify_crystal(datum: RootDatum, args) -> int:
         {
             "lambda": list(lam.coords),
             "vertices": len(graph.vertices),
-            "connected": graph.is_connected(),
+            "connected": connected,
             "intertwining": intertwining,
             "energy": energy,
             "tensor_isomorphism": {"ok": tensor_ok, "error": tensor_error},
@@ -284,7 +282,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("character", parents=[common, weighted], help="print a graded character")
     p.add_argument("--route", choices=("qls", "alcove", "weyl"), default="qls")
     p.add_argument("--format", choices=("json", "text", "orbit"), default="json")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--chain-file", default=None)
     p.set_defaults(handler=cmd_character)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import alcove_model, qls_model
-from .alcove_model import AdmissibleSubset, LambdaChain, lex_chain
+from .alcove_model import AdmissibleSubset, LambdaChain, lex_chain, require_lex
 from .lie_data import InputError, InternalError, RootDatum, Weight, WeylElement
 from .qls_model import QLSPath, qls_path
 from .quantum_bruhat import reflection_ordering, tilted_minimum
@@ -29,11 +29,6 @@ def _chain_ordering(chain: LambdaChain) -> tuple[int, ...]:
         J = chain.datum.stabilizer(chain.lam)
         _ordering_cache[key] = reflection_ordering(chain.datum, J, chain)
     return _ordering_cache[key]
-
-
-def _require_lex(chain: LambdaChain) -> None:
-    if not chain.lex:
-        raise InputError("the bijection is defined over lex chains only")
 
 
 @dataclass(frozen=True)
@@ -54,7 +49,7 @@ class CorrespondenceRecord:
 def forgetful(A: AdmissibleSubset) -> CorrespondenceRecord:
     """Both path images of an admissible subset over a lex chain."""
     chain = A.chain
-    _require_lex(chain)
+    require_lex(chain)
     datum = chain.datum
     lam = chain.lam
     weyl = datum.weyl
@@ -98,7 +93,7 @@ def inverse(eta: QLSPath, chain: LambdaChain | None = None) -> AdmissibleSubset:
     lam = -w0.act_weight(eta.lam)
     if chain is None:
         chain = lex_chain(datum, lam)
-    _require_lex(chain)
+    require_lex(chain)
     if chain.lam != lam:
         raise InputError(
             f"chain weight {chain.lam.coords} does not match the path shape"
@@ -138,7 +133,7 @@ def verify_intertwining(datum: RootDatum, lam: Weight, chain: LambdaChain | None
     """
     if chain is None:
         chain = lex_chain(datum, lam)
-    _require_lex(chain)
+    require_lex(chain)
     subsets = alcove_model.enumerate_admissible(chain)
     violations: list[dict] = []
     checks = 0
@@ -173,7 +168,7 @@ def verify_energy(datum: RootDatum, lam: Weight, chain: LambdaChain | None = Non
     """
     if chain is None:
         chain = lex_chain(datum, lam)
-    _require_lex(chain)
+    require_lex(chain)
     weyl = datum.weyl
     w0 = weyl.longest
     J = datum.stabilizer(lam)

@@ -40,9 +40,6 @@ class Weight:
     def __neg__(self) -> "Weight":
         return Weight(tuple(-a for a in self.coords))
 
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coords)
-
     def as_rational(self) -> "RationalWeight":
         return RationalWeight(tuple(Fraction(a) for a in self.coords))
 
@@ -414,11 +411,6 @@ class WeylElement:
     @property
     def inverse(self) -> "WeylElement":
         return self.group.elements[self._inverse_index]
-
-    def apply_perm(self, signed_index: int) -> int:
-        """Image of a signed positive-root index (1-based, sign = root sign)."""
-        v = self.perm[abs(signed_index) - 1]
-        return v if signed_index > 0 else -v
 
     def act_root_index(self, root_index: int) -> int:
         """Image of positive root (0-based index) as signed 1-based index."""

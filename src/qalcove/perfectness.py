@@ -13,7 +13,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 from . import qls_model
-from .characters import _root_coords
 from .lie_data import InputError, RootDatum, Vector, Weight
 from .qls_model import CrystalGraph
 
@@ -95,7 +94,7 @@ class PerfectnessReport:
 
 
 def _dominates(datum: RootDatum, high: Vector, low: Vector) -> bool:
-    coords = _root_coords(datum, Weight(high) - Weight(low))
+    coords = datum.weight_in_root_coords(Weight(high) - Weight(low))
     return all(c.denominator == 1 and c >= 0 for c in coords)
 
 

@@ -301,28 +301,26 @@ def phi(eta: QLSPath, j: int) -> int:
 # -------------------------------------------------------------------- degree
 
 
-def deg(eta: QLSPath) -> int:
-    """Degree: minus the sum of (1 - b_k) times the segment path weights."""
+def _break_weighted_degree(eta: QLSPath, factor) -> int:
+    """Minus the sum over k of factor(b_k) times the path weight of segment k."""
     graph = _parabolic_graph(eta.datum, eta.J)
     total = Fraction(0)
     for k in range(1, len(eta.directions)):
         step = graph.shortest_path_weight(eta.directions[k], eta.directions[k - 1], eta.lam)
-        total -= (1 - eta.breaks[k]) * step
+        total -= factor(eta.breaks[k]) * step
     if total.denominator != 1:
         raise InternalError(f"degree {total} is not an integer")
     return int(total)
+
+
+def deg(eta: QLSPath) -> int:
+    """Degree: minus the sum of (1 - b_k) times the segment path weights."""
+    return _break_weighted_degree(eta, lambda b: 1 - b)
 
 
 def deg_of_involution(eta: QLSPath) -> int:
     """Degree of the Lusztig involution of eta, from eta's own break data."""
-    graph = _parabolic_graph(eta.datum, eta.J)
-    total = Fraction(0)
-    for k in range(1, len(eta.directions)):
-        step = graph.shortest_path_weight(eta.directions[k], eta.directions[k - 1], eta.lam)
-        total -= eta.breaks[k] * step
-    if total.denominator != 1:
-        raise InternalError(f"degree {total} is not an integer")
-    return int(total)
+    return _break_weighted_degree(eta, lambda b: b)
 
 
 # ------------------------------------------------------ duality and Lusztig S

@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from qalcove.lie_data import (
     InputError,
@@ -37,6 +38,37 @@ class QBGEdge:
     weight: Vector  # coroot coordinates; zero vector on Bruhat edges
 
 
+@cache
+def quantum_drops(datum: RootDatum, J: frozenset[int] = frozenset()) -> dict[int, int]:
+    """<alpha^vee, 2rho - 2rho_J> for every positive root alpha outside the
+    parabolic subsystem of J, keyed by root index in increasing order."""
+    depth = datum.two_rho_minus_two_rho_J(J)
+    inside = datum.parabolic_roots(J)
+    drops = {}
+    for k in range(len(datum.positive_roots)):
+        if k not in inside:
+            drops[k] = datum.pairing(datum.positive_coroots[k], depth)
+            if drops[k] <= 0:
+                raise InternalError("<alpha^vee, 2rho-2rho_J> must be positive")
+    return drops
+
+
+def qbg_step(
+    datum: RootDatum, w: WeylElement, root: int, J: frozenset[int] = frozenset()
+) -> tuple[WeylElement, str] | None:
+    """The edge of the parabolic graph on W^J leaving w with label root, as
+    (target, kind), or None if neither edge condition holds."""
+    weyl = datum.weyl
+    target = w * weyl.reflection(root)
+    if J:
+        target = weyl.min_coset_rep(target, J)
+    if target.length == w.length + 1:
+        return target, BRUHAT
+    if target.length == w.length + 1 - quantum_drops(datum, J)[root]:
+        return target, QUANTUM
+    return None
+
+
 class QuantumBruhatGraph:
     """Immutable quantum Bruhat graph on W^J, optionally b-restricted."""
 
@@ -52,32 +84,24 @@ class QuantumBruhatGraph:
         self.restriction = restriction
         self.vertices = datum.weyl.coset_reps(self.J)
         self._vertex_pos = {w: i for i, w in enumerate(self.vertices)}
-        self.labels: tuple[int, ...] = tuple(
-            k
-            for k in range(len(datum.positive_roots))
-            if k not in datum.parabolic_roots(self.J)
-        )
+        # the roots outside the parabolic subsystem
+        self.labels: tuple[int, ...] = tuple(quantum_drops(datum, self.J))
         if _edges is not None:
             self.adjacency = _edges
         else:
-            depth = datum.two_rho_minus_two_rho_J(self.J)
-            drops = {}
-            for k in self.labels:
-                drops[k] = datum.pairing(datum.positive_coroots[k], depth)
-                if drops[k] <= 0:
-                    raise InternalError("<alpha^vee, 2rho-2rho_J> must be positive")
-            self.adjacency = {w: self._build_edges(w, drops) for w in self.vertices}
+            self.adjacency = {w: self._build_edges(w) for w in self.vertices}
         self._bfs_cache: dict[WeylElement, dict] = {}
 
-    def _build_edges(self, w: WeylElement, drops: dict[int, int]) -> tuple[QBGEdge, ...]:
-        datum, weyl = self.datum, self.datum.weyl
+    def _build_edges(self, w: WeylElement) -> tuple[QBGEdge, ...]:
+        datum = self.datum
+        zero = (0,) * datum.rank
         out = []
         for k in self.labels:
-            target = weyl.min_coset_rep(w * weyl.reflection(k), self.J)
-            if target.length == w.length + 1:
-                out.append(QBGEdge(w, target, k, BRUHAT, (0,) * datum.rank))
-            elif target.length == w.length + 1 - drops[k]:
-                out.append(QBGEdge(w, target, k, QUANTUM, datum.positive_coroots[k]))
+            step = qbg_step(datum, w, k, self.J)
+            if step is not None:
+                target, kind = step
+                weight = zero if kind == BRUHAT else datum.positive_coroots[k]
+                out.append(QBGEdge(w, target, k, kind, weight))
         return tuple(out)
 
     def edges(self):

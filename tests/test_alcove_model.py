@@ -135,18 +135,6 @@ def test_admissible_enumeration_empty_chain():
     assert [a.positions for a in subsets] == [()]
 
 
-def test_enumeration_partition_by_first_position():
-    d = build_root_datum("C", 2)
-    chain = lex_chain(d, d.rho)
-    whole = {a.positions for a in enumerate_admissible(chain)}
-    parts = {()}
-    for first in range(1, len(chain) + 1):
-        for a in enumerate_admissible(chain, first_position=first):
-            assert a.positions[0] == first
-            parts.add(a.positions)
-    assert parts == whole
-
-
 def test_weights_a1():
     d = build_root_datum("A", 1)
     chain = lex_chain(d, Weight((2,)))

@@ -25,8 +25,8 @@ C2 = build_root_datum("C", 2)
 G2 = build_root_datum("G", 2)
 
 
-def alcove_char(datum, lam, **kw):
-    return character_from_alcove(lex_chain(datum, Weight(lam)), **kw)
+def alcove_char(datum, lam):
+    return character_from_alcove(lex_chain(datum, Weight(lam)))
 
 
 # ----------------------------------------------------------- graded algebra
@@ -73,6 +73,16 @@ def test_orbit_line_groups_weyl_orbits():
     lopsided = GradedCharacter(1, {((1,), 0): 1})
     with pytest.raises(InputError, match="orbit"):
         lopsided.orbit_line(A1)
+
+
+def test_all_three_forms_share_the_monomial_rule():
+    # a coefficient other than 1 is printed, even when negative; q^n for n >= 2
+    assert str(GradedCharacter(1, {((1,), 2): -1})) == "-1*q^2*x^(1)"
+    orbit = GradedCharacter(1, {((1,), 2): -1, ((-1,), 2): -1})
+    assert orbit.orbit_line(A1) == "-1*q^2*m(1)"
+    assert format_decomposition([(2, (1,), -1)]) == "-1*q^2*chi(1)"
+    assert GradedCharacter(1).orbit_line(A1) == "0"
+    assert format_decomposition([]) == "0"
 
 
 def test_json_form_is_sorted_and_round_trips():
@@ -126,11 +136,6 @@ def test_vector_weight_characters_match_orbit():
 )
 def test_both_routes_agree(datum, lam):
     assert alcove_char(datum, lam) == character_from_qls(datum, Weight(lam))
-
-
-def test_parallel_enumeration_matches_serial():
-    chain = lex_chain(C2, Weight((1, 1)))
-    assert character_from_alcove(chain, jobs=3) == character_from_alcove(chain)
 
 
 def test_chain_order_does_not_change_the_character():

@@ -149,6 +149,21 @@ def test_weight_in_root_coords():
     assert c2.weight_in_root_coords(c2.fundamental_weight(1)) == (Fraction(1), Fraction(1, 2))
 
 
+ALL_TYPES = (
+    [("A", n) for n in range(1, 5)]
+    + [("B", n) for n in range(2, 6)]
+    + [("C", n) for n in range(2, 5)]
+    + [("D", 4), ("D", 5), ("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
+@pytest.mark.parametrize("label,rank", ALL_TYPES)
+def test_root_coords_invert_root_as_weight(label, rank):
+    d = build_root_datum(label, rank)
+    for k, root in enumerate(d.positive_roots):
+        assert d.weight_in_root_coords(d.root_as_weight(k)) == root
+
+
 def test_bad_inputs():
     with pytest.raises(InputError):
         build_root_datum("Z", 2)

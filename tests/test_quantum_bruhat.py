@@ -11,6 +11,8 @@ from qalcove.quantum_bruhat import (
     QUANTUM,
     QuantumBruhatGraph,
     build_qbg,
+    qbg_step,
+    quantum_drops,
     increasing_path,
     increasing_paths_from,
     reflection_ordering,
@@ -30,6 +32,25 @@ def test_a1_full_graph():
     assert by_src[s1].kind == QUANTUM
     assert by_src[s1].target == d.weyl.identity
     assert by_src[s1].weight == (1,)  # alpha1^vee
+
+
+def test_full_graph_drops_pair_with_two_rho():
+    for label, rank in [("A", 3), ("C", 3), ("G", 2)]:
+        d = build_root_datum(label, rank)
+        two_rho = Weight((2,) * rank)
+        assert quantum_drops(d) == {
+            k: d.pairing(c, two_rho) for k, c in enumerate(d.positive_coroots)
+        }
+
+
+def test_step_along_the_highest_root_of_a2():
+    # r_theta = w_0 has length 3 and <theta^vee, 2rho> = 4
+    d = build_root_datum("A", 2)
+    e, w0 = d.weyl.identity, d.weyl.longest
+    assert qbg_step(d, e, d.theta) is None
+    assert qbg_step(d, w0, d.theta) == (e, QUANTUM)
+    for i in range(2):
+        assert qbg_step(d, e, d.simple_root_index[i]) == (d.weyl.simple[i], BRUHAT)
 
 
 def test_parabolic_vertex_count():
