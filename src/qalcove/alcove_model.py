@@ -132,8 +132,11 @@ def _validate_walk(chain: LambdaChain) -> None:
     weyl = datum.weyl
     w = weyl.identity
     v = Weight((0,) * datum.rank)
+    # the fundamental alcove's last wall is H_{gamma,1} for the root gamma
+    # with the highest coroot: the highest short root, not theta
+    top = max(range(len(datum.positive_roots)), key=lambda k: sum(datum.positive_coroots[k]))
     walls = {(datum.simple_root_index[i], 0) for i in range(datum.rank)}
-    walls.add((datum.theta, 1))
+    walls.add((top, 1))
     for n, entry in enumerate(chain.entries, start=1):
         # pull H_{beta,-l} back through the affine map (w, v)
         g = w.inverse.act_root_index(entry.root)
@@ -149,7 +152,12 @@ def _validate_walk(chain: LambdaChain) -> None:
         beta_wt = datum.root_as_weight(entry.root)
         v = refl.act_weight(v) - Weight(tuple(entry.level * x for x in beta_wt.coords))
         w = refl * w
-    if w != weyl.identity or v != -chain.lam:
+    # (w, v) is the translation by -lambda only for lambda in the root
+    # lattice, so test where it sends an interior point of the fundamental
+    # alcove: back in that alcove after adding lambda
+    inner = datum.rho.as_rational().scale(Fraction(1, sum(datum.positive_coroots[top]) + 1))
+    end = w.act_weight(inner) + (v + chain.lam).as_rational()
+    if not all(0 < datum.pairing(coroot, end) < 1 for coroot in datum.positive_coroots):
         raise InputError("chain does not end at the alcove translated by -lambda")
 
 
@@ -192,17 +200,20 @@ def weight_of(chain: LambdaChain, positions) -> Weight:
 class AdmissibleSubset:
     """Positions whose reflection walk is a path in QB(W) from the identity."""
 
-    __slots__ = ("chain", "positions", "path", "edge_kinds", "_weight", "_height")
+    __slots__ = ("chain", "positions", "path", "edge_kinds", "weight", "height")
 
     def __init__(self, chain: LambdaChain, positions: tuple[int, ...]):
-        built = _walk(chain, positions)
-        if built is None:
-            raise InputError(f"positions {positions} are not admissible for this chain")
+        node = _root_node(chain)
+        last = 0
+        for pos in positions:
+            if not last < pos <= len(chain.entries):
+                raise InputError(f"position {pos} out of order or out of range")
+            last = pos
+            node = _extend(chain, node, pos)
+            if node is None:
+                raise InputError(f"positions {positions} are not admissible for this chain")
         self.chain = chain
-        self.positions = tuple(positions)
-        self.path, self.edge_kinds = built
-        self._weight: Weight | None = None
-        self._height: int | None = None
+        self.positions, self.path, self.edge_kinds, self.weight, self.height = node
 
     def __eq__(self, other) -> bool:
         return (
@@ -217,25 +228,6 @@ class AdmissibleSubset:
     def __repr__(self) -> str:
         return f"AdmissibleSubset({set(self.positions) or '{}'})"
 
-    @property
-    def weight(self) -> Weight:
-        if self._weight is None:
-            self._weight = weight_of(self.chain, self.positions)
-        return self._weight
-
-    @property
-    def height(self) -> int:
-        """Sum of complementary heights over the quantum positions."""
-        if self._height is None:
-            total = 0
-            for pos, kind in zip(self.positions, self.edge_kinds):
-                if kind == QUANTUM:
-                    total += self.chain.complementary_height(pos)
-            if total < 0:
-                raise InternalError("height must be nonnegative")
-            self._height = total
-        return self._height
-
     def to_json_dict(self) -> dict:
         return {
             "positions": list(self.positions),
@@ -246,21 +238,38 @@ class AdmissibleSubset:
         }
 
 
-def _walk(chain: LambdaChain, positions) -> tuple[tuple, tuple] | None:
-    datum = chain.datum
-    path = [datum.weyl.identity]
-    kinds = []
-    last = 0
-    for pos in positions:
-        if not last < pos <= len(chain.entries):
-            raise InputError(f"position {pos} out of order or out of range")
-        last = pos
-        step = qbg_step(datum, path[-1], chain.entries[pos - 1].root)
-        if step is None:
-            return None
-        path.append(step[0])
-        kinds.append(step[1])
-    return tuple(path), tuple(kinds)
+# A node of the walk: (positions, path, edge kinds, weight, height), where
+# weight is -r_{j1}...r_{js}(-lambda) and height sums l-tilde over the
+# quantum steps.
+Node = tuple[tuple[int, ...], tuple[WeylElement, ...], tuple[str, ...], Weight, int]
+
+
+def _root_node(chain: LambdaChain) -> Node:
+    return (), (chain.datum.weyl.identity,), (), chain.lam, 0
+
+
+def _extend(chain: LambdaChain, node: Node, pos: int) -> Node | None:
+    """The node one step further, folding at pos, or None when w -> w r_beta
+    is not an edge of QB(W).  Since w r_beta(lambda) = w(lambda) -
+    <beta^vee,lambda> w(beta) and the translation moves by -l w(beta), the
+    weight drops by l-tilde w(beta)."""
+    positions, path, kinds, weight, height = node
+    w = path[-1]
+    root = chain.entries[pos - 1].root
+    step = qbg_step(chain.datum, w, root)
+    if step is None:
+        return None
+    target, kind = step
+    lt = chain.complementary_height(pos)
+    image = w.perm[root]
+    shift = chain.datum.root_weights[abs(image) - 1]
+    c = lt if image > 0 else -lt
+    weight = Weight(tuple(a - c * b for a, b in zip(weight.coords, shift)))
+    if kind == QUANTUM:
+        if lt <= 0:
+            raise InternalError("height must be nonnegative")
+        height += lt
+    return positions + (pos,), path + (target,), kinds + (kind,), weight, height
 
 
 def try_admissible(chain: LambdaChain, positions) -> AdmissibleSubset | None:
@@ -272,32 +281,21 @@ def try_admissible(chain: LambdaChain, positions) -> AdmissibleSubset | None:
 
 def enumerate_admissible(chain: LambdaChain) -> tuple[AdmissibleSubset, ...]:
     """All admissible subsets, in lexicographic order of position tuples."""
-    datum = chain.datum
     m = len(chain.entries)
     out: list[AdmissibleSubset] = []
-
-    def extend(prefix: list[int], path: list, kinds: list) -> None:
+    stack = [_root_node(chain)]
+    while stack:
+        node = stack.pop()
         a = AdmissibleSubset.__new__(AdmissibleSubset)
         a.chain = chain
-        a.positions = tuple(prefix)
-        a.path = tuple(path)
-        a.edge_kinds = tuple(kinds)
-        a._weight = None
-        a._height = None
+        a.positions, a.path, a.edge_kinds, a.weight, a.height = node
         out.append(a)
-        start = prefix[-1] + 1 if prefix else 1
-        for pos in range(start, m + 1):
-            step = qbg_step(datum, path[-1], chain.entries[pos - 1].root)
-            if step is not None:
-                prefix.append(pos)
-                path.append(step[0])
-                kinds.append(step[1])
-                extend(prefix, path, kinds)
-                prefix.pop()
-                path.pop()
-                kinds.pop()
-
-    extend([], [datum.weyl.identity], [])
+        start = node[0][-1] + 1 if node[0] else 1
+        # children go on in reverse, so the smallest next position pops first
+        for pos in range(m, start - 1, -1):
+            child = _extend(chain, node, pos)
+            if child is not None:
+                stack.append(child)
     return tuple(out)
 
 

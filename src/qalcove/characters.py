@@ -187,19 +187,18 @@ def _dominant_multiplicities(datum: RootDatum, lam: Weight) -> dict[Weight, tupl
     box = tuple(int(b) for b in box)
     alphas = [datum.root_as_weight(datum.simple_root_index[j]) for j in range(n)]
 
-    # candidates: dominant weights lam - sum c_j alpha_j inside the box
+    # candidates: dominant weights lam - sum c_j alpha_j inside the box; each
+    # depth vector is reached once, by raising its coordinates in order
     candidates: dict[Weight, tuple[int, ...]] = {}
-
-    def descend(depth: list[int], wt: Weight, start: int) -> None:
+    stack = [((0,) * n, lam, 0)]
+    while stack:
+        depth, wt, start = stack.pop()
         if datum.is_dominant(wt):
-            candidates[wt] = tuple(depth)
-        for j in range(start, n):
+            candidates[wt] = depth
+        for j in range(n - 1, start - 1, -1):
             if depth[j] < box[j]:
-                depth[j] += 1
-                descend(depth, wt - alphas[j], j)
-                depth[j] -= 1
-
-    descend([0] * n, lam, 0)
+                deeper = depth[:j] + (depth[j] + 1,) + depth[j + 1 :]
+                stack.append((deeper, wt - alphas[j], j))
     rho = datum.rho
     top_norm = _norm(datum, lam + rho)
     mult: dict[Weight, int] = {}
@@ -252,13 +251,13 @@ def decompose(datum: RootDatum, character: GradedCharacter) -> list[tuple[int, t
     not a nonnegative integer combination.
     """
     out: list[tuple[int, tuple[int, ...], int]] = []
+    # a weight outside the input can only come back with a negative
+    # coefficient, which is rejected before the next max
+    height = {w: sum(datum.weight_in_root_coords(Weight(w))) for w, _ in character.terms}
     for q in character.q_exponents():
         layer = character.q_layer(q)
         while layer:
-            top = max(
-                layer.terms,
-                key=lambda key: (sum(datum.weight_in_root_coords(Weight(key[0]))), key[0]),
-            )
+            top = max(layer.terms, key=lambda key: (height[key[0]], key[0]))
             coords = Weight(top[0])
             coeff = layer.terms[top]
             if not datum.is_dominant(coords) or coeff < 0:

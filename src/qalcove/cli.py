@@ -1,6 +1,7 @@
 """Command-line surface: chains, crystals, characters, and verification runs.
 
-Exit codes: 0 on success, 1 when a verification fails, 2 on bad input.
+Exit codes: 0 on success, 1 when a verification fails, 2 on bad input, 3
+when an internal invariant fails (a bug; reported as one JSON line on stderr).
 """
 
 from __future__ import annotations
@@ -311,6 +312,9 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InternalError as exc:
+        print(json.dumps({"error": "internal", "message": str(exc)}), file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

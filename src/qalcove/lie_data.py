@@ -215,6 +215,11 @@ class RootDatum:
         )
 
     @cached_property
+    def root_weights(self) -> tuple[Vector, ...]:
+        """Fundamental-weight coordinates of every positive root, by index."""
+        return tuple(self.root_as_weight(k).coords for k in range(len(self.positive_roots)))
+
+    @cached_property
     def _cartan_inverse(self) -> tuple[tuple[Fraction, ...], ...]:
         n = self.rank
         m = [[Fraction(self.cartan[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]

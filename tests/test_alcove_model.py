@@ -1,5 +1,7 @@
 """Lex chains, admissible subsets, folding, and the root operators."""
 
+import gc
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -20,6 +22,7 @@ from qalcove.alcove_model import (
     try_admissible,
     weight_of,
 )
+from qalcove.characters import character_from_alcove, decompose
 from qalcove.lie_data import InputError, Weight, build_root_datum
 from qalcove.quantum_bruhat import BRUHAT, QUANTUM
 
@@ -100,6 +103,21 @@ def test_user_chain_other_node_order_is_valid_but_not_lex():
         f_operator(AdmissibleSubset(rebuilt, ()), 1)
 
 
+@pytest.mark.parametrize(
+    "label, rank, lam",
+    [("A", 3, (1, 1, 1)), ("C", 3, (1, 0, 0)), ("B", 3, (1, 1, 1)), ("G", 2, (2, 1))],
+)
+def test_user_chain_accepts_every_lex_chain(label, rank, lam):
+    # the last wall of the fundamental alcove belongs to the highest short
+    # root, and a weight outside the root lattice ends the walk at a
+    # translate that is not (identity, -lambda)
+    d = build_root_datum(label, rank)
+    for order in itertools.permutations(range(1, rank + 1)):
+        base = lex_chain(d, Weight(lam), order)
+        again = chain_from_roots(d, Weight(lam), [e.root for e in base.entries])
+        assert again.entries == base.entries
+
+
 def test_user_chain_rejects_wrong_counts():
     d = build_root_datum("A", 2)
     with pytest.raises(InputError):
@@ -133,6 +151,61 @@ def test_admissible_enumeration_empty_chain():
     chain = lex_chain(d, Weight((0, 0)))
     subsets = enumerate_admissible(chain)
     assert [a.positions for a in subsets] == [()]
+
+
+def _check_carried_statistics(chain):
+    """The weight and height carried along the walk agree with folding the
+    whole chain, with the complementary heights summed here, and with a
+    subset rebuilt from its positions."""
+    for a in enumerate_admissible(chain):
+        assert a.weight == weight_of(chain, a.positions)
+        quantum = [p for p, kind in zip(a.positions, a.edge_kinds) if kind == QUANTUM]
+        assert a.height == sum(chain.complementary_height(p) for p in quantum)
+        again = AdmissibleSubset(chain, a.positions)
+        assert (again.path, again.edge_kinds, again.weight, again.height) == (
+            a.path, a.edge_kinds, a.weight, a.height
+        )
+
+
+@pytest.mark.parametrize(
+    "label, rank, lam, node_order",
+    [
+        ("A", 3, (1, 1, 1), None),
+        ("C", 3, (1, 1, 1), (2, 1, 3)),
+        ("B", 3, (1, 1, 1), (3, 2, 1)),
+        ("G", 2, (2, 1), None),
+        ("D", 4, (1, 0, 1, 1), None),
+        ("F", 4, (1, 0, 0, 0), None),
+    ],
+)
+def test_carried_statistics_match_folding(label, rank, lam, node_order):
+    d = build_root_datum(label, rank)
+    _check_carried_statistics(lex_chain(d, Weight(lam), node_order))
+
+
+def test_carried_statistics_match_folding_on_a_non_lex_chain():
+    d = build_root_datum("C", 3)
+    roots = [e.root for e in lex_chain(d, d.rho).entries]
+    roots[8], roots[9] = roots[9], roots[8]  # a1 and a1+2a2+a3 are orthogonal
+    chain = chain_from_roots(d, d.rho, roots)
+    assert not chain.lex
+    _check_carried_statistics(chain)
+
+
+def test_enumeration_leaves_no_cycles():
+    d = build_root_datum("C", 3)
+    chain = lex_chain(d, d.rho)
+    character = character_from_alcove(chain)
+    decompose(d, character)  # warm-up: builds the cached Weyl group and tables
+    gc.collect()
+    gc.disable()
+    try:
+        enumerate_admissible(chain)
+        assert gc.collect() == 0
+        decompose(d, character)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_weights_a1():

@@ -7,8 +7,9 @@ from fractions import Fraction
 
 import pytest
 
+from qalcove import cli
 from qalcove.cli import main
-from qalcove.lie_data import Weight, build_root_datum
+from qalcove.lie_data import InternalError, Weight, build_root_datum
 from qalcove.qls_model import deg, qls_path
 
 A1 = build_root_datum("A", 1)
@@ -183,6 +184,17 @@ def test_budget_guard(capsys):
     code, _, err = run(capsys, "admissible", "--type", "A", "--rank", "2",
                        "--weight", "1,1", "--budget", "5")
     assert code == 2 and "budget" in err
+
+
+def test_internal_error_exits_three_with_a_json_line(capsys, monkeypatch):
+    def broken(chain):
+        raise InternalError("forced invariant failure")
+
+    monkeypatch.setattr(cli, "character_from_alcove", broken)
+    code, out, err = run(capsys, "character", "--type", "A", "--rank", "1", "--weight", "1",
+                         "--route", "alcove")
+    assert code == 3 and out == ""
+    assert json.loads(err) == {"error": "internal", "message": "forced invariant failure"}
 
 
 def test_missing_subcommand_is_a_usage_error():
