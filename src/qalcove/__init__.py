@@ -20,7 +20,6 @@ from qalcove.correspondence import forgetful, inverse
 from qalcove.lie_data import (
     InputError,
     InternalError,
-    RationalWeight,
     RootDatum,
     Weight,
     build_root_datum,
@@ -32,7 +31,6 @@ __all__ = [
     "GradedCharacter",
     "InputError",
     "InternalError",
-    "RationalWeight",
     "RootDatum",
     "Weight",
     "build_crystal",

@@ -153,11 +153,12 @@ def _validate_walk(chain: LambdaChain) -> None:
         v = refl.act_weight(v) - Weight(tuple(entry.level * x for x in beta_wt.coords))
         w = refl * w
     # (w, v) is the translation by -lambda only for lambda in the root
-    # lattice, so test where it sends an interior point of the fundamental
-    # alcove: back in that alcove after adding lambda
-    inner = datum.rho.as_rational().scale(Fraction(1, sum(datum.positive_coroots[top]) + 1))
-    end = w.act_weight(inner) + (v + chain.lam).as_rational()
-    if not all(0 < datum.pairing(coroot, end) < 1 for coroot in datum.positive_coroots):
+    # lattice, so test where it sends the interior point rho/h of the
+    # fundamental alcove: back in that alcove after adding lambda.  Scaled
+    # by h, the point is w(rho) + h(v + lambda) and the alcove is 0 < . < h.
+    h = sum(datum.positive_coroots[top]) + 1
+    end = w.act_weight(datum.rho) + Weight(tuple(h * c for c in (v + chain.lam).coords))
+    if not all(0 < datum.pairing(coroot, end) < h for coroot in datum.positive_coroots):
         raise InputError("chain does not end at the alcove translated by -lambda")
 
 

@@ -92,7 +92,12 @@ def _chain_for(datum: RootDatum, lam: Weight, args) -> LambdaChain:
     return lex_chain(datum, lam, node_order=_parse_node_order(args.node_order))
 
 
-def _guard(datum: RootDatum, length: int, budget: int) -> None:
+def _guard(datum: RootDatum, lam: Weight, budget: int) -> None:
+    """Refuse jobs where |W| times the chain length exceeds the budget; every
+    chain for lambda has <beta^vee, lambda> entries for each positive root beta."""
+    if not datum.is_dominant(lam):
+        raise InputError(f"weight {lam.coords} is not dominant")
+    length = sum(datum.pairing(coroot, lam) for coroot in datum.positive_coroots)
     cost = len(datum.weyl.elements) * max(length, 1)
     if cost > budget:
         raise InputError(f"job size {cost} exceeds budget {budget}; raise --budget to proceed")
@@ -112,8 +117,9 @@ def cmd_chain(datum: RootDatum, args) -> int:
 
 
 def cmd_admissible(datum: RootDatum, args) -> int:
-    chain = _chain_for(datum, _parse_weight(datum, args.weight), args)
-    _guard(datum, len(chain), args.budget)
+    lam = _parse_weight(datum, args.weight)
+    _guard(datum, lam, args.budget)
+    chain = _chain_for(datum, lam, args)
     subsets = enumerate_admissible(chain)
     _emit({"count": len(subsets), "subsets": [a.to_json_dict() for a in subsets]})
     return 0
@@ -144,7 +150,7 @@ def cmd_qls(datum: RootDatum, args) -> int:
 
 def cmd_crystal(datum: RootDatum, args) -> int:
     lam = _parse_weight(datum, args.weight)
-    _guard(datum, len(lex_chain(datum, lam)), args.budget)
+    _guard(datum, lam, args.budget)
     graph = build_crystal(datum, lam)
     print(graph.to_dot() if args.format == "dot" else json.dumps(graph.to_json_dict(), indent=2))
     return 0
@@ -153,11 +159,10 @@ def cmd_crystal(datum: RootDatum, args) -> int:
 def cmd_character(datum: RootDatum, args) -> int:
     lam = _parse_weight(datum, args.weight)
     if args.route == "alcove":
-        chain = _chain_for(datum, lam, args)
-        _guard(datum, len(chain), args.budget)
-        ch = character_from_alcove(chain)
+        _guard(datum, lam, args.budget)
+        ch = character_from_alcove(_chain_for(datum, lam, args))
     elif args.route == "qls":
-        _guard(datum, len(lex_chain(datum, lam)), args.budget)
+        _guard(datum, lam, args.budget)
         ch = character_from_qls(datum, lam)
     else:
         ch = weyl_character(datum, lam)
@@ -178,8 +183,8 @@ def cmd_character(datum: RootDatum, args) -> int:
 
 def cmd_verify_px(datum: RootDatum, args) -> int:
     lam = _parse_weight(datum, args.weight)
+    _guard(datum, lam, args.budget)
     chain = _chain_for(datum, lam, args)
-    _guard(datum, len(chain), args.budget)
     report = verify_p_equals_x(datum, lam, chain=chain)
     if report["pass"]:
         print(f"X = {report['decomposition']}")
@@ -189,8 +194,8 @@ def cmd_verify_px(datum: RootDatum, args) -> int:
 
 def cmd_verify_crystal(datum: RootDatum, args) -> int:
     lam = _parse_weight(datum, args.weight)
+    _guard(datum, lam, args.budget)
     chain = _chain_for(datum, lam, args)
-    _guard(datum, len(chain), args.budget)
     graph = build_crystal(datum, lam)
     intertwining = correspondence.verify_intertwining(datum, lam, chain=chain)
     energy = correspondence.verify_energy(datum, lam, chain=chain)
@@ -198,7 +203,7 @@ def cmd_verify_crystal(datum: RootDatum, args) -> int:
     if sum(lam.coords) > 1:
         try:
             correspondence.build_isomorphism_to_tensor(datum, lam)
-        except InternalError as exc:  # a failed isomorphism is a finding, not a crash
+        except correspondence.IsomorphismMismatch as exc:  # a finding, not a crash
             tensor_ok, tensor_error = False, str(exc)
     connected = graph.is_connected()
     clean = (

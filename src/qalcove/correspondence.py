@@ -23,6 +23,10 @@ from .quantum_bruhat import reflection_ordering, tilted_minimum
 _ordering_cache: dict = {}
 
 
+class IsomorphismMismatch(InternalError):
+    """Arrow propagation found that the crystal is not the tensor product."""
+
+
 def _chain_ordering(chain: LambdaChain) -> tuple[int, ...]:
     key = (chain.datum, chain.lam, chain.entries)
     if key not in _ordering_cache:
@@ -235,20 +239,20 @@ def build_isomorphism_to_tensor(datum: RootDatum, lam: Weight) -> dict:
                 w = table.get((v, j))
                 image = image_table.get((mapping[v], j))
                 if (w is None) != (image is None):
-                    raise InternalError(f"arrow mismatch at label {j}")
+                    raise IsomorphismMismatch(f"arrow mismatch at label {j}")
                 if w is None:
                     continue
                 if w in mapping:
                     if mapping[w] != image:
-                        raise InternalError(f"propagation conflict at label {j}")
+                        raise IsomorphismMismatch(f"propagation conflict at label {j}")
                 else:
                     mapping[w] = image
                     queue.append(w)
     if len(mapping) != len(source.vertices):
-        raise InternalError("isomorphism is not total")
+        raise IsomorphismMismatch("isomorphism is not total")
     if len(set(mapping.values())) != len(target.vertices):
-        raise InternalError("isomorphism is not onto")
+        raise IsomorphismMismatch("isomorphism is not onto")
     for v, image in mapping.items():
         if source.weights[v] != target.weights[image]:
-            raise InternalError("isomorphism moved a weight")
+            raise IsomorphismMismatch("isomorphism moved a weight")
     return mapping

@@ -40,33 +40,6 @@ class Weight:
     def __neg__(self) -> "Weight":
         return Weight(tuple(-a for a in self.coords))
 
-    def as_rational(self) -> "RationalWeight":
-        return RationalWeight(tuple(Fraction(a) for a in self.coords))
-
-
-@dataclass(frozen=True)
-class RationalWeight:
-    """Weight with exact rational fundamental-weight coordinates."""
-
-    coords: tuple[Fraction, ...]
-
-    def __add__(self, other: "RationalWeight") -> "RationalWeight":
-        return RationalWeight(tuple(a + b for a, b in zip(self.coords, other.coords, strict=True)))
-
-    def __sub__(self, other: "RationalWeight") -> "RationalWeight":
-        return RationalWeight(tuple(a - b for a, b in zip(self.coords, other.coords, strict=True)))
-
-    def __neg__(self) -> "RationalWeight":
-        return RationalWeight(tuple(-a for a in self.coords))
-
-    def scale(self, c: Fraction) -> "RationalWeight":
-        return RationalWeight(tuple(c * a for a in self.coords))
-
-    def to_weight(self) -> Weight:
-        if any(a.denominator != 1 for a in self.coords):
-            raise InternalError(f"weight {self.coords} is not integral")
-        return Weight(tuple(int(a) for a in self.coords))
-
 
 def _chain_bonds(rank: int) -> dict[tuple[int, int], int]:
     bonds: dict[tuple[int, int], int] = {}
@@ -185,11 +158,11 @@ class RootDatum:
 
     # ------------------------------------------------------------------ pairings
 
-    def pairing(self, coroot: Vector, weight: Weight | RationalWeight):
+    def pairing(self, coroot: Vector, weight: Weight) -> int:
         """<beta^vee, mu> for a coroot in simple-coroot coordinates."""
         return sum(b * m for b, m in zip(coroot, weight.coords, strict=True))
 
-    def pairing_index(self, root_index: int, weight: Weight | RationalWeight):
+    def pairing_index(self, root_index: int, weight: Weight) -> int:
         return self.pairing(self.positive_coroots[root_index], weight)
 
     def pairing_roots(self, coroot_index: int, root_index: int) -> int:
@@ -234,25 +207,23 @@ class RootDatum:
                     m[r] = [x - f * y for x, y in zip(m[r], m[col])]
         return tuple(tuple(row[n:]) for row in m)
 
-    def weight_in_root_coords(self, weight: Weight | RationalWeight) -> tuple[Fraction, ...]:
+    def weight_in_root_coords(self, weight: Weight) -> tuple[Fraction, ...]:
         inv = self._cartan_inverse
         return tuple(
-            sum(inv[i][j] * Fraction(weight.coords[j]) for j in range(self.rank))
+            sum(inv[i][j] * weight.coords[j] for j in range(self.rank))
             for i in range(self.rank)
         )
 
     # ----------------------------------------------------------------- reflections
 
-    def reflect(self, weight, root_index: int):
+    def reflect(self, weight: Weight, root_index: int) -> Weight:
         return self.affine_reflect(weight, root_index, 0)
 
-    def affine_reflect(self, weight, root_index: int, level: int):
+    def affine_reflect(self, weight: Weight, root_index: int, level: int) -> Weight:
         """Reflection through the hyperplane where <beta^vee, .> equals level."""
         c = self.pairing_index(root_index, weight) - level
         beta = self.root_as_weight(root_index)
-        if isinstance(weight, Weight):
-            return Weight(tuple(m - c * b for m, b in zip(weight.coords, beta.coords)))
-        return RationalWeight(tuple(m - c * b for m, b in zip(weight.coords, beta.coords)))
+        return Weight(tuple(m - c * b for m, b in zip(weight.coords, beta.coords)))
 
     # ------------------------------------------------------------------- weights
 
@@ -421,7 +392,7 @@ class WeylElement:
         """Image of positive root (0-based index) as signed 1-based index."""
         return self.perm[root_index]
 
-    def act_weight(self, weight):
+    def act_weight(self, weight: Weight) -> Weight:
         """Action on a weight in fundamental coordinates."""
         datum = self.group.datum
         inv = self.inverse
@@ -431,8 +402,7 @@ class WeylElement:
             coroot = datum.positive_coroots[abs(v) - 1]
             val = datum.pairing(coroot, weight)
             coords.append(val if v > 0 else -val)
-        cls = Weight if isinstance(weight, Weight) else RationalWeight
-        return cls(tuple(coords))
+        return Weight(tuple(coords))
 
     def has_right_descent(self, i: int) -> bool:
         """True iff length(w s_i) < length(w), nodes 1-based."""

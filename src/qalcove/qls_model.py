@@ -3,9 +3,9 @@
 A path of shape lambda is a sequence of directions in W^J (J the stabilizer
 of lambda) with rational break points; consecutive directions must be joined
 by a directed path in the suitably restricted parabolic graph.  This module
-provides validation, evaluation, the root operators e_j/f_j for j in the
-affine index set, the degree statistic, duality and the Lusztig involution,
-and tensor products of the resulting crystals under the Kashiwara convention.
+provides validation, the root operators e_j/f_j for j in the affine index
+set, the degree statistic, duality and the Lusztig involution, and tensor
+products of the resulting crystals under the Kashiwara convention.
 """
 
 from __future__ import annotations
@@ -19,14 +19,11 @@ from functools import cached_property
 from .lie_data import (
     InputError,
     InternalError,
-    RationalWeight,
     RootDatum,
     Weight,
     WeylElement,
 )
 from .quantum_bruhat import QuantumBruhatGraph, build_qbg
-
-_ITERATION_CAP = 4096
 
 _parabolic_cache: dict = {}
 _restricted_cache: dict = {}
@@ -62,23 +59,17 @@ class QLSPath:
         cuts = ", ".join(str(b) for b in self.breaks)
         return f"({dirs}; {cuts})"
 
-    def evaluate(self, t) -> RationalWeight:
-        """Exact value of the piecewise-linear path at time t in [0, 1]."""
-        t = Fraction(t)
-        if t < 0 or t > 1:
-            raise InputError(f"time {t} outside [0, 1]")
-        total = RationalWeight((Fraction(0),) * self.datum.rank)
-        for k, x in enumerate(self.directions):
-            a, b = self.breaks[k], self.breaks[k + 1]
-            if t <= a:
-                break
-            seg = min(b, t) - a
-            total = total + x.act_weight(self.lam).as_rational().scale(seg)
-        return total
-
     @cached_property
     def weight(self) -> Weight:
-        return self.evaluate(1).to_weight()
+        """Sum over the segments of (b_{k+1} - b_k) times x_k(lambda)."""
+        total = [Fraction(0)] * self.datum.rank
+        for k, x in enumerate(self.directions):
+            seg = self.breaks[k + 1] - self.breaks[k]
+            for i, c in enumerate(x.act_weight(self.lam).coords):
+                total[i] += seg * c
+        if any(c.denominator != 1 for c in total):
+            raise InternalError(f"weight {tuple(total)} is not integral")
+        return Weight(tuple(int(c) for c in total))
 
     @property
     def initial_direction(self) -> Weight:
@@ -279,23 +270,16 @@ def f_operator(eta: QLSPath, j: int) -> QLSPath | None:
 
 
 def epsilon(eta: QLSPath, j: int) -> int:
-    """Number of times the raising operator applies."""
-    n, cur = 0, eta
-    while (nxt := e_operator(cur, j)) is not None:
-        n, cur = n + 1, nxt
-        if n > _ITERATION_CAP:
-            raise InternalError("raising operator does not terminate")
-    return n
+    """Number of times the raising operator applies: minus the minimum of H_j."""
+    return -_checked_minimum(_h_breaks(eta, j))
 
 
 def phi(eta: QLSPath, j: int) -> int:
-    """Number of times the lowering operator applies."""
-    n, cur = 0, eta
-    while (nxt := f_operator(cur, j)) is not None:
-        n, cur = n + 1, nxt
-        if n > _ITERATION_CAP:
-            raise InternalError("lowering operator does not terminate")
-    return n
+    """Number of times the lowering operator applies: H_j(1) minus its minimum."""
+    vals = _h_breaks(eta, j)
+    if vals[-1].denominator != 1:
+        raise InternalError(f"H(1) = {vals[-1]} is not an integer")
+    return vals[-1].numerator - _checked_minimum(vals)
 
 
 # -------------------------------------------------------------------- degree

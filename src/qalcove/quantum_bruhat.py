@@ -83,7 +83,6 @@ class QuantumBruhatGraph:
         self.J = frozenset(J)
         self.restriction = restriction
         self.vertices = datum.weyl.coset_reps(self.J)
-        self._vertex_pos = {w: i for i, w in enumerate(self.vertices)}
         # the roots outside the parabolic subsystem
         self.labels: tuple[int, ...] = tuple(quantum_drops(datum, self.J))
         if _edges is not None:

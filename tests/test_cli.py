@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from qalcove import cli
+from qalcove import cli, qls_model
 from qalcove.cli import main
 from qalcove.lie_data import InternalError, Weight, build_root_datum
 from qalcove.qls_model import deg, qls_path
@@ -166,6 +166,11 @@ def test_outputs_are_deterministic(capsys):
         (("perfect", "--type", "A", "--rank", "2", "--node", "short"), "short"),
         (("perfect", "--type", "A", "--rank", "2", "--node", "x"), "node"),
         (("perfect", "--type", "A", "--rank", "2", "--level", "0"), "positive"),
+        (("character", "--type", "A", "--rank", "2", "--weight=-1,1", "--route", "qls"),
+         "is not dominant"),
+        (("crystal", "--type", "A", "--rank", "2", "--weight=-1,1"), "is not dominant"),
+        (("character", "--type", "A", "--rank", "2", "--weight", "1,1", "--route", "qls",
+          "--budget", "5"), "budget"),
     ],
 )
 def test_bad_input_exits_two(capsys, argv, message):
@@ -195,6 +200,35 @@ def test_internal_error_exits_three_with_a_json_line(capsys, monkeypatch):
                          "--route", "alcove")
     assert code == 3 and out == ""
     assert json.loads(err) == {"error": "internal", "message": "forced invariant failure"}
+
+
+def test_crystal_construction_failure_in_verify_crystal_exits_three(capsys, monkeypatch):
+    def broken(*factors):
+        raise InternalError("f then e is not the identity at label 0")
+
+    monkeypatch.setattr(qls_model, "tensor", broken)
+    code, out, err = run(capsys, "verify-crystal", "--type", "A", "--rank", "2",
+                         "--weight", "1,1")
+    assert code == 3 and out == ""
+    assert json.loads(err) == {"error": "internal",
+                               "message": "f then e is not the identity at label 0"}
+
+
+def test_tensor_arrow_mismatch_fails_verify_crystal(capsys, monkeypatch):
+    real_tensor = qls_model.tensor
+
+    def missing_one_arrow(*factors):
+        graph = real_tensor(*factors)
+        del graph.f_arrows[next(iter(graph.f_arrows))]
+        return graph
+
+    monkeypatch.setattr(qls_model, "tensor", missing_one_arrow)
+    code, out, _ = run(capsys, "verify-crystal", "--type", "A", "--rank", "2",
+                       "--weight", "1,1")
+    report = json.loads(out)
+    assert code == 1 and not report["pass"]
+    assert report["tensor_isomorphism"]["ok"] is False
+    assert "arrow mismatch" in report["tensor_isomorphism"]["error"]
 
 
 def test_missing_subcommand_is_a_usage_error():
