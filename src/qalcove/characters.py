@@ -3,7 +3,10 @@
 The two model routes (folding heights over admissible subsets, degrees over
 path crystals) produce the same graded character; the oracle route computes
 irreducible characters by the multiplicity recursion on dominant weights and
-shares no code with the model enumerations.
+shares no code with the model enumerations.  It does not use the Weyl group
+that the models walk either: the oracle, the symmetry check, the orbit form
+and the decomposition act on weights by one rule, the simple reflection on
+fundamental-weight coordinates.
 """
 
 from __future__ import annotations
@@ -75,13 +78,10 @@ class GradedCharacter:
         return GradedCharacter(self.rank, out)
 
     def is_symmetric(self, datum: RootDatum) -> bool:
-        for s in datum.weyl.simple:
-            image = {
-                (s.act_weight(Weight(w)).coords, q): c for (w, q), c in self.terms.items()
-            }
-            if image != self.terms:
-                return False
-        return True
+        return all(
+            {(_reflect(datum, w, i), q): c for (w, q), c in self.terms.items()} == self.terms
+            for i in range(datum.rank)
+        )
 
     def _ordered(self) -> list[tuple[Key, int]]:
         return sorted(self.terms.items(), key=lambda t: (t[0][1], tuple(-x for x in t[0][0])))
@@ -96,19 +96,10 @@ class GradedCharacter:
 
     def orbit_line(self, datum: RootDatum) -> str:
         """One-line form grouping each Weyl orbit into a single symbol."""
-        grouped: dict[tuple[int, tuple[int, ...]], int] = {}
-        for (w, q), c in self.terms.items():
-            rep = dominant_representative(datum, Weight(w)).coords
-            key = (q, rep)
-            if key in grouped and grouped[key] != c:
-                raise InputError("character is not constant on a Weyl orbit")
-            grouped[key] = c
-        for (q, rep), c in grouped.items():
-            for w in datum.weyl.elements:
-                if self.terms.get((w.act_weight(Weight(rep)).coords, q), 0) != c:
-                    raise InputError("character is not constant on a Weyl orbit")
-        ordered = sorted(grouped.items(), key=lambda t: (t[0][0], tuple(-x for x in t[0][1])))
-        return _monomial_sum(((q, rep, c) for (q, rep), c in ordered), "m")
+        if not self.is_symmetric(datum):
+            raise InputError("character is not constant on a Weyl orbit")
+        dominant = ((q, w, c) for (w, q), c in self._ordered() if datum.is_dominant(Weight(w)))
+        return _monomial_sum(dominant, "m")
 
 
 def _monomial_sum(terms, symbol: str) -> str:
@@ -163,24 +154,29 @@ def _norm(datum: RootDatum, wt: Weight) -> Fraction:
     return _inner(datum, wt, datum.weight_in_root_coords(wt))
 
 
+def _reflect(datum: RootDatum, coords: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """s_i(mu) = mu - <alpha_i^vee, mu> alpha_i on fundamental-weight coordinates."""
+    alpha = datum.root_weights[datum.simple_root_index[i]]
+    return tuple(m - coords[i] * a for m, a in zip(coords, alpha))
+
+
 def dominant_representative(datum: RootDatum, wt: Weight) -> Weight:
-    current = wt
+    current = wt.coords
     while True:
         for i in range(datum.rank):
-            if current.coords[i] < 0:
-                current = datum.weyl.simple[i].act_weight(current)
+            if current[i] < 0:
+                current = _reflect(datum, current, i)
                 break
         else:
-            return current
+            return Weight(current)
 
 
-def _dominant_multiplicities(datum: RootDatum, lam: Weight) -> dict[Weight, tuple[int, tuple[int, ...]]]:
-    """Multiplicity and depth vector of every dominant weight of the module."""
+def _dominant_multiplicities(datum: RootDatum, lam: Weight) -> dict[Weight, int]:
+    """Multiplicity of every dominant weight of the module."""
     if not datum.is_dominant(lam):
         raise InputError(f"weight {lam.coords} is not dominant")
     n = datum.rank
-    w0 = datum.weyl.longest
-    span = lam - w0.act_weight(lam)
+    span = lam + dominant_representative(datum, -lam)  # lam - w0(lam)
     box = datum.weight_in_root_coords(span)
     if any(b.denominator != 1 or b < 0 for b in box):
         raise InternalError("weight span is not a nonnegative root combination")
@@ -202,21 +198,17 @@ def _dominant_multiplicities(datum: RootDatum, lam: Weight) -> dict[Weight, tupl
     rho = datum.rho
     top_norm = _norm(datum, lam + rho)
     mult: dict[Weight, int] = {}
-    depths: dict[Weight, tuple[int, ...]] = {}
-    positive = [
-        (datum.root_as_weight(k), datum.positive_roots[k]) for k in range(len(datum.positive_roots))
-    ]
+    positive = list(zip(datum.root_weights, datum.positive_roots))
     for wt in sorted(candidates, key=lambda w: sum(candidates[w])):
         depth = candidates[wt]
         if sum(depth) == 0:
             mult[wt] = 1
-            depths[wt] = depth
             continue
         acc = Fraction(0)
         for alpha_wt, alpha_coords in positive:
             k = 1
             while all(d - k * a >= 0 for d, a in zip(depth, alpha_coords)):
-                shifted = wt + Weight(tuple(k * x for x in alpha_wt.coords))
+                shifted = wt + Weight(tuple(k * x for x in alpha_wt))
                 m = mult.get(dominant_representative(datum, shifted), 0)
                 if m:
                     acc += m * _inner(datum, shifted, alpha_coords)
@@ -228,19 +220,25 @@ def _dominant_multiplicities(datum: RootDatum, lam: Weight) -> dict[Weight, tupl
         if value.denominator != 1 or value <= 0:
             raise InternalError(f"multiplicity at {wt.coords} is not a positive integer")
         mult[wt] = int(value)
-        depths[wt] = depth
-    return {w: (mult[w], depths[w]) for w in mult}
+    return mult
 
 
 def weyl_character(datum: RootDatum, lam: Weight) -> GradedCharacter:
-    """Character of the irreducible highest-weight module; exact and q-free."""
-    terms: Counter = Counter()
-    for wt, (m, _) in _dominant_multiplicities(datum, lam).items():
-        for w in datum.weyl.elements:
-            image = w.act_weight(wt).coords
-            key = (image, 0)
-            if key not in terms:
-                terms[key] = m
+    """Character of the irreducible highest-weight module; exact and q-free.
+
+    Each dominant weight's orbit is walked down: from mu, s_i applies where mu_i > 0.
+    """
+    terms: dict[Key, int] = {}
+    for wt, m in _dominant_multiplicities(datum, lam).items():
+        stack = [wt.coords]
+        terms[(wt.coords, 0)] = m
+        while stack:
+            mu = stack.pop()
+            for i in (i for i, c in enumerate(mu) if c > 0):
+                image = _reflect(datum, mu, i)
+                if (image, 0) not in terms:
+                    terms[(image, 0)] = m
+                    stack.append(image)
     return GradedCharacter(datum.rank, terms)
 
 
@@ -251,25 +249,27 @@ def decompose(datum: RootDatum, character: GradedCharacter) -> list[tuple[int, t
     not a nonnegative integer combination.
     """
     out: list[tuple[int, tuple[int, ...], int]] = []
-    # a weight outside the input can only come back with a negative
-    # coefficient, which is rejected before the next max
-    height = {w: sum(datum.weight_in_root_coords(Weight(w))) for w, _ in character.terms}
     for q in character.q_exponents():
         layer = character.q_layer(q)
-        while layer:
-            top = max(layer.terms, key=lambda key: (height[key[0]], key[0]))
-            coords = Weight(top[0])
-            coeff = layer.terms[top]
-            if not datum.is_dominant(coords) or coeff < 0:
-                raise InputError(
-                    f"layer q^{q} is not a nonnegative combination of irreducible characters"
-                )
-            layer = layer - weyl_character(datum, coords) * coeff
-            if any(c < 0 for c in layer.terms.values()):
-                raise InputError(
-                    f"layer q^{q} is not a nonnegative combination of irreducible characters"
-                )
-            out.append((q, coords.coords, coeff))
+        failure = InputError(
+            f"layer q^{q} is not a nonnegative combination of irreducible characters"
+        )
+        if not layer.is_symmetric(datum):
+            raise failure
+        # the highest terms of a W-invariant layer are dominant, so the peel
+        # reads the dominant terms only; a weight outside the input can only
+        # come back with a negative coefficient, rejected before the next max
+        rest = {w: c for (w, _), c in layer.terms.items() if datum.is_dominant(Weight(w))}
+        height = {w: sum(datum.weight_in_root_coords(Weight(w))) for w in rest}
+        while rest:
+            if any(c < 0 for c in rest.values()):
+                raise failure
+            top = max(rest, key=lambda w: (height[w], w))
+            coeff = rest[top]
+            for wt, m in _dominant_multiplicities(datum, Weight(top)).items():
+                rest[wt.coords] = rest.get(wt.coords, 0) - coeff * m
+            rest = {w: c for w, c in rest.items() if c}
+            out.append((q, top, coeff))
     return out
 
 

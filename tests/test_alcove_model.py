@@ -196,7 +196,7 @@ def test_enumeration_leaves_no_cycles():
     d = build_root_datum("C", 3)
     chain = lex_chain(d, d.rho)
     character = character_from_alcove(chain)
-    decompose(d, character)  # warm-up: builds the cached Weyl group and tables
+    decompose(d, character)  # warm-up: fills the cached root tables of the datum
     gc.collect()
     gc.disable()
     try:

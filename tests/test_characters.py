@@ -15,7 +15,7 @@ from qalcove.characters import (
     verify_p_equals_x,
     weyl_character,
 )
-from qalcove.lie_data import InputError, Weight, build_root_datum
+from qalcove.lie_data import InputError, RootDatum, Weight, build_root_datum
 
 A1 = build_root_datum("A", 1)
 A2 = build_root_datum("A", 2)
@@ -73,6 +73,7 @@ def test_orbit_line_groups_weyl_orbits():
     lopsided = GradedCharacter(1, {((1,), 0): 1})
     with pytest.raises(InputError, match="orbit"):
         lopsided.orbit_line(A1)
+    assert weyl_character(G2, Weight((1, 0))).orbit_line(G2) == "m(1, 0) + m(0, 0)"
 
 
 def test_all_three_forms_share_the_monomial_rule():
@@ -175,6 +176,12 @@ def test_rank_one_irreducible_characters_are_strings_of_weights():
         (B2, (1, 1), 16),
         (G2, (1, 0), 7),
         (G2, (0, 1), 14),
+        (build_root_datum("E", 6), (1, 0, 0, 0, 0, 0), 27),
+        (build_root_datum("E", 7), (0, 0, 0, 0, 0, 0, 1), 56),
+        (build_root_datum("F", 4), (1, 0, 0, 0), 52),
+        (build_root_datum("F", 4), (0, 0, 0, 1), 26),
+        (build_root_datum("B", 5), (0, 0, 0, 0, 1), 32),
+        (build_root_datum("D", 5), (1, 0, 0, 0, 0), 10),
     ],
 )
 def test_classical_dimensions(datum, lam, dim):
@@ -202,6 +209,21 @@ def test_dominant_representative():
     assert dominant_representative(A2, Weight((-1, 1))) == Weight((1, 0))
     assert dominant_representative(C2, Weight((0, -1))) == Weight((0, 1))
     assert dominant_representative(A1, Weight((3,))) == Weight((3,))
+    assert dominant_representative(G2, Weight((2, -1))) == Weight((1, 0))
+    B3 = build_root_datum("B", 3)
+    assert dominant_representative(B3, Weight((0, 1, -2))) == Weight((1, 0, 0))
+
+
+@pytest.mark.parametrize("type_label, rank, node", [("E", 6, 1), ("E", 7, 7)])
+def test_oracle_never_builds_the_weyl_group(type_label, rank, node):
+    # the oracle, the orbit form and the decomposition act by simple
+    # reflections on coordinates; W(E7) has 2,903,040 elements
+    datum = RootDatum(type_label, rank)
+    lam = datum.fundamental_weight(node)
+    ch = weyl_character(datum, lam)
+    assert decompose(datum, ch) == [(0, lam.coords, 1)]
+    assert ch.orbit_line(datum) == "m" + str(lam.coords)  # a minuscule module
+    assert "weyl" not in vars(datum)
 
 
 # ----------------------------------------------------------- decomposition
@@ -236,9 +258,11 @@ def test_decomposition_with_multiplicity_and_higher_degree():
 
 
 def test_decomposition_rejects_negative_combinations():
-    bad = GradedCharacter(1, {((1,), 0): 1})
-    with pytest.raises(InputError, match="nonnegative"):
-        decompose(A1, bad)
+    lopsided = GradedCharacter(1, {((1,), 0): 1})
+    negative = GradedCharacter(1, {((1,), 0): -1, ((-1,), 0): -1})
+    for bad in (lopsided, negative):
+        with pytest.raises(InputError, match="nonnegative"):
+            decompose(A1, bad)
 
 
 # ----------------------------------------------------------------- verdict
