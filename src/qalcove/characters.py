@@ -175,30 +175,22 @@ def _dominant_multiplicities(datum: RootDatum, lam: Weight) -> dict[Weight, int]
     """Multiplicity of every dominant weight of the module."""
     if not datum.is_dominant(lam):
         raise InputError(f"weight {lam.coords} is not dominant")
-    n = datum.rank
-    span = lam + dominant_representative(datum, -lam)  # lam - w0(lam)
-    box = datum.weight_in_root_coords(span)
-    if any(b.denominator != 1 or b < 0 for b in box):
-        raise InternalError("weight span is not a nonnegative root combination")
-    box = tuple(int(b) for b in box)
-    alphas = [datum.root_as_weight(datum.simple_root_index[j]) for j in range(n)]
-
-    # candidates: dominant weights lam - sum c_j alpha_j inside the box; each
-    # depth vector is reached once, by raising its coordinates in order
-    candidates: dict[Weight, tuple[int, ...]] = {}
-    stack = [((0,) * n, lam, 0)]
+    # candidates: the dominant weights below lam, each reached from lam by
+    # subtracting positive roots through dominant weights (Stembridge), with
+    # its depth lam - mu in simple-root coordinates
+    positive = list(zip(datum.root_weights, datum.positive_roots))
+    candidates: dict[Weight, tuple[int, ...]] = {lam: (0,) * datum.rank}
+    stack = [lam]
     while stack:
-        depth, wt, start = stack.pop()
-        if datum.is_dominant(wt):
-            candidates[wt] = depth
-        for j in range(n - 1, start - 1, -1):
-            if depth[j] < box[j]:
-                deeper = depth[:j] + (depth[j] + 1,) + depth[j + 1 :]
-                stack.append((deeper, wt - alphas[j], j))
+        wt = stack.pop()
+        for alpha_wt, alpha_coords in positive:
+            lower = Weight(tuple(m - a for m, a in zip(wt.coords, alpha_wt)))
+            if lower not in candidates and datum.is_dominant(lower):
+                candidates[lower] = tuple(d + a for d, a in zip(candidates[wt], alpha_coords))
+                stack.append(lower)
     rho = datum.rho
     top_norm = _norm(datum, lam + rho)
     mult: dict[Weight, int] = {}
-    positive = list(zip(datum.root_weights, datum.positive_roots))
     for wt in sorted(candidates, key=lambda w: sum(candidates[w])):
         depth = candidates[wt]
         if sum(depth) == 0:

@@ -93,12 +93,12 @@ def _chain_for(datum: RootDatum, lam: Weight, args) -> LambdaChain:
 
 
 def _guard(datum: RootDatum, lam: Weight, budget: int) -> None:
-    """Refuse jobs where |W| times the chain length exceeds the budget; every
-    chain for lambda has <beta^vee, lambda> entries for each positive root beta."""
+    """Refuse jobs where |W| (read off the root heights) times the chain length
+    exceeds the budget; a chain has <beta^vee, lambda> entries per positive root."""
     if not datum.is_dominant(lam):
         raise InputError(f"weight {lam.coords} is not dominant")
     length = sum(datum.pairing(coroot, lam) for coroot in datum.positive_coroots)
-    cost = len(datum.weyl.elements) * max(length, 1)
+    cost = len(datum.weyl) * max(length, 1)
     if cost > budget:
         raise InputError(f"job size {cost} exceeds budget {budget}; raise --budget to proceed")
 

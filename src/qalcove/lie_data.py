@@ -3,13 +3,12 @@
 Roots live as integer vectors in the simple-root basis, coroots in the
 simple-coroot basis, and weights in the fundamental-weight basis; every
 pairing is then an integer dot product through the Cartan matrix.  The
-affine marks/comarks of the untwisted affinization are derived from the
-highest root, so level and perfectness computations need no tables.
+affine marks/comarks come from the highest root, so level and perfectness
+need no tables, and the Weyl group is built one element at a time, as used.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -361,14 +360,13 @@ class WeylElement:
     cached hash, which is what the graph code leans on.
     """
 
-    __slots__ = ("group", "perm", "length", "index", "_inverse_index", "_hash")
+    __slots__ = ("group", "perm", "length", "_inverse", "_hash")
 
-    def __init__(self, group: "WeylGroup", perm: Vector, index: int):
+    def __init__(self, group: "WeylGroup", perm: Vector):
         self.group = group
         self.perm = perm
         self.length = sum(1 for v in perm if v < 0)
-        self.index = index
-        self._inverse_index = -1
+        self._inverse: WeylElement | None = None
         self._hash = hash(perm)
 
     def __repr__(self) -> str:
@@ -386,7 +384,15 @@ class WeylElement:
 
     @property
     def inverse(self) -> "WeylElement":
-        return self.group.elements[self._inverse_index]
+        inv = self._inverse
+        if inv is None:
+            # w(beta_k) = +-beta_j  <=>  w^-1(beta_j) = +-beta_k
+            perm = [0] * len(self.perm)
+            for k, v in enumerate(self.perm):
+                perm[abs(v) - 1] = k + 1 if v > 0 else -(k + 1)
+            inv = self.group._intern(tuple(perm))
+            self._inverse, inv._inverse = inv, self
+        return inv
 
     def act_root_index(self, root_index: int) -> int:
         """Image of positive root (0-based index) as signed 1-based index."""
@@ -422,59 +428,25 @@ class WeylElement:
 
 
 class WeylGroup:
-    """The full finite Weyl group, enumerated once and immutable afterwards."""
+    """The finite Weyl group.  Construction interns only the identity and the
+    simple reflections; every product, inverse or reflection is interned at
+    first use, so only a walk that asks for all of W (`coset_reps` of the
+    empty set) enumerates it, and |W| is read off the root heights."""
 
     def __init__(self, datum: RootDatum):
         self.datum = datum
-        n = len(datum.positive_roots)
+        # the elements interned so far, in order of first use; all of W only
+        # after a walk over the whole group
         self.elements: list[WeylElement] = []
         self._by_perm: dict[Vector, WeylElement] = {}
-
-        identity = self._intern(tuple(range(1, n + 1)))
-        simple_perms = []
-        for i in range(datum.rank):
-            perm = []
-            for k in range(n):
-                root = datum.positive_roots[k]
-                pr = sum(c * datum.cartan[i][j] for j, c in enumerate(root))
-                image = tuple(c - (pr if j == i else 0) for j, c in enumerate(root))
-                if all(c <= 0 for c in image):
-                    perm.append(-(datum._root_index[tuple(-c for c in image)] + 1))
-                else:
-                    perm.append(datum._root_index[image] + 1)
-            simple_perms.append(tuple(perm))
-        self.simple = tuple(self._intern(p) for p in simple_perms)
-
-        identity._inverse_index = identity.index
-        for s in self.simple:
-            s._inverse_index = s.index
-        queue = deque([identity, *self.simple])
-        while queue:
-            w = queue.popleft()
-            for s in self.simple:
-                perm = self._compose(w.perm, s.perm)
-                if perm not in self._by_perm:
-                    new = self._intern(perm)
-                    # (w s)^-1 = s w^-1, and w^-1 is already interned
-                    inv_perm = self._compose(s.perm, w.inverse.perm)
-                    if inv_perm == perm:
-                        new._inverse_index = new.index
-                    else:
-                        inv = self._intern(inv_perm)
-                        inv._inverse_index = new.index
-                        new._inverse_index = inv.index
-                        queue.append(inv)
-                    queue.append(new)
-        self.identity = identity
-        self.longest = max(self.elements, key=lambda w: w.length)
-        if self.longest.length != n:
-            raise InternalError("longest element length != number of positive roots")
         self._reflections: dict[int, WeylElement] = {}
+        self.identity = self._intern(tuple(range(1, len(datum.positive_roots) + 1)))
+        self.simple = tuple(self.reflection(k) for k in datum.simple_root_index)
 
     def _intern(self, perm: Vector) -> WeylElement:
         el = self._by_perm.get(perm)
         if el is None:
-            el = WeylElement(self, perm, len(self.elements))
+            el = WeylElement(self, perm)
             self.elements.append(el)
             self._by_perm[perm] = el
         return el
@@ -489,34 +461,47 @@ class WeylGroup:
         return tuple(out)
 
     def product(self, w: WeylElement, v: WeylElement) -> WeylElement:
-        perm = self._compose(w.perm, v.perm)
-        el = self._by_perm.get(perm)
-        if el is None:
-            raise InternalError("product fell outside the enumerated group")
-        return el
+        return self._intern(self._compose(w.perm, v.perm))
 
     def __len__(self) -> int:
-        return len(self.elements)
+        """|W| = prod over the positive roots of (ht + 1) / ht (Macdonald)."""
+        size = Fraction(1)
+        for root in self.datum.positive_roots:
+            size *= Fraction(sum(root) + 1, sum(root))
+        return int(size)
 
     def reflection(self, root_index: int) -> WeylElement:
         """The reflection r_beta for a positive root, as a group element."""
         el = self._reflections.get(root_index)
         if el is None:
             datum = self.datum
+            beta = datum.positive_roots[root_index]
+            coroot = datum.positive_coroots[root_index]
             perm = []
-            for k in range(len(datum.positive_roots)):
-                c = datum.pairing_roots(root_index, k)
-                beta = datum.positive_roots[root_index]
-                image = tuple(
-                    x - c * b for x, b in zip(datum.positive_roots[k], beta)
-                )
+            for root, root_wt in zip(datum.positive_roots, datum.root_weights):
+                c = sum(b * x for b, x in zip(coroot, root_wt))
+                image = tuple(x - c * b for x, b in zip(root, beta))
                 if all(x <= 0 for x in image):
                     perm.append(-(datum._root_index[tuple(-x for x in image)] + 1))
                 else:
                     perm.append(datum._root_index[image] + 1)
-            el = self._by_perm[tuple(perm)]
+            el = self._intern(tuple(perm))
             self._reflections[root_index] = el
         return el
+
+    @cached_property
+    def longest(self) -> WeylElement:
+        """w_0, grown by right multiplication with simple ascents."""
+        w = self.identity
+        grown = True
+        while grown:
+            grown = False
+            for i, s in enumerate(self.simple, 1):
+                if not w.has_right_descent(i):
+                    w, grown = w * s, True
+        if w.length != len(self.datum.positive_roots):
+            raise InternalError("longest element length != number of positive roots")
+        return w
 
     def min_coset_rep(self, w: WeylElement, J: frozenset[int]) -> WeylElement:
         """Minimum-length element of the coset w W_J."""
@@ -530,15 +515,20 @@ class WeylGroup:
         return w
 
     def coset_reps(self, J: frozenset[int]) -> tuple[WeylElement, ...]:
-        """All of W^J in a canonical (length, permutation) order."""
+        """All of W^J in a canonical (length, permutation) order, grown from the
+        identity by left ascents: W^J is closed under removing a left descent."""
         if not all(1 <= j <= self.datum.rank for j in J):
             raise InputError(f"node set {sorted(J)} out of range")
-        reps = [
-            w
-            for w in self.elements
-            if not any(w.has_right_descent(i) for i in J)
-        ]
-        return tuple(sorted(reps, key=lambda w: (w.length, w.perm)))
+        seen = {self.identity}
+        stack = [self.identity]
+        while stack:
+            w = stack.pop()
+            for s in self.simple:
+                u = s * w
+                if u.length > w.length and u not in seen and not any(u.has_right_descent(i) for i in J):
+                    seen.add(u)
+                    stack.append(u)
+        return tuple(sorted(seen, key=lambda w: (w.length, w.perm)))
 
     def parabolic_longest(self, J: frozenset[int]) -> WeylElement:
         """Longest element of W_J, via w_0 = min_coset_rep(w_0, J) * w_J."""

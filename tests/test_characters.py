@@ -182,6 +182,8 @@ def test_rank_one_irreducible_characters_are_strings_of_weights():
         (build_root_datum("F", 4), (0, 0, 0, 1), 26),
         (build_root_datum("B", 5), (0, 0, 0, 0, 1), 32),
         (build_root_datum("D", 5), (1, 0, 0, 0, 0), 10),
+        (build_root_datum("E", 8), (0, 0, 0, 0, 0, 0, 0, 1), 248),
+        (build_root_datum("E", 8), (1, 0, 0, 0, 0, 0, 0, 0), 3875),
     ],
 )
 def test_classical_dimensions(datum, lam, dim):
@@ -214,15 +216,23 @@ def test_dominant_representative():
     assert dominant_representative(B3, Weight((0, 1, -2))) == Weight((1, 0, 0))
 
 
-@pytest.mark.parametrize("type_label, rank, node", [("E", 6, 1), ("E", 7, 7)])
-def test_oracle_never_builds_the_weyl_group(type_label, rank, node):
+@pytest.mark.parametrize(
+    "type_label, rank, node, orbit",
+    [
+        ("E", 6, 1, "m(1, 0, 0, 0, 0, 0)"),  # minuscule
+        ("E", 7, 7, "m(0, 0, 0, 0, 0, 0, 1)"),  # minuscule
+        ("E", 8, 8, "m(0, 0, 0, 0, 0, 0, 0, 1) + 8*m(0, 0, 0, 0, 0, 0, 0, 0)"),  # adjoint
+    ],
+    ids=["E-6-1", "E-7-7", "E-8-8"],
+)
+def test_oracle_never_builds_the_weyl_group(type_label, rank, node, orbit):
     # the oracle, the orbit form and the decomposition act by simple
-    # reflections on coordinates; W(E7) has 2,903,040 elements
+    # reflections on coordinates; W(E8) has 696,729,600 elements
     datum = RootDatum(type_label, rank)
     lam = datum.fundamental_weight(node)
     ch = weyl_character(datum, lam)
     assert decompose(datum, ch) == [(0, lam.coords, 1)]
-    assert ch.orbit_line(datum) == "m" + str(lam.coords)  # a minuscule module
+    assert ch.orbit_line(datum) == orbit
     assert "weyl" not in vars(datum)
 
 
@@ -288,6 +298,24 @@ def test_verdict_passes_across_types(datum, lam):
     assert all(report["checks"].values())
     assert report["mismatches"] == []
     assert report["decomposition"]
+
+
+@pytest.mark.parametrize(
+    "rank, decomposition",
+    [
+        (7, "chi(0, 0, 0, 0, 0, 0, 1)"),
+        (8, "chi(0, 0, 0, 0, 0, 0, 0, 1) + q*chi(0, 0, 0, 0, 0, 0, 0, 0)"),
+    ],
+    ids=["E7", "E8"],
+)
+def test_verdict_on_e7_and_e8_interns_a_sliver_of_the_weyl_group(rank, decomposition):
+    # P = X on the last fundamental column of E7 (minuscule) and E8 (adjoint);
+    # both model routes intern under 1% of W, and |W(E8)| = 696,729,600
+    datum = RootDatum("E", rank)
+    report = verify_p_equals_x(datum, datum.fundamental_weight(rank))
+    assert report["pass"]
+    assert report["decomposition"] == decomposition
+    assert len(datum.weyl.elements) < len(datum.weyl) // 100
 
 
 def test_verdict_report_content():

@@ -171,6 +171,9 @@ def test_outputs_are_deterministic(capsys):
         (("crystal", "--type", "A", "--rank", "2", "--weight=-1,1"), "is not dominant"),
         (("character", "--type", "A", "--rank", "2", "--weight", "1,1", "--route", "qls",
           "--budget", "5"), "budget"),
+        # |W(E7)| = 2903040 times a chain of length 27, with no element enumerated
+        (("verify-px", "--type", "E", "--rank", "7", "--weight", "0,0,0,0,0,0,1"),
+         "job size 78382080 exceeds budget 200000"),
     ],
 )
 def test_bad_input_exits_two(capsys, argv, message):

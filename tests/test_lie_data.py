@@ -1,5 +1,6 @@
 """Root data, pairings, reflections, and the Weyl group."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -194,10 +195,27 @@ def test_weyl_group_a2():
 
 
 def test_weyl_group_sizes():
-    assert len(build_root_datum("C", 2).weyl) == 8
-    assert len(build_root_datum("G", 2).weyl) == 12
-    assert len(build_root_datum("A", 3).weyl) == 24
-    assert len(build_root_datum("B", 3).weyl) == 48
+    for label, rank, size in [
+        ("C", 2, 8), ("G", 2, 12), ("A", 3, 24), ("B", 3, 48), ("D", 4, 192), ("F", 4, 1152),
+        ("E", 6, 51840), ("E", 7, 2903040), ("E", 8, 696729600),
+    ]:
+        w = build_root_datum(label, rank).weyl
+        assert len(w) == size
+        assert len(w.elements) == rank + 1  # the identity and the simple reflections
+        if size <= 5040:
+            # the root-height formula against an enumeration of the whole group
+            assert len(w.coset_reps(frozenset())) == size
+
+
+@pytest.mark.parametrize("label, rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2)])
+def test_coset_reps_match_the_full_group(label, rank):
+    w = build_root_datum(label, rank).weyl
+    full = w.coset_reps(frozenset())
+    nodes = range(1, rank + 1)
+    for size in range(rank + 1):
+        for J in map(frozenset, itertools.combinations(nodes, size)):
+            expect = [x for x in full if not any(x.has_right_descent(i) for i in J)]
+            assert list(w.coset_reps(J)) == expect
 
 
 def test_omega_involution_and_theta_fixed():
@@ -219,22 +237,23 @@ def test_omega_identity_on_c2_b2():
 def test_length_changes_by_one_under_simple_mult():
     for label, rank in [("A", 2), ("C", 2), ("G", 2)]:
         w = build_root_datum(label, rank).weyl
-        for el in w.elements:
+        for el in w.coset_reps(frozenset()):
             for s in w.simple:
                 assert abs((el * s).length - el.length) == 1
                 assert abs((s * el).length - el.length) == 1
 
 
 def test_inverse_and_product():
-    w = build_root_datum("C", 2).weyl
-    for el in w.elements:
-        assert el * el.inverse == w.identity
-        assert el.inverse.length == el.length
+    for label, rank in [("C", 2), ("G", 2), ("B", 3)]:
+        w = build_root_datum(label, rank).weyl
+        for el in w.coset_reps(frozenset()):
+            assert el * el.inverse == w.identity
+            assert el.inverse.length == el.length
 
 
 def test_reduced_words_are_reduced_and_lex_minimal():
     w = build_root_datum("C", 2).weyl
-    for el in w.elements:
+    for el in w.coset_reps(frozenset()):
         word = el.reduced_word()
         assert len(word) == el.length
         prod = w.identity
@@ -249,7 +268,7 @@ def test_min_coset_rep_projection_stable():
     d = build_root_datum("C", 2)
     w = d.weyl
     J = frozenset({2})
-    for el in w.elements:
+    for el in w.coset_reps(frozenset()):
         rep = w.min_coset_rep(el, J)
         assert not any(rep.has_right_descent(i) for i in J)
         for i in J:

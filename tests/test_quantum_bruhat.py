@@ -347,8 +347,9 @@ def test_tilted_minimum_matches_distance_oracle():
         g = build_qbg(d)
         order = reflection_ordering(d, J, lex_chain(d, lam))
         reps = d.weyl.coset_reps(J)
-        parabolic = [w for w in d.weyl.elements if d.weyl.min_coset_rep(w, J) == d.weyl.identity]
-        for v in d.weyl.elements:
+        full = d.weyl.coset_reps(frozenset())
+        parabolic = [w for w in full if d.weyl.min_coset_rep(w, J) == d.weyl.identity]
+        for v in full:
             for rep in reps:
                 end, path = tilted_minimum(g, v, rep, J, order)
                 coset = [rep * u for u in parabolic]
