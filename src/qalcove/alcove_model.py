@@ -201,7 +201,7 @@ def weight_of(chain: LambdaChain, positions) -> Weight:
 class AdmissibleSubset:
     """Positions whose reflection walk is a path in QB(W) from the identity."""
 
-    __slots__ = ("chain", "positions", "path", "edge_kinds", "weight", "height")
+    __slots__ = ("chain", "positions", "path", "edge_kinds", "weight", "height", "_folded")
 
     def __init__(self, chain: LambdaChain, positions: tuple[int, ...]):
         node = _root_node(chain)
@@ -215,6 +215,7 @@ class AdmissibleSubset:
                 raise InputError(f"positions {positions} are not admissible for this chain")
         self.chain = chain
         self.positions, self.path, self.edge_kinds, self.weight, self.height = node
+        self._folded: FoldedChain | None = None
 
     def __eq__(self, other) -> bool:
         return (
@@ -290,6 +291,7 @@ def enumerate_admissible(chain: LambdaChain) -> tuple[AdmissibleSubset, ...]:
         a = AdmissibleSubset.__new__(AdmissibleSubset)
         a.chain = chain
         a.positions, a.path, a.edge_kinds, a.weight, a.height = node
+        a._folded = None
         out.append(a)
         start = node[0][-1] + 1 if node[0] else 1
         # children go on in reverse, so the smallest next position pops first
@@ -321,7 +323,9 @@ def require_lex(chain: LambdaChain) -> None:
 def _samples(A: AdmissibleSubset, alpha_signed: int):
     """Finite indices carrying +-alpha and the g-function samples there,
     plus the sample at infinity."""
-    folded = fold(A.chain, A.positions)
+    folded = A._folded
+    if folded is None:
+        folded = A._folded = fold(A.chain, A.positions)
     j = abs(alpha_signed)
     sign = 1 if alpha_signed > 0 else -1
     finite = [

@@ -2,7 +2,8 @@
 
 The forgetful map reads the relative heights of an admissible subset's
 positions, groups them into break values, and emits a path whose directions
-are coset projections of the prefix products of the subset's reflections.
+are the orbit points w_k(lambda) of the prefix products w_k of the subset's
+reflections, and its dual with the points -w_k(lambda).
 The inverse rebuilds the subset from tilted minima and label-increasing
 paths in the quantum Bruhat graph.  On top of the two maps sit machine
 checks of the operator intertwining, the energy identity, and the crystal
@@ -56,10 +57,6 @@ def forgetful(A: AdmissibleSubset) -> CorrespondenceRecord:
     require_lex(chain)
     datum = chain.datum
     lam = chain.lam
-    weyl = datum.weyl
-    w0 = weyl.longest
-    J = datum.stabilizer(lam)
-    om_J = frozenset(weyl.omega[i - 1] for i in J)
 
     heights = [
         Fraction(chain.entries[p - 1].level, datum.pairing_index(chain.entries[p - 1].root, lam))
@@ -73,13 +70,13 @@ def forgetful(A: AdmissibleSubset) -> CorrespondenceRecord:
         A.path[sum(1 for t in heights if t <= b)] for b in breaks
     )
 
-    pi_dirs = tuple(weyl.min_coset_rep(w * w0, om_J) for w in elements)
+    # pi has shape -w0(lam) and points -w_k(lam); pi_star reverses w_k(lam)
+    points = tuple(w.act_weight(lam) for w in elements)
     pi_breaks = tuple(breaks) + (Fraction(1),)
-    star_dirs = tuple(weyl.min_coset_rep(w, J) for w in reversed(elements))
     star_breaks = (Fraction(0),) + tuple(1 - b for b in reversed(breaks[1:])) + (Fraction(1),)
     try:
-        pi = qls_path(datum, -w0.act_weight(lam), pi_dirs, pi_breaks)
-        pi_star = qls_path(datum, lam, star_dirs, star_breaks)
+        pi = qls_path(datum, qls_model.minus_w0(datum, lam), tuple(-mu for mu in points), pi_breaks)
+        pi_star = qls_path(datum, lam, points[::-1], star_breaks)
     except InputError as exc:
         raise InternalError(f"forgetful image failed validation: {exc}") from exc
     if pi_star != qls_model.dual(pi):
@@ -92,9 +89,7 @@ def forgetful(A: AdmissibleSubset) -> CorrespondenceRecord:
 def inverse(eta: QLSPath, chain: LambdaChain | None = None) -> AdmissibleSubset:
     """The admissible subset mapping to a given path of shape -w0.lam."""
     datum = eta.datum
-    weyl = datum.weyl
-    w0 = weyl.longest
-    lam = -w0.act_weight(eta.lam)
+    lam = qls_model.minus_w0(datum, eta.lam)
     if chain is None:
         chain = lex_chain(datum, lam)
     require_lex(chain)
@@ -109,9 +104,9 @@ def inverse(eta: QLSPath, chain: LambdaChain | None = None) -> AdmissibleSubset:
         (e.root, e.level): n for n, e in enumerate(chain.entries, start=1)
     }
 
-    sigmas = [weyl.min_coset_rep(x * w0, J) for x in eta.directions]
+    sigmas = qls_model.dual(eta).cosets[::-1]
     positions: list[int] = []
-    current = weyl.identity
+    current = datum.weyl.identity
     for sigma, b in zip(sigmas, eta.breaks):
         current, path = tilted_minimum(graph, current, sigma, J, order)
         for edge in path:
@@ -173,15 +168,13 @@ def verify_energy(datum: RootDatum, lam: Weight, chain: LambdaChain | None = Non
     if chain is None:
         chain = lex_chain(datum, lam)
     require_lex(chain)
-    weyl = datum.weyl
-    w0 = weyl.longest
     J = datum.stabilizer(lam)
     parabolic = qls_model._parabolic_graph(datum, J)
     subsets = alcove_model.enumerate_admissible(chain)
     violations: list[dict] = []
     for A in subsets:
         rec = forgetful(A)
-        sigmas = [weyl.min_coset_rep(x * w0, J) for x in rec.pi.directions]
+        sigmas = rec.pi_star.cosets[::-1]
         total = sum(
             (
                 (1 - b) * parabolic.shortest_path_weight(prev, nxt, lam)

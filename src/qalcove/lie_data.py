@@ -221,8 +221,7 @@ class RootDatum:
     def affine_reflect(self, weight: Weight, root_index: int, level: int) -> Weight:
         """Reflection through the hyperplane where <beta^vee, .> equals level."""
         c = self.pairing_index(root_index, weight) - level
-        beta = self.root_as_weight(root_index)
-        return Weight(tuple(m - c * b for m, b in zip(weight.coords, beta.coords)))
+        return Weight(tuple(m - c * b for m, b in zip(weight.coords, self.root_weights[root_index])))
 
     # ------------------------------------------------------------------- weights
 

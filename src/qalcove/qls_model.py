@@ -1,11 +1,13 @@
 """Quantum LS paths and their affine crystal structure.
 
-A path of shape lambda is a sequence of directions in W^J (J the stabilizer
-of lambda) with rational break points; consecutive directions must be joined
-by a directed path in the suitably restricted parabolic graph.  This module
-provides validation, the root operators e_j/f_j for j in the affine index
-set, the degree statistic, duality and the Lusztig involution, and tensor
-products of the resulting crystals under the Kashiwara convention.
+A path of shape lambda has rational break points and on each segment a
+direction: the orbit point mu_k = x_k(lambda) of some x_k in W^J (J the
+stabilizer of lambda).  Consecutive x_k, read back from the parabolic graph's
+x(lambda) -> x table, must be joined by a directed path in the suitably
+restricted graph.  This module provides validation, the root operators e_j/f_j
+for j in the affine index set (they reflect a window of points), the degree
+statistic, duality and the Lusztig involution, and tensor products of the
+resulting crystals under the Kashiwara convention.
 """
 
 from __future__ import annotations
@@ -44,41 +46,55 @@ def _restricted_graph(datum: RootDatum, lam: Weight, b: Fraction) -> QuantumBruh
     return _restricted_cache[key]
 
 
+def minus_w0(datum: RootDatum, mu: Weight) -> Weight:
+    """-w0(mu): the diagram automorphism omega, an involution, permutes coordinates."""
+    return Weight(tuple(mu.coords[i - 1] for i in datum.weyl.omega))
+
+
 @dataclass(frozen=True)
 class QLSPath:
-    """A validated quantum LS path; build through :func:`qls_path`."""
+    """A validated quantum LS path; build through :func:`qls_path`.  Its
+    directions are the orbit points x_k(lambda); cosets reads the x_k back."""
 
     datum: RootDatum
     lam: Weight
     J: frozenset[int]
-    directions: tuple[WeylElement, ...]
+    directions: tuple[Weight, ...]
     breaks: tuple[Fraction, ...]
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.lam, self.directions, self.breaks))
+
     def __repr__(self) -> str:
-        dirs = ", ".join(repr(x) for x in self.directions)
+        dirs = ", ".join(repr(x) for x in self.cosets)
         cuts = ", ".join(str(b) for b in self.breaks)
         return f"({dirs}; {cuts})"
 
+    @property
+    def cosets(self) -> tuple[WeylElement, ...]:
+        """The minimal coset representatives x_k with x_k(lambda) = mu_k."""
+        orbit = _parabolic_graph(self.datum, self.J).orbit(self.lam)
+        return tuple(orbit[mu] for mu in self.directions)
+
     @cached_property
     def weight(self) -> Weight:
-        """Sum over the segments of (b_{k+1} - b_k) times x_k(lambda)."""
+        """Sum over the segments of (b_{k+1} - b_k) times mu_k."""
         total = [Fraction(0)] * self.datum.rank
-        for k, x in enumerate(self.directions):
+        for k, mu in enumerate(self.directions):
             seg = self.breaks[k + 1] - self.breaks[k]
-            for i, c in enumerate(x.act_weight(self.lam).coords):
+            for i, c in enumerate(mu.coords):
                 total[i] += seg * c
         if any(c.denominator != 1 for c in total):
             raise InternalError(f"weight {tuple(total)} is not integral")
         return Weight(tuple(int(c) for c in total))
 
-    @property
-    def initial_direction(self) -> Weight:
-        """The direction of the path just after time zero."""
-        return self.directions[0].act_weight(self.lam)
-
     def to_json_dict(self) -> dict:
         return {
-            "directions": [list(x.reduced_word()) for x in self.directions],
+            "directions": [list(x.reduced_word()) for x in self.cosets],
             "breaks": [f"{b.numerator}/{b.denominator}" for b in self.breaks],
             "weight": list(self.weight.coords),
             "deg": deg(self),
@@ -100,13 +116,15 @@ def _as_element(datum: RootDatum, x) -> WeylElement:
 def qls_path(datum: RootDatum, lam: Weight, directions, breaks) -> QLSPath:
     """Validate raw direction/break data and return the path.
 
-    Every pair of consecutive directions must be joined by a directed path in
-    the parabolic graph restricted at the break between them.
+    A direction is an orbit point x(lambda) given as a Weight, or a minimal
+    coset representative x given as a Weyl element or word.  Every pair of
+    consecutive directions must be joined by a directed path in the parabolic
+    graph restricted at the break between them.
     """
     if not datum.is_dominant(lam):
         raise InputError(f"weight {lam.coords} is not dominant")
     J = datum.stabilizer(lam)
-    dirs = tuple(_as_element(datum, x) for x in directions)
+    dirs = tuple(x if isinstance(x, Weight) else _as_element(datum, x) for x in directions)
     if not dirs:
         raise InputError("a path needs at least one direction")
     cuts = tuple(Fraction(b) for b in breaks)
@@ -116,28 +134,33 @@ def qls_path(datum: RootDatum, lam: Weight, directions, breaks) -> QLSPath:
         raise InputError("breaks must start at 0 and end at 1")
     if any(a >= b for a, b in zip(cuts, cuts[1:])):
         raise InputError("breaks must be strictly increasing")
-    weyl = datum.weyl
+    orbit = _parabolic_graph(datum, J).orbit(lam)
+    points = []
     for k, x in enumerate(dirs, start=1):
-        if weyl.min_coset_rep(x, J) != x:
-            raise InputError(f"direction {k} is not a minimal coset representative")
-    for k in range(1, len(dirs)):
-        if dirs[k - 1] == dirs[k]:
+        if isinstance(x, WeylElement):
+            if datum.weyl.min_coset_rep(x, J) != x:
+                raise InputError(f"direction {k} is not a minimal coset representative")
+            x = x.act_weight(lam)
+        if x not in orbit:
+            raise InputError(f"direction {k} is not in the orbit of lambda")
+        points.append(x)
+    for k in range(1, len(points)):
+        if points[k - 1] == points[k]:
             raise InputError(f"directions {k} and {k + 1} coincide")
         graph = _restricted_graph(datum, lam, cuts[k])
-        if not graph.reachable(dirs[k], dirs[k - 1]):
+        if not graph.reachable(orbit[points[k]], orbit[points[k - 1]]):
             raise InputError(
                 f"segment {k}: no directed path from direction {k + 1} to "
                 f"direction {k} once edges with non-integral "
                 f"{cuts[k]}*<alpha^vee, lambda> are removed"
             )
-    return QLSPath(datum, lam, J, dirs, cuts)
+    return QLSPath(datum, lam, J, tuple(points), cuts)
 
 
 def straight_path(datum: RootDatum, lam: Weight, x: WeylElement | None = None) -> QLSPath:
-    """The single-segment path in direction x (default: the dominant one)."""
-    weyl = datum.weyl
-    x = weyl.identity if x is None else weyl.min_coset_rep(x, datum.stabilizer(lam))
-    return qls_path(datum, lam, (x,), (Fraction(0), Fraction(1)))
+    """The single-segment path in direction x(lam) (default: lam itself)."""
+    point = lam if x is None else x.act_weight(lam)
+    return qls_path(datum, lam, (point,), (Fraction(0), Fraction(1)))
 
 
 # ----------------------------------------------------------------- operators
@@ -149,11 +172,6 @@ def _alpha_tilde(datum: RootDatum, j: int) -> Weight:
     return datum.root_as_weight(datum.simple_root_index[j - 1])
 
 
-def _s_tilde(datum: RootDatum, j: int) -> WeylElement:
-    root = datum.theta if j == 0 else datum.simple_root_index[j - 1]
-    return datum.weyl.reflection(root)
-
-
 def _h_breaks(eta: QLSPath, j: int) -> list[Fraction]:
     """Values of <alpha_tilde_j^vee, eta(t)> at the break points."""
     datum = eta.datum
@@ -163,8 +181,8 @@ def _h_breaks(eta: QLSPath, j: int) -> list[Fraction]:
     coroot = datum.positive_coroots[root]
     sign = -1 if j == 0 else 1
     vals = [Fraction(0)]
-    for k, x in enumerate(eta.directions):
-        step = sign * datum.pairing(coroot, x.act_weight(eta.lam))
+    for k, mu in enumerate(eta.directions):
+        step = sign * datum.pairing(coroot, mu)
         vals.append(vals[-1] + (eta.breaks[k + 1] - eta.breaks[k]) * step)
     return vals
 
@@ -213,16 +231,16 @@ def _earliest_at(vals, breaks, target, start: int) -> Fraction:
 
 def _reflect_window(eta: QLSPath, j: int, t0: Fraction, t1: Fraction) -> QLSPath:
     """Replace eta on [t0, t1] by its s_j-image, then renormalize."""
-    datum, weyl = eta.datum, eta.datum.weyl
-    s = _s_tilde(datum, j)
-    segs: list[tuple[WeylElement, Fraction]] = []
-    for k, x in enumerate(eta.directions):
+    datum = eta.datum
+    root = datum.theta if j == 0 else datum.simple_root_index[j - 1]
+    segs: list[tuple[Weight, Fraction]] = []
+    for k, mu in enumerate(eta.directions):
         a, b = eta.breaks[k], eta.breaks[k + 1]
         cuts = sorted({a, b} | {t for t in (t0, t1) if a < t < b})
         for u, v in zip(cuts, cuts[1:]):
-            d = weyl.min_coset_rep(s * x, eta.J) if t0 <= u and v <= t1 else x
+            d = datum.reflect(mu, root) if t0 <= u and v <= t1 else mu
             segs.append((d, v - u))
-    dirs: list[WeylElement] = []
+    dirs: list[Weight] = []
     lens: list[Fraction] = []
     for d, ln in segs:
         if dirs and dirs[-1] == d:
@@ -288,9 +306,10 @@ def phi(eta: QLSPath, j: int) -> int:
 def _break_weighted_degree(eta: QLSPath, factor) -> int:
     """Minus the sum over k of factor(b_k) times the path weight of segment k."""
     graph = _parabolic_graph(eta.datum, eta.J)
+    cosets = eta.cosets
     total = Fraction(0)
-    for k in range(1, len(eta.directions)):
-        step = graph.shortest_path_weight(eta.directions[k], eta.directions[k - 1], eta.lam)
+    for k in range(1, len(cosets)):
+        step = graph.shortest_path_weight(cosets[k], cosets[k - 1], eta.lam)
         total -= factor(eta.breaks[k]) * step
     if total.denominator != 1:
         raise InternalError(f"degree {total} is not an integer")
@@ -310,41 +329,27 @@ def deg_of_involution(eta: QLSPath) -> int:
 # ------------------------------------------------------ duality and Lusztig S
 
 
-def _omega_element(datum: RootDatum, v: WeylElement) -> WeylElement:
-    """Image of v under the diagram automorphism induced by the longest element."""
-    weyl = datum.weyl
-    out = weyl.identity
-    for i in v.reduced_word():
-        out = out * weyl.simple[weyl.omega[i - 1] - 1]
-    return out
-
-
 def dual(eta: QLSPath) -> QLSPath:
-    """Reverse the path and translate its endpoint to the origin."""
-    datum, weyl = eta.datum, eta.datum.weyl
-    w0 = weyl.longest
-    lam2 = -w0.act_weight(eta.lam)
-    om_J = frozenset(weyl.omega[i - 1] for i in eta.J)
-    dirs = tuple(weyl.min_coset_rep(x * w0, om_J) for x in reversed(eta.directions))
+    """Reverse the path and translate its endpoint to the origin: shape
+    -w0(lambda), points -mu_k in reverse order."""
+    dirs = tuple(-mu for mu in reversed(eta.directions))
     cuts = tuple(1 - b for b in reversed(eta.breaks))
-    return qls_path(datum, lam2, dirs, cuts)
+    return qls_path(eta.datum, minus_w0(eta.datum, eta.lam), dirs, cuts)
 
 
 def omega(eta: QLSPath) -> QLSPath:
-    """Apply the diagram automorphism to every direction."""
-    datum, weyl = eta.datum, eta.datum.weyl
-    lam2 = -weyl.longest.act_weight(eta.lam)
-    dirs = tuple(_omega_element(datum, x) for x in eta.directions)
-    return qls_path(datum, lam2, dirs, eta.breaks)
+    """Apply the diagram automorphism: every point mu goes to -w0(mu)."""
+    datum = eta.datum
+    dirs = tuple(minus_w0(datum, mu) for mu in eta.directions)
+    return qls_path(datum, minus_w0(datum, eta.lam), dirs, eta.breaks)
 
 
 def lusztig_S(eta: QLSPath) -> QLSPath:
-    """The Lusztig involution: multiply by the longest element and reverse."""
-    weyl = eta.datum.weyl
-    w0 = weyl.longest
-    dirs = tuple(weyl.min_coset_rep(w0 * x, eta.J) for x in reversed(eta.directions))
+    """The Lusztig involution: apply the longest element and reverse."""
+    datum = eta.datum
+    dirs = tuple(-minus_w0(datum, mu) for mu in reversed(eta.directions))
     cuts = tuple(1 - b for b in reversed(eta.breaks))
-    return qls_path(eta.datum, eta.lam, dirs, cuts)
+    return qls_path(datum, eta.lam, dirs, cuts)
 
 
 # ------------------------------------------------------------------- crystals

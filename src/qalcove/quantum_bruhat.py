@@ -76,12 +76,10 @@ class QuantumBruhatGraph:
         self,
         datum: RootDatum,
         J: frozenset[int] = frozenset(),
-        restriction: tuple[Fraction, Weight] | None = None,
         _edges: dict | None = None,
     ):
         self.datum = datum
         self.J = frozenset(J)
-        self.restriction = restriction
         self.vertices = datum.weyl.coset_reps(self.J)
         # the roots outside the parabolic subsystem
         self.labels: tuple[int, ...] = tuple(quantum_drops(datum, self.J))
@@ -90,6 +88,7 @@ class QuantumBruhatGraph:
         else:
             self.adjacency = {w: self._build_edges(w) for w in self.vertices}
         self._bfs_cache: dict[WeylElement, dict] = {}
+        self._orbits: dict[Weight, dict[Weight, WeylElement]] = {}
 
     def _build_edges(self, w: WeylElement) -> tuple[QBGEdge, ...]:
         datum = self.datum
@@ -127,7 +126,17 @@ class QuantumBruhatGraph:
             )
             for w in self.vertices
         }
-        return QuantumBruhatGraph(self.datum, self.J, (b, lam), _edges=kept)
+        return QuantumBruhatGraph(self.datum, self.J, _edges=kept)
+
+    def orbit(self, lam: Weight) -> dict[Weight, WeylElement]:
+        """The bijection x(lam) -> x from the orbit of lam onto W^J, built once
+        per lam; lam must have stabilizer exactly J."""
+        table = self._orbits.get(lam)
+        if table is None:
+            if self.datum.stabilizer(lam) != self.J:
+                raise InputError(f"stabilizer of the weight {lam.coords} is not the graph's J")
+            table = self._orbits[lam] = {x.act_weight(lam): x for x in self.vertices}
+        return table
 
     # ------------------------------------------------------------------- queries
 
@@ -213,42 +222,6 @@ class QuantumBruhatGraph:
 
         grow(x, [])
         return out
-
-    # ------------------------------------------------------------------- exports
-
-    def to_dot(self) -> str:
-        lines = ["digraph qbg {"]
-        for w in self.vertices:
-            lines.append(f'  "{w!r}";')
-        for w in self.vertices:
-            for e in self.adjacency[w]:
-                style = "solid" if e.kind == BRUHAT else "dashed"
-                label = self.datum.root_name(e.label)
-                lines.append(f'  "{e.source!r}" -> "{e.target!r}" [style={style}, label="{label}"];')
-        lines.append("}")
-        return "\n".join(lines)
-
-    def to_json_dict(self) -> dict:
-        res = None
-        if self.restriction is not None:
-            b, lam = self.restriction
-            res = {"b": f"{b.numerator}/{b.denominator}", "lambda": list(lam.coords)}
-        return {
-            "J": sorted(self.J),
-            "vertices": [list(w.reduced_word()) for w in self.vertices],
-            "edges": [
-                {
-                    "source": list(e.source.reduced_word()),
-                    "target": list(e.target.reduced_word()),
-                    "label": list(self.datum.positive_roots[e.label]),
-                    "kind": e.kind,
-                    "weight": list(e.weight),
-                }
-                for w in self.vertices
-                for e in self.adjacency[w]
-            ],
-            "restriction": res,
-        }
 
 
 def build_qbg(datum: RootDatum, J: frozenset[int] = frozenset()) -> QuantumBruhatGraph:

@@ -167,10 +167,10 @@ def test_criterion_06_degree_recursion():
             for (v, j), w in graph.e_arrows.items():
                 if j != 0:
                     assert deg(w) == deg(v)
-                elif w.initial_direction == v.initial_direction:
+                elif w.directions[0] == v.directions[0]:
                     assert deg(w) == deg(v) - 1
                 else:
-                    assert deg(w) == deg(v) + datum.pairing(theta_vee, v.initial_direction) - 1
+                    assert deg(w) == deg(v) + datum.pairing(theta_vee, v.directions[0]) - 1
                 edges += 1
         return f"the degree recursion holds on every raising arrow ({edges} arrows)"
 

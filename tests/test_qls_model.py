@@ -44,6 +44,8 @@ def omega_affine(datum, j):
 def test_valid_half_break_path():
     eta = path(A1, (2,), [(1,), ()], (0, Fraction(1, 2), 1))
     assert len(eta.directions) == 2
+    # the same path given by its orbit points s1(2w1) = -2w1 and 2w1
+    assert path(A1, (2,), [Weight((-2,)), Weight((2,))], (0, Fraction(1, 2), 1)) == eta
 
 
 def test_invalid_third_break_path():
@@ -57,7 +59,8 @@ def test_straight_paths_always_valid():
         J = datum.stabilizer(lam)
         for x in datum.weyl.coset_reps(J):
             eta = straight_path(datum, lam, x)
-            assert eta.directions == (x,)
+            assert eta.directions == (x.act_weight(lam),)
+            assert eta.cosets == (x,)
 
 
 def test_rejects_non_dominant_weight():
@@ -83,6 +86,9 @@ def test_rejects_non_minimal_coset_representative():
     # s2 fixes w1 in A2, so s2 is not the minimal representative of its coset
     with pytest.raises(InputError, match="minimal coset"):
         path(A2, (1, 0), [(2,)], (0, 1))
+    # a point outside the orbit W(w1) = {w1, w2 - w1, -w2}
+    with pytest.raises(InputError, match="direction 1 is not in the orbit"):
+        path(A2, (1, 0), [Weight((0, 1))], (0, 1))
 
 
 def test_rejects_node_out_of_range():
@@ -201,10 +207,10 @@ def test_degree_recursion_along_raising_arrows():
         for (v, j), w in graph.e_arrows.items():
             if j != 0:
                 assert deg(w) == deg(v)
-            elif w.initial_direction == v.initial_direction:
+            elif w.directions[0] == v.directions[0]:
                 assert deg(w) == deg(v) - 1
             else:
-                assert deg(w) == deg(v) + datum.pairing(theta_vee, v.initial_direction) - 1
+                assert deg(w) == deg(v) + datum.pairing(theta_vee, v.directions[0]) - 1
 
 
 # ------------------------------------------------- duality, omega, Lusztig's S
@@ -269,6 +275,34 @@ def test_dual_swaps_raising_and_lowering_same_label():
                 assert (lifted is None) == (image is None)
                 if lifted is not None:
                     assert dual(lifted) == image
+
+
+def test_points_and_representatives_agree():
+    # the involutions act on orbit points; the reference formulas act on the
+    # coset representatives: dual x -> floor(x w0) in W^omega(J), S x ->
+    # floor(w0 x) in W^J (both reversed), omega x -> the omega-image of x's word
+    cases = [
+        (build_root_datum("A", 3), (1, 1, 1)), (C2, (1, 1)), (G2, (1, 1)),
+        (build_root_datum("D", 4), (0, 1, 0, 0)), (build_root_datum("E", 6), (1, 0, 0, 0, 0, 0)),
+    ]
+    for datum, lam in cases:
+        weyl = datum.weyl
+        w0 = weyl.longest
+        J = datum.stabilizer(Weight(lam))
+        om_J = frozenset(weyl.omega[i - 1] for i in J)
+
+        def omega_image(x):
+            out = weyl.identity
+            for i in x.reduced_word():
+                out = out * weyl.simple[weyl.omega[i - 1] - 1]
+            return out
+
+        for eta in build_crystal(datum, Weight(lam)).vertices:
+            assert eta.directions == tuple(x.act_weight(eta.lam) for x in eta.cosets)
+            assert all(weyl.min_coset_rep(x, J) == x for x in eta.cosets)
+            assert dual(eta).cosets == tuple(weyl.min_coset_rep(x * w0, om_J) for x in reversed(eta.cosets))
+            assert lusztig_S(eta).cosets == tuple(weyl.min_coset_rep(w0 * x, J) for x in reversed(eta.cosets))
+            assert omega(eta).cosets == tuple(omega_image(x) for x in eta.cosets)
 
 
 def test_dual_lands_in_the_contragredient_shape():

@@ -57,6 +57,14 @@ def test_parabolic_vertex_count():
     d = build_root_datum("A", 2)
     g = build_qbg(d, frozenset({2}))
     assert len(g.vertices) == 3
+    # x -> x(lam) is a bijection from W^J onto the orbit of lam
+    lam = Weight((1, 0))
+    orbit = g.orbit(lam)
+    assert sorted(orbit.values(), key=lambda x: x.perm) == sorted(g.vertices, key=lambda x: x.perm)
+    assert all(x.act_weight(lam) == mu for mu, x in orbit.items())
+    assert g.orbit(lam) is orbit
+    with pytest.raises(InputError, match="stabilizer"):
+        g.orbit(Weight((1, 1)))
 
 
 def test_full_parabolic_has_no_edges():
@@ -374,12 +382,3 @@ def test_tilted_minimum_a2_oracle_example():
     end, _ = tilted_minimum(g, d.weyl.identity, s2, frozenset({1}), order)
     assert end == s2
 
-
-def test_dot_and_json_exports():
-    d = build_root_datum("A", 1)
-    g = build_qbg(d)
-    dot = g.to_dot()
-    assert "digraph" in dot and "dashed" in dot and "solid" in dot
-    js = g.to_json_dict()
-    assert js["J"] == [] and len(js["edges"]) == 2
-    assert {e["kind"] for e in js["edges"]} == {BRUHAT, QUANTUM}
