@@ -3,9 +3,9 @@
 A chain for a dominant weight lambda lists the hyperplanes H_{beta,-l}
 (0 <= l < <beta^vee,lambda>) crossed by a reduced alcove walk from the
 fundamental alcove to its translate by -lambda.  Admissible subsets of chain
-positions are walks in the quantum Bruhat graph starting at the identity;
-folding the chain at those positions yields the data driving the
-combinatorial root operators f_p / e_p for p in the affine index set.
+positions are walks in the quantum Bruhat graph starting at the identity.
+The root operators f_p / e_p (p in the affine index set) read the piecewise
+linear function g_alpha of Lenart-Lubovsky off that walk.
 """
 
 from __future__ import annotations
@@ -201,7 +201,7 @@ def weight_of(chain: LambdaChain, positions) -> Weight:
 class AdmissibleSubset:
     """Positions whose reflection walk is a path in QB(W) from the identity."""
 
-    __slots__ = ("chain", "positions", "path", "edge_kinds", "weight", "height", "_folded")
+    __slots__ = ("chain", "positions", "path", "edge_kinds", "weight", "height")
 
     def __init__(self, chain: LambdaChain, positions: tuple[int, ...]):
         node = _root_node(chain)
@@ -215,7 +215,6 @@ class AdmissibleSubset:
                 raise InputError(f"positions {positions} are not admissible for this chain")
         self.chain = chain
         self.positions, self.path, self.edge_kinds, self.weight, self.height = node
-        self._folded: FoldedChain | None = None
 
     def __eq__(self, other) -> bool:
         return (
@@ -291,7 +290,6 @@ def enumerate_admissible(chain: LambdaChain) -> tuple[AdmissibleSubset, ...]:
         a = AdmissibleSubset.__new__(AdmissibleSubset)
         a.chain = chain
         a.positions, a.path, a.edge_kinds, a.weight, a.height = node
-        a._folded = None
         out.append(a)
         start = node[0][-1] + 1 if node[0] else 1
         # children go on in reverse, so the smallest next position pops first
@@ -321,21 +319,35 @@ def require_lex(chain: LambdaChain) -> None:
 
 
 def _samples(A: AdmissibleSubset, alpha_signed: int):
-    """Finite indices carrying +-alpha and the g-function samples there,
-    plus the sample at infinity."""
-    folded = A._folded
-    if folded is None:
-        folded = A._folded = fold(A.chain, A.positions)
+    """The samples of Lenart-Lubovsky's g_alpha at the indices i with
+    gamma_i = +-alpha, plus the sample at infinity.  gamma_i is beta_i moved by
+    the walk's element before i; at each such i, g moves by sign(gamma_i)/2 up
+    to the sample and by as much again after it, reversed when i is folded."""
     j = abs(alpha_signed)
     sign = 1 if alpha_signed > 0 else -1
-    finite = [
-        (i + 1, sign * folded.heights[i])
-        for i, g in enumerate(folded.gammas)
-        if abs(g) == j
-    ]
+    finite = []
+    h, a = -1, 0  # h = 2g; a = positions of A below i
+    for i, entry in enumerate(A.chain.entries, start=1):
+        gamma = A.path[a].perm[entry.root]
+        folded = a < len(A.positions) and A.positions[a] == i
+        if abs(gamma) == j:
+            s = 1 if gamma > 0 else -1
+            h += s
+            if h % 2:
+                raise InternalError(f"g_alpha takes the non-integer value {h}/2")
+            finite.append((i, sign * h // 2))
+            h += -s if folded else s
+        a += folded
     datum = A.chain.datum
     inf_sample = sign * datum.pairing(datum.positive_coroots[j - 1], A.weight)
     return finite, inf_sample
+
+
+def _samples_with_max(A: AdmissibleSubset, p: int):
+    """The samples of g for the label p and their maximum M, over a lex chain."""
+    require_lex(A.chain)
+    finite, inf_sample = _samples(A, _alpha_signed(A.chain.datum, p))
+    return finite, inf_sample, max([s for _, s in finite] + [inf_sample])
 
 
 def _rebuild(A: AdmissibleSubset, positions: tuple[int, ...]) -> AdmissibleSubset:
@@ -347,10 +359,7 @@ def _rebuild(A: AdmissibleSubset, positions: tuple[int, ...]) -> AdmissibleSubse
 
 def f_operator(A: AdmissibleSubset, p: int) -> AdmissibleSubset | None:
     """Root operator f_p, or None when the subset is killed."""
-    require_lex(A.chain)
-    alpha = _alpha_signed(A.chain.datum, p)
-    finite, inf_sample = _samples(A, alpha)
-    M = max([s for _, s in finite] + [inf_sample])
+    finite, inf_sample, M = _samples_with_max(A, p)
     if M <= (1 if p == 0 else 0):
         return None
     attaining = [i for i, s in finite if s == M]
@@ -377,10 +386,7 @@ def f_operator(A: AdmissibleSubset, p: int) -> AdmissibleSubset | None:
 
 def e_operator(A: AdmissibleSubset, p: int) -> AdmissibleSubset | None:
     """Root operator e_p, or None when the subset is killed."""
-    require_lex(A.chain)
-    alpha = _alpha_signed(A.chain.datum, p)
-    finite, inf_sample = _samples(A, alpha)
-    M = max([s for _, s in finite] + [inf_sample])
+    finite, inf_sample, M = _samples_with_max(A, p)
     if not (M > inf_sample and M >= (1 if p == 0 else 0)):
         return None
     attaining = [i for i, s in finite if s == M]
@@ -424,18 +430,12 @@ def _check_f_effect(A, new, p: int, m_idx: int | None, k_idx: int) -> None:
 
 
 def phi(A: AdmissibleSubset, p: int) -> int:
-    require_lex(A.chain)
-    alpha = _alpha_signed(A.chain.datum, p)
-    finite, inf_sample = _samples(A, alpha)
-    M = max([s for _, s in finite] + [inf_sample])
+    _, _, M = _samples_with_max(A, p)
     delta = 1 if p == 0 else 0
     return M - delta if M >= delta else 0
 
 
 def epsilon(A: AdmissibleSubset, p: int) -> int:
-    require_lex(A.chain)
-    alpha = _alpha_signed(A.chain.datum, p)
-    finite, inf_sample = _samples(A, alpha)
-    M = max([s for _, s in finite] + [inf_sample])
+    _, inf_sample, M = _samples_with_max(A, p)
     delta = 1 if p == 0 else 0
     return M - inf_sample if M >= delta else 0

@@ -202,7 +202,7 @@ def cmd_verify_crystal(datum: RootDatum, args) -> int:
     tensor_ok, tensor_error = True, None
     if sum(lam.coords) > 1:
         try:
-            correspondence.build_isomorphism_to_tensor(datum, lam)
+            correspondence.build_isomorphism_to_tensor(datum, lam, source=graph)
         except correspondence.IsomorphismMismatch as exc:  # a finding, not a crash
             tensor_ok, tensor_error = False, str(exc)
     connected = graph.is_connected()

@@ -202,13 +202,16 @@ def verify_energy(datum: RootDatum, lam: Weight, chain: LambdaChain | None = Non
     }
 
 
-def build_isomorphism_to_tensor(datum: RootDatum, lam: Weight) -> dict:
-    """Vertex bijection from the crystal of lam onto the tensor product of
-    one fundamental-weight crystal per unit of lam, anchored at the straight
-    dominant paths and propagated along arrows."""
+def build_isomorphism_to_tensor(
+    datum: RootDatum, lam: Weight, source: qls_model.CrystalGraph | None = None
+) -> dict:
+    """Vertex bijection from the crystal of lam (source, built here when None)
+    onto the tensor product of one fundamental-weight crystal per unit of lam,
+    anchored at the straight dominant paths and propagated along arrows."""
     if not datum.is_dominant(lam):
         raise InputError(f"weight {lam.coords} is not dominant")
-    source = qls_model.build_crystal(datum, lam)
+    if source is None:
+        source = qls_model.build_crystal(datum, lam)
     factors = []
     for i, c in enumerate(lam.coords, start=1):
         if c:

@@ -28,7 +28,6 @@ from .lie_data import (
 from .quantum_bruhat import QuantumBruhatGraph, build_qbg
 
 _parabolic_cache: dict = {}
-_restricted_cache: dict = {}
 
 
 def _parabolic_graph(datum: RootDatum, J: frozenset[int]) -> QuantumBruhatGraph:
@@ -36,14 +35,6 @@ def _parabolic_graph(datum: RootDatum, J: frozenset[int]) -> QuantumBruhatGraph:
     if key not in _parabolic_cache:
         _parabolic_cache[key] = build_qbg(datum, J)
     return _parabolic_cache[key]
-
-
-def _restricted_graph(datum: RootDatum, lam: Weight, b: Fraction) -> QuantumBruhatGraph:
-    key = (datum, lam, b)
-    if key not in _restricted_cache:
-        J = datum.stabilizer(lam)
-        _restricted_cache[key] = _parabolic_graph(datum, J).restrict(b, lam)
-    return _restricted_cache[key]
 
 
 def minus_w0(datum: RootDatum, mu: Weight) -> Weight:
@@ -134,7 +125,8 @@ def qls_path(datum: RootDatum, lam: Weight, directions, breaks) -> QLSPath:
         raise InputError("breaks must start at 0 and end at 1")
     if any(a >= b for a, b in zip(cuts, cuts[1:])):
         raise InputError("breaks must be strictly increasing")
-    orbit = _parabolic_graph(datum, J).orbit(lam)
+    graph = _parabolic_graph(datum, J)
+    orbit = graph.orbit(lam)
     points = []
     for k, x in enumerate(dirs, start=1):
         if isinstance(x, WeylElement):
@@ -147,8 +139,7 @@ def qls_path(datum: RootDatum, lam: Weight, directions, breaks) -> QLSPath:
     for k in range(1, len(points)):
         if points[k - 1] == points[k]:
             raise InputError(f"directions {k} and {k + 1} coincide")
-        graph = _restricted_graph(datum, lam, cuts[k])
-        if not graph.reachable(orbit[points[k]], orbit[points[k - 1]]):
+        if not graph.restrict(cuts[k], lam).reachable(orbit[points[k]], orbit[points[k - 1]]):
             raise InputError(
                 f"segment {k}: no directed path from direction {k + 1} to "
                 f"direction {k} once edges with non-integral "

@@ -80,15 +80,15 @@ class QuantumBruhatGraph:
     ):
         self.datum = datum
         self.J = frozenset(J)
-        self.vertices = datum.weyl.coset_reps(self.J)
         # the roots outside the parabolic subsystem
         self.labels: tuple[int, ...] = tuple(quantum_drops(datum, self.J))
-        if _edges is not None:
-            self.adjacency = _edges
-        else:
-            self.adjacency = {w: self._build_edges(w) for w in self.vertices}
+        if _edges is None:
+            _edges = {w: self._build_edges(w) for w in datum.weyl.coset_reps(self.J)}
+        self.adjacency = _edges
+        self.vertices = tuple(_edges)
         self._bfs_cache: dict[WeylElement, dict] = {}
         self._orbits: dict[Weight, dict[Weight, WeylElement]] = {}
+        self._restricted: dict[tuple[Fraction, Weight], QuantumBruhatGraph] = {}
 
     def _build_edges(self, w: WeylElement) -> tuple[QBGEdge, ...]:
         datum = self.datum
@@ -110,23 +110,27 @@ class QuantumBruhatGraph:
         return sum(len(self.adjacency[w]) for w in self.vertices)
 
     def restrict(self, b: Fraction, lam: Weight) -> "QuantumBruhatGraph":
-        """Subgraph keeping edges whose label alpha has b<alpha^vee,lam> integral."""
-        if not self.datum.is_dominant(lam):
-            raise InputError(f"weight {lam.coords} is not dominant")
-        # the full graph may be restricted by any dominant weight; a parabolic
-        # graph only by weights whose stabilizer contains J
-        if not self.J <= self.datum.stabilizer(lam):
-            raise InputError("stabilizer of the weight does not contain the graph's J")
+        """Subgraph keeping edges whose label alpha has b<alpha^vee,lam> integral,
+        built once per (b, lam) on the vertices of this graph."""
         b = Fraction(b)
-        kept = {
-            w: tuple(
-                e
-                for e in self.adjacency[w]
-                if (b * self.datum.pairing_index(e.label, lam)).denominator == 1
-            )
-            for w in self.vertices
-        }
-        return QuantumBruhatGraph(self.datum, self.J, _edges=kept)
+        graph = self._restricted.get((b, lam))
+        if graph is None:
+            if not self.datum.is_dominant(lam):
+                raise InputError(f"weight {lam.coords} is not dominant")
+            # the full graph may be restricted by any dominant weight; a
+            # parabolic graph only by weights whose stabilizer contains J
+            if not self.J <= self.datum.stabilizer(lam):
+                raise InputError("stabilizer of the weight does not contain the graph's J")
+            kept = {
+                w: tuple(
+                    e
+                    for e in edges
+                    if (b * self.datum.pairing_index(e.label, lam)).denominator == 1
+                )
+                for w, edges in self.adjacency.items()
+            }
+            graph = self._restricted[b, lam] = QuantumBruhatGraph(self.datum, self.J, _edges=kept)
+        return graph
 
     def orbit(self, lam: Weight) -> dict[Weight, WeylElement]:
         """The bijection x(lam) -> x from the orbit of lam onto W^J, built once

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from qalcove import alcove_model
 from qalcove.alcove_model import (
     AdmissibleSubset,
     LambdaChain,
@@ -23,6 +24,7 @@ from qalcove.alcove_model import (
     weight_of,
 )
 from qalcove.characters import character_from_alcove, decompose
+from qalcove.correspondence import verify_intertwining
 from qalcove.lie_data import InputError, Weight, build_root_datum
 from qalcove.quantum_bruhat import BRUHAT, QUANTUM
 
@@ -357,6 +359,57 @@ def _sweep_continuous(d, chain):
                 # below threshold the continuous max may exceed the samples
                 # by at most 1/2, never enough to reach the threshold
                 assert cont <= m_val + Fraction(1, 2)
+
+
+@pytest.mark.parametrize(
+    "label, rank, lam",
+    [
+        ("A", 2, (1, 1)),
+        ("A", 3, (1, 1, 1)),
+        ("C", 2, (2, 1)),
+        ("C", 3, (1, 0, 1)),
+        ("B", 3, (0, 1, 1)),
+        ("G", 2, (2, 1)),
+        ("D", 4, (0, 1, 0, 0)),
+    ],
+)
+def test_samples_read_off_the_walk_match_folding(label, rank, lam):
+    d = build_root_datum(label, rank)
+    chain = lex_chain(d, Weight(lam))
+    for a in enumerate_admissible(chain):
+        folded = fold(chain, a.positions)
+        for p in range(d.rank + 1):
+            alpha = _alpha_signed(d, p)
+            sign = 1 if alpha > 0 else -1
+            finite, inf_sample = _samples(a, alpha)
+            expected = [
+                (i + 1, sign * folded.heights[i])
+                for i, g in enumerate(folded.gammas)
+                if abs(g) == abs(alpha)
+            ]
+            assert finite == expected, (a.positions, p)
+            coroot = d.positive_coroots[abs(alpha) - 1]
+            assert inf_sample == sign * d.pairing(coroot, weight_of(chain, a.positions))
+
+
+@pytest.mark.parametrize("label, rank, lam", [("A", 3, (1, 1, 1)), ("C", 3, (1, 0, 1))])
+def test_root_operators_never_fold(monkeypatch, label, rank, lam):
+    def refuse(*args):
+        raise AssertionError("the root operators must not fold the chain")
+
+    monkeypatch.setattr(alcove_model, "fold", refuse)
+    d = build_root_datum(label, rank)
+    chain = lex_chain(d, Weight(lam))
+    assert verify_intertwining(d, Weight(lam), chain=chain)["violations"] == []
+    for a in enumerate_admissible(chain):
+        for p in range(d.rank + 1):
+            lengths = []
+            for op in (f_operator, e_operator):
+                n, cur = 0, op(a, p)
+                while cur is not None:
+                    n, cur = n + 1, op(cur, p)
+                lengths.append(n)
+            assert lengths == [phi(a, p), epsilon(a, p)], (a.positions, p)
 
 
 def test_crystal_axioms_small_sweep():

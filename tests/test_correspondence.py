@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from qalcove import cli, qls_model
 from qalcove.alcove_model import AdmissibleSubset, chain_from_roots, enumerate_admissible, lex_chain
 from qalcove.correspondence import (
     build_isomorphism_to_tensor,
@@ -192,6 +193,9 @@ def test_doubled_line_matches_square_of_fundamental():
 def test_adjoint_weight_matches_mixed_tensor():
     iso = build_isomorphism_to_tensor(A2, Weight((1, 1)))
     assert len(iso) == 9
+    # a crystal built beforehand gives the same bijection
+    source = build_crystal(A2, Weight((1, 1)))
+    assert build_isomorphism_to_tensor(A2, Weight((1, 1)), source=source) == iso
     dominant = straight_path(A2, Weight((1, 1)))
     assert iso[dominant] == (
         straight_path(A2, Weight((1, 0))),
@@ -204,3 +208,18 @@ def test_rank_two_mixed_tensor_isomorphism():
     assert len(iso) == 20
     for path, pair in iso.items():
         assert path.weight == pair[0].weight + pair[1].weight
+
+
+def test_verify_crystal_builds_the_lambda_crystal_once(monkeypatch, capsys):
+    # one build of the lambda crystal, one per fundamental factor
+    calls = []
+
+    def counted(datum, lam):
+        calls.append(lam.coords)
+        return build_crystal(datum, lam)
+
+    monkeypatch.setattr(cli, "build_crystal", counted)
+    monkeypatch.setattr(qls_model, "build_crystal", counted)
+    assert cli.main(["verify-crystal", "--type", "A", "--rank", "2", "--weight", "1,1"]) == 0
+    assert '"pass": true' in capsys.readouterr().out
+    assert sorted(calls) == [(0, 1), (1, 0), (1, 1)]

@@ -89,6 +89,21 @@ def test_restrict_a1():
     assert g.restrict(Fraction(1, 3), lam).edge_count() == 0
 
 
+def test_restrict_is_built_once_on_the_parent_vertices(monkeypatch):
+    d = build_root_datum("C", 3)
+    lam = Weight((1, 0, 1))
+    g = build_qbg(d, d.stabilizer(lam))
+
+    def refuse(J):
+        raise AssertionError("a restriction must not enumerate W^J again")
+
+    monkeypatch.setattr(d.weyl, "coset_reps", refuse)
+    r = g.restrict(Fraction(1, 2), lam)
+    assert g.restrict(Fraction(1, 2), lam) is r
+    assert r.vertices == g.vertices
+    assert r.edge_count() < g.edge_count()
+
+
 def test_restrict_rejects_bad_weight():
     d = build_root_datum("A", 2)
     g = build_qbg(d)
