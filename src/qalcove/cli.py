@@ -98,7 +98,10 @@ def _guard(datum: RootDatum, lam: Weight, budget: int) -> None:
     if not datum.is_dominant(lam):
         raise InputError(f"weight {lam.coords} is not dominant")
     length = sum(datum.pairing(coroot, lam) for coroot in datum.positive_coroots)
-    cost = len(datum.weyl) * max(length, 1)
+    _within_budget(len(datum.weyl) * max(length, 1), budget)
+
+
+def _within_budget(cost: int, budget: int) -> None:
     if cost > budget:
         raise InputError(f"job size {cost} exceeds budget {budget}; raise --budget to proceed")
 
@@ -240,6 +243,12 @@ def cmd_perfect(datum: RootDatum, args) -> int:
             nodes = [int(args.node)]
         except ValueError:
             raise InputError(f"cannot parse node {args.node!r}; expected an index, long, short, or all")
+    for n in nodes:
+        # check_perfect builds the tensor square of B(omega_n), whose size |B|
+        # is the number of admissible subsets by the bijection
+        omega = datum.fundamental_weight(n)
+        _guard(datum, omega, args.budget)
+        _within_budget(len(enumerate_admissible(lex_chain(datum, omega))) ** 2, args.budget)
     reports = [check_perfect(datum, n, args.level) for n in nodes]
     for report in reports:
         print(report.summary())

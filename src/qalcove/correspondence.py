@@ -134,10 +134,11 @@ def verify_intertwining(datum: RootDatum, lam: Weight, chain: LambdaChain | None
         chain = lex_chain(datum, lam)
     require_lex(chain)
     subsets = alcove_model.enumerate_admissible(chain)
+    image = {A.positions: forgetful(A).pi for A in subsets}
     violations: list[dict] = []
     checks = 0
     for A in subsets:
-        pi = forgetful(A).pi
+        pi = image[A.positions]
         for p in range(datum.rank + 1):
             checks += 1
             lowered = alcove_model.f_operator(A, p)
@@ -147,7 +148,9 @@ def verify_intertwining(datum: RootDatum, lam: Weight, chain: LambdaChain | None
                     {"positions": list(A.positions), "label": p, "kind": "definedness"}
                 )
                 continue
-            if lowered is not None and qls_model.e_operator(pi, p) != forgetful(lowered).pi:
+            if lowered is not None and lowered.positions not in image:
+                raise InternalError(f"f_{p} of {A.positions} is not an enumerated subset")
+            if lowered is not None and qls_model.e_operator(pi, p) != image[lowered.positions]:
                 violations.append(
                     {"positions": list(A.positions), "label": p, "kind": "image"}
                 )

@@ -99,6 +99,7 @@ class RootDatum:
         self._check_cartan()
         self.positive_roots, self.positive_coroots = self._generate_roots()
         self._root_index = {r: k for k, r in enumerate(self.positive_roots)}
+        self._quantum_drops: dict[frozenset[int], dict[int, int]] = {}
         self.simple_root_index: Vector = tuple(
             self._root_index[tuple(1 if j == i else 0 for j in range(rank))]
             for i in range(rank)
@@ -263,6 +264,17 @@ class RootDatum:
             if k not in inside:
                 total = total + self.root_as_weight(k)
         return total
+
+    def quantum_drops(self, J: frozenset[int] = frozenset()) -> dict[int, int]:
+        """<alpha^vee, 2rho - 2rho_J> for every positive root alpha outside the
+        parabolic subsystem of J, keyed by root index in increasing order."""
+        if J not in self._quantum_drops:
+            depth, inside = self.two_rho_minus_two_rho_J(J), self.parabolic_roots(J)
+            drops = {k: self.pairing(c, depth) for k, c in enumerate(self.positive_coroots) if k not in inside}
+            if min(drops.values(), default=1) <= 0:
+                raise InternalError("<alpha^vee, 2rho-2rho_J> must be positive")
+            self._quantum_drops[J] = drops
+        return self._quantum_drops[J]
 
     # -------------------------------------------------------------------- affine
 

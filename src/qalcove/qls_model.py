@@ -139,7 +139,7 @@ def qls_path(datum: RootDatum, lam: Weight, directions, breaks) -> QLSPath:
     for k in range(1, len(points)):
         if points[k - 1] == points[k]:
             raise InputError(f"directions {k} and {k + 1} coincide")
-        if not graph.restrict(cuts[k], lam).reachable(orbit[points[k]], orbit[points[k - 1]]):
+        if not graph.reachable(orbit[points[k]], orbit[points[k - 1]], cuts[k], lam):
             raise InputError(
                 f"segment {k}: no directed path from direction {k + 1} to "
                 f"direction {k} once edges with non-integral "

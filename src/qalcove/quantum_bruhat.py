@@ -5,7 +5,8 @@ outside the parabolic subsystem, at most one edge w -> min_coset_rep(w r_alpha)
 which is either a Bruhat edge (length goes up by one) or a quantum edge
 (length drops by <alpha^vee, 2rho - 2rho_J> - 1).  Quantum edges carry the
 coroot alpha^vee as weight.  On top of the graphs the module provides
-shortest-path weights, reflection orderings compatible with a lex chain,
+shortest-path weights, reachability in the b-restricted subgraphs read off
+one shortest path, reflection orderings compatible with a lex chain,
 label-increasing paths, and tilted Bruhat minima.
 """
 
@@ -14,7 +15,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 
 from qalcove.lie_data import (
     InputError,
@@ -38,21 +38,6 @@ class QBGEdge:
     weight: Vector  # coroot coordinates; zero vector on Bruhat edges
 
 
-@cache
-def quantum_drops(datum: RootDatum, J: frozenset[int] = frozenset()) -> dict[int, int]:
-    """<alpha^vee, 2rho - 2rho_J> for every positive root alpha outside the
-    parabolic subsystem of J, keyed by root index in increasing order."""
-    depth = datum.two_rho_minus_two_rho_J(J)
-    inside = datum.parabolic_roots(J)
-    drops = {}
-    for k in range(len(datum.positive_roots)):
-        if k not in inside:
-            drops[k] = datum.pairing(datum.positive_coroots[k], depth)
-            if drops[k] <= 0:
-                raise InternalError("<alpha^vee, 2rho-2rho_J> must be positive")
-    return drops
-
-
 def qbg_step(
     datum: RootDatum, w: WeylElement, root: int, J: frozenset[int] = frozenset()
 ) -> tuple[WeylElement, str] | None:
@@ -64,31 +49,29 @@ def qbg_step(
         target = weyl.min_coset_rep(target, J)
     if target.length == w.length + 1:
         return target, BRUHAT
-    if target.length == w.length + 1 - quantum_drops(datum, J)[root]:
+    if target.length == w.length + 1 - datum.quantum_drops(J)[root]:
         return target, QUANTUM
     return None
 
 
 class QuantumBruhatGraph:
-    """Immutable quantum Bruhat graph on W^J, optionally b-restricted."""
+    """Immutable quantum Bruhat graph on W^J.
 
-    def __init__(
-        self,
-        datum: RootDatum,
-        J: frozenset[int] = frozenset(),
-        _edges: dict | None = None,
-    ):
+    By the shortest-path lemma of Lenart-Naito-Sagaki-Schilling-Shimozono
+    (part I, arXiv:1211.2042), y is reachable from x in the b-restricted
+    subgraph QB_{b lambda}(W^J) exactly when every shortest path from x to y
+    uses only its edges, so `reachable` checks the one the BFS found.
+    """
+
+    def __init__(self, datum: RootDatum, J: frozenset[int] = frozenset()):
         self.datum = datum
         self.J = frozenset(J)
         # the roots outside the parabolic subsystem
-        self.labels: tuple[int, ...] = tuple(quantum_drops(datum, self.J))
-        if _edges is None:
-            _edges = {w: self._build_edges(w) for w in datum.weyl.coset_reps(self.J)}
-        self.adjacency = _edges
-        self.vertices = tuple(_edges)
+        self.labels: tuple[int, ...] = tuple(datum.quantum_drops(self.J))
+        self.adjacency = {w: self._build_edges(w) for w in datum.weyl.coset_reps(self.J)}
+        self.vertices = tuple(self.adjacency)
         self._bfs_cache: dict[WeylElement, dict] = {}
         self._orbits: dict[Weight, dict[Weight, WeylElement]] = {}
-        self._restricted: dict[tuple[Fraction, Weight], QuantumBruhatGraph] = {}
 
     def _build_edges(self, w: WeylElement) -> tuple[QBGEdge, ...]:
         datum = self.datum
@@ -108,29 +91,6 @@ class QuantumBruhatGraph:
 
     def edge_count(self) -> int:
         return sum(len(self.adjacency[w]) for w in self.vertices)
-
-    def restrict(self, b: Fraction, lam: Weight) -> "QuantumBruhatGraph":
-        """Subgraph keeping edges whose label alpha has b<alpha^vee,lam> integral,
-        built once per (b, lam) on the vertices of this graph."""
-        b = Fraction(b)
-        graph = self._restricted.get((b, lam))
-        if graph is None:
-            if not self.datum.is_dominant(lam):
-                raise InputError(f"weight {lam.coords} is not dominant")
-            # the full graph may be restricted by any dominant weight; a
-            # parabolic graph only by weights whose stabilizer contains J
-            if not self.J <= self.datum.stabilizer(lam):
-                raise InputError("stabilizer of the weight does not contain the graph's J")
-            kept = {
-                w: tuple(
-                    e
-                    for e in edges
-                    if (b * self.datum.pairing_index(e.label, lam)).denominator == 1
-                )
-                for w, edges in self.adjacency.items()
-            }
-            graph = self._restricted[b, lam] = QuantumBruhatGraph(self.datum, self.J, _edges=kept)
-        return graph
 
     def orbit(self, lam: Weight) -> dict[Weight, WeylElement]:
         """The bijection x(lam) -> x from the orbit of lam onto W^J, built once
@@ -170,12 +130,13 @@ class QuantumBruhatGraph:
         return len(back) == n
 
     def _bfs(self, x: WeylElement) -> dict:
-        """Distance and one witness path weight from x to every vertex."""
+        """Distance, and the weight and last edge of one shortest path, from x to each vertex."""
         data = self._bfs_cache.get(x)
         if data is None:
             zero = (0,) * self.datum.rank
             dist = {x: 0}
             wt = {x: zero}
+            via: dict[WeylElement, QBGEdge] = {}
             queue = deque([x])
             while queue:
                 w = queue.popleft()
@@ -183,13 +144,31 @@ class QuantumBruhatGraph:
                     if e.target not in dist:
                         dist[e.target] = dist[w] + 1
                         wt[e.target] = tuple(a + b for a, b in zip(wt[w], e.weight))
+                        via[e.target] = e
                         queue.append(e.target)
-            data = {"dist": dist, "wt": wt}
+            data = {"dist": dist, "wt": wt, "via": via}
             self._bfs_cache[x] = data
         return data
 
-    def reachable(self, x: WeylElement, y: WeylElement) -> bool:
-        return y in self._bfs(x)["dist"]
+    def reachable(self, x: WeylElement, y: WeylElement, b: Fraction, lam: Weight) -> bool:
+        """Whether some path from x to y uses only edges with b<alpha^vee, lam> integral."""
+        if not self.datum.is_dominant(lam):
+            raise InputError(f"weight {lam.coords} is not dominant")
+        # the full graph may be restricted by any dominant weight; a
+        # parabolic graph only by weights whose stabilizer contains J
+        if any(lam.coords[j - 1] for j in self.J):
+            raise InputError("stabilizer of the weight does not contain the graph's J")
+        data = self._bfs(x)
+        if y not in data["dist"]:
+            return False
+        # with b = u/v in lowest terms, b<alpha^vee, lam> is integral iff v divides the pairing
+        den = Fraction(b).denominator
+        while y != x:
+            e = data["via"][y]
+            if self.datum.pairing_index(e.label, lam) % den:
+                return False
+            y = e.source
+        return True
 
     def distance(self, x: WeylElement, y: WeylElement) -> int:
         data = self._bfs(x)

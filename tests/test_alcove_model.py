@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -208,6 +209,21 @@ def test_enumeration_leaves_no_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _walk_the_alcove_route():
+    d = build_root_datum("B", 2)
+    for A in enumerate_admissible(lex_chain(d, d.rho)):
+        for p in range(d.rank + 1):
+            f_operator(A, p)
+    return weakref.ref(d)
+
+
+def test_alcove_route_keeps_no_datum_alive():
+    # no module-level cache may hold on to a root datum the caller dropped
+    ref = _walk_the_alcove_route()
+    gc.collect()
+    assert ref() is None
 
 
 def test_weights_a1():

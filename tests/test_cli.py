@@ -194,6 +194,14 @@ def test_budget_guard(capsys):
     assert code == 2 and "budget" in err
 
 
+def test_perfect_guards_the_tensor_square(capsys):
+    # |B(omega_2)| = 1703 for F4, so the square of node 2 exceeds the default budget
+    code, out, err = run(capsys, "perfect", "--type", "F", "--rank", "4")
+    assert code == 2 and "budget" in err and "job size 2900209" in err and out == ""
+    code, out, _ = run(capsys, "perfect", "--type", "F", "--rank", "4", "--node", "4")
+    assert code == 0 and out.startswith("node 4: ")
+
+
 def test_internal_error_exits_three_with_a_json_line(capsys, monkeypatch):
     def broken(chain):
         raise InternalError("forced invariant failure")

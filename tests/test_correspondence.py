@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from qalcove import cli, qls_model
+from qalcove import cli, correspondence, qls_model
 from qalcove.alcove_model import AdmissibleSubset, chain_from_roots, enumerate_admissible, lex_chain
 from qalcove.correspondence import (
     build_isomorphism_to_tensor,
@@ -143,6 +143,19 @@ def test_intertwining_reports_are_clean():
         report = verify_intertwining(datum, Weight(lam))
         assert report["violations"] == []
         assert report["counts"]["checks"] == report["counts"]["subsets"] * (datum.rank + 1)
+
+
+def test_intertwining_maps_each_subset_once(monkeypatch):
+    calls = []
+
+    def counted(A):
+        calls.append(A.positions)
+        return forgetful(A)
+
+    monkeypatch.setattr(correspondence, "forgetful", counted)
+    report = verify_intertwining(A2, Weight((1, 1)))
+    assert report["violations"] == []
+    assert len(calls) == report["counts"]["subsets"] == len(set(calls))
 
 
 def test_intertwining_zero_weight_is_vacuous():

@@ -1,4 +1,4 @@
-"""Quantum Bruhat graphs, restrictions, orderings, and tilted minima."""
+"""Quantum Bruhat graphs, restricted reachability, orderings, and tilted minima."""
 
 from fractions import Fraction
 
@@ -12,7 +12,6 @@ from qalcove.quantum_bruhat import (
     QuantumBruhatGraph,
     build_qbg,
     qbg_step,
-    quantum_drops,
     increasing_path,
     increasing_paths_from,
     reflection_ordering,
@@ -38,7 +37,7 @@ def test_full_graph_drops_pair_with_two_rho():
     for label, rank in [("A", 3), ("C", 3), ("G", 2)]:
         d = build_root_datum(label, rank)
         two_rho = Weight((2,) * rank)
-        assert quantum_drops(d) == {
+        assert d.quantum_drops() == {
             k: d.pairing(c, two_rho) for k, c in enumerate(d.positive_coroots)
         }
 
@@ -73,47 +72,93 @@ def test_full_parabolic_has_no_edges():
     assert g.edge_count() == 0
 
 
+def _restricted(graph, b, lam):
+    """Adjacency of the b-restricted graph: the edges whose label alpha has
+    b<alpha^vee, lam> integral."""
+    return {
+        w: tuple(e for e in edges if (b * graph.datum.pairing_index(e.label, lam)).denominator == 1)
+        for w, edges in graph.adjacency.items()
+    }
+
+
+def _reach(adjacency, v):
+    seen = {v}
+    stack = [v]
+    while stack:
+        for e in adjacency[stack.pop()]:
+            if e.target not in seen:
+                seen.add(e.target)
+                stack.append(e.target)
+    return seen
+
+
 def test_restrict_integral_keeps_everything():
     d = build_root_datum("A", 2)
     g = build_qbg(d)
     lam = d.rho
-    r = g.restrict(Fraction(1), lam)
-    assert r.edge_count() == g.edge_count()
+    for x in g.vertices:
+        plain = _reach(g.adjacency, x)
+        for y in g.vertices:
+            assert g.reachable(x, y, Fraction(1), lam) == (y in plain)
 
 
 def test_restrict_a1():
     d = build_root_datum("A", 1)
     g = build_qbg(d)
     lam = Weight((2,))
-    assert g.restrict(Fraction(1, 2), lam).edge_count() == 2
-    assert g.restrict(Fraction(1, 3), lam).edge_count() == 0
-
-
-def test_restrict_is_built_once_on_the_parent_vertices(monkeypatch):
-    d = build_root_datum("C", 3)
-    lam = Weight((1, 0, 1))
-    g = build_qbg(d, d.stabilizer(lam))
-
-    def refuse(J):
-        raise AssertionError("a restriction must not enumerate W^J again")
-
-    monkeypatch.setattr(d.weyl, "coset_reps", refuse)
-    r = g.restrict(Fraction(1, 2), lam)
-    assert g.restrict(Fraction(1, 2), lam) is r
-    assert r.vertices == g.vertices
-    assert r.edge_count() < g.edge_count()
+    e, s1 = d.weyl.identity, d.weyl.simple[0]
+    assert g.reachable(e, s1, Fraction(1, 2), lam) and g.reachable(s1, e, Fraction(1, 2), lam)
+    assert not g.reachable(e, s1, Fraction(1, 3), lam)
+    assert not g.reachable(s1, e, Fraction(1, 3), lam)
 
 
 def test_restrict_rejects_bad_weight():
     d = build_root_datum("A", 2)
     g = build_qbg(d)
+    e = d.weyl.identity
     with pytest.raises(InputError):
-        g.restrict(Fraction(1, 2), Weight((-1, 0)))
+        g.reachable(e, e, Fraction(1, 2), Weight((-1, 0)))
     para = build_qbg(d, frozenset({1}))
     with pytest.raises(InputError):
-        para.restrict(Fraction(1, 2), Weight((1, 0)))  # stabilizer {2} misses J={1}
+        para.reachable(e, e, Fraction(1, 2), Weight((1, 0)))  # stabilizer {2} misses J={1}
     # the full graph accepts weights with any stabilizer
-    assert g.restrict(Fraction(1, 2), Weight((1, 0))).edge_count() >= 0
+    assert g.reachable(e, e, Fraction(1, 2), Weight((1, 0)))
+
+
+# (type, rank, lambda, J): parabolic graphs over A-G at J = stab(lambda), and
+# one full graph restricted by a weight with a nonempty stabilizer
+REACHABILITY_CASES = [
+    ("A", 2, (1, 0), ()),
+    ("A", 5, (0, 0, 2, 0, 0), None),
+    ("A", 4, (1, 0, 0, 2), None),
+    ("B", 3, (0, 1, 1), None),
+    ("C", 3, (1, 0, 1), None),
+    ("C", 4, (0, 1, 0, 1), None),
+    ("D", 4, (1, 0, 1, 1), None),
+    ("E", 6, (0, 1, 0, 0, 0, 0), None),
+    ("F", 4, (1, 0, 0, 1), None),
+    ("G", 2, (2, 1), None),
+    ("G", 2, (3, 0), None),
+]
+
+
+@pytest.mark.parametrize("label,rank,coords,J", REACHABILITY_CASES)
+def test_reachable_matches_a_search_of_the_restricted_graph(label, rank, coords, J):
+    d = build_root_datum(label, rank)
+    lam = Weight(coords)
+    g = build_qbg(d, d.stabilizer(lam) if J is None else frozenset(J))
+    pairings = {d.pairing_index(k, lam) for k in g.labels}
+    breaks = {Fraction(a, p) for p in pairings for a in range(1, p)} | {Fraction(1, 7)}
+    outcomes = set()
+    for b in sorted(breaks):
+        kept = _restricted(g, b, lam)
+        for x in g.vertices:
+            reach = _reach(kept, x)
+            for y in g.vertices:
+                if y != x:
+                    assert g.reachable(x, y, b, lam) == (y in reach), (label, coords, b)
+                    outcomes.add(y in reach)
+    assert outcomes == {False, True}
 
 
 def test_shortest_path_weights_a1():
@@ -230,16 +275,16 @@ def test_edge_projection_lemma():
         d = build_root_datum(label, rank)
         J = d.stabilizer(lam)
         free = [i for i in range(d.rank) if (i + 1) not in J]
-        full = build_qbg(d).restrict(b, lam) if b != 1 else build_qbg(d)
-        para = build_qbg(d, J).restrict(b, lam)
+        full = _restricted(build_qbg(d), b, lam)
+        para = _restricted(build_qbg(d, J), b, lam)
         proj = lambda w: d.weyl.min_coset_rep(w, J)
-        for edge in full.edges():
+        for edge in (e for edges in full.values() for e in edges):
             src, dst = proj(edge.source), proj(edge.target)
             want = tuple(edge.weight[i] for i in free)
             assert _reachable_with_weight(para, src, dst, want, free), (label, edge)
 
 
-def _reachable_with_weight(graph, src, dst, want, free, cap=8):
+def _reachable_with_weight(adjacency, src, dst, want, free, cap=8):
     seen = set()
     stack = [(src, (0,) * len(free), 0)]
     while stack:
@@ -249,7 +294,7 @@ def _reachable_with_weight(graph, src, dst, want, free, cap=8):
         if depth >= cap or (w, acc, depth) in seen:
             continue
         seen.add((w, acc, depth))
-        for e in graph.adjacency[w]:
+        for e in adjacency[w]:
             nxt = tuple(a + e.weight[i] for a, i in zip(acc, free))
             stack.append((e.target, nxt, depth + 1))
     return False
@@ -266,31 +311,16 @@ def test_restricted_paths_pass_to_shortest_ones():
     for label, rank, lam, b in cases:
         d = build_root_datum(label, rank)
         full = build_qbg(d)
-        restricted = full.restrict(b, lam)
+        restricted = _restricted(full, b, lam)
         allowed = {
-            (e.source, e.target, e.label) for e in restricted.edges()
+            (e.source, e.target, e.label) for edges in restricted.values() for e in edges
         }
-        reach = _transitive_closure(restricted)
+        reach = {(v, u) for v in full.vertices for u in _reach(restricted, v)}
         for v, w in reach:
             if v == w:
                 continue
             for p in full.shortest_paths(v, w):
                 assert all((e.source, e.target, e.label) in allowed for e in p)
-
-
-def _transitive_closure(graph):
-    pairs = set()
-    for v in graph.vertices:
-        seen = {v}
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for e in graph.adjacency[u]:
-                if e.target not in seen:
-                    seen.add(e.target)
-                    stack.append(e.target)
-        pairs.update((v, u) for u in seen)
-    return pairs
 
 
 def test_reflection_ordering_a2_regular():
