@@ -305,11 +305,8 @@ def enumerate_admissible(chain: LambdaChain) -> tuple[AdmissibleSubset, ...]:
 
 def _alpha_signed(datum: RootDatum, p: int) -> int:
     """alpha-tilde_p as a signed positive-root index: alpha_p, or -theta at p=0."""
-    if p == 0:
-        return -(datum.theta + 1)
-    if not 1 <= p <= datum.rank:
-        raise InputError(f"affine index {p} out of range 0..{datum.rank}")
-    return datum.simple_root_index[p - 1] + 1
+    index, sign = datum.affine_root(p)
+    return sign * (index + 1)
 
 
 def require_lex(chain: LambdaChain) -> None:

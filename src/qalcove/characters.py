@@ -300,7 +300,10 @@ def verify_p_equals_x(datum: RootDatum, lam: Weight, chain: LambdaChain | None =
     product = GradedCharacter.one(datum.rank)
     for i, c in enumerate(lam.coords, start=1):
         if c:
-            factor = character_from_qls(datum, datum.fundamental_weight(i)).specialize_q_one()
+            omega = datum.fundamental_weight(i)
+            # a fundamental lambda is its own single-column factor
+            column = from_paths if omega == lam else character_from_qls(datum, omega)
+            factor = column.specialize_q_one()
             for _ in range(c):
                 product = product * factor
     factorization_ok = from_paths.specialize_q_one() == product

@@ -264,7 +264,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--type", required=True, metavar="LETTER", help="Cartan type, e.g. A, C, G")
     common.add_argument("--rank", required=True, type=int)
     common.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                        help="abort if |W| * chain length exceeds this")
+                        help="abort if |W| * chain length exceeds this; perfect "
+                             "also aborts if |B(omega_node)|^2 does")
     weighted = argparse.ArgumentParser(add_help=False)
     weighted.add_argument("--weight", required=True,
                           help="comma-separated fundamental-weight coefficients")

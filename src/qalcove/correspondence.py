@@ -213,17 +213,17 @@ def build_isomorphism_to_tensor(
     anchored at the straight dominant paths and propagated along arrows."""
     if not datum.is_dominant(lam):
         raise InputError(f"weight {lam.coords} is not dominant")
+    if not any(lam.coords):
+        raise InputError("the zero weight has no fundamental factors")
     if source is None:
         source = qls_model.build_crystal(datum, lam)
+    if sum(lam.coords) == 1:
+        return {v: v for v in source.vertices}
     factors = []
     for i, c in enumerate(lam.coords, start=1):
         if c:
             factor = qls_model.build_crystal(datum, datum.fundamental_weight(i))
             factors.extend([factor] * c)
-    if not factors:
-        raise InputError("the zero weight has no fundamental factors")
-    if len(factors) == 1:
-        return {v: v for v in source.vertices}
     target = qls_model.tensor(*factors)
 
     mapping = {source.distinguished: target.distinguished}

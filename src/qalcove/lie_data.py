@@ -9,6 +9,7 @@ need no tables, and the Weyl group is built one element at a time, as used.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -224,6 +225,13 @@ class RootDatum:
         c = self.pairing_index(root_index, weight) - level
         return Weight(tuple(m - c * b for m, b in zip(weight.coords, self.root_weights[root_index])))
 
+    def affine_root(self, j: int) -> tuple[int, int]:
+        """alpha-tilde_j of the affine index set 0..rank as (positive-root
+        index, sign): (theta, -1) at j = 0 and (alpha_j, +1) otherwise."""
+        if not 0 <= j <= self.rank:
+            raise InputError(f"label {j} outside the affine index set")
+        return (self.theta if j == 0 else self.simple_root_index[j - 1]), (-1 if j == 0 else 1)
+
     # ------------------------------------------------------------------- weights
 
     def fundamental_weight(self, i: int) -> Weight:
@@ -303,13 +311,9 @@ class RootDatum:
                     todo.append(j)
         if any(x == 0 for x in d):
             raise InternalError("Dynkin diagram is not connected")
-        scale = 1
-        for x in d:
-            scale = scale * x.denominator // _gcd(scale, x.denominator)
+        scale = math.lcm(*(x.denominator for x in d))
         ints = [int(x * scale) for x in d]
-        g = 0
-        for x in ints:
-            g = _gcd(g, x)
+        g = math.gcd(*ints)
         return tuple(x // g for x in ints)
 
     def long_nodes(self) -> tuple[int, ...]:
@@ -349,12 +353,6 @@ class RootDatum:
     @cached_property
     def weyl(self) -> "WeylGroup":
         return WeylGroup(self)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def build_root_datum(type_label: str, rank: int) -> RootDatum:

@@ -158,19 +158,15 @@ def straight_path(datum: RootDatum, lam: Weight, x: WeylElement | None = None) -
 
 
 def _alpha_tilde(datum: RootDatum, j: int) -> Weight:
-    if j == 0:
-        return -datum.root_as_weight(datum.theta)
-    return datum.root_as_weight(datum.simple_root_index[j - 1])
+    root, sign = datum.affine_root(j)
+    return Weight(tuple(sign * c for c in datum.root_weights[root]))
 
 
 def _h_breaks(eta: QLSPath, j: int) -> list[Fraction]:
     """Values of <alpha_tilde_j^vee, eta(t)> at the break points."""
     datum = eta.datum
-    if not 0 <= j <= datum.rank:
-        raise InputError(f"label {j} outside the affine index set")
-    root = datum.theta if j == 0 else datum.simple_root_index[j - 1]
+    root, sign = datum.affine_root(j)
     coroot = datum.positive_coroots[root]
-    sign = -1 if j == 0 else 1
     vals = [Fraction(0)]
     for k, mu in enumerate(eta.directions):
         step = sign * datum.pairing(coroot, mu)
@@ -192,38 +188,23 @@ def _checked_minimum(vals: list[Fraction]) -> int:
     return int(m)
 
 
-def _latest_at(vals, breaks, target, upto: int) -> Fraction:
-    """Largest t <= breaks[upto] with H(t) == target, scanning backwards."""
-    for k in range(upto, 0, -1):
-        h0, h1 = vals[k - 1], vals[k]
-        if h1 == target:
-            return breaks[k]
-        if h0 > target > h1 or h0 < target < h1:
-            a, b = breaks[k - 1], breaks[k]
-            return a + (target - h0) * (b - a) / (h1 - h0)
-        if h0 == target:
-            return breaks[k - 1]
-    raise InternalError("H never attains the requested level")
-
-
-def _earliest_at(vals, breaks, target, start: int) -> Fraction:
-    """Smallest t >= breaks[start] with H(t) == target, scanning forwards."""
-    for k in range(start + 1, len(vals)):
-        h0, h1 = vals[k - 1], vals[k]
-        if h0 == target:
-            return breaks[k - 1]
-        if min(h0, h1) <= target <= max(h0, h1) and h0 != h1:
-            a, b = breaks[k - 1], breaks[k]
-            return a + (target - h0) * (b - a) / (h1 - h0)
-    if vals[-1] == target:
-        return breaks[-1]
+def _reach(vals, breaks, target, i: int, step: int) -> Fraction:
+    """The t nearest breaks[i], scanning from it by step (+1 forwards, -1
+    backwards), with H(t) == target; H is linear between breaks."""
+    while 0 <= i < len(vals):
+        if vals[i] == target:
+            return breaks[i]
+        k = i + step
+        if 0 <= k < len(vals) and min(vals[i], vals[k]) < target < max(vals[i], vals[k]):
+            return breaks[i] + (target - vals[i]) * (breaks[k] - breaks[i]) / (vals[k] - vals[i])
+        i = k
     raise InternalError("H never attains the requested level")
 
 
 def _reflect_window(eta: QLSPath, j: int, t0: Fraction, t1: Fraction) -> QLSPath:
     """Replace eta on [t0, t1] by its s_j-image, then renormalize."""
     datum = eta.datum
-    root = datum.theta if j == 0 else datum.simple_root_index[j - 1]
+    root, _ = datum.affine_root(j)
     segs: list[tuple[Weight, Fraction]] = []
     for k, mu in enumerate(eta.directions):
         a, b = eta.breaks[k], eta.breaks[k + 1]
@@ -248,34 +229,38 @@ def _reflect_window(eta: QLSPath, j: int, t0: Fraction, t1: Fraction) -> QLSPath
         raise InternalError(f"root operator produced an invalid path: {exc}") from exc
 
 
-def e_operator(eta: QLSPath, j: int) -> QLSPath | None:
-    """Raising operator for the affine label j, or None when undefined."""
+def _root_operator(eta: QLSPath, j: int, raising: bool) -> QLSPath | None:
+    """Littelmann's root operator e_j (raising) or f_j, or None when undefined.
+
+    H_j = <alpha_tilde_j^vee, eta(t)> has the integral minimum m.  Scan from
+    the first place H_j = m backwards (e_j) or from the last one forwards
+    (f_j) to the nearest place where H_j = m + 1; the operator reflects the
+    window between them by s_j.  It is undefined when H_j stays below m + 1
+    all the way to t = 0 (e_j) or t = 1 (f_j).
+    """
     vals = _h_breaks(eta, j)
     m = _checked_minimum(vals)
-    if m == 0:
+    if (vals[0] if raising else vals[-1]) < m + 1:
         return None
-    p = vals.index(Fraction(m))
-    t1 = eta.breaks[p]
-    t0 = _latest_at(vals, eta.breaks, Fraction(m + 1), p)
+    minima = [k for k, v in enumerate(vals) if v == m]
+    anchor, step = (minima[0], -1) if raising else (minima[-1], 1)
+    t0, t1 = sorted((eta.breaks[anchor], _reach(vals, eta.breaks, Fraction(m + 1), anchor, step)))
     new = _reflect_window(eta, j, t0, t1)
-    if new.weight != eta.weight + _alpha_tilde(eta.datum, j):
-        raise InternalError("raising operator moved the weight incorrectly")
+    alpha = _alpha_tilde(eta.datum, j)
+    if new.weight != (eta.weight + alpha if raising else eta.weight - alpha):
+        kind = "raising" if raising else "lowering"
+        raise InternalError(f"{kind} operator moved the weight incorrectly")
     return new
+
+
+def e_operator(eta: QLSPath, j: int) -> QLSPath | None:
+    """Raising operator for the affine label j, or None when undefined."""
+    return _root_operator(eta, j, raising=True)
 
 
 def f_operator(eta: QLSPath, j: int) -> QLSPath | None:
     """Lowering operator for the affine label j, or None when undefined."""
-    vals = _h_breaks(eta, j)
-    m = _checked_minimum(vals)
-    if vals[-1] - m < 1:
-        return None
-    q = len(vals) - 1 - vals[::-1].index(Fraction(m))
-    t0 = eta.breaks[q]
-    t1 = _earliest_at(vals, eta.breaks, Fraction(m + 1), q)
-    new = _reflect_window(eta, j, t0, t1)
-    if new.weight != eta.weight - _alpha_tilde(eta.datum, j):
-        raise InternalError("lowering operator moved the weight incorrectly")
-    return new
+    return _root_operator(eta, j, raising=False)
 
 
 def epsilon(eta: QLSPath, j: int) -> int:
@@ -368,22 +353,21 @@ class CrystalGraph:
         return self.weights[v]
 
     def eps(self, v, j: int) -> int:
-        key = (v, j)
-        if key not in self._eps_cache:
-            n, cur = 0, v
-            while (nxt := self.e_arrows.get((cur, j))) is not None:
-                n, cur = n + 1, nxt
-            self._eps_cache[key] = n
-        return self._eps_cache[key]
+        return self._string(v, j, self.e_arrows, self._eps_cache)
 
     def phi(self, v, j: int) -> int:
+        return self._string(v, j, self.f_arrows, self._phi_cache)
+
+    @staticmethod
+    def _string(v, j: int, arrows: dict, cache: dict) -> int:
+        """Number of j-arrows that can be followed from v, memoized in cache."""
         key = (v, j)
-        if key not in self._phi_cache:
+        if key not in cache:
             n, cur = 0, v
-            while (nxt := self.f_arrows.get((cur, j))) is not None:
+            while (nxt := arrows.get((cur, j))) is not None:
                 n, cur = n + 1, nxt
-            self._phi_cache[key] = n
-        return self._phi_cache[key]
+            cache[key] = n
+        return cache[key]
 
     def check(self) -> None:
         """Assert arrow-reversibility and weight consistency along arrows."""
@@ -470,10 +454,14 @@ def build_crystal(datum: RootDatum, lam: Weight) -> CrystalGraph:
 
 
 def tensor(*factors: CrystalGraph) -> CrystalGraph:
-    """Tensor product under the Kashiwara convention.
+    """Tensor product under the Kashiwara convention, by the signature rule.
 
-    The lowering operator acts on the right factor when its eps is at least
-    the phi of everything to the left, and otherwise on the left.
+    For the label j, factor k writes eps_j minus signs, then phi_j plus signs.
+    Reading left to right, each minus cancels the nearest unmatched plus
+    before it.  f_j acts on the factor of the leftmost unmatched plus and e_j
+    on the factor of the rightmost unmatched minus; either is undefined when
+    no such sign is left.  On two factors, f_j acts on the left one exactly
+    when phi_j(left) > eps_j(right).
     """
     if len(factors) < 2:
         raise InputError("a tensor product needs at least two factors")
@@ -481,39 +469,6 @@ def tensor(*factors: CrystalGraph) -> CrystalGraph:
     if any(f.datum is not datum for f in factors[1:]):
         raise InputError("all factors must share one root datum")
     labels = factors[0].labels
-    eps_cache: dict = {}
-
-    def e_act(k: int, b: tuple, j: int):
-        if len(b) == 1:
-            t = factors[k].e_arrows.get((b[0], j))
-            return None if t is None else (t,)
-        head, rest = b[0], b[1:]
-        if suffix_eps(k + 1, rest, j) > factors[k].phi(head, j):
-            t = e_act(k + 1, rest, j)
-            return None if t is None else (head,) + t
-        t = factors[k].e_arrows.get((head, j))
-        return None if t is None else (t,) + rest
-
-    def f_act(k: int, b: tuple, j: int):
-        if len(b) == 1:
-            t = factors[k].f_arrows.get((b[0], j))
-            return None if t is None else (t,)
-        head, rest = b[0], b[1:]
-        if suffix_eps(k + 1, rest, j) >= factors[k].phi(head, j):
-            t = f_act(k + 1, rest, j)
-            return None if t is None else (head,) + t
-        t = factors[k].f_arrows.get((head, j))
-        return None if t is None else (t,) + rest
-
-    def suffix_eps(k: int, b: tuple, j: int) -> int:
-        key = (k, b, j)
-        if key not in eps_cache:
-            n, cur = 0, b
-            while (nxt := e_act(k, cur, j)) is not None:
-                n, cur = n + 1, nxt
-            eps_cache[key] = n
-        return eps_cache[key]
-
     vertices = tuple(itertools.product(*(f.vertices for f in factors)))
     zero = Weight((0,) * datum.rank)
     weights = {}
@@ -522,12 +477,21 @@ def tensor(*factors: CrystalGraph) -> CrystalGraph:
     for b in vertices:
         weights[b] = sum((factors[k].weights[x] for k, x in enumerate(b)), zero)
         for j in labels:
-            t = e_act(0, b, j)
-            if t is not None:
-                e_arrows[(b, j)] = t
-            t = f_act(0, b, j)
-            if t is not None:
-                f_arrows[(b, j)] = t
+            pluses: list[int] = []  # the factor of each unmatched plus, left to right
+            minus = None  # the factor of the rightmost unmatched minus
+            for k, x in enumerate(b):
+                for _ in range(factors[k].eps(x, j)):
+                    if pluses:
+                        pluses.pop()
+                    else:
+                        minus = k
+                pluses.extend([k] * factors[k].phi(x, j))
+            if pluses:
+                k = pluses[0]
+                f_arrows[(b, j)] = b[:k] + (factors[k].f_arrows[(b[k], j)],) + b[k + 1 :]
+            if minus is not None:
+                k = minus
+                e_arrows[(b, j)] = b[:k] + (factors[k].e_arrows[(b[k], j)],) + b[k + 1 :]
     distinguished = tuple(f.distinguished for f in factors)
     graph = CrystalGraph(datum, vertices, weights, e_arrows, f_arrows, distinguished)
     graph.check()

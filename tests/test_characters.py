@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from qalcove import qls_model
 from qalcove.alcove_model import lex_chain
 from qalcove.characters import (
     GradedCharacter,
@@ -330,6 +331,20 @@ def test_verdict_accepts_custom_chain():
     chain = lex_chain(C2, lam, node_order=(2, 1))
     report = verify_p_equals_x(C2, lam, chain=chain)
     assert report["pass"]
+
+
+def test_verdict_on_a_fundamental_weight_builds_its_crystal_once(monkeypatch):
+    # the q = 1 factor of a fundamental lambda is lambda's own character
+    calls = []
+    real = qls_model.build_crystal
+
+    def counted(datum, lam):
+        calls.append(lam.coords)
+        return real(datum, lam)
+
+    monkeypatch.setattr(qls_model, "build_crystal", counted)
+    assert verify_p_equals_x(A2, Weight((1, 0)))["pass"]
+    assert calls == [(1, 0)]
 
 
 def test_verdict_on_zero_weight():

@@ -202,6 +202,14 @@ def test_perfect_guards_the_tensor_square(capsys):
     assert code == 0 and out.startswith("node 4: ")
 
 
+def test_perfect_help_names_both_budget_guards(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["perfect", "--help"])
+    assert exit_info.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "|W| * chain length" in text and "|B(omega_node)|^2" in text
+
+
 def test_internal_error_exits_three_with_a_json_line(capsys, monkeypatch):
     def broken(chain):
         raise InternalError("forced invariant failure")

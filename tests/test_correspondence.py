@@ -190,10 +190,19 @@ def test_energy_all_zero_without_quantum_edges():
 # ------------------------------------------------------- tensor isomorphisms
 
 
-def test_single_fundamental_gives_identity():
+def test_single_fundamental_gives_identity(monkeypatch):
+    calls = []
+
+    def counted(datum, lam):
+        calls.append(lam.coords)
+        return build_crystal(datum, lam)
+
+    monkeypatch.setattr(qls_model, "build_crystal", counted)
     iso = build_isomorphism_to_tensor(A1, Weight((1,)))
     assert all(v == w for v, w in iso.items())
     assert len(iso) == 2
+    # the crystal of lambda is the only one built: there is no factor to build
+    assert calls == [(1,)]
 
 
 def test_doubled_line_matches_square_of_fundamental():

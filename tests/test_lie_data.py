@@ -79,6 +79,21 @@ def test_marks_and_comarks():
     assert build_root_datum("F", 4).comarks == (1, 2, 3, 2, 1)
 
 
+@pytest.mark.parametrize("label,rank", [("A", 1), ("A", 2), ("B", 2), ("C", 2), ("G", 2)])
+def test_affine_root_is_minus_theta_at_zero_and_simple_elsewhere(label, rank):
+    d = build_root_datum(label, rank)
+    top, sign = d.affine_root(0)
+    assert sign == -1
+    assert sum(d.positive_roots[top]) == max(sum(r) for r in d.positive_roots)
+    for j in range(1, rank + 1):
+        index, sign = d.affine_root(j)
+        assert sign == 1
+        assert d.positive_roots[index] == tuple(int(i == j - 1) for i in range(rank))
+    for bad in (-1, rank + 1):
+        with pytest.raises(InputError, match="outside"):
+            d.affine_root(bad)
+
+
 def test_pairing_examples():
     a2 = build_root_datum("A", 2)
     w1 = a2.fundamental_weight(1)

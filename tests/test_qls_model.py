@@ -8,6 +8,7 @@ import pytest
 
 from qalcove.lie_data import InputError, Weight, build_root_datum
 from qalcove.qls_model import (
+    CrystalGraph,
     build_crystal,
     deg,
     deg_of_involution,
@@ -434,6 +435,49 @@ def test_triple_tensor_associates_in_size_and_weights():
     assert len(cube.vertices) == 8
     weights = sorted(cube.weights[v].coords[0] for v in cube.vertices)
     assert weights == [-3, -1, -1, -1, 1, 1, 1, 3]
+
+
+def kashiwara_pair(left, right):
+    """left (x) right by the two-factor rule: f_j acts on the left factor when
+    phi_j(b1) > eps_j(b2), e_j on the right factor when eps_j(b2) > phi_j(b1)."""
+    vertices = tuple(itertools.product(left.vertices, right.vertices))
+    weights, e_arrows, f_arrows = {}, {}, {}
+    for b1, b2 in vertices:
+        weights[(b1, b2)] = left.weights[b1] + right.weights[b2]
+        for j in left.labels:
+            if left.phi(b1, j) > right.eps(b2, j):
+                f_arrows[((b1, b2), j)] = (left.f_arrows[(b1, j)], b2)
+            elif (b := right.f_arrows.get((b2, j))) is not None:
+                f_arrows[((b1, b2), j)] = (b1, b)
+            if right.eps(b2, j) > left.phi(b1, j):
+                e_arrows[((b1, b2), j)] = (b1, right.e_arrows[(b2, j)])
+            elif (b := left.e_arrows.get((b1, j))) is not None:
+                e_arrows[((b1, b2), j)] = (b, b2)
+    distinguished = (left.distinguished, right.distinguished)
+    return CrystalGraph(left.datum, vertices, weights, e_arrows, f_arrows, distinguished)
+
+
+def flat(b):
+    """(b1, (b2, b3)) -> (b1, b2, b3); a pair of paths stays as it is."""
+    head, tail = b
+    return (head,) + tail if isinstance(tail, tuple) else b
+
+
+@pytest.mark.parametrize(
+    "datum,columns",
+    [(A2, [(1, 0), (0, 1), (1, 0)]), (C2, [(1, 0), (0, 1), (0, 1)]), (G2, [(1, 0), (0, 1)])],
+    ids=["A2", "C2", "G2"],
+)
+def test_signature_rule_matches_the_nested_two_factor_rule(datum, columns):
+    # B1 (x) (B2 (x) B3) by the two-factor rule, flattened, has the same arrows
+    factors = [build_crystal(datum, Weight(c)) for c in columns]
+    nested = factors[-1]
+    for left in reversed(factors[:-1]):
+        nested = kashiwara_pair(left, nested)
+    product = tensor(*factors)
+    assert set(product.vertices) == {flat(b) for b in nested.vertices}
+    for mine, ref in ((product.e_arrows, nested.e_arrows), (product.f_arrows, nested.f_arrows)):
+        assert mine == {(flat(b), j): flat(t) for (b, j), t in ref.items()}
 
 
 # -------------------------------------------------------------------- exports
