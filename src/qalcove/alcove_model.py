@@ -405,13 +405,9 @@ def _check_f_effect(A, new, p: int, m_idx: int | None, k_idx: int) -> None:
     """Postconditions of f_p: the weight drops by alpha-tilde_p, the cached
     path changes by conjugating one contiguous segment, and e_p undoes it."""
     datum = A.chain.datum
-    alpha = _alpha_signed(datum, p)
-    alpha_wt = datum.root_as_weight(abs(alpha) - 1)
-    if alpha < 0:
-        alpha_wt = -alpha_wt
-    if new.weight != A.weight - alpha_wt:
+    if new.weight != A.weight - datum.affine_root_weight(p):
         raise InternalError("f_p must lower the weight by alpha-tilde_p")
-    s_p = datum.weyl.reflection(abs(alpha) - 1)
+    s_p = datum.weyl.reflection(datum.affine_root(p)[0])
     a = sum(1 for j in A.positions if j < k_idx)
     old = A.path
     if m_idx is None:

@@ -130,11 +130,11 @@ def character_from_alcove(chain: LambdaChain) -> GradedCharacter:
 
 
 def character_from_qls(datum: RootDatum, lam: Weight) -> GradedCharacter:
-    """Sum of q^(-deg) x^weight over the path crystal of shape lam."""
-    graph = qls_model.build_crystal(datum, lam)
+    """Sum of q^(-deg) x^weight over QLS(lam), enumerated from the paper's
+    definition of its paths; no root operator is applied."""
     terms: Counter = Counter()
-    for eta in graph.vertices:
-        terms[(eta.weight.coords, -qls_model.deg(eta))] += 1
+    for _, _, weight, neg_deg in qls_model.enumerate_paths(datum, lam):
+        terms[(weight.coords, neg_deg)] += 1
     return GradedCharacter(datum.rank, terms)
 
 

@@ -200,8 +200,9 @@ def cmd_verify_crystal(datum: RootDatum, args) -> int:
     _guard(datum, lam, args.budget)
     chain = _chain_for(datum, lam, args)
     graph = build_crystal(datum, lam)
-    intertwining = correspondence.verify_intertwining(datum, lam, chain=chain)
-    energy = correspondence.verify_energy(datum, lam, chain=chain)
+    records = correspondence.forgetful_table(chain)
+    intertwining = correspondence.verify_intertwining(datum, lam, records=records, crystal=graph)
+    energy = correspondence.verify_energy(datum, lam, records=records)
     tensor_ok, tensor_error = True, None
     if sum(lam.coords) > 1:
         try:

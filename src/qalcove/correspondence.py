@@ -124,59 +124,78 @@ def inverse(eta: QLSPath, chain: LambdaChain | None = None) -> AdmissibleSubset:
 # ----------------------------------------------------------- machine checks
 
 
-def verify_intertwining(datum: RootDatum, lam: Weight, chain: LambdaChain | None = None) -> dict:
+def forgetful_table(chain: LambdaChain) -> dict[tuple[int, ...], CorrespondenceRecord]:
+    """The forgetful image of every admissible subset of a lex chain, keyed
+    by its positions; the intertwining and energy checks both read it."""
+    require_lex(chain)
+    return {A.positions: forgetful(A) for A in alcove_model.enumerate_admissible(chain)}
+
+
+def verify_intertwining(
+    datum: RootDatum,
+    lam: Weight,
+    chain: LambdaChain | None = None,
+    records: dict | None = None,
+    crystal: qls_model.CrystalGraph | None = None,
+) -> dict:
     """Check that lowering on subsets matches raising on their path images.
 
-    A lowering arrow exists at a label exactly when the path image can be
+    A lowering arrow exists at a label exactly when the path image pi can be
     raised more often than the label-zero threshold; the images then agree.
+    pi has shape -w0(lambda); its dual pi_star, of shape lambda, has
+    phi_p(pi_star) = eps_p(pi) and f_p(pi_star) = dual(e_p(pi)), so both
+    are read off the crystal of lambda (built here when crystal is None).
+    records is the forgetful table of the chain (built here when None).
     """
-    if chain is None:
-        chain = lex_chain(datum, lam)
-    require_lex(chain)
-    subsets = alcove_model.enumerate_admissible(chain)
-    image = {A.positions: forgetful(A).pi for A in subsets}
+    if records is None:
+        records = forgetful_table(chain if chain is not None else lex_chain(datum, lam))
+    if crystal is None:
+        crystal = qls_model.build_crystal(datum, lam)
     violations: list[dict] = []
     checks = 0
-    for A in subsets:
-        pi = image[A.positions]
+    for rec in records.values():
+        A, star = rec.subset, rec.pi_star
+        if star not in crystal.weights:
+            raise InternalError(f"path image of {A.positions} is not a vertex of the crystal")
         for p in range(datum.rank + 1):
             checks += 1
             lowered = alcove_model.f_operator(A, p)
             threshold = 1 if p == 0 else 0
-            if (lowered is not None) != (qls_model.epsilon(pi, p) > threshold):
+            if (lowered is not None) != (crystal.phi(star, p) > threshold):
                 violations.append(
                     {"positions": list(A.positions), "label": p, "kind": "definedness"}
                 )
                 continue
-            if lowered is not None and lowered.positions not in image:
+            if lowered is not None and lowered.positions not in records:
                 raise InternalError(f"f_{p} of {A.positions} is not an enumerated subset")
-            if lowered is not None and qls_model.e_operator(pi, p) != image[lowered.positions]:
+            if lowered is not None and crystal.f_arrows[(star, p)] != records[lowered.positions].pi_star:
                 violations.append(
                     {"positions": list(A.positions), "label": p, "kind": "image"}
                 )
     return {
         "lambda": list(lam.coords),
-        "counts": {"subsets": len(subsets), "checks": checks},
+        "counts": {"subsets": len(records), "checks": checks},
         "violations": violations,
     }
 
 
-def verify_energy(datum: RootDatum, lam: Weight, chain: LambdaChain | None = None) -> dict:
+def verify_energy(
+    datum: RootDatum, lam: Weight, chain: LambdaChain | None = None, records: dict | None = None
+) -> dict:
     """Check the four independent routes to the energy of each subset.
 
     height(A) must equal the break-weighted sum of graph distances along the
     path image, minus the degree of that image, and minus the degree of the
-    reversed dual image.
+    reversed dual image.  records is the forgetful table of the chain (built
+    here when None).
     """
-    if chain is None:
-        chain = lex_chain(datum, lam)
-    require_lex(chain)
+    if records is None:
+        records = forgetful_table(chain if chain is not None else lex_chain(datum, lam))
     J = datum.stabilizer(lam)
     parabolic = qls_model._parabolic_graph(datum, J)
-    subsets = alcove_model.enumerate_admissible(chain)
     violations: list[dict] = []
-    for A in subsets:
-        rec = forgetful(A)
+    for rec in records.values():
+        A = rec.subset
         sigmas = rec.pi_star.cosets[::-1]
         total = sum(
             (
@@ -200,7 +219,7 @@ def verify_energy(datum: RootDatum, lam: Weight, chain: LambdaChain | None = Non
             )
     return {
         "lambda": list(lam.coords),
-        "counts": {"subsets": len(subsets), "checks": len(subsets)},
+        "counts": {"subsets": len(records), "checks": len(records)},
         "violations": violations,
     }
 

@@ -232,6 +232,11 @@ class RootDatum:
             raise InputError(f"label {j} outside the affine index set")
         return (self.theta if j == 0 else self.simple_root_index[j - 1]), (-1 if j == 0 else 1)
 
+    def affine_root_weight(self, j: int) -> Weight:
+        """The weight of alpha-tilde_j: -theta at j = 0 and alpha_j otherwise."""
+        root, sign = self.affine_root(j)
+        return Weight(tuple(sign * c for c in self.root_weights[root]))
+
     # ------------------------------------------------------------------- weights
 
     def fundamental_weight(self, i: int) -> Weight:

@@ -4,15 +4,18 @@ A path of shape lambda has rational break points and on each segment a
 direction: the orbit point mu_k = x_k(lambda) of some x_k in W^J (J the
 stabilizer of lambda).  Consecutive x_k, read back from the parabolic graph's
 x(lambda) -> x table, must be joined by a directed path in the suitably
-restricted graph.  This module provides validation, the root operators e_j/f_j
-for j in the affine index set (they reflect a window of points), the degree
-statistic, duality and the Lusztig involution, and tensor products of the
-resulting crystals under the Kashiwara convention.
+restricted graph.  This module provides validation, a direct enumeration of
+QLS(lambda) from that definition (what the characters sum over), the root
+operators e_j/f_j for j in the affine index set (they reflect a window of
+points), the degree statistic, duality and the Lusztig involution, crystal
+graphs closed under the operators, and tensor products of those crystals
+under the Kashiwara convention.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -154,12 +157,70 @@ def straight_path(datum: RootDatum, lam: Weight, x: WeylElement | None = None) -
     return qls_path(datum, lam, (point,), (Fraction(0), Fraction(1)))
 
 
+# --------------------------------------------------------------- enumeration
+
+
+def _reach_tables(graph: QuantumBruhatGraph, lam: Weight) -> dict:
+    """For each x in W^J, the pairs (y, g, w) over y != x: g is the label gcd
+    of the BFS path from y to x (y reaches x in the graph restricted at b
+    exactly when the denominator of b divides g) and w its path weight."""
+    tables: dict = {x: [] for x in graph.vertices}
+    for y in graph.vertices:
+        gcds = graph.label_gcd(y, lam)
+        for x in graph.vertices:
+            if x != y:
+                w = graph.shortest_path_weight(y, x, lam)
+                tables[x].append((y, gcds[x], w))
+    return tables
+
+
+def enumerate_paths(datum: RootDatum, lam: Weight):
+    """Every path of QLS(lam) once, as (points, breaks, weight, -deg).
+
+    The paper's definition read as a search: a path is x_1, ..., x_s in W^J
+    with breaks 0 = b_0 < ... < b_s = 1, where x_{k+1} != x_k reaches x_k in
+    the graph restricted at b_k.  An explicit-stack DFS from each x_1 grows
+    one segment per step; every node closes at 1 into a path, so each node
+    is an output.  A break b is u/v in lowest terms with v dividing a pairing
+    p = <alpha^vee, lam> of a label, so breaks are kept as integers over the
+    lcm L of those p, and the weight and -deg are carried times L.
+    """
+    if not datum.is_dominant(lam):
+        raise InputError(f"weight {lam.coords} is not dominant")
+    graph = _parabolic_graph(datum, datum.stabilizer(lam))
+    point = {x: mu for mu, x in graph.orbit(lam).items()}
+    pairings = {datum.pairing_index(k, lam) for k in graph.labels}
+    L = math.lcm(*pairings)
+    # the candidate breaks a/L in increasing order, each with its denominator
+    candidates = sorted({a * L // p for p in pairings for a in range(1, p)})
+    cuts = [(a, Fraction(a, L), L // math.gcd(a, L)) for a in candidates]
+    # children[x][v]: the (y, path weight) pairs that may follow x at a break of denominator v
+    dens = {v for _, _, v in cuts}
+    children = {
+        x: {v: [(y, w) for y, g, w in pairs if g % v == 0] for v in dens}
+        for x, pairs in _reach_tables(graph, lam).items()
+    }
+    zero = (0,) * datum.rank
+    one = Fraction(1)
+    stack = [(x, 0, zero, 0, (point[x],), (Fraction(0),)) for x in graph.vertices]
+    while stack:
+        x, start, wt, neg_deg, points, breaks = stack.pop()
+        mu = point[x].coords
+        total = tuple(c + (L - start) * m for c, m in zip(wt, mu))
+        if any(c % L for c in total):
+            raise InternalError(f"weight {tuple(Fraction(c, L) for c in total)} is not integral")
+        if neg_deg % L:
+            raise InternalError(f"degree {Fraction(-neg_deg, L)} is not an integer")
+        yield points, breaks + (one,), Weight(tuple(c // L for c in total)), neg_deg // L
+        for a, b, v in reversed(cuts):
+            if a <= start:
+                break
+            grown = tuple(c + (a - start) * m for c, m in zip(wt, mu))
+            for y, w in children[x][v]:
+                stack.append((y, a, grown, neg_deg + (L - a) * w, points + (point[y],), breaks + (b,)))
+
+
 # ----------------------------------------------------------------- operators
-
-
-def _alpha_tilde(datum: RootDatum, j: int) -> Weight:
-    root, sign = datum.affine_root(j)
-    return Weight(tuple(sign * c for c in datum.root_weights[root]))
 
 
 def _h_breaks(eta: QLSPath, j: int) -> list[Fraction]:
@@ -246,7 +307,7 @@ def _root_operator(eta: QLSPath, j: int, raising: bool) -> QLSPath | None:
     anchor, step = (minima[0], -1) if raising else (minima[-1], 1)
     t0, t1 = sorted((eta.breaks[anchor], _reach(vals, eta.breaks, Fraction(m + 1), anchor, step)))
     new = _reflect_window(eta, j, t0, t1)
-    alpha = _alpha_tilde(eta.datum, j)
+    alpha = eta.datum.affine_root_weight(j)
     if new.weight != (eta.weight + alpha if raising else eta.weight - alpha):
         kind = "raising" if raising else "lowering"
         raise InternalError(f"{kind} operator moved the weight incorrectly")
@@ -374,7 +435,7 @@ class CrystalGraph:
         for (v, j), w in self.f_arrows.items():
             if self.e_arrows.get((w, j)) != v:
                 raise InternalError(f"f then e is not the identity at label {j}")
-            if self.weights[w] != self.weights[v] - _alpha_tilde(self.datum, j):
+            if self.weights[w] != self.weights[v] - self.datum.affine_root_weight(j):
                 raise InternalError(f"weight step along an f-arrow at label {j} is wrong")
         for (v, j), w in self.e_arrows.items():
             if self.f_arrows.get((w, j)) != v:

@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from qalcove.lie_data import (
     InputError,
@@ -60,7 +61,9 @@ class QuantumBruhatGraph:
     By the shortest-path lemma of Lenart-Naito-Sagaki-Schilling-Shimozono
     (part I, arXiv:1211.2042), y is reachable from x in the b-restricted
     subgraph QB_{b lambda}(W^J) exactly when every shortest path from x to y
-    uses only its edges, so `reachable` checks the one the BFS found.
+    uses only its edges, so `reachable` checks the one the BFS found: with
+    b = u/v in lowest terms, b<alpha^vee, lam> is integral on every label
+    alpha of that path iff v divides the gcd that `label_gcd` records.
     """
 
     def __init__(self, datum: RootDatum, J: frozenset[int] = frozenset()):
@@ -71,6 +74,7 @@ class QuantumBruhatGraph:
         self.adjacency = {w: self._build_edges(w) for w in datum.weyl.coset_reps(self.J)}
         self.vertices = tuple(self.adjacency)
         self._bfs_cache: dict[WeylElement, dict] = {}
+        self._gcd_cache: dict[tuple[WeylElement, Weight], dict[WeylElement, int]] = {}
         self._orbits: dict[Weight, dict[Weight, WeylElement]] = {}
 
     def _build_edges(self, w: WeylElement) -> tuple[QBGEdge, ...]:
@@ -150,25 +154,35 @@ class QuantumBruhatGraph:
             self._bfs_cache[x] = data
         return data
 
+    def label_gcd(self, x: WeylElement, lam: Weight) -> dict[WeylElement, int]:
+        """For each y reachable from x, the gcd of <alpha^vee, lam> over the
+        labels alpha of the BFS path from x to y (0 at y = x), built once per
+        (x, lam) by one walk of the BFS tree in distance order."""
+        key = (x, lam)
+        table = self._gcd_cache.get(key)
+        if table is None:
+            if not self.datum.is_dominant(lam):
+                raise InputError(f"weight {lam.coords} is not dominant")
+            # the full graph may be restricted by any dominant weight; a
+            # parabolic graph only by weights whose stabilizer contains J
+            if any(lam.coords[j - 1] for j in self.J):
+                raise InputError("stabilizer of the weight does not contain the graph's J")
+            data = self._bfs(x)
+            via = data["via"]
+            pairing = {k: self.datum.pairing_index(k, lam) for k in self.labels}
+            table = {}
+            for y in data["dist"]:  # BFS order: a target follows its tree parent
+                e = via.get(y)
+                table[y] = 0 if e is None else gcd(table[e.source], pairing[e.label])
+            self._gcd_cache[key] = table
+        return table
+
     def reachable(self, x: WeylElement, y: WeylElement, b: Fraction, lam: Weight) -> bool:
         """Whether some path from x to y uses only edges with b<alpha^vee, lam> integral."""
-        if not self.datum.is_dominant(lam):
-            raise InputError(f"weight {lam.coords} is not dominant")
-        # the full graph may be restricted by any dominant weight; a
-        # parabolic graph only by weights whose stabilizer contains J
-        if any(lam.coords[j - 1] for j in self.J):
-            raise InputError("stabilizer of the weight does not contain the graph's J")
-        data = self._bfs(x)
-        if y not in data["dist"]:
-            return False
-        # with b = u/v in lowest terms, b<alpha^vee, lam> is integral iff v divides the pairing
-        den = Fraction(b).denominator
-        while y != x:
-            e = data["via"][y]
-            if self.datum.pairing_index(e.label, lam) % den:
-                return False
-            y = e.source
-        return True
+        g = self.label_gcd(x, lam).get(y)
+        # with b = u/v in lowest terms, b<alpha^vee, lam> is integral on every
+        # label of the path iff v divides every pairing, that is, their gcd
+        return g is not None and g % Fraction(b).denominator == 0
 
     def distance(self, x: WeylElement, y: WeylElement) -> int:
         data = self._bfs(x)

@@ -140,6 +140,16 @@ def test_both_routes_agree(datum, lam):
     assert alcove_char(datum, lam) == character_from_qls(datum, Weight(lam))
 
 
+@pytest.mark.parametrize(
+    "label, rank, lam",
+    [("C", 3, (1, 1, 1)), ("B", 3, (1, 1, 1)), ("G", 2, (2, 1)), ("D", 4, (1, 0, 1, 1))],
+)
+def test_both_routes_agree_beyond_the_benchmark_ladder(label, rank, lam):
+    # the weights whose closure of the QLS crystal took a second or more
+    datum = build_root_datum(label, rank)
+    assert alcove_char(datum, lam) == character_from_qls(datum, Weight(lam))
+
+
 def test_chain_order_does_not_change_the_character():
     lam = Weight((1, 1))
     reference = character_from_alcove(lex_chain(A2, lam))
@@ -333,16 +343,21 @@ def test_verdict_accepts_custom_chain():
     assert report["pass"]
 
 
-def test_verdict_on_a_fundamental_weight_builds_its_crystal_once(monkeypatch):
-    # the q = 1 factor of a fundamental lambda is lambda's own character
+def test_verdict_on_a_fundamental_weight_enumerates_its_paths_once(monkeypatch):
+    # the q = 1 factor of a fundamental lambda is lambda's own character, and
+    # no character closes a crystal under root operators
     calls = []
-    real = qls_model.build_crystal
+    real = qls_model.enumerate_paths
 
     def counted(datum, lam):
         calls.append(lam.coords)
         return real(datum, lam)
 
-    monkeypatch.setattr(qls_model, "build_crystal", counted)
+    def refused(datum, lam):
+        raise AssertionError("the verdict must not build a crystal")
+
+    monkeypatch.setattr(qls_model, "enumerate_paths", counted)
+    monkeypatch.setattr(qls_model, "build_crystal", refused)
     assert verify_p_equals_x(A2, Weight((1, 0)))["pass"]
     assert calls == [(1, 0)]
 

@@ -32,6 +32,26 @@ def test_verify_px_prints_the_decomposition(capsys):
     assert report["pass"] and report["checks"]["models_agree"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("character", "--type", "C", "--rank", "2", "--weight", "1,1"),
+        ("character", "--type", "C", "--rank", "2", "--weight", "1,1", "--route", "qls"),
+        ("verify-px", "--type", "A", "--rank", "2", "--weight", "1,1"),
+    ],
+)
+def test_character_routes_build_no_crystal(capsys, monkeypatch, argv):
+    # the characters enumerate QLS(lambda); only crystal, verify-crystal and
+    # perfect close a crystal under the root operators
+    def refused(datum, lam):
+        raise AssertionError("a character must not build a crystal")
+
+    monkeypatch.setattr(cli, "build_crystal", refused)
+    monkeypatch.setattr(qls_model, "build_crystal", refused)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+
+
 def test_chain_output_has_two_entries(capsys):
     code, out, _ = run(capsys, "chain", "--type", "A", "--rank", "2", "--weight", "1,0")
     assert code == 0

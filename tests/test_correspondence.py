@@ -1,5 +1,6 @@
 """Forgetful map, its inverse, and the intertwining/energy/isomorphism checks."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from qalcove.correspondence import (
     verify_energy,
     verify_intertwining,
 )
-from qalcove.lie_data import InputError, Weight, build_root_datum
+from qalcove.lie_data import InputError, InternalError, Weight, build_root_datum
 from qalcove.qls_model import build_crystal, deg, qls_path, straight_path
 
 A1 = build_root_datum("A", 1)
@@ -156,6 +157,39 @@ def test_intertwining_maps_each_subset_once(monkeypatch):
     report = verify_intertwining(A2, Weight((1, 1)))
     assert report["violations"] == []
     assert len(calls) == report["counts"]["subsets"] == len(set(calls))
+
+
+def test_verify_crystal_maps_each_subset_once_across_both_checks(monkeypatch, capsys):
+    # the intertwining and energy checks read one forgetful table
+    calls = []
+
+    def counted(A):
+        calls.append(A.positions)
+        return forgetful(A)
+
+    monkeypatch.setattr(correspondence, "forgetful", counted)
+    assert cli.main(["verify-crystal", "--type", "A", "--rank", "2", "--weight", "1,1"]) == 0
+    blob = json.loads(capsys.readouterr().out)
+    assert blob["intertwining"]["counts"]["subsets"] == blob["energy"]["counts"]["subsets"] == 9
+    assert len(calls) == 9 == len(set(calls))
+
+
+def test_intertwining_reads_the_given_crystal(monkeypatch):
+    # the string lengths and arrows come from the crystal, not from the
+    # root operators on each path image
+    def refused(*args):
+        raise AssertionError("the check must read the crystal")
+
+    crystal = build_crystal(C2, Weight((1, 1)))
+    monkeypatch.setattr(qls_model, "e_operator", refused)
+    monkeypatch.setattr(qls_model, "epsilon", refused)
+    report = verify_intertwining(C2, Weight((1, 1)), crystal=crystal)
+    assert report["violations"] == []
+
+
+def test_intertwining_rejects_an_image_outside_the_crystal():
+    with pytest.raises(InternalError, match="not a vertex of the crystal"):
+        verify_intertwining(A2, Weight((1, 0)), crystal=build_crystal(A2, Weight((0, 1))))
 
 
 def test_intertwining_zero_weight_is_vacuous():

@@ -85,13 +85,18 @@ def test_affine_root_is_minus_theta_at_zero_and_simple_elsewhere(label, rank):
     top, sign = d.affine_root(0)
     assert sign == -1
     assert sum(d.positive_roots[top]) == max(sum(r) for r in d.positive_roots)
+    assert d.affine_root_weight(0) == -d.root_as_weight(top)
     for j in range(1, rank + 1):
         index, sign = d.affine_root(j)
         assert sign == 1
         assert d.positive_roots[index] == tuple(int(i == j - 1) for i in range(rank))
+        # alpha_j in fundamental-weight coordinates is column j of the Cartan matrix
+        assert d.affine_root_weight(j).coords == tuple(d.cartan[i][j - 1] for i in range(rank))
     for bad in (-1, rank + 1):
         with pytest.raises(InputError, match="outside"):
             d.affine_root(bad)
+        with pytest.raises(InputError, match="outside"):
+            d.affine_root_weight(bad)
 
 
 def test_pairing_examples():

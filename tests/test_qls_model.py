@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from qalcove.lie_data import InputError, Weight, build_root_datum
+from qalcove import qls_model
+from qalcove.lie_data import InputError, InternalError, RootDatum, Weight, build_root_datum
 from qalcove.qls_model import (
     CrystalGraph,
     build_crystal,
@@ -14,6 +15,7 @@ from qalcove.qls_model import (
     deg_of_involution,
     dual,
     e_operator,
+    enumerate_paths,
     epsilon,
     f_operator,
     lusztig_S,
@@ -23,6 +25,7 @@ from qalcove.qls_model import (
     straight_path,
     tensor,
 )
+from qalcove.quantum_bruhat import QuantumBruhatGraph
 
 A1 = build_root_datum("A", 1)
 A2 = build_root_datum("A", 2)
@@ -385,6 +388,63 @@ def test_closure_matches_brute_force_enumeration():
                        (C2, (1, 0)), (C2, (0, 1)), (B2, (1, 0)), (B2, (0, 1))]:
         graph = build_crystal(datum, Weight(lam))
         assert set(graph.vertices) == brute_force_paths(datum, lam)
+
+
+# ---------------------------------------------------------------- enumeration
+
+# the qls-ladder weights of the benchmark, plus small and zero cases
+ENUMERATION_CASES = [
+    ("A", 3, (1, 1, 1)),
+    ("G", 2, (1, 1)),
+    ("C", 3, (1, 0, 1)),
+    ("B", 3, (0, 1, 1)),
+    ("D", 4, (0, 0, 1, 1)),
+    ("C", 4, (1, 0, 0, 1)),
+    ("A", 2, (1, 1)),
+    ("G", 2, (2, 1)),
+    ("A", 2, (0, 0)),
+]
+
+
+@pytest.mark.parametrize("label,rank,coords", ENUMERATION_CASES)
+def test_enumeration_equals_the_closure_of_the_straight_path(label, rank, coords):
+    # QLS(lambda) is connected, so closing the straight path under the root
+    # operators reaches exactly the paths that the definition enumerates
+    datum = build_root_datum(label, rank)
+    lam = Weight(coords)
+    found = [(points, breaks) for points, breaks, _, _ in enumerate_paths(datum, lam)]
+    assert len(found) == len(set(found))
+    graph = build_crystal(datum, lam)
+    assert set(found) == {(v.directions, v.breaks) for v in graph.vertices}
+
+
+@pytest.mark.parametrize("label,rank,coords", ENUMERATION_CASES[:7])
+def test_enumerated_paths_are_valid_with_their_weight_and_degree(label, rank, coords):
+    datum = build_root_datum(label, rank)
+    lam = Weight(coords)
+    for points, breaks, weight, neg_deg in enumerate_paths(datum, lam):
+        eta = qls_path(datum, lam, points, breaks)
+        assert eta.weight == weight
+        assert -deg(eta) == neg_deg
+
+
+def test_enumeration_rejects_non_dominant_weight():
+    with pytest.raises(InputError, match="dominant"):
+        list(enumerate_paths(A2, Weight((1, -1))))
+
+
+def test_enumeration_keeps_the_integrality_checks(monkeypatch):
+    # a fresh graph cache, so the faked data neither meets nor leaves a cached table
+    monkeypatch.setattr(qls_model, "_parabolic_cache", {})
+    monkeypatch.setattr(QuantumBruhatGraph, "shortest_path_weight", lambda self, x, y, lam: 1)
+    # (s1, e; 0, 1/2, 1) of shape 2w1 has -deg (1 - 1/2) * 1 = 1/2
+    with pytest.raises(InternalError, match=r"degree -1/2 is not an integer"):
+        list(enumerate_paths(A1, Weight((2,))))
+    monkeypatch.setattr(qls_model, "_parabolic_cache", {})
+    monkeypatch.setattr(RootDatum, "pairing_index", lambda self, k, lam: 3)
+    # with every pairing 3, (s1, e; 0, 1/3, 1) of shape w1 weighs -1/3 + 2/3
+    with pytest.raises(InternalError, match=r"weight .* is not integral"):
+        list(enumerate_paths(A1, Weight((1,))))
 
 
 # -------------------------------------------------------------------- tensors

@@ -6,6 +6,7 @@ import pytest
 
 from qalcove.alcove_model import lex_chain
 from qalcove.lie_data import InputError, Weight, build_root_datum
+from qalcove.qls_model import _reach_tables
 from qalcove.quantum_bruhat import (
     BRUHAT,
     QUANTUM,
@@ -159,6 +160,23 @@ def test_reachable_matches_a_search_of_the_restricted_graph(label, rank, coords,
                     assert g.reachable(x, y, b, lam) == (y in reach), (label, coords, b)
                     outcomes.add(y in reach)
     assert outcomes == {False, True}
+
+
+@pytest.mark.parametrize("label,rank,coords,J", REACHABILITY_CASES)
+def test_enumeration_tables_match_a_search_of_the_restricted_graph(label, rank, coords, J):
+    # the QLS enumerator lets y follow x at b exactly when den(b) divides
+    # the label gcd of its table; that must be reachability of x from y
+    d = build_root_datum(label, rank)
+    lam = Weight(coords)
+    g = build_qbg(d, d.stabilizer(lam) if J is None else frozenset(J))
+    pairings = {d.pairing_index(k, lam) for k in g.labels}
+    tables = _reach_tables(g, lam)
+    for b in sorted({Fraction(a, p) for p in pairings for a in range(1, p)} | {Fraction(1, 7)}):
+        kept = _restricted(g, b, lam)
+        reach = {y: _reach(kept, y) for y in g.vertices}
+        for x in g.vertices:
+            followers = {y for y, gcd, _ in tables[x] if gcd % b.denominator == 0}
+            assert followers == {y for y in g.vertices if y != x and x in reach[y]}, (label, coords, b)
 
 
 def test_shortest_path_weights_a1():
