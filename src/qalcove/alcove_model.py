@@ -162,42 +162,6 @@ def _validate_walk(chain: LambdaChain) -> None:
         raise InputError("chain does not end at the alcove translated by -lambda")
 
 
-@dataclass(frozen=True)
-class FoldedChain:
-    gammas: tuple[int, ...]  # signed 1-based positive-root indices
-    heights: tuple[int, ...]  # l_i^A
-    gamma_inf: Weight  # image of rho under the full folding
-    linear: WeylElement  # linear part of the full affine composition
-    translation: Weight  # translation part
-
-
-def fold(chain: LambdaChain, positions: tuple[int, ...]) -> FoldedChain:
-    """Fold the walk at the given 1-based positions (any subset of [m])."""
-    datum = chain.datum
-    weyl = datum.weyl
-    w = weyl.identity
-    v = Weight((0,) * datum.rank)
-    pos_set = set(positions)
-    gammas, heights = [], []
-    for i, entry in enumerate(chain.entries, start=1):
-        g = w.act_root_index(entry.root)
-        sign = 1 if g > 0 else -1
-        c = datum.pairing(datum.positive_coroots[abs(g) - 1], v)
-        gammas.append(g)
-        heights.append(sign * entry.level - c)
-        if i in pos_set:
-            shift = w.act_weight(datum.root_as_weight(entry.root))
-            v = v - Weight(tuple(entry.level * x for x in shift.coords))
-            w = w * weyl.reflection(entry.root)
-    return FoldedChain(tuple(gammas), tuple(heights), w.act_weight(datum.rho), w, v)
-
-
-def weight_of(chain: LambdaChain, positions) -> Weight:
-    """wt(A) = -(composition of the affine reflections applied to -lambda)."""
-    folded = fold(chain, tuple(positions))
-    return folded.linear.act_weight(chain.lam) - folded.translation
-
-
 class AdmissibleSubset:
     """Positions whose reflection walk is a path in QB(W) from the identity."""
 

@@ -1,13 +1,15 @@
 """Command-line surface: chains, crystals, characters, and verification runs.
 
 Exit codes: 0 on success, 1 when a verification fails, 2 on bad input, 3
-when an internal invariant fails (a bug; reported as one JSON line on stderr).
+when an internal invariant fails (a bug; reported as one JSON line on stderr),
+141 when the reader closes stdout early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -324,7 +326,14 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         datum = build_root_datum(args.type, args.rank)
-        return args.handler(datum, args)
+        code = args.handler(datum, args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped early (`| head`): no check failed, so exit as
+        # SIGPIPE would, and send what is still buffered to /dev/null
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -548,14 +548,6 @@ class WeylGroup:
         """Longest element of W_J, via w_0 = min_coset_rep(w_0, J) * w_J."""
         return self.min_coset_rep(self.longest, J).inverse * self.longest
 
-    def bruhat_covers(self, w: WeylElement) -> tuple[WeylElement, ...]:
-        out = []
-        for k in range(len(self.datum.positive_roots)):
-            v = w * self.reflection(k)
-            if v.length == w.length + 1:
-                out.append(v)
-        return tuple(sorted(out, key=lambda v: v.perm))
-
     @cached_property
     def omega(self) -> tuple[int, ...]:
         """Diagram automorphism with w_0(alpha_i) = -alpha_{omega(i)}, 1-based."""

@@ -7,13 +7,15 @@ x(lambda) -> x table, must be joined by a directed path in the suitably
 restricted graph.  This module provides validation, a direct enumeration of
 QLS(lambda) from that definition (what the characters sum over), the root
 operators e_j/f_j for j in the affine index set (they reflect a window of
-points), the degree statistic, duality and the Lusztig involution, crystal
-graphs closed under the operators, and tensor products of those crystals
-under the Kashiwara convention.
+points), the degree statistic, duality and the Lusztig involution, the
+crystal graph on the enumerated QLS(lambda), whose operator images are
+checked by lookup in that set, and tensor products of crystals under the
+Kashiwara convention.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from collections import deque
@@ -262,51 +264,58 @@ def _reach(vals, breaks, target, i: int, step: int) -> Fraction:
     raise InternalError("H never attains the requested level")
 
 
-def _reflect_window(eta: QLSPath, j: int, t0: Fraction, t1: Fraction) -> QLSPath:
-    """Replace eta on [t0, t1] by its s_j-image, then renormalize."""
-    datum = eta.datum
-    root, _ = datum.affine_root(j)
-    segs: list[tuple[Weight, Fraction]] = []
-    for k, mu in enumerate(eta.directions):
-        a, b = eta.breaks[k], eta.breaks[k + 1]
-        cuts = sorted({a, b} | {t for t in (t0, t1) if a < t < b})
-        for u, v in zip(cuts, cuts[1:]):
-            d = datum.reflect(mu, root) if t0 <= u and v <= t1 else mu
-            segs.append((d, v - u))
-    dirs: list[Weight] = []
-    lens: list[Fraction] = []
-    for d, ln in segs:
-        if dirs and dirs[-1] == d:
-            lens[-1] += ln
-        else:
-            dirs.append(d)
-            lens.append(ln)
-    breaks = [Fraction(0)]
-    for ln in lens:
-        breaks.append(breaks[-1] + ln)
-    try:
-        return qls_path(datum, eta.lam, tuple(dirs), tuple(breaks))
-    except InputError as exc:
-        raise InternalError(f"root operator produced an invalid path: {exc}") from exc
+def _window(eta: QLSPath, j: int, vals: list[Fraction], m: int, raising: bool):
+    """Littelmann's window rule for e_j (raising) or f_j: the image's
+    (points, breaks), or None when the operator is undefined.
 
-
-def _root_operator(eta: QLSPath, j: int, raising: bool) -> QLSPath | None:
-    """Littelmann's root operator e_j (raising) or f_j, or None when undefined.
-
-    H_j = <alpha_tilde_j^vee, eta(t)> has the integral minimum m.  Scan from
-    the first place H_j = m backwards (e_j) or from the last one forwards
-    (f_j) to the nearest place where H_j = m + 1; the operator reflects the
-    window between them by s_j.  It is undefined when H_j stays below m + 1
-    all the way to t = 0 (e_j) or t = 1 (f_j).
+    vals are H_j = <alpha_tilde_j^vee, eta(t)> at the breaks and m their
+    checked minimum.  Scan from the first place H_j = m backwards (e_j) or
+    from the last one forwards (f_j) to the nearest place where H_j = m + 1;
+    the image reflects the window between them by s_j, and equal neighbouring
+    points merge.  The operator is undefined when H_j stays below m + 1 all
+    the way to t = 0 (e_j) or t = 1 (f_j).
     """
-    vals = _h_breaks(eta, j)
-    m = _checked_minimum(vals)
     if (vals[0] if raising else vals[-1]) < m + 1:
         return None
     minima = [k for k, v in enumerate(vals) if v == m]
     anchor, step = (minima[0], -1) if raising else (minima[-1], 1)
     t0, t1 = sorted((eta.breaks[anchor], _reach(vals, eta.breaks, Fraction(m + 1), anchor, step)))
-    new = _reflect_window(eta, j, t0, t1)
+    datum = eta.datum
+    root, _ = datum.affine_root(j)
+    dirs, breaks = eta.directions, eta.breaks
+    # segment i0 holds t0 and segment i1 - 1 holds t1
+    i0 = bisect.bisect_right(breaks, t0) - 1
+    i1 = bisect.bisect_left(breaks, t1)
+    pieces = [(dirs[k], breaks[k + 1]) for k in range(i0)]
+    if breaks[i0] < t0:
+        pieces.append((dirs[i0], t0))
+    pieces += [(datum.reflect(dirs[k], root), breaks[k + 1]) for k in range(i0, i1 - 1)]
+    pieces.append((datum.reflect(dirs[i1 - 1], root), t1))
+    if t1 < breaks[i1]:
+        pieces.append((dirs[i1 - 1], breaks[i1]))
+    pieces += [(dirs[k], breaks[k + 1]) for k in range(i1, len(dirs))]
+    points: list[Weight] = []
+    cuts = [breaks[0]]
+    for d, end in pieces:
+        if points and points[-1] == d:
+            cuts[-1] = end
+        else:
+            points.append(d)
+            cuts.append(end)
+    return tuple(points), tuple(cuts)
+
+
+def _root_operator(eta: QLSPath, j: int, raising: bool) -> QLSPath | None:
+    """Littelmann's root operator e_j (raising) or f_j on any path, or None
+    when undefined; the image is validated from scratch."""
+    vals = _h_breaks(eta, j)
+    image = _window(eta, j, vals, _checked_minimum(vals), raising)
+    if image is None:
+        return None
+    try:
+        new = qls_path(eta.datum, eta.lam, *image)
+    except InputError as exc:
+        raise InternalError(f"root operator produced an invalid path: {exc}") from exc
     alpha = eta.datum.affine_root_weight(j)
     if new.weight != (eta.weight + alpha if raising else eta.weight - alpha):
         kind = "raising" if raising else "lowering"
@@ -340,27 +349,17 @@ def phi(eta: QLSPath, j: int) -> int:
 # -------------------------------------------------------------------- degree
 
 
-def _break_weighted_degree(eta: QLSPath, factor) -> int:
-    """Minus the sum over k of factor(b_k) times the path weight of segment k."""
+def deg(eta: QLSPath) -> int:
+    """Degree: minus the sum of (1 - b_k) times the segment path weights."""
     graph = _parabolic_graph(eta.datum, eta.J)
     cosets = eta.cosets
     total = Fraction(0)
     for k in range(1, len(cosets)):
         step = graph.shortest_path_weight(cosets[k], cosets[k - 1], eta.lam)
-        total -= factor(eta.breaks[k]) * step
+        total -= (1 - eta.breaks[k]) * step
     if total.denominator != 1:
         raise InternalError(f"degree {total} is not an integer")
     return int(total)
-
-
-def deg(eta: QLSPath) -> int:
-    """Degree: minus the sum of (1 - b_k) times the segment path weights."""
-    return _break_weighted_degree(eta, lambda b: 1 - b)
-
-
-def deg_of_involution(eta: QLSPath) -> int:
-    """Degree of the Lusztig involution of eta, from eta's own break data."""
-    return _break_weighted_degree(eta, lambda b: b)
 
 
 # ------------------------------------------------------ duality and Lusztig S
@@ -489,26 +488,49 @@ class CrystalGraph:
 
 
 def build_crystal(datum: RootDatum, lam: Weight) -> CrystalGraph:
-    """Close the straight dominant path under all operators."""
-    start = straight_path(datum, lam)
-    labels = tuple(range(datum.rank + 1))
+    """The crystal on QLS(lam) under Littelmann's root operators.
+
+    The vertices are the paths from enumerate_paths, with its integral
+    weights.  At every (vertex, label) one H_j and its checked minimum give
+    both e_j and f_j, and each image must be an enumerated path: the rule
+    qls_path applies, since it and the enumeration both read label_gcd.  Vertices
+    are ordered by a BFS from the straight path over the arrows in (label,
+    e then f) order, which must reach every enumerated path.
+    """
+    J = datum.stabilizer(lam)
+    table: dict = {}
+    weights: dict = {}
+    for points, breaks, weight, _ in enumerate_paths(datum, lam):
+        eta = table[(points, breaks)] = QLSPath(datum, lam, J, points, breaks)
+        weights[eta] = weight
+    start = table[((lam,), (Fraction(0), Fraction(1)))]
     order = [start]
     seen = {start}
     e_arrows: dict = {}
     f_arrows: dict = {}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for j in labels:
-            for table, op in ((e_arrows, e_operator), (f_arrows, f_operator)):
-                w = op(v, j)
-                if w is not None:
-                    table[(v, j)] = w
-                    if w not in seen:
-                        seen.add(w)
-                        order.append(w)
-                        queue.append(w)
-    weights = {v: v.weight for v in order}
+    for v in order:  # order grows as the BFS finds vertices
+        for j in range(datum.rank + 1):
+            vals = _h_breaks(v, j)
+            m = _checked_minimum(vals)
+            for arrows, raising in ((e_arrows, True), (f_arrows, False)):
+                image = _window(v, j, vals, m, raising)
+                if image is None:
+                    continue
+                w = table.get(image)
+                if w is None:
+                    op = "e" if raising else "f"
+                    raise InternalError(
+                        f"root operator produced an invalid path: {op}_{j} of {v!r} "
+                        f"is not in QLS(lambda)"
+                    )
+                arrows[(v, j)] = w
+                if w not in seen:
+                    seen.add(w)
+                    order.append(w)
+    if len(order) != len(table):
+        raise InternalError(
+            f"the root operators reach {len(order)} of the {len(table)} paths of QLS(lambda)"
+        )
     graph = CrystalGraph(datum, order, weights, e_arrows, f_arrows, start)
     graph.check()
     return graph

@@ -108,49 +108,22 @@ class QuantumBruhatGraph:
 
     # ------------------------------------------------------------------- queries
 
-    def is_strongly_connected(self) -> bool:
-        n = len(self.vertices)
-        fwd = {self.vertices[0]}
-        queue = deque(fwd)
-        while queue:
-            w = queue.popleft()
-            for e in self.adjacency[w]:
-                if e.target not in fwd:
-                    fwd.add(e.target)
-                    queue.append(e.target)
-        if len(fwd) != n:
-            return False
-        incoming: dict[WeylElement, list[WeylElement]] = {w: [] for w in self.vertices}
-        for e in self.edges():
-            incoming[e.target].append(e.source)
-        back = {self.vertices[0]}
-        queue = deque(back)
-        while queue:
-            w = queue.popleft()
-            for src in incoming[w]:
-                if src not in back:
-                    back.add(src)
-                    queue.append(src)
-        return len(back) == n
-
     def _bfs(self, x: WeylElement) -> dict:
-        """Distance, and the weight and last edge of one shortest path, from x to each vertex."""
+        """The weight and last edge of one shortest path from x to each vertex,
+        keyed in BFS order."""
         data = self._bfs_cache.get(x)
         if data is None:
-            zero = (0,) * self.datum.rank
-            dist = {x: 0}
-            wt = {x: zero}
+            wt = {x: (0,) * self.datum.rank}
             via: dict[WeylElement, QBGEdge] = {}
             queue = deque([x])
             while queue:
                 w = queue.popleft()
                 for e in self.adjacency[w]:
-                    if e.target not in dist:
-                        dist[e.target] = dist[w] + 1
+                    if e.target not in wt:
                         wt[e.target] = tuple(a + b for a, b in zip(wt[w], e.weight))
                         via[e.target] = e
                         queue.append(e.target)
-            data = {"dist": dist, "wt": wt, "via": via}
+            data = {"wt": wt, "via": via}
             self._bfs_cache[x] = data
         return data
 
@@ -171,7 +144,7 @@ class QuantumBruhatGraph:
             via = data["via"]
             pairing = {k: self.datum.pairing_index(k, lam) for k in self.labels}
             table = {}
-            for y in data["dist"]:  # BFS order: a target follows its tree parent
+            for y in data["wt"]:  # BFS order: a target follows its tree parent
                 e = via.get(y)
                 table[y] = 0 if e is None else gcd(table[e.source], pairing[e.label])
             self._gcd_cache[key] = table
@@ -184,12 +157,6 @@ class QuantumBruhatGraph:
         # label of the path iff v divides every pairing, that is, their gcd
         return g is not None and g % Fraction(b).denominator == 0
 
-    def distance(self, x: WeylElement, y: WeylElement) -> int:
-        data = self._bfs(x)
-        if y not in data["dist"]:
-            raise InternalError("graph is not strongly connected")
-        return data["dist"][y]
-
     def shortest_path_weight(self, x: WeylElement, y: WeylElement, lam: Weight) -> int:
         """<wt(p), lam> for any shortest directed path p from x to y."""
         data = self._bfs(x)
@@ -199,26 +166,6 @@ class QuantumBruhatGraph:
         if val < 0:
             raise InternalError("shortest-path weight must be nonnegative")
         return val
-
-    def shortest_paths(self, x: WeylElement, y: WeylElement) -> list[tuple[QBGEdge, ...]]:
-        """All shortest directed paths from x to y, as edge tuples."""
-        dist = self._bfs(x)["dist"]
-        if y not in dist:
-            raise InternalError("graph is not strongly connected")
-        out: list[tuple[QBGEdge, ...]] = []
-
-        def grow(w: WeylElement, acc: list[QBGEdge]) -> None:
-            if w == y and len(acc) == dist[y]:
-                out.append(tuple(acc))
-                return
-            for e in self.adjacency[w]:
-                if dist.get(e.target) == len(acc) + 1 and len(acc) + 1 <= dist[y]:
-                    acc.append(e)
-                    grow(e.target, acc)
-                    acc.pop()
-
-        grow(x, [])
-        return out
 
 
 def build_qbg(datum: RootDatum, J: frozenset[int] = frozenset()) -> QuantumBruhatGraph:
@@ -324,23 +271,6 @@ def increasing_paths_from(
 
     grow(start, -1, [])
     return found
-
-
-def increasing_path(
-    graph: QuantumBruhatGraph,
-    v: WeylElement,
-    w: WeylElement,
-    order: tuple[int, ...],
-) -> tuple[QBGEdge, ...]:
-    """The unique label-increasing path from v to w in QB(W)."""
-    if graph.J:
-        raise InputError("label-increasing paths are defined on the full graph")
-    found = increasing_paths_from(graph, v, frozenset({w}), order)
-    if len(found) != 1:
-        raise InternalError(
-            f"expected exactly one increasing path from {v!r} to {w!r}, found {len(found)}"
-        )
-    return found[0]
 
 
 def tilted_minimum(

@@ -26,6 +26,7 @@ from qalcove.quantum_bruhat import (
     increasing_paths_from,
     reflection_ordering,
 )
+from qbg_reference import is_strongly_connected, shortest_paths
 
 A1 = build_root_datum("A", 1)
 A2 = build_root_datum("A", 2)
@@ -182,15 +183,15 @@ def test_criterion_07_quantum_bruhat_properties():
         for datum in [A1] + RANK_TWO:
             rho = datum.rho
             full = build_qbg(datum)
-            assert full.is_strongly_connected()
+            assert is_strongly_connected(full)
             # well-defined shortest-path weights, full and parabolic
             weights = [rho] + [datum.fundamental_weight(i) for i in range(1, datum.rank + 1)]
             for lam in weights:
                 graph = build_qbg(datum, datum.stabilizer(lam))
-                assert graph.is_strongly_connected()
+                assert is_strongly_connected(graph)
                 for x in graph.vertices:
                     for y in graph.vertices:
-                        paths = graph.shortest_paths(x, y)
+                        paths = shortest_paths(graph, x, y)
                         vals = {
                             datum.pairing(
                                 tuple(sum(e.weight[i] for e in p) for i in range(datum.rank)),

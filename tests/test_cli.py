@@ -285,3 +285,20 @@ def test_console_script_is_installed():
     )
     assert proc.returncode == 0
     assert "chi(1)" in proc.stdout
+
+
+def test_a_closed_pipe_is_not_a_failed_check():
+    # like `qalcove crystal ... | head -1`: the output (about 200 KB) fills the
+    # pipe, so the CLI is still writing when the reader goes away
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qalcove.cli", "crystal", "--type", "G", "--rank", "2",
+         "--weight", "2,1"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 141
+    assert "Traceback" not in err and "Error" not in err

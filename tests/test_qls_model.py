@@ -12,7 +12,6 @@ from qalcove.qls_model import (
     CrystalGraph,
     build_crystal,
     deg,
-    deg_of_involution,
     dual,
     e_operator,
     enumerate_paths,
@@ -40,6 +39,38 @@ def path(datum, lam, directions, breaks):
 
 def omega_affine(datum, j):
     return 0 if j == 0 else datum.weyl.omega[j - 1]
+
+
+def deg_of_involution(eta):
+    """Degree of the Lusztig involution of eta from eta's own break data:
+    minus the sum of b_k times the segment path weights."""
+    graph = qls_model._parabolic_graph(eta.datum, eta.J)
+    cosets = eta.cosets
+    total = -sum(
+        eta.breaks[k] * graph.shortest_path_weight(cosets[k], cosets[k - 1], eta.lam)
+        for k in range(1, len(cosets))
+    )
+    assert total.denominator == 1
+    return int(total)
+
+
+def _closure(datum, lam):
+    """Reference crystal: close the straight path under the public e_j and f_j,
+    each image validated from scratch, in BFS order with (label, e then f)."""
+    start = straight_path(datum, lam)
+    order, seen = [start], {start}
+    e_arrows, f_arrows = {}, {}
+    for v in order:
+        for j in range(datum.rank + 1):
+            for table, op in ((e_arrows, e_operator), (f_arrows, f_operator)):
+                w = op(v, j)
+                if w is not None:
+                    table[(v, j)] = w
+                    if w not in seen:
+                        seen.add(w)
+                        order.append(w)
+    weights = {v: v.weight for v in order}
+    return CrystalGraph(datum, order, weights, e_arrows, f_arrows, start)
 
 
 # ------------------------------------------------------------------ validation
@@ -414,7 +445,7 @@ def test_enumeration_equals_the_closure_of_the_straight_path(label, rank, coords
     lam = Weight(coords)
     found = [(points, breaks) for points, breaks, _, _ in enumerate_paths(datum, lam)]
     assert len(found) == len(set(found))
-    graph = build_crystal(datum, lam)
+    graph = _closure(datum, lam)
     assert set(found) == {(v.directions, v.breaks) for v in graph.vertices}
 
 
@@ -445,6 +476,60 @@ def test_enumeration_keeps_the_integrality_checks(monkeypatch):
     # with every pairing 3, (s1, e; 0, 1/3, 1) of shape w1 weighs -1/3 + 2/3
     with pytest.raises(InternalError, match=r"weight .* is not integral"):
         list(enumerate_paths(A1, Weight((1,))))
+
+
+# ------------------------------------------------------------ crystal builder
+
+LADDER = ENUMERATION_CASES[:6]
+
+
+@pytest.mark.parametrize(
+    "label,rank,coords",
+    LADDER
+    + [("G", 2, (2, 1)), ("C", 3, (1, 1, 1)), ("C", 2, (2, 1)), ("E", 6, (1, 0, 0, 0, 0, 0))],
+)
+def test_builder_equals_the_closure(label, rank, coords):
+    datum = build_root_datum(label, rank)
+    lam = Weight(coords)
+    graph, ref = build_crystal(datum, lam), _closure(datum, lam)
+    assert graph.vertices == ref.vertices
+    assert graph.e_arrows == ref.e_arrows
+    assert graph.f_arrows == ref.f_arrows
+    assert graph.weights == ref.weights
+
+
+@pytest.mark.parametrize("label,rank,coords", LADDER)
+def test_public_operators_reproduce_every_arrow(label, rank, coords):
+    graph = build_crystal(build_root_datum(label, rank), Weight(coords))
+    for v in graph.vertices:
+        for j in graph.labels:
+            assert e_operator(v, j) == graph.e_arrows.get((v, j))
+            assert f_operator(v, j) == graph.f_arrows.get((v, j))
+
+
+def test_builder_rejects_an_image_outside_the_enumeration(monkeypatch):
+    window = qls_model._window
+
+    def off_by_a_break(eta, j, vals, m, raising):
+        image = window(eta, j, vals, m, raising)
+        return None if image is None else (image[0], image[1][:-1] + (Fraction(2),))
+
+    monkeypatch.setattr(qls_model, "_window", off_by_a_break)
+    with pytest.raises(InternalError, match="root operator produced an invalid path"):
+        build_crystal(A2, Weight((1, 1)))
+
+
+def test_builder_requires_the_operators_to_reach_every_path(monkeypatch):
+    enumerate_paths = qls_model.enumerate_paths
+
+    def with_a_stray(datum, lam):
+        yield from enumerate_paths(datum, lam)
+        stray = Weight((5, 5))
+        yield (stray,), (Fraction(0), Fraction(1)), stray, 0
+
+    monkeypatch.setattr(qls_model, "enumerate_paths", with_a_stray)
+    with pytest.raises(InternalError, match="reach 9 of the 10 paths"):
+        build_crystal(A2, Weight((1, 1)))
 
 
 # -------------------------------------------------------------------- tensors
