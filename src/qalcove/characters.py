@@ -3,16 +3,18 @@
 The two model routes (folding heights over admissible subsets, degrees over
 path crystals) produce the same graded character; the oracle route computes
 irreducible characters by the multiplicity recursion on dominant weights and
-shares no code with the model enumerations.  It does not use the Weyl group
-that the models walk either: the oracle, the symmetry check, the orbit form
-and the decomposition act on weights by one rule, the simple reflection on
-fundamental-weight coordinates.
+shares no code with the model enumerations.  It runs in integers: it pairs
+weights only with root-lattice elements, where the invariant form is integral,
+and the decomposition orders its peel by heights scaled to integers.  It does
+not use the Weyl group that the models walk either: the oracle, the symmetry
+check, the orbit form and the decomposition act on weights by one rule, the
+simple reflection on fundamental-weight coordinates.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
-from fractions import Fraction
 
 from . import alcove_model, qls_model
 from .alcove_model import LambdaChain, lex_chain
@@ -141,19 +143,6 @@ def character_from_qls(datum: RootDatum, lam: Weight) -> GradedCharacter:
 # ----------------------------------------------------------- oracle route
 
 
-def _inner(datum: RootDatum, wt: Weight, root_coords) -> Fraction:
-    """Invariant pairing of a weight with an element given in root coordinates."""
-    d = datum.symmetrizers
-    return sum(
-        (Fraction(d[j]) * wt.coords[j] * Fraction(root_coords[j]) for j in range(datum.rank)),
-        Fraction(0),
-    )
-
-
-def _norm(datum: RootDatum, wt: Weight) -> Fraction:
-    return _inner(datum, wt, datum.weight_in_root_coords(wt))
-
-
 def _reflect(datum: RootDatum, coords: tuple[int, ...], i: int) -> tuple[int, ...]:
     """s_i(mu) = mu - <alpha_i^vee, mu> alpha_i on fundamental-weight coordinates."""
     alpha = datum.root_weights[datum.simple_root_index[i]]
@@ -188,30 +177,33 @@ def _dominant_multiplicities(datum: RootDatum, lam: Weight) -> dict[Weight, int]
             if lower not in candidates and datum.is_dominant(lower):
                 candidates[lower] = tuple(d + a for d, a in zip(candidates[wt], alpha_coords))
                 stack.append(lower)
-    rho = datum.rho
-    top_norm = _norm(datum, lam + rho)
+    # the invariant form (mu, beta) = sum_j d_j mu_j beta_j of a weight and an
+    # element in root coordinates is an integer, since the symmetrizers d_j
+    # are; so is the denominator |lam+rho|^2 - |mu+rho|^2 = (lam-mu, lam+mu+2rho)
+    sym = datum.symmetrizers
+    lam_2rho = tuple(a + 2 * r for a, r in zip(lam.coords, datum.rho.coords))
     mult: dict[Weight, int] = {}
     for wt in sorted(candidates, key=lambda w: sum(candidates[w])):
         depth = candidates[wt]
         if sum(depth) == 0:
             mult[wt] = 1
             continue
-        acc = Fraction(0)
+        acc = 0
         for alpha_wt, alpha_coords in positive:
             k = 1
             while all(d - k * a >= 0 for d, a in zip(depth, alpha_coords)):
                 shifted = wt + Weight(tuple(k * x for x in alpha_wt))
                 m = mult.get(dominant_representative(datum, shifted), 0)
                 if m:
-                    acc += m * _inner(datum, shifted, alpha_coords)
+                    acc += m * sum(s * x * a for s, x, a in zip(sym, shifted.coords, alpha_coords))
                 k += 1
-        denominator = top_norm - _norm(datum, wt + rho)
+        denominator = sum(s * x * (a + t) for s, x, a, t in zip(sym, depth, wt.coords, lam_2rho))
         if denominator <= 0:
             raise InternalError("multiplicity recursion hit a nonpositive denominator")
-        value = 2 * acc / denominator
-        if value.denominator != 1 or value <= 0:
+        value, remainder = divmod(2 * acc, denominator)
+        if remainder or value <= 0:
             raise InternalError(f"multiplicity at {wt.coords} is not a positive integer")
-        mult[wt] = int(value)
+        mult[wt] = value
     return mult
 
 
@@ -240,6 +232,13 @@ def decompose(datum: RootDatum, character: GradedCharacter) -> list[tuple[int, t
     Returns (q, highest weight, coefficient) triples; fails if the input is
     not a nonnegative integer combination.
     """
+    # the peel takes the highest weight first: heights in root coordinates,
+    # scaled by one common denominator to integers
+    omegas = (datum.fundamental_weight(i) for i in range(1, datum.rank + 1))
+    heights = [sum(datum.weight_in_root_coords(omega)) for omega in omegas]
+    scale = math.lcm(*(h.denominator for h in heights))
+    unit = [int(h * scale) for h in heights]
+    known: dict[tuple[int, ...], dict[Weight, int]] = {}
     out: list[tuple[int, tuple[int, ...], int]] = []
     for q in character.q_exponents():
         layer = character.q_layer(q)
@@ -252,13 +251,15 @@ def decompose(datum: RootDatum, character: GradedCharacter) -> list[tuple[int, t
         # reads the dominant terms only; a weight outside the input can only
         # come back with a negative coefficient, rejected before the next max
         rest = {w: c for (w, _), c in layer.terms.items() if datum.is_dominant(Weight(w))}
-        height = {w: sum(datum.weight_in_root_coords(Weight(w))) for w in rest}
+        height = {w: sum(u * x for u, x in zip(unit, w)) for w in rest}
         while rest:
             if any(c < 0 for c in rest.values()):
                 raise failure
             top = max(rest, key=lambda w: (height[w], w))
             coeff = rest[top]
-            for wt, m in _dominant_multiplicities(datum, Weight(top)).items():
+            if top not in known:
+                known[top] = _dominant_multiplicities(datum, Weight(top))
+            for wt, m in known[top].items():
                 rest[wt.coords] = rest.get(wt.coords, 0) - coeff * m
             rest = {w: c for w, c in rest.items() if c}
             out.append((q, top, coeff))

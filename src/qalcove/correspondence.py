@@ -21,19 +21,16 @@ from .lie_data import InputError, InternalError, RootDatum, Weight, WeylElement
 from .qls_model import QLSPath, qls_path
 from .quantum_bruhat import reflection_ordering, tilted_minimum
 
-_ordering_cache: dict = {}
-
 
 class IsomorphismMismatch(InternalError):
     """Arrow propagation found that the crystal is not the tensor product."""
 
 
 def _chain_ordering(chain: LambdaChain) -> tuple[int, ...]:
-    key = (chain.datum, chain.lam, chain.entries)
-    if key not in _ordering_cache:
-        J = chain.datum.stabilizer(chain.lam)
-        _ordering_cache[key] = reflection_ordering(chain.datum, J, chain)
-    return _ordering_cache[key]
+    orderings, key = chain.datum._orderings, (chain.lam, chain.entries)
+    if key not in orderings:
+        orderings[key] = reflection_ordering(chain.datum, chain.datum.stabilizer(chain.lam), chain)
+    return orderings[key]
 
 
 @dataclass(frozen=True)

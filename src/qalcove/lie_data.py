@@ -101,6 +101,8 @@ class RootDatum:
         self.positive_roots, self.positive_coroots = self._generate_roots()
         self._root_index = {r: k for k, r in enumerate(self.positive_roots)}
         self._quantum_drops: dict[frozenset[int], dict[int, int]] = {}
+        # correspondence's reflection orderings, keyed by (lambda, chain entries)
+        self._orderings: dict[tuple, tuple[int, ...]] = {}
         self.simple_root_index: Vector = tuple(
             self._root_index[tuple(1 if j == i else 0 for j in range(rank))]
             for i in range(rank)
@@ -454,6 +456,8 @@ class WeylGroup:
         self.elements: list[WeylElement] = []
         self._by_perm: dict[Vector, WeylElement] = {}
         self._reflections: dict[int, WeylElement] = {}
+        # quantum_bruhat.qbg_step's results, keyed by (w, root, J)
+        self._steps: dict[tuple, tuple | None] = {}
         self.identity = self._intern(tuple(range(1, len(datum.positive_roots) + 1)))
         self.simple = tuple(self.reflection(k) for k in datum.simple_root_index)
 

@@ -43,16 +43,15 @@ def qbg_step(
     datum: RootDatum, w: WeylElement, root: int, J: frozenset[int] = frozenset()
 ) -> tuple[WeylElement, str] | None:
     """The edge of the parabolic graph on W^J leaving w with label root, as
-    (target, kind), or None if neither edge condition holds."""
-    weyl = datum.weyl
-    target = w * weyl.reflection(root)
-    if J:
-        target = weyl.min_coset_rep(target, J)
-    if target.length == w.length + 1:
-        return target, BRUHAT
-    if target.length == w.length + 1 - datum.quantum_drops(J)[root]:
-        return target, QUANTUM
-    return None
+    (target, kind), or None if neither edge condition holds; composed once per
+    datum and memoized in the Weyl group's `_steps`, keyed by (w, root, J)."""
+    weyl, key = datum.weyl, (w, root, J)
+    if key not in weyl._steps:
+        target = weyl.min_coset_rep(w * weyl.reflection(root), J)
+        gain = target.length - w.length - 1
+        kind = BRUHAT if gain == 0 else QUANTUM if gain == -datum.quantum_drops(J)[root] else None
+        weyl._steps[key] = (target, kind) if kind else None
+    return weyl._steps[key]
 
 
 class QuantumBruhatGraph:

@@ -1,10 +1,11 @@
 """Graded characters: both model routes, the multiplicity oracle, verdicts."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
-from qalcove import qls_model
+from qalcove import characters, qls_model
 from qalcove.alcove_model import lex_chain
 from qalcove.characters import (
     GradedCharacter,
@@ -211,6 +212,114 @@ def test_interior_multiplicities():
     assert weyl_character(G2, Weight((1, 0))).coefficient(Weight((0, 0))) == 1
     # 16-dimensional C2 module: orbit of (1,1) has size 8, orbit of (1,0) size 4
     assert weyl_character(C2, Weight((1, 1))).coefficient(Weight((1, 0))) == 2
+
+
+def _inner(datum, wt, root_coords):
+    """Invariant pairing of a weight with an element given in root coordinates."""
+    d = datum.symmetrizers
+    return sum(
+        (Fraction(d[j]) * wt.coords[j] * Fraction(root_coords[j]) for j in range(datum.rank)),
+        Fraction(0),
+    )
+
+
+def _norm(datum, wt):
+    return _inner(datum, wt, datum.weight_in_root_coords(wt))
+
+
+def _fraction_multiplicities(datum, lam):
+    """The Freudenthal recursion in Fractions, as the oracle computed it before
+    it ran in integers: norms from root coordinates, an exact quotient."""
+    positive = list(zip(datum.root_weights, datum.positive_roots))
+    candidates = {lam: (0,) * datum.rank}
+    stack = [lam]
+    while stack:
+        wt = stack.pop()
+        for alpha_wt, alpha_coords in positive:
+            lower = Weight(tuple(m - a for m, a in zip(wt.coords, alpha_wt)))
+            if lower not in candidates and datum.is_dominant(lower):
+                candidates[lower] = tuple(d + a for d, a in zip(candidates[wt], alpha_coords))
+                stack.append(lower)
+    rho = datum.rho
+    top_norm = _norm(datum, lam + rho)
+    mult = {}
+    for wt in sorted(candidates, key=lambda w: sum(candidates[w])):
+        depth = candidates[wt]
+        if sum(depth) == 0:
+            mult[wt] = 1
+            continue
+        acc = Fraction(0)
+        for alpha_wt, alpha_coords in positive:
+            k = 1
+            while all(d - k * a >= 0 for d, a in zip(depth, alpha_coords)):
+                shifted = wt + Weight(tuple(k * x for x in alpha_wt))
+                m = mult.get(dominant_representative(datum, shifted), 0)
+                if m:
+                    acc += m * _inner(datum, shifted, alpha_coords)
+                k += 1
+        denominator = top_norm - _norm(datum, wt + rho)
+        assert denominator > 0
+        value = 2 * acc / denominator
+        assert value.denominator == 1 and value > 0
+        mult[wt] = int(value)
+    return mult
+
+
+def _weyl_dimension(datum, lam):
+    """prod over the positive roots of <alpha^vee, lam + rho> / <alpha^vee, rho>."""
+    dim = Fraction(1)
+    for coroot in datum.positive_coroots:
+        dim *= Fraction(sum(c * (x + 1) for c, x in zip(coroot, lam)), sum(coroot))
+    return dim
+
+
+# the alcove-ladder weights of the benchmark, then four beyond any workload
+ORACLE_CASES = [
+    ("A", 3, (1, 1, 1)),
+    ("G", 2, (1, 1)),
+    ("C", 3, (1, 0, 1)),
+    ("B", 3, (0, 1, 1)),
+    ("D", 4, (0, 0, 1, 1)),
+    ("C", 4, (1, 0, 0, 1)),
+    ("A", 4, (1, 1, 1, 1)),
+    ("B", 3, (1, 1, 1)),
+    ("C", 3, (1, 1, 1)),
+    ("G", 2, (2, 1)),
+    ("D", 4, (1, 0, 1, 1)),
+    ("C", 4, (0, 1, 0, 1)),
+    ("E", 6, (0, 1, 0, 0, 0, 0)),
+    ("F", 4, (1, 0, 0, 1)),
+    ("A", 5, (1, 1, 1, 1, 1)),
+    ("E", 8, (0, 0, 0, 0, 0, 0, 0, 1)),
+]
+
+
+@pytest.mark.parametrize(
+    "label, rank, lam", ORACLE_CASES, ids=[f"{t}{n}-{''.join(map(str, lam))}" for t, n, lam in ORACLE_CASES]
+)
+def test_integer_oracle_equals_the_fraction_recursion(label, rank, lam):
+    datum = RootDatum(label, rank)
+    mult = characters._dominant_multiplicities(datum, Weight(lam))
+    assert mult == _fraction_multiplicities(datum, Weight(lam))
+    assert all(type(m) is int for m in mult.values())
+    assert sum(weyl_character(datum, Weight(lam)).terms.values()) == _weyl_dimension(datum, lam)
+
+
+def test_decomposition_computes_each_top_once(monkeypatch):
+    A4 = build_root_datum("A", 4)
+    ch = character_from_qls(A4, A4.rho)
+    calls = []
+    oracle = characters._dominant_multiplicities
+
+    def counted(datum, lam):
+        calls.append(lam)
+        return oracle(datum, lam)
+
+    monkeypatch.setattr(characters, "_dominant_multiplicities", counted)
+    parts = decompose(A4, ch)
+    # 16 (q, top) pairs over 9 distinct tops
+    assert len(parts) == 16
+    assert len(calls) == len(set(calls)) == len({top for _, top, _ in parts}) == 9
 
 
 def test_oracle_rejects_non_dominant_weight():

@@ -1,6 +1,8 @@
 """Forgetful map, its inverse, and the intertwining/energy/isomorphism checks."""
 
+import gc
 import json
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -118,6 +120,25 @@ def test_round_trip_from_paths():
         chain = lex_chain(datum, datum_lam)
         for eta in build_crystal(datum, shape).vertices:
             assert forgetful(inverse(eta, chain)).pi == eta
+
+
+def _invert_on_a_fresh_datum():
+    d = build_root_datum("C", 2)
+    chain = lex_chain(d, d.rho)
+    for A in enumerate_admissible(chain):
+        assert inverse(forgetful(A).pi, chain) == A
+    assert list(d._orderings) == [(chain.lam, chain.entries)]
+    return weakref.ref(d)
+
+
+def test_inverse_keeps_no_datum_alive(monkeypatch):
+    # the reflection ordering lives on the datum; qls_model's graph cache,
+    # which the inverse also reads, gets a throwaway dict here
+    with monkeypatch.context() as m:
+        m.setattr(qls_model, "_parabolic_cache", {})
+        ref = _invert_on_a_fresh_datum()
+    gc.collect()
+    assert ref() is None
 
 
 def test_inverse_checks_the_chain_weight():

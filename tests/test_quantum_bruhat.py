@@ -53,6 +53,44 @@ def test_step_along_the_highest_root_of_a2():
         assert qbg_step(d, e, d.simple_root_index[i]) == (d.weyl.simple[i], BRUHAT)
 
 
+def _direct_step(d, w, root, J):
+    # the edge rule read off its definition: w r_beta, its minimal coset
+    # representative, then the two length conditions
+    target = d.weyl.min_coset_rep(w * d.weyl.reflection(root), J)
+    if target.length == w.length + 1:
+        return target, BRUHAT
+    drop = d.pairing(d.positive_coroots[root], d.two_rho_minus_two_rho_J(J))
+    if target.length == w.length + 1 - drop:
+        return target, QUANTUM
+    return None
+
+
+@pytest.mark.parametrize("label, rank, J", [("B", 3, frozenset({2})), ("G", 2, frozenset({1}))])
+def test_step_memo_equals_the_direct_rule(label, rank, J, monkeypatch):
+    d = build_root_datum(label, rank)
+    group = d.weyl.coset_reps(frozenset())
+    for K in (frozenset(), J):
+        for w in group:
+            for root in d.quantum_drops(K):
+                step = qbg_step(d, w, root, K)
+                assert step == _direct_step(d, w, root, K)
+                assert qbg_step(d, w, root, K) is step
+    # one entry per (w, root, J), and a repeated step composes nothing
+    steps = dict(d.weyl._steps)
+    assert len(steps) == len(group) * (len(d.positive_roots) + len(d.quantum_drops(J)))
+    with monkeypatch.context() as m:
+        m.setattr(type(d.weyl), "product", lambda *args: pytest.fail("composed again"))
+        for w in group:
+            assert all(qbg_step(d, w, root, J) is steps[w, root, J] for root in d.quantum_drops(J))
+    # a second datum of the same type keeps its own memo, with its own elements
+    twin = build_root_datum(label, rank)
+    assert twin.weyl._steps == {}
+    step = qbg_step(twin, twin.weyl.longest, twin.theta)
+    assert step[0].group is twin.weyl
+    assert list(twin.weyl._steps) == [(twin.weyl.longest, twin.theta, frozenset())]
+    assert d.weyl._steps == steps
+
+
 def test_parabolic_vertex_count():
     d = build_root_datum("A", 2)
     g = build_qbg(d, frozenset({2}))
