@@ -80,9 +80,13 @@ class GradedCharacter:
         return GradedCharacter(self.rank, out)
 
     def is_symmetric(self, datum: RootDatum) -> bool:
+        """Whether every simple reflection keeps each coefficient: s_i permutes
+        the keys and no coefficient is 0, so a term-by-term check suffices."""
+        terms = self.terms
         return all(
-            {(_reflect(datum, w, i), q): c for (w, q), c in self.terms.items()} == self.terms
+            terms.get((_reflect(datum, w, i), q)) == c
             for i in range(datum.rank)
+            for (w, q), c in terms.items()
         )
 
     def _ordered(self) -> list[tuple[Key, int]]:

@@ -132,6 +132,7 @@ def cmd_admissible(datum: RootDatum, args) -> int:
 
 def cmd_qls(datum: RootDatum, args) -> int:
     lam = _parse_weight(datum, args.weight)
+    _guard(datum, lam, args.budget)
     if (args.directions is None) != (args.breaks is None):
         raise InputError("--directions and --breaks must be given together")
     if args.directions is None:

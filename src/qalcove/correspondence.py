@@ -19,7 +19,7 @@ from . import alcove_model, qls_model
 from .alcove_model import AdmissibleSubset, LambdaChain, lex_chain, require_lex
 from .lie_data import InputError, InternalError, RootDatum, Weight, WeylElement
 from .qls_model import QLSPath, qls_path
-from .quantum_bruhat import reflection_ordering, tilted_minimum
+from .quantum_bruhat import orbit_graph, reflection_ordering, tilted_minimum
 
 
 class IsomorphismMismatch(InternalError):
@@ -101,7 +101,8 @@ def inverse(eta: QLSPath, chain: LambdaChain | None = None) -> AdmissibleSubset:
         (e.root, e.level): n for n, e in enumerate(chain.entries, start=1)
     }
 
-    sigmas = qls_model.dual(eta).cosets[::-1]
+    # the minimal coset representatives, built from the words of the points
+    sigmas = [qls_model._as_element(datum, word) for word in qls_model.dual(eta).words[::-1]]
     positions: list[int] = []
     current = datum.weyl.identity
     for sigma, b in zip(sigmas, eta.breaks):
@@ -188,15 +189,14 @@ def verify_energy(
     """
     if records is None:
         records = forgetful_table(chain if chain is not None else lex_chain(datum, lam))
-    J = datum.stabilizer(lam)
-    parabolic = qls_model._parabolic_graph(datum, J)
+    graph = orbit_graph(datum, lam)
     violations: list[dict] = []
     for rec in records.values():
         A = rec.subset
-        sigmas = rec.pi_star.cosets[::-1]
+        sigmas = rec.pi_star.directions[::-1]
         total = sum(
             (
-                (1 - b) * parabolic.shortest_path_weight(prev, nxt, lam)
+                (1 - b) * graph.path_weight(prev, nxt)
                 for prev, nxt, b in zip(sigmas, sigmas[1:], rec.pi.breaks[1:])
             ),
             Fraction(0),

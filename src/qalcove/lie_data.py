@@ -103,6 +103,8 @@ class RootDatum:
         self._quantum_drops: dict[frozenset[int], dict[int, int]] = {}
         # correspondence's reflection orderings, keyed by (lambda, chain entries)
         self._orderings: dict[tuple, tuple[int, ...]] = {}
+        # quantum_bruhat's orbit graphs QB(W^J), keyed by lambda
+        self._orbit_graphs: dict = {}
         self.simple_root_index: Vector = tuple(
             self._root_index[tuple(1 if j == i else 0 for j in range(rank))]
             for i in range(rank)

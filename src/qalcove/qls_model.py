@@ -2,15 +2,17 @@
 
 A path of shape lambda has rational break points and on each segment a
 direction: the orbit point mu_k = x_k(lambda) of some x_k in W^J (J the
-stabilizer of lambda).  Consecutive x_k, read back from the parabolic graph's
-x(lambda) -> x table, must be joined by a directed path in the suitably
-restricted graph.  This module provides validation, a direct enumeration of
-QLS(lambda) from that definition (what the characters sum over), the root
-operators e_j/f_j for j in the affine index set (they reflect a window of
-points), the degree statistic, duality and the Lusztig involution, the
-crystal graph on the enumerated QLS(lambda), whose operator images are
-checked by lookup in that set, and tensor products of crystals under the
-Kashiwara convention.
+stabilizer of lambda).  Consecutive points must be joined by a directed path
+in the suitably restricted parabolic quantum Bruhat graph, which is read on
+the orbit of lambda (`quantum_bruhat.OrbitGraph`), so no Weyl element is
+built: a direction given as a Weyl word is turned into its point at the
+boundary, and a point is printed as the word read off its coordinates.  This
+module provides validation, a direct enumeration of QLS(lambda) from that
+definition (what the characters sum over), the root operators e_j/f_j for j
+in the affine index set (they reflect a window of points), the degree
+statistic, duality and the Lusztig involution, the crystal graph on the
+enumerated QLS(lambda), whose operator images are checked by lookup in that
+set, and tensor products of crystals under the Kashiwara convention.
 """
 
 from __future__ import annotations
@@ -30,12 +32,14 @@ from .lie_data import (
     Weight,
     WeylElement,
 )
-from .quantum_bruhat import QuantumBruhatGraph, build_qbg
+from .quantum_bruhat import QuantumBruhatGraph, build_qbg, orbit_graph
 
 _parabolic_cache: dict = {}
 
 
 def _parabolic_graph(datum: RootDatum, J: frozenset[int]) -> QuantumBruhatGraph:
+    """QB(W^J) on Weyl elements, built once per (datum, J); only
+    `correspondence.inverse` reads it, on the full graph J = {}."""
     key = (datum, J)
     if key not in _parabolic_cache:
         _parabolic_cache[key] = build_qbg(datum, J)
@@ -50,11 +54,10 @@ def minus_w0(datum: RootDatum, mu: Weight) -> Weight:
 @dataclass(frozen=True)
 class QLSPath:
     """A validated quantum LS path; build through :func:`qls_path`.  Its
-    directions are the orbit points x_k(lambda); cosets reads the x_k back."""
+    directions are the orbit points x_k(lambda)."""
 
     datum: RootDatum
     lam: Weight
-    J: frozenset[int]
     directions: tuple[Weight, ...]
     breaks: tuple[Fraction, ...]
 
@@ -66,15 +69,23 @@ class QLSPath:
         return hash((self.lam, self.directions, self.breaks))
 
     def __repr__(self) -> str:
-        dirs = ", ".join(repr(x) for x in self.cosets)
+        dirs = ", ".join("*".join(f"s{i}" for i in w) if w else "e" for w in self.words)
         cuts = ", ".join(str(b) for b in self.breaks)
         return f"({dirs}; {cuts})"
 
     @property
-    def cosets(self) -> tuple[WeylElement, ...]:
-        """The minimal coset representatives x_k with x_k(lambda) = mu_k."""
-        orbit = _parabolic_graph(self.datum, self.J).orbit(self.lam)
-        return tuple(orbit[mu] for mu in self.directions)
+    def words(self) -> tuple[tuple[int, ...], ...]:
+        """The lexicographically smallest reduced word of each x_k, read off
+        mu_k: s_i is a left descent of x_k exactly when <alpha_i^vee, mu_k> < 0,
+        so apply s_i at the least such i and repeat."""
+        datum, out = self.datum, []
+        for mu in self.directions:
+            word = []
+            while (i := next((i for i, c in enumerate(mu.coords) if c < 0), None)) is not None:
+                word.append(i + 1)
+                mu = datum.reflect(mu, datum.simple_root_index[i])
+            out.append(tuple(word))
+        return tuple(out)
 
     @cached_property
     def weight(self) -> Weight:
@@ -90,7 +101,7 @@ class QLSPath:
 
     def to_json_dict(self) -> dict:
         return {
-            "directions": [list(x.reduced_word()) for x in self.cosets],
+            "directions": [list(word) for word in self.words],
             "breaks": [f"{b.numerator}/{b.denominator}" for b in self.breaks],
             "weight": list(self.weight.coords),
             "deg": deg(self),
@@ -130,27 +141,26 @@ def qls_path(datum: RootDatum, lam: Weight, directions, breaks) -> QLSPath:
         raise InputError("breaks must start at 0 and end at 1")
     if any(a >= b for a, b in zip(cuts, cuts[1:])):
         raise InputError("breaks must be strictly increasing")
-    graph = _parabolic_graph(datum, J)
-    orbit = graph.orbit(lam)
+    graph = orbit_graph(datum, lam)
     points = []
     for k, x in enumerate(dirs, start=1):
         if isinstance(x, WeylElement):
             if datum.weyl.min_coset_rep(x, J) != x:
                 raise InputError(f"direction {k} is not a minimal coset representative")
             x = x.act_weight(lam)
-        if x not in orbit:
+        if x not in graph.index:
             raise InputError(f"direction {k} is not in the orbit of lambda")
         points.append(x)
     for k in range(1, len(points)):
         if points[k - 1] == points[k]:
             raise InputError(f"directions {k} and {k + 1} coincide")
-        if not graph.reachable(orbit[points[k]], orbit[points[k - 1]], cuts[k], lam):
+        if not graph.reachable(points[k], points[k - 1], cuts[k]):
             raise InputError(
                 f"segment {k}: no directed path from direction {k + 1} to "
                 f"direction {k} once edges with non-integral "
                 f"{cuts[k]}*<alpha^vee, lambda> are removed"
             )
-    return QLSPath(datum, lam, J, tuple(points), cuts)
+    return QLSPath(datum, lam, tuple(points), cuts)
 
 
 def straight_path(datum: RootDatum, lam: Weight, x: WeylElement | None = None) -> QLSPath:
@@ -162,20 +172,6 @@ def straight_path(datum: RootDatum, lam: Weight, x: WeylElement | None = None) -
 # --------------------------------------------------------------- enumeration
 
 
-def _reach_tables(graph: QuantumBruhatGraph, lam: Weight) -> dict:
-    """For each x in W^J, the pairs (y, g, w) over y != x: g is the label gcd
-    of the BFS path from y to x (y reaches x in the graph restricted at b
-    exactly when the denominator of b divides g) and w its path weight."""
-    tables: dict = {x: [] for x in graph.vertices}
-    for y in graph.vertices:
-        gcds = graph.label_gcd(y, lam)
-        for x in graph.vertices:
-            if x != y:
-                w = graph.shortest_path_weight(y, x, lam)
-                tables[x].append((y, gcds[x], w))
-    return tables
-
-
 def enumerate_paths(datum: RootDatum, lam: Weight):
     """Every path of QLS(lam) once, as (points, breaks, weight, -deg).
 
@@ -185,41 +181,45 @@ def enumerate_paths(datum: RootDatum, lam: Weight):
     one segment per step; every node closes at 1 into a path, so each node
     is an output.  A break b is u/v in lowest terms with v dividing a pairing
     p = <alpha^vee, lam> of a label, so breaks are kept as integers over the
-    lcm L of those p, and the weight and -deg are carried times L.
+    lcm L of those p, and the weight and -deg are carried times L.  Vertices
+    are the orbit graph's indices, and its reach tables give each step.
     """
-    if not datum.is_dominant(lam):
-        raise InputError(f"weight {lam.coords} is not dominant")
-    graph = _parabolic_graph(datum, datum.stabilizer(lam))
-    point = {x: mu for mu, x in graph.orbit(lam).items()}
-    pairings = {datum.pairing_index(k, lam) for k in graph.labels}
-    L = math.lcm(*pairings)
+    graph = orbit_graph(datum, lam)
+    L = math.lcm(*graph.pairings)
     # the candidate breaks a/L in increasing order, each with its denominator
-    candidates = sorted({a * L // p for p in pairings for a in range(1, p)})
+    candidates = sorted({a * L // p for p in graph.pairings for a in range(1, p)})
     cuts = [(a, Fraction(a, L), L // math.gcd(a, L)) for a in candidates]
-    # children[x][v]: the (y, path weight) pairs that may follow x at a break of denominator v
+    # children[x][v]: the (y, path weight from y to x) pairs that may follow x
+    # at a break of denominator v
     dens = {v for _, _, v in cuts}
-    children = {
-        x: {v: [(y, w) for y, g, w in pairs if g % v == 0] for v in dens}
-        for x, pairs in _reach_tables(graph, lam).items()
-    }
+    n = len(graph.points)
+    children: list[dict[int, list]] = [{v: [] for v in dens} for _ in range(n)]
+    for y in range(n):
+        gcds, weights = graph.reach(y)
+        for x, g in enumerate(gcds):
+            if x != y:
+                for v in dens:
+                    if g % v == 0:
+                        children[x][v].append((y, weights[x]))
+    points = graph.points
     zero = (0,) * datum.rank
     one = Fraction(1)
-    stack = [(x, 0, zero, 0, (point[x],), (Fraction(0),)) for x in graph.vertices]
+    stack = [(x, 0, zero, 0, (points[x],), (Fraction(0),)) for x in range(n)]
     while stack:
-        x, start, wt, neg_deg, points, breaks = stack.pop()
-        mu = point[x].coords
+        x, start, wt, neg_deg, path, breaks = stack.pop()
+        mu = points[x].coords
         total = tuple(c + (L - start) * m for c, m in zip(wt, mu))
         if any(c % L for c in total):
             raise InternalError(f"weight {tuple(Fraction(c, L) for c in total)} is not integral")
         if neg_deg % L:
             raise InternalError(f"degree {Fraction(-neg_deg, L)} is not an integer")
-        yield points, breaks + (one,), Weight(tuple(c // L for c in total)), neg_deg // L
+        yield path, breaks + (one,), Weight(tuple(c // L for c in total)), neg_deg // L
         for a, b, v in reversed(cuts):
             if a <= start:
                 break
             grown = tuple(c + (a - start) * m for c, m in zip(wt, mu))
             for y, w in children[x][v]:
-                stack.append((y, a, grown, neg_deg + (L - a) * w, points + (point[y],), breaks + (b,)))
+                stack.append((y, a, grown, neg_deg + (L - a) * w, path + (points[y],), breaks + (b,)))
 
 
 # ----------------------------------------------------------------- operators
@@ -351,12 +351,11 @@ def phi(eta: QLSPath, j: int) -> int:
 
 def deg(eta: QLSPath) -> int:
     """Degree: minus the sum of (1 - b_k) times the segment path weights."""
-    graph = _parabolic_graph(eta.datum, eta.J)
-    cosets = eta.cosets
+    graph = orbit_graph(eta.datum, eta.lam)
+    points = eta.directions
     total = Fraction(0)
-    for k in range(1, len(cosets)):
-        step = graph.shortest_path_weight(cosets[k], cosets[k - 1], eta.lam)
-        total -= (1 - eta.breaks[k]) * step
+    for k in range(1, len(points)):
+        total -= (1 - eta.breaks[k]) * graph.path_weight(points[k], points[k - 1])
     if total.denominator != 1:
         raise InternalError(f"degree {total} is not an integer")
     return int(total)
@@ -493,15 +492,15 @@ def build_crystal(datum: RootDatum, lam: Weight) -> CrystalGraph:
     The vertices are the paths from enumerate_paths, with its integral
     weights.  At every (vertex, label) one H_j and its checked minimum give
     both e_j and f_j, and each image must be an enumerated path: the rule
-    qls_path applies, since it and the enumeration both read label_gcd.  Vertices
+    qls_path applies, since it and the enumeration both read the orbit
+    graph's reach tables.  Vertices
     are ordered by a BFS from the straight path over the arrows in (label,
     e then f) order, which must reach every enumerated path.
     """
-    J = datum.stabilizer(lam)
     table: dict = {}
     weights: dict = {}
     for points, breaks, weight, _ in enumerate_paths(datum, lam):
-        eta = table[(points, breaks)] = QLSPath(datum, lam, J, points, breaks)
+        eta = table[(points, breaks)] = QLSPath(datum, lam, points, breaks)
         weights[eta] = weight
     start = table[((lam,), (Fraction(0), Fraction(1)))]
     order = [start]

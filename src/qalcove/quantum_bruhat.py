@@ -1,13 +1,16 @@
 """Parabolic quantum Bruhat graphs and their path combinatorics.
 
-A graph has vertex set W^J and, for each vertex w and positive root alpha
-outside the parabolic subsystem, at most one edge w -> min_coset_rep(w r_alpha)
-which is either a Bruhat edge (length goes up by one) or a quantum edge
-(length drops by <alpha^vee, 2rho - 2rho_J> - 1).  Quantum edges carry the
-coroot alpha^vee as weight.  On top of the graphs the module provides
-shortest-path weights, reachability in the b-restricted subgraphs read off
-one shortest path, reflection orderings compatible with a lex chain,
-label-increasing paths, and tilted Bruhat minima.
+QB(W^J) has, for each vertex x and positive root alpha outside the parabolic
+subsystem, at most one edge x -> min_coset_rep(x r_alpha): a Bruhat edge
+when the length goes up by one, a quantum edge when it drops by
+<alpha^vee, 2rho - 2rho_J> - 1, and then its weight is the coroot alpha^vee.
+The QLS side reads the graph on the orbit of lambda (`OrbitGraph`, J the
+stabilizer of lambda): vertices, edges and lengths come from weights alone,
+and one BFS per source gives the shortest-path weights and the reachability
+in the b-restricted subgraphs.  The alcove walk takes single steps on Weyl
+elements (`qbg_step`), and the inverse of the bijection walks the full graph
+on Weyl elements (`QuantumBruhatGraph`) for reflection orderings compatible
+with a lex chain, label-increasing paths and tilted Bruhat minima.
 """
 
 from __future__ import annotations
@@ -54,15 +57,102 @@ def qbg_step(
     return weyl._steps[key]
 
 
-class QuantumBruhatGraph:
-    """Immutable quantum Bruhat graph on W^J.
+class OrbitGraph:
+    """QB(W^J) on the orbit of lambda (J its stabilizer), read off weights.
+
+    x -> x(lambda) maps W^J onto the orbit.  The vertices mu = x(lambda) are
+    grown from lambda by simple reflections at mu_i > 0, each raising the
+    length by one, so a vertex's length is its depth; beside mu rides
+    nu = x(2rho - 2rho_J), well defined as 2rho - 2rho_J is W_J-invariant.
+    For each root delta (either sign) with p = <delta^vee, mu> > 0, the label
+    alpha = x^-1(delta) has <alpha^vee, lambda> = p, and the edge goes to
+    s_delta(mu): Bruhat when the length rises by one, quantum when it changes
+    by 1 - |<delta^vee, nu>| = 1 - <alpha^vee, 2rho - 2rho_J>, and then its
+    weight pairs with lambda to p.  Edges are (target, kind, p, that weight).
 
     By the shortest-path lemma of Lenart-Naito-Sagaki-Schilling-Shimozono
-    (part I, arXiv:1211.2042), y is reachable from x in the b-restricted
-    subgraph QB_{b lambda}(W^J) exactly when every shortest path from x to y
-    uses only its edges, so `reachable` checks the one the BFS found: with
-    b = u/v in lowest terms, b<alpha^vee, lam> is integral on every label
-    alpha of that path iff v divides the gcd that `label_gcd` records.
+    (part I, arXiv:1211.2042), nu is reachable from mu in the b-restricted
+    subgraph exactly when a shortest path from mu to nu uses only its edges,
+    and all shortest paths share their weight.  So `reach`, one BFS per
+    source, gives both: with b = u/v in lowest terms, b<alpha^vee, lambda> is
+    integral on every label of the path iff v divides their pairings' gcd.
+    """
+
+    def __init__(self, datum: RootDatum, lam: Weight):
+        if not datum.is_dominant(lam):
+            raise InputError(f"weight {lam.coords} is not dominant")
+        # the pairings <alpha^vee, lambda> > 0 of the labels, the roots outside Phi_J
+        self.pairings = tuple(sorted({p for c in datum.positive_coroots if (p := datum.pairing(c, lam))}))
+        simple = [datum.root_weights[k] for k in datum.simple_root_index]
+        points, lengths = [lam.coords], [0]
+        carried = [datum.two_rho_minus_two_rho_J(datum.stabilizer(lam)).coords]
+        index = {lam.coords: 0}
+        for n, mu in enumerate(points):  # points grows as the search finds vertices
+            for i, c in enumerate(mu):
+                if c > 0 and (image := tuple(m - c * a for m, a in zip(mu, simple[i]))) not in index:
+                    index[image] = len(points)
+                    points.append(image)
+                    carried.append(tuple(m - carried[n][i] * a for m, a in zip(carried[n], simple[i])))
+                    lengths.append(lengths[n] + 1)
+        self.points = tuple(Weight(mu) for mu in points)
+        self.index = {mu: n for n, mu in enumerate(self.points)}
+        self.lengths = tuple(lengths)
+        self.edges: list[tuple] = []  # by vertex index
+        for mu, nu, length in zip(points, carried, lengths):
+            out = []
+            for coroot, root in zip(datum.positive_coroots, datum.root_weights):
+                if c := sum(b * m for b, m in zip(coroot, mu)):
+                    target = index[tuple(m - c * a for m, a in zip(mu, root))]
+                    gain, p = lengths[target] - length - 1, abs(c)
+                    if gain == 0:
+                        out.append((target, BRUHAT, p, 0))
+                    elif gain == -abs(sum(b * v for b, v in zip(coroot, nu))):
+                        out.append((target, QUANTUM, p, p))
+            self.edges.append(tuple(out))
+        self._reach: dict[int, tuple[list[int], list[int]]] = {}
+
+    def reach(self, source: int) -> tuple[list[int], list[int]]:
+        """The label gcd (0 at the source itself) and the weight <wt, lambda>
+        of one shortest path from the vertex source to each vertex, as lists
+        by index: one BFS, run once per source."""
+        table = self._reach.get(source)
+        if table is None:
+            gcds, weights = [-1] * len(self.points), [0] * len(self.points)
+            gcds[source] = 0
+            queue = [source]
+            for v in queue:  # queue grows as the BFS finds vertices
+                g, w = gcds[v], weights[v]
+                for target, _, p, q in self.edges[v]:
+                    if gcds[target] < 0:
+                        gcds[target], weights[target] = gcd(g, p), w + q
+                        queue.append(target)
+            if len(queue) != len(self.points):
+                raise InternalError("graph is not strongly connected")
+            table = self._reach[source] = (gcds, weights)
+        return table
+
+    def reachable(self, mu: Weight, nu: Weight, b: Fraction) -> bool:
+        """Whether some path from mu to nu uses only edges with b<alpha^vee, lambda> integral."""
+        return self.reach(self.index[mu])[0][self.index[nu]] % Fraction(b).denominator == 0
+
+    def path_weight(self, mu: Weight, nu: Weight) -> int:
+        """<wt(p), lambda> for any shortest directed path p from mu to nu."""
+        return self.reach(self.index[mu])[1][self.index[nu]]
+
+
+def orbit_graph(datum: RootDatum, lam: Weight) -> OrbitGraph:
+    """The orbit graph of lam, built once and kept on the datum."""
+    graph = datum._orbit_graphs.get(lam)
+    if graph is None:
+        graph = datum._orbit_graphs[lam] = OrbitGraph(datum, lam)
+    return graph
+
+
+class QuantumBruhatGraph:
+    """Immutable quantum Bruhat graph on W^J, with Weyl elements as vertices.
+
+    Only `correspondence.inverse` walks it (through `tilted_minimum`), on the
+    full graph J = {}; the QLS side reads `OrbitGraph`.
     """
 
     def __init__(self, datum: RootDatum, J: frozenset[int] = frozenset()):
@@ -72,9 +162,6 @@ class QuantumBruhatGraph:
         self.labels: tuple[int, ...] = tuple(datum.quantum_drops(self.J))
         self.adjacency = {w: self._build_edges(w) for w in datum.weyl.coset_reps(self.J)}
         self.vertices = tuple(self.adjacency)
-        self._bfs_cache: dict[WeylElement, dict] = {}
-        self._gcd_cache: dict[tuple[WeylElement, Weight], dict[WeylElement, int]] = {}
-        self._orbits: dict[Weight, dict[Weight, WeylElement]] = {}
 
     def _build_edges(self, w: WeylElement) -> tuple[QBGEdge, ...]:
         datum = self.datum
@@ -94,77 +181,6 @@ class QuantumBruhatGraph:
 
     def edge_count(self) -> int:
         return sum(len(self.adjacency[w]) for w in self.vertices)
-
-    def orbit(self, lam: Weight) -> dict[Weight, WeylElement]:
-        """The bijection x(lam) -> x from the orbit of lam onto W^J, built once
-        per lam; lam must have stabilizer exactly J."""
-        table = self._orbits.get(lam)
-        if table is None:
-            if self.datum.stabilizer(lam) != self.J:
-                raise InputError(f"stabilizer of the weight {lam.coords} is not the graph's J")
-            table = self._orbits[lam] = {x.act_weight(lam): x for x in self.vertices}
-        return table
-
-    # ------------------------------------------------------------------- queries
-
-    def _bfs(self, x: WeylElement) -> dict:
-        """The weight and last edge of one shortest path from x to each vertex,
-        keyed in BFS order."""
-        data = self._bfs_cache.get(x)
-        if data is None:
-            wt = {x: (0,) * self.datum.rank}
-            via: dict[WeylElement, QBGEdge] = {}
-            queue = deque([x])
-            while queue:
-                w = queue.popleft()
-                for e in self.adjacency[w]:
-                    if e.target not in wt:
-                        wt[e.target] = tuple(a + b for a, b in zip(wt[w], e.weight))
-                        via[e.target] = e
-                        queue.append(e.target)
-            data = {"wt": wt, "via": via}
-            self._bfs_cache[x] = data
-        return data
-
-    def label_gcd(self, x: WeylElement, lam: Weight) -> dict[WeylElement, int]:
-        """For each y reachable from x, the gcd of <alpha^vee, lam> over the
-        labels alpha of the BFS path from x to y (0 at y = x), built once per
-        (x, lam) by one walk of the BFS tree in distance order."""
-        key = (x, lam)
-        table = self._gcd_cache.get(key)
-        if table is None:
-            if not self.datum.is_dominant(lam):
-                raise InputError(f"weight {lam.coords} is not dominant")
-            # the full graph may be restricted by any dominant weight; a
-            # parabolic graph only by weights whose stabilizer contains J
-            if any(lam.coords[j - 1] for j in self.J):
-                raise InputError("stabilizer of the weight does not contain the graph's J")
-            data = self._bfs(x)
-            via = data["via"]
-            pairing = {k: self.datum.pairing_index(k, lam) for k in self.labels}
-            table = {}
-            for y in data["wt"]:  # BFS order: a target follows its tree parent
-                e = via.get(y)
-                table[y] = 0 if e is None else gcd(table[e.source], pairing[e.label])
-            self._gcd_cache[key] = table
-        return table
-
-    def reachable(self, x: WeylElement, y: WeylElement, b: Fraction, lam: Weight) -> bool:
-        """Whether some path from x to y uses only edges with b<alpha^vee, lam> integral."""
-        g = self.label_gcd(x, lam).get(y)
-        # with b = u/v in lowest terms, b<alpha^vee, lam> is integral on every
-        # label of the path iff v divides every pairing, that is, their gcd
-        return g is not None and g % Fraction(b).denominator == 0
-
-    def shortest_path_weight(self, x: WeylElement, y: WeylElement, lam: Weight) -> int:
-        """<wt(p), lam> for any shortest directed path p from x to y."""
-        data = self._bfs(x)
-        if y not in data["wt"]:
-            raise InternalError("graph is not strongly connected")
-        val = self.datum.pairing(data["wt"][y], lam)
-        if val < 0:
-            raise InternalError("shortest-path weight must be nonnegative")
-        return val
 
 
 def build_qbg(datum: RootDatum, J: frozenset[int] = frozenset()) -> QuantumBruhatGraph:

@@ -1,7 +1,101 @@
 """Reference queries on quantum Bruhat graphs for the tests: plain searches
-over the adjacency lists that share no code with the graph's BFS cache."""
+over the adjacency lists, and `QueryGraph`, the graph on Weyl elements with
+the shortest-path queries that the orbit graph of `quantum_bruhat` is checked
+against."""
 
 from collections import deque
+from fractions import Fraction
+from math import gcd
+
+from qalcove.lie_data import InputError, InternalError, Weight, WeylElement
+from qalcove.quantum_bruhat import QBGEdge, QuantumBruhatGraph
+
+
+class QueryGraph(QuantumBruhatGraph):
+    """QB(W^J) on Weyl elements with BFS shortest-path queries.
+
+    By the shortest-path lemma of Lenart-Naito-Sagaki-Schilling-Shimozono
+    (part I, arXiv:1211.2042), y is reachable from x in the b-restricted
+    subgraph QB_{b lambda}(W^J) exactly when every shortest path from x to y
+    uses only its edges, so `reachable` checks the one the BFS found: with
+    b = u/v in lowest terms, b<alpha^vee, lam> is integral on every label
+    alpha of that path iff v divides the gcd that `label_gcd` records.
+    """
+
+    def __init__(self, datum, J=frozenset()):
+        super().__init__(datum, J)
+        self._bfs_cache: dict[WeylElement, dict] = {}
+        self._gcd_cache: dict[tuple[WeylElement, Weight], dict[WeylElement, int]] = {}
+        self._orbits: dict[Weight, dict[Weight, WeylElement]] = {}
+
+    def orbit(self, lam: Weight) -> dict[Weight, WeylElement]:
+        """The bijection x(lam) -> x from the orbit of lam onto W^J, built once
+        per lam; lam must have stabilizer exactly J."""
+        table = self._orbits.get(lam)
+        if table is None:
+            if self.datum.stabilizer(lam) != self.J:
+                raise InputError(f"stabilizer of the weight {lam.coords} is not the graph's J")
+            table = self._orbits[lam] = {x.act_weight(lam): x for x in self.vertices}
+        return table
+
+    def _bfs(self, x: WeylElement) -> dict:
+        """The weight and last edge of one shortest path from x to each vertex,
+        keyed in BFS order."""
+        data = self._bfs_cache.get(x)
+        if data is None:
+            wt = {x: (0,) * self.datum.rank}
+            via: dict[WeylElement, QBGEdge] = {}
+            queue = deque([x])
+            while queue:
+                w = queue.popleft()
+                for e in self.adjacency[w]:
+                    if e.target not in wt:
+                        wt[e.target] = tuple(a + b for a, b in zip(wt[w], e.weight))
+                        via[e.target] = e
+                        queue.append(e.target)
+            data = {"wt": wt, "via": via}
+            self._bfs_cache[x] = data
+        return data
+
+    def label_gcd(self, x: WeylElement, lam: Weight) -> dict[WeylElement, int]:
+        """For each y reachable from x, the gcd of <alpha^vee, lam> over the
+        labels alpha of the BFS path from x to y (0 at y = x), built once per
+        (x, lam) by one walk of the BFS tree in distance order."""
+        key = (x, lam)
+        table = self._gcd_cache.get(key)
+        if table is None:
+            if not self.datum.is_dominant(lam):
+                raise InputError(f"weight {lam.coords} is not dominant")
+            # the full graph may be restricted by any dominant weight; a
+            # parabolic graph only by weights whose stabilizer contains J
+            if any(lam.coords[j - 1] for j in self.J):
+                raise InputError("stabilizer of the weight does not contain the graph's J")
+            data = self._bfs(x)
+            via = data["via"]
+            pairing = {k: self.datum.pairing_index(k, lam) for k in self.labels}
+            table = {}
+            for y in data["wt"]:  # BFS order: a target follows its tree parent
+                e = via.get(y)
+                table[y] = 0 if e is None else gcd(table[e.source], pairing[e.label])
+            self._gcd_cache[key] = table
+        return table
+
+    def reachable(self, x: WeylElement, y: WeylElement, b: Fraction, lam: Weight) -> bool:
+        """Whether some path from x to y uses only edges with b<alpha^vee, lam> integral."""
+        g = self.label_gcd(x, lam).get(y)
+        # with b = u/v in lowest terms, b<alpha^vee, lam> is integral on every
+        # label of the path iff v divides every pairing, that is, their gcd
+        return g is not None and g % Fraction(b).denominator == 0
+
+    def shortest_path_weight(self, x: WeylElement, y: WeylElement, lam: Weight) -> int:
+        """<wt(p), lam> for any shortest directed path p from x to y."""
+        data = self._bfs(x)
+        if y not in data["wt"]:
+            raise InternalError("graph is not strongly connected")
+        val = self.datum.pairing(data["wt"][y], lam)
+        if val < 0:
+            raise InternalError("shortest-path weight must be nonnegative")
+        return val
 
 
 def distances(graph, x):

@@ -205,6 +205,38 @@ def test_classical_dimensions(datum, lam, dim):
     assert ch.is_symmetric(datum)
 
 
+def _symmetric_by_reflected_dicts(ch, datum):
+    """The former rule: one whole reflected term dict per simple reflection."""
+    return all(
+        {(characters._reflect(datum, w, i), q): c for (w, q), c in ch.terms.items()} == ch.terms
+        for i in range(datum.rank)
+    )
+
+
+@pytest.mark.parametrize(
+    "datum, lam",
+    [(A2, (1, 1)), (C2, (2, 1)), (G2, (1, 1)), (build_root_datum("B", 3), (0, 1, 1)), (A3, (1, 0, 1))],
+)
+def test_symmetry_check_equals_the_reflected_dict_rule(datum, lam):
+    ch = character_from_qls(datum, Weight(lam))
+    layers = [ch] + [ch.q_layer(q) for q in ch.q_exponents()]
+    for layer in layers:
+        assert layer.is_symmetric(datum) and _symmetric_by_reflected_dicts(layer, datum)
+    # one term moved to a weight of another orbit breaks the symmetry
+    top = next(layer for layer in reversed(layers) if any(any(w) for w, _ in layer.terms))
+    (w, q), c = next((key, c) for key, c in top.terms.items() if any(key[0]))
+    moved = dict(top.terms)
+    del moved[(w, q)]
+    moved[(tuple(x + 1 for x in w), q)] = moved.get((tuple(x + 1 for x in w), q), 0) + c
+    broken = GradedCharacter(datum.rank, moved)
+    assert not broken.is_symmetric(datum)
+    assert not _symmetric_by_reflected_dicts(broken, datum)
+    # a coefficient changed on one term of an orbit, keeping the key set
+    changed = GradedCharacter(datum.rank, {**top.terms, (w, q): c + 1})
+    assert not changed.is_symmetric(datum)
+    assert not _symmetric_by_reflected_dicts(changed, datum)
+
+
 def test_interior_multiplicities():
     # adjoint modules carry the zero weight with multiplicity = rank
     assert weyl_character(A2, Weight((1, 1))).coefficient(Weight((0, 0))) == 2

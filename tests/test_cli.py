@@ -11,6 +11,7 @@ from qalcove import cli, qls_model
 from qalcove.cli import main
 from qalcove.lie_data import InternalError, Weight, build_root_datum
 from qalcove.qls_model import deg, qls_path
+from qalcove.quantum_bruhat import QuantumBruhatGraph
 
 A1 = build_root_datum("A", 1)
 
@@ -92,6 +93,55 @@ def test_qls_accepts_explicit_directions(capsys):
     expected = qls_path(A1, Weight((2,)), (A1.weyl.simple[0], A1.weyl.identity),
                         (Fraction(0), Fraction(1, 2), Fraction(1)))
     assert blob["deg"] == deg(expected)
+
+
+def test_qls_honours_the_budget(capsys):
+    # the same guard as character on the same weight: |W(E6)| times the chain length
+    code, out, err = run(capsys, "qls", "--type", "E", "--rank", "6", "--weight", "1,1,1,1,1,1")
+    assert code == 2 and "job size 8087040 exceeds budget 200000" in err and out == ""
+
+
+QLS_SIDE = [
+    ("character", "--type", "C", "--rank", "2", "--weight", "1,1", "--route", "qls"),
+    ("verify-px", "--type", "B", "--rank", "2", "--weight", "1,1"),
+    ("verify-crystal", "--type", "A", "--rank", "2", "--weight", "1,1"),
+    ("crystal", "--type", "G", "--rank", "2", "--weight", "0,1"),
+    ("perfect", "--type", "C", "--rank", "2"),
+    ("qls", "--type", "C", "--rank", "2", "--weight", "1,1"),
+]
+
+
+@pytest.mark.parametrize("argv", QLS_SIDE)
+def test_qls_side_builds_no_graph_on_weyl_elements(capsys, monkeypatch, argv):
+    # the QLS side reads QB(W^J) on the orbit of lambda; only the inverse of
+    # the bijection, which no command runs, builds it on Weyl elements
+    built = []
+    init = QuantumBruhatGraph.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(QuantumBruhatGraph, "__init__", counted)
+    monkeypatch.setattr(qls_model, "_parabolic_cache", {})
+    code, _, _ = run(capsys, *argv)
+    assert code == 0 and built == []
+
+
+@pytest.mark.parametrize("argv", [QLS_SIDE[0], QLS_SIDE[3], QLS_SIDE[5]])
+def test_qls_commands_compose_no_weyl_element(capsys, monkeypatch, argv):
+    # the size guard reads |W| off the root heights, which interns the
+    # identity and the simple reflections; the paths and their printed words
+    # are computed on weights, so no other element is ever made
+    data = []
+
+    def recorded(label, rank):
+        data.append(build_root_datum(label, rank))
+        return data[-1]
+
+    monkeypatch.setattr(cli, "build_root_datum", recorded)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0 and len(data[0].weyl.elements) == data[0].rank + 1
 
 
 def test_crystal_formats(capsys):

@@ -1,13 +1,15 @@
 """Quantum LS paths: validation, operators, degree, involutions, tensors."""
 
+import gc
 import itertools
 import json
+import weakref
 from fractions import Fraction
 
 import pytest
 
 from qalcove import qls_model
-from qalcove.lie_data import InputError, InternalError, RootDatum, Weight, build_root_datum
+from qalcove.lie_data import InputError, InternalError, Weight, build_root_datum
 from qalcove.qls_model import (
     CrystalGraph,
     build_crystal,
@@ -24,7 +26,7 @@ from qalcove.qls_model import (
     straight_path,
     tensor,
 )
-from qalcove.quantum_bruhat import QuantumBruhatGraph
+from qalcove.quantum_bruhat import OrbitGraph, orbit_graph
 
 A1 = build_root_datum("A", 1)
 A2 = build_root_datum("A", 2)
@@ -37,6 +39,12 @@ def path(datum, lam, directions, breaks):
     return qls_path(datum, Weight(lam), directions, breaks)
 
 
+def cosets(eta):
+    """The minimal coset representatives x_k with x_k(lambda) = mu_k, built
+    from the printed words."""
+    return tuple(qls_model._as_element(eta.datum, word) for word in eta.words)
+
+
 def omega_affine(datum, j):
     return 0 if j == 0 else datum.weyl.omega[j - 1]
 
@@ -44,11 +52,11 @@ def omega_affine(datum, j):
 def deg_of_involution(eta):
     """Degree of the Lusztig involution of eta from eta's own break data:
     minus the sum of b_k times the segment path weights."""
-    graph = qls_model._parabolic_graph(eta.datum, eta.J)
-    cosets = eta.cosets
+    graph = orbit_graph(eta.datum, eta.lam)
+    points = eta.directions
     total = -sum(
-        eta.breaks[k] * graph.shortest_path_weight(cosets[k], cosets[k - 1], eta.lam)
-        for k in range(1, len(cosets))
+        eta.breaks[k] * graph.path_weight(points[k], points[k - 1])
+        for k in range(1, len(points))
     )
     assert total.denominator == 1
     return int(total)
@@ -95,7 +103,7 @@ def test_straight_paths_always_valid():
         for x in datum.weyl.coset_reps(J):
             eta = straight_path(datum, lam, x)
             assert eta.directions == (x.act_weight(lam),)
-            assert eta.cosets == (x,)
+            assert cosets(eta) == (x,)
 
 
 def test_rejects_non_dominant_weight():
@@ -333,11 +341,11 @@ def test_points_and_representatives_agree():
             return out
 
         for eta in build_crystal(datum, Weight(lam)).vertices:
-            assert eta.directions == tuple(x.act_weight(eta.lam) for x in eta.cosets)
-            assert all(weyl.min_coset_rep(x, J) == x for x in eta.cosets)
-            assert dual(eta).cosets == tuple(weyl.min_coset_rep(x * w0, om_J) for x in reversed(eta.cosets))
-            assert lusztig_S(eta).cosets == tuple(weyl.min_coset_rep(w0 * x, J) for x in reversed(eta.cosets))
-            assert omega(eta).cosets == tuple(omega_image(x) for x in eta.cosets)
+            assert eta.directions == tuple(x.act_weight(eta.lam) for x in cosets(eta))
+            assert all(weyl.min_coset_rep(x, J) == x for x in cosets(eta))
+            assert cosets(dual(eta)) == tuple(weyl.min_coset_rep(x * w0, om_J) for x in reversed(cosets(eta)))
+            assert cosets(lusztig_S(eta)) == tuple(weyl.min_coset_rep(w0 * x, J) for x in reversed(cosets(eta)))
+            assert cosets(omega(eta)) == tuple(omega_image(x) for x in cosets(eta))
 
 
 def test_dual_lands_in_the_contragredient_shape():
@@ -465,17 +473,38 @@ def test_enumeration_rejects_non_dominant_weight():
 
 
 def test_enumeration_keeps_the_integrality_checks(monkeypatch):
-    # a fresh graph cache, so the faked data neither meets nor leaves a cached table
-    monkeypatch.setattr(qls_model, "_parabolic_cache", {})
-    monkeypatch.setattr(QuantumBruhatGraph, "shortest_path_weight", lambda self, x, y, lam: 1)
-    # (s1, e; 0, 1/2, 1) of shape 2w1 has -deg (1 - 1/2) * 1 = 1/2
-    with pytest.raises(InternalError, match=r"degree -1/2 is not an integer"):
-        list(enumerate_paths(A1, Weight((2,))))
-    monkeypatch.setattr(qls_model, "_parabolic_cache", {})
-    monkeypatch.setattr(RootDatum, "pairing_index", lambda self, k, lam: 3)
+    # each fake acts on the orbit graph of a fresh datum, so the faked tables
+    # neither meet nor leave a cached graph
+    reach = OrbitGraph.reach
+
+    def weights_one(self, y):
+        return reach(self, y)[0], [0 if x == y else 1 for x in range(len(self.points))]
+
+    with monkeypatch.context() as m:
+        m.setattr(OrbitGraph, "reach", weights_one)
+        # (s1, e; 0, 1/2, 1) of shape 2w1 has -deg (1 - 1/2) * 1 = 1/2
+        with pytest.raises(InternalError, match=r"degree -1/2 is not an integer"):
+            list(enumerate_paths(build_root_datum("A", 1), Weight((2,))))
+    graph = orbit_graph(fresh := build_root_datum("A", 1), Weight((1,)))
+    monkeypatch.setattr(graph, "pairings", (3,))
+    monkeypatch.setattr(graph, "reach", lambda y: ([0 if x == y else 3 for x in range(2)], reach(graph, y)[1]))
     # with every pairing 3, (s1, e; 0, 1/3, 1) of shape w1 weighs -1/3 + 2/3
     with pytest.raises(InternalError, match=r"weight .* is not integral"):
-        list(enumerate_paths(A1, Weight((1,))))
+        list(enumerate_paths(fresh, Weight((1,))))
+
+
+def _enumerate_on_a_fresh_datum():
+    d = build_root_datum("C", 2)
+    assert sum(1 for _ in enumerate_paths(d, d.rho)) == 20
+    assert list(d._orbit_graphs) == [d.rho]
+    return weakref.ref(d)
+
+
+def test_enumeration_keeps_no_datum_alive():
+    # the orbit graph lives on the datum, so nothing outlives it
+    ref = _enumerate_on_a_fresh_datum()
+    gc.collect()
+    assert ref() is None
 
 
 # ------------------------------------------------------------ crystal builder

@@ -1,23 +1,38 @@
 """Quantum Bruhat graphs, restricted reachability, orderings, and tilted minima."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from qalcove.alcove_model import lex_chain
 from qalcove.lie_data import InputError, Weight, build_root_datum
-from qalcove.qls_model import _reach_tables
+from qalcove.qls_model import straight_path
 from qalcove.quantum_bruhat import (
     BRUHAT,
     QUANTUM,
-    QuantumBruhatGraph,
     build_qbg,
     qbg_step,
     increasing_paths_from,
+    orbit_graph,
     reflection_ordering,
     tilted_minimum,
 )
-from qbg_reference import distance, is_strongly_connected, shortest_paths
+from qbg_reference import QueryGraph, distance, is_strongly_connected, shortest_paths
+
+
+def _on_weyl_elements(d, lam):
+    """The orbit graph of lam read on W^J through x -> x(lam): its
+    reachability and its shortest-path weight as functions of elements."""
+    graph = orbit_graph(d, lam)
+
+    def reachable(x, y, b):
+        return graph.reachable(x.act_weight(lam), y.act_weight(lam), b)
+
+    def weight(x, y):
+        return graph.path_weight(x.act_weight(lam), y.act_weight(lam))
+
+    return reachable, weight
 
 
 def test_a1_full_graph():
@@ -93,7 +108,7 @@ def test_step_memo_equals_the_direct_rule(label, rank, J, monkeypatch):
 
 def test_parabolic_vertex_count():
     d = build_root_datum("A", 2)
-    g = build_qbg(d, frozenset({2}))
+    g = QueryGraph(d, frozenset({2}))
     assert len(g.vertices) == 3
     # x -> x(lam) is a bijection from W^J onto the orbit of lam
     lam = Weight((1, 0))
@@ -135,29 +150,32 @@ def test_restrict_integral_keeps_everything():
     d = build_root_datum("A", 2)
     g = build_qbg(d)
     lam = d.rho
+    reachable, _ = _on_weyl_elements(d, lam)
     for x in g.vertices:
         plain = _reach(g.adjacency, x)
         for y in g.vertices:
-            assert g.reachable(x, y, Fraction(1), lam) == (y in plain)
+            assert reachable(x, y, Fraction(1)) == (y in plain)
 
 
 def test_restrict_a1():
     d = build_root_datum("A", 1)
-    g = build_qbg(d)
     lam = Weight((2,))
+    reachable, _ = _on_weyl_elements(d, lam)
     e, s1 = d.weyl.identity, d.weyl.simple[0]
-    assert g.reachable(e, s1, Fraction(1, 2), lam) and g.reachable(s1, e, Fraction(1, 2), lam)
-    assert not g.reachable(e, s1, Fraction(1, 3), lam)
-    assert not g.reachable(s1, e, Fraction(1, 3), lam)
+    assert reachable(e, s1, Fraction(1, 2)) and reachable(s1, e, Fraction(1, 2))
+    assert not reachable(e, s1, Fraction(1, 3))
+    assert not reachable(s1, e, Fraction(1, 3))
 
 
 def test_restrict_rejects_bad_weight():
     d = build_root_datum("A", 2)
-    g = build_qbg(d)
+    g = QueryGraph(d)
     e = d.weyl.identity
     with pytest.raises(InputError):
         g.reachable(e, e, Fraction(1, 2), Weight((-1, 0)))
-    para = build_qbg(d, frozenset({1}))
+    with pytest.raises(InputError, match="dominant"):
+        orbit_graph(d, Weight((-1, 0)))
+    para = QueryGraph(d, frozenset({1}))
     with pytest.raises(InputError):
         para.reachable(e, e, Fraction(1, 2), Weight((1, 0)))  # stabilizer {2} misses J={1}
     # the full graph accepts weights with any stabilizer
@@ -183,9 +201,10 @@ REACHABILITY_CASES = [
 
 @pytest.mark.parametrize("label,rank,coords,J", REACHABILITY_CASES)
 def test_reachable_matches_a_search_of_the_restricted_graph(label, rank, coords, J):
+    # the reference query on Weyl elements that the orbit graph is checked against
     d = build_root_datum(label, rank)
     lam = Weight(coords)
-    g = build_qbg(d, d.stabilizer(lam) if J is None else frozenset(J))
+    g = QueryGraph(d, d.stabilizer(lam) if J is None else frozenset(J))
     pairings = {d.pairing_index(k, lam) for k in g.labels}
     breaks = {Fraction(a, p) for p in pairings for a in range(1, p)} | {Fraction(1, 7)}
     outcomes = set()
@@ -203,28 +222,36 @@ def test_reachable_matches_a_search_of_the_restricted_graph(label, rank, coords,
 @pytest.mark.parametrize("label,rank,coords,J", REACHABILITY_CASES)
 def test_enumeration_tables_match_a_search_of_the_restricted_graph(label, rank, coords, J):
     # the QLS enumerator lets y follow x at b exactly when den(b) divides
-    # the label gcd of its table; that must be reachability of x from y
+    # the label gcd in the orbit graph's reach table of y; that must be
+    # reachability of x from y
     d = build_root_datum(label, rank)
     lam = Weight(coords)
-    g = build_qbg(d, d.stabilizer(lam) if J is None else frozenset(J))
+    g = QueryGraph(d, d.stabilizer(lam) if J is None else frozenset(J))
     pairings = {d.pairing_index(k, lam) for k in g.labels}
-    tables = _reach_tables(g, lam)
+    if J is None:
+        orbit = orbit_graph(d, lam)
+        at = {x: orbit.index[x.act_weight(lam)] for x in g.vertices}
+        gcds = {y: dict(zip(g.vertices, (orbit.reach(at[y])[0][at[x]] for x in g.vertices))) for y in g.vertices}
+    else:
+        # a full graph restricted by a weight with a nonempty stabilizer has
+        # no orbit graph; the reference table is checked instead
+        gcds = {y: g.label_gcd(y, lam) for y in g.vertices}
     for b in sorted({Fraction(a, p) for p in pairings for a in range(1, p)} | {Fraction(1, 7)}):
         kept = _restricted(g, b, lam)
         reach = {y: _reach(kept, y) for y in g.vertices}
         for x in g.vertices:
-            followers = {y for y, gcd, _ in tables[x] if gcd % b.denominator == 0}
+            followers = {y for y in g.vertices if y != x and gcds[y][x] % b.denominator == 0}
             assert followers == {y for y in g.vertices if y != x and x in reach[y]}, (label, coords, b)
 
 
 def test_shortest_path_weights_a1():
     d = build_root_datum("A", 1)
-    g = build_qbg(d)
     lam = Weight((2,))
+    _, weight = _on_weyl_elements(d, lam)
     e, s1 = d.weyl.identity, d.weyl.simple[0]
-    assert g.shortest_path_weight(e, e, lam) == 0
-    assert g.shortest_path_weight(s1, e, lam) == 2
-    assert g.shortest_path_weight(e, s1, lam) == 0
+    assert weight(e, e) == 0
+    assert weight(s1, e) == 2
+    assert weight(e, s1) == 0
 
 
 def test_strong_connectivity():
@@ -255,6 +282,7 @@ def test_all_shortest_paths_share_their_pairing():
     for label, rank, lam in cases:
         d = build_root_datum(label, rank)
         g = build_qbg(d, d.stabilizer(lam))
+        _, weight = _on_weyl_elements(d, lam)
         for x in g.vertices:
             for y in g.vertices:
                 paths = shortest_paths(g, x, y)
@@ -266,7 +294,55 @@ def test_all_shortest_paths_share_their_pairing():
                     )
                     vals.add(d.pairing(wt, lam))
                 assert len(vals) == 1
-                assert vals.pop() == g.shortest_path_weight(x, y, lam)
+                assert vals.pop() == weight(x, y)
+
+
+# the cases on which the orbit graph is compared with the graph on Weyl elements
+ORBIT_CASES = [
+    ("A", 2, (1, 1)),
+    ("A", 3, (1, 0, 1)),
+    ("B", 3, (0, 1, 1)),
+    ("C", 3, (1, 0, 1)),
+    ("G", 2, (2, 1)),
+    ("G", 2, (0, 1)),
+    ("D", 4, (0, 1, 0, 0)),
+    ("F", 4, (1, 0, 0, 1)),
+    ("E", 6, (0, 1, 0, 0, 0, 0)),
+    ("A", 5, (1, 1, 1, 1, 1)),
+    ("E", 7, (1, 0, 0, 0, 0, 0, 0)),
+    ("E", 8, (0, 0, 0, 0, 0, 0, 0, 1)),
+]
+
+
+@pytest.mark.parametrize("label,rank,coords", ORBIT_CASES)
+def test_orbit_graph_is_the_weyl_graph_read_on_the_orbit(label, rank, coords):
+    # x -> x(lambda) carries every edge x -> y of QB(W^J) with label alpha to
+    # (y(lambda), kind, <alpha^vee, lambda>, <wt, lambda>) of the orbit graph
+    d = build_root_datum(label, rank)
+    lam = Weight(coords)
+    g = build_qbg(d, d.stabilizer(lam))
+    orbit = orbit_graph(d, lam)
+    assert orbit_graph(d, lam) is orbit
+    assert len(orbit.points) == len(g.vertices)
+    assert orbit.pairings == tuple(sorted({d.pairing_index(k, lam) for k in g.labels}))
+    for x in g.vertices:
+        n = orbit.index[x.act_weight(lam)]
+        assert orbit.lengths[n] == x.length
+        mapped = Counter(
+            (e.target.act_weight(lam), e.kind, d.pairing_index(e.label, lam), d.pairing(e.weight, lam))
+            for e in g.adjacency[x]
+        )
+        assert mapped == Counter((orbit.points[t], kind, p, w) for t, kind, p, w in orbit.edges[n])
+
+
+@pytest.mark.parametrize("label,rank,coords", ORBIT_CASES)
+def test_words_read_off_the_weight_are_the_reduced_words(label, rank, coords):
+    d = build_root_datum(label, rank)
+    lam = Weight(coords)
+    for x in d.weyl.coset_reps(d.stabilizer(lam)):
+        eta = straight_path(d, lam, x)
+        assert eta.words == (x.reduced_word(),)
+        assert repr(eta) == f"({x!r}; 0, 1)"
 
 
 def _tilde_pairing(d, j, mu):
@@ -292,6 +368,7 @@ def test_weight_recursions_under_affine_reflections():
         d = build_root_datum(label, rank)
         J = d.stabilizer(lam)
         g = build_qbg(d, J)
+        _, weight = _on_weyl_elements(d, lam)
         proj = lambda w: d.weyl.min_coset_rep(w, J)
         for j in range(0, d.rank + 1):
             s = _s_j(d, j)
@@ -300,20 +377,20 @@ def test_weight_recursions_under_affine_reflections():
                 p1 = _tilde_pairing(d, j, w1.act_weight(lam))
                 for w2 in g.vertices:
                     p2 = _tilde_pairing(d, j, w2.act_weight(lam))
-                    base = g.shortest_path_weight(w1, w2, lam)
+                    base = weight(w1, w2)
                     if p1 > 0 and p2 <= 0:
                         assert (
-                            g.shortest_path_weight(proj(s * w1), w2, lam)
+                            weight(proj(s * w1), w2)
                             == base - delta * p1
                         )
                     if p1 < 0 and p2 < 0:
                         assert (
-                            g.shortest_path_weight(proj(s * w1), proj(s * w2), lam)
+                            weight(proj(s * w1), proj(s * w2))
                             == base - delta * p1 + delta * p2
                         )
                     if p1 >= 0 and p2 < 0:
                         assert (
-                            g.shortest_path_weight(w1, proj(s * w2), lam)
+                            weight(w1, proj(s * w2))
                             == base + delta * p2
                         )
 
