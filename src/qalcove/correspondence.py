@@ -1,9 +1,10 @@
 """Bijection between admissible subsets and quantum LS paths.
 
 The forgetful map reads the relative heights of an admissible subset's
-positions, groups them into break values, and emits a path whose directions
-are the orbit points w_k(lambda) of the prefix products w_k of the subset's
-reflections, and its dual with the points -w_k(lambda).
+positions, groups them into break values (integers over L, as the paths
+hold them), and emits a path whose directions are the orbit points
+w_k(lambda) of the prefix products w_k of the subset's reflections, and its
+dual with the points -w_k(lambda).
 The inverse rebuilds the subset from tilted minima and label-increasing
 paths in the quantum Bruhat graph.  On top of the two maps sit machine
 checks of the operator intertwining, the energy identity, and the crystal
@@ -18,7 +19,7 @@ from fractions import Fraction
 from . import alcove_model, qls_model
 from .alcove_model import AdmissibleSubset, LambdaChain, lex_chain, require_lex
 from .lie_data import InputError, InternalError, RootDatum, Weight, WeylElement
-from .qls_model import QLSPath, qls_path
+from .qls_model import QLSPath, grid_path
 from .quantum_bruhat import orbit_graph, reflection_ordering, tilted_minimum
 
 
@@ -37,14 +38,15 @@ def _chain_ordering(chain: LambdaChain) -> tuple[int, ...]:
 class CorrespondenceRecord:
     """An admissible subset with both of its path images and the grouping data.
 
-    breaks holds 0 = b_0 < b_1 < ... < b_p and elements the Weyl group
-    elements w_0, ..., w_p read off at the group boundaries.
+    breaks holds 0 = b_0 < b_1 < ... < b_p times L, the paths' break
+    denominator, and elements the Weyl group elements w_0, ..., w_p read off
+    at the group boundaries.
     """
 
     subset: AdmissibleSubset
     pi: QLSPath
     pi_star: QLSPath
-    breaks: tuple[Fraction, ...]
+    breaks: tuple[int, ...]
     elements: tuple[WeylElement, ...]
 
 
@@ -52,28 +54,27 @@ def forgetful(A: AdmissibleSubset) -> CorrespondenceRecord:
     """Both path images of an admissible subset over a lex chain."""
     chain = A.chain
     require_lex(chain)
-    datum = chain.datum
-    lam = chain.lam
+    datum, lam = chain.datum, chain.lam
+    L = orbit_graph(datum, lam).L
 
+    # the relative heights times L; each label's pairing divides L
     heights = [
-        Fraction(chain.entries[p - 1].level, datum.pairing_index(chain.entries[p - 1].root, lam))
+        chain.entries[p - 1].level * (L // datum.pairing_index(chain.entries[p - 1].root, lam))
         for p in A.positions
     ]
     if any(a > b for a, b in zip(heights, heights[1:])):
         raise InternalError("relative heights must be weakly increasing on a lex chain")
-    breaks = sorted({Fraction(0)} | set(heights))
+    breaks = sorted({0} | set(heights))
     # w_k is the prefix product after the last position at relative height b_k
-    elements = tuple(
-        A.path[sum(1 for t in heights if t <= b)] for b in breaks
-    )
+    elements = tuple(A.path[sum(1 for t in heights if t <= b)] for b in breaks)
 
     # pi has shape -w0(lam) and points -w_k(lam); pi_star reverses w_k(lam)
     points = tuple(w.act_weight(lam) for w in elements)
-    pi_breaks = tuple(breaks) + (Fraction(1),)
-    star_breaks = (Fraction(0),) + tuple(1 - b for b in reversed(breaks[1:])) + (Fraction(1),)
+    pi_breaks = tuple(breaks) + (L,)
+    star_breaks = (0,) + tuple(L - b for b in reversed(breaks[1:])) + (L,)
     try:
-        pi = qls_path(datum, qls_model.minus_w0(datum, lam), tuple(-mu for mu in points), pi_breaks)
-        pi_star = qls_path(datum, lam, points[::-1], star_breaks)
+        pi = grid_path(datum, qls_model.minus_w0(datum, lam), tuple(-mu for mu in points), pi_breaks, L)
+        pi_star = grid_path(datum, lam, points[::-1], star_breaks, L)
     except InputError as exc:
         raise InternalError(f"forgetful image failed validation: {exc}") from exc
     if pi_star != qls_model.dual(pi):
@@ -105,15 +106,15 @@ def inverse(eta: QLSPath, chain: LambdaChain | None = None) -> AdmissibleSubset:
     sigmas = [qls_model._as_element(datum, word) for word in qls_model.dual(eta).words[::-1]]
     positions: list[int] = []
     current = datum.weyl.identity
-    for sigma, b in zip(sigmas, eta.breaks):
+    for sigma, c in zip(sigmas, eta.cuts):
         current, path = tilted_minimum(graph, current, sigma, J, order)
         for edge in path:
-            level = b * datum.pairing_index(edge.label, lam)
-            if level.denominator != 1:
+            level, off = divmod(c * datum.pairing_index(edge.label, lam), eta.L)
+            if off:
                 raise InternalError(
-                    f"edge label pairs non-integrally at relative height {b}"
+                    f"edge label pairs non-integrally at relative height {Fraction(c, eta.L)}"
                 )
-            positions.append(position_of[(edge.label, int(level))])
+            positions.append(position_of[(edge.label, level)])
     if any(a >= b for a, b in zip(positions, positions[1:])):
         raise InternalError("reconstructed positions are not increasing")
     return AdmissibleSubset(chain, tuple(positions))
@@ -193,24 +194,22 @@ def verify_energy(
     violations: list[dict] = []
     for rec in records.values():
         A = rec.subset
-        sigmas = rec.pi_star.directions[::-1]
+        sigmas, L = rec.pi_star.directions[::-1], rec.pi.L
         total = sum(
-            (
-                (1 - b) * graph.path_weight(prev, nxt)
-                for prev, nxt, b in zip(sigmas, sigmas[1:], rec.pi.breaks[1:])
-            ),
-            Fraction(0),
+            (L - c) * graph.path_weight(prev, nxt)
+            for prev, nxt, c in zip(sigmas, sigmas[1:], rec.pi.cuts[1:])
         )
         reversed_dual = qls_model.lusztig_S(rec.pi_star)
         values = {
             "height": A.height,
-            "graph_sum": total,
+            # printed as the fraction it is when L does not divide it
+            "graph_sum": Fraction(total, L) if total % L else total // L,
             "deg_pi": -qls_model.deg(rec.pi),
             "deg_reversed_dual": -qls_model.deg(reversed_dual),
         }
         if reversed_dual != qls_model.omega(rec.pi):
             violations.append({"positions": list(A.positions), "kind": "reversal"})
-        if len({Fraction(v) for v in values.values()}) != 1:
+        if len(set(values.values())) != 1:
             violations.append(
                 {"positions": list(A.positions), "kind": "energy", "values": {k: str(v) for k, v in values.items()}}
             )

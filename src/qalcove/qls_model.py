@@ -1,29 +1,31 @@
 """Quantum LS paths and their affine crystal structure.
 
-A path of shape lambda has rational break points and on each segment a
-direction: the orbit point mu_k = x_k(lambda) of some x_k in W^J (J the
-stabilizer of lambda).  Consecutive points must be joined by a directed path
-in the suitably restricted parabolic quantum Bruhat graph, which is read on
-the orbit of lambda (`quantum_bruhat.OrbitGraph`), so no Weyl element is
-built: a direction given as a Weyl word is turned into its point at the
-boundary, and a point is printed as the word read off its coordinates.  This
-module provides validation, a direct enumeration of QLS(lambda) from that
-definition (what the characters sum over), the root operators e_j/f_j for j
-in the affine index set (they reflect a window of points), the degree
-statistic, duality and the Lusztig involution, the crystal graph on the
-enumerated QLS(lambda), whose operator images are checked by lookup in that
-set, and tensor products of crystals under the Kashiwara convention.
+A path of shape lambda has break points and on each segment a direction:
+the orbit point mu_k = x_k(lambda) of some x_k in W^J (J the stabilizer of
+lambda).  Every break is a multiple of 1/L, L the lcm of the label pairings
+<alpha^vee, lambda>, so a path holds its breaks as integers over L; they
+become fractions only at the input (`qls_path`) and in the output.
+Consecutive points must be joined by a directed path in the suitably
+restricted parabolic quantum Bruhat graph, read on the orbit of lambda
+(`quantum_bruhat.OrbitGraph`), so no Weyl element is built: a direction
+given as a Weyl word is turned into its point at the boundary, and a point
+is printed as the word read off its coordinates.  This module provides
+validation, a direct enumeration of QLS(lambda) from that definition (what
+the characters sum over), the root operators e_j/f_j for j in the affine
+index set (they reflect a window of points), the degree statistic, duality
+and the Lusztig involution, the crystal graph on the enumerated QLS(lambda),
+whose operator images are checked by lookup in that set, and tensor
+products of crystals under the Kashiwara convention.
 """
 
 from __future__ import annotations
 
 import bisect
 import itertools
-import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 
 from .lie_data import (
     InputError,
@@ -54,19 +56,25 @@ def minus_w0(datum: RootDatum, mu: Weight) -> Weight:
 @dataclass(frozen=True)
 class QLSPath:
     """A validated quantum LS path; build through :func:`qls_path`.  Its
-    directions are the orbit points x_k(lambda)."""
+    directions are the orbit points x_k(lambda) and its breaks are cuts / L."""
 
     datum: RootDatum
     lam: Weight
     directions: tuple[Weight, ...]
-    breaks: tuple[Fraction, ...]
+    cuts: tuple[int, ...]
+    L: int
 
     def __hash__(self) -> int:
         return self._hash
 
     @cached_property
     def _hash(self) -> int:
-        return hash((self.lam, self.directions, self.breaks))
+        return hash((self.lam, self.directions, self.cuts))
+
+    @property
+    def breaks(self) -> tuple[Fraction, ...]:
+        """The break points as fractions."""
+        return tuple(Fraction(c, self.L) for c in self.cuts)
 
     def __repr__(self) -> str:
         dirs = ", ".join("*".join(f"s{i}" for i in w) if w else "e" for w in self.words)
@@ -90,14 +98,10 @@ class QLSPath:
     @cached_property
     def weight(self) -> Weight:
         """Sum over the segments of (b_{k+1} - b_k) times mu_k."""
-        total = [Fraction(0)] * self.datum.rank
-        for k, mu in enumerate(self.directions):
-            seg = self.breaks[k + 1] - self.breaks[k]
-            for i, c in enumerate(mu.coords):
-                total[i] += seg * c
-        if any(c.denominator != 1 for c in total):
-            raise InternalError(f"weight {tuple(total)} is not integral")
-        return Weight(tuple(int(c) for c in total))
+        total = [0] * self.datum.rank
+        for a, b, mu in zip(self.cuts, self.cuts[1:], self.directions):
+            total = [t + (b - a) * c for t, c in zip(total, mu.coords)]
+        return _integral_weight(total, self.L)
 
     def to_json_dict(self) -> dict:
         return {
@@ -128,9 +132,7 @@ def qls_path(datum: RootDatum, lam: Weight, directions, breaks) -> QLSPath:
     consecutive directions must be joined by a directed path in the parabolic
     graph restricted at the break between them.
     """
-    if not datum.is_dominant(lam):
-        raise InputError(f"weight {lam.coords} is not dominant")
-    J = datum.stabilizer(lam)
+    graph = orbit_graph(datum, lam)  # refuses a weight that is not dominant
     dirs = tuple(x if isinstance(x, Weight) else _as_element(datum, x) for x in directions)
     if not dirs:
         raise InputError("a path needs at least one direction")
@@ -141,57 +143,81 @@ def qls_path(datum: RootDatum, lam: Weight, directions, breaks) -> QLSPath:
         raise InputError("breaks must start at 0 and end at 1")
     if any(a >= b for a, b in zip(cuts, cuts[1:])):
         raise InputError("breaks must be strictly increasing")
-    graph = orbit_graph(datum, lam)
-    points = []
     for k, x in enumerate(dirs, start=1):
-        if isinstance(x, WeylElement):
-            if datum.weyl.min_coset_rep(x, J) != x:
-                raise InputError(f"direction {k} is not a minimal coset representative")
-            x = x.act_weight(lam)
-        if x not in graph.index:
+        if isinstance(x, WeylElement) and datum.weyl.min_coset_rep(x, datum.stabilizer(lam)) != x:
+            raise InputError(f"direction {k} is not a minimal coset representative")
+    points = tuple(x.act_weight(lam) if isinstance(x, WeylElement) else x for x in dirs)
+    scale = lcm(graph.L, *(b.denominator for b in cuts))
+    return grid_path(datum, lam, points, tuple(b.numerator * (scale // b.denominator) for b in cuts), scale)
+
+
+def grid_path(datum: RootDatum, lam: Weight, points: tuple, cuts: tuple, scale: int = 0) -> QLSPath:
+    """The path with orbit points `points` and breaks cuts / scale (scale L
+    by default), checked as qls_path checks its points.  Those checks put
+    every break on the grid of 1/L, over which the path keeps them."""
+    graph = orbit_graph(datum, lam)
+    L, scale = graph.L, scale or graph.L
+    for k, mu in enumerate(points, start=1):
+        if mu not in graph.index:
             raise InputError(f"direction {k} is not in the orbit of lambda")
-        points.append(x)
     for k in range(1, len(points)):
         if points[k - 1] == points[k]:
             raise InputError(f"directions {k} and {k + 1} coincide")
-        if not graph.reachable(points[k], points[k - 1], cuts[k]):
+        if not graph.reachable(points[k], points[k - 1], scale // gcd(cuts[k], scale)):
             raise InputError(
                 f"segment {k}: no directed path from direction {k + 1} to "
                 f"direction {k} once edges with non-integral "
-                f"{cuts[k]}*<alpha^vee, lambda> are removed"
+                f"{Fraction(cuts[k], scale)}*<alpha^vee, lambda> are removed"
             )
-    return QLSPath(datum, lam, tuple(points), cuts)
+    if scale != L:
+        cuts = tuple(c * L // scale for c in cuts)
+    return QLSPath(datum, lam, points, cuts, L)
 
 
 def straight_path(datum: RootDatum, lam: Weight, x: WeylElement | None = None) -> QLSPath:
     """The single-segment path in direction x(lam) (default: lam itself)."""
     point = lam if x is None else x.act_weight(lam)
-    return qls_path(datum, lam, (point,), (Fraction(0), Fraction(1)))
+    return grid_path(datum, lam, (point,), (0, 1), 1)
+
+
+def _integral_weight(total: list[int], L: int) -> Weight:
+    """The weight total / L, which must be integral."""
+    if any(c % L for c in total):
+        raise InternalError(f"weight {tuple(Fraction(c, L) for c in total)} is not integral")
+    return Weight(tuple(c // L for c in total))
+
+
+def _whole(n: int, L: int, what: str) -> int:
+    """n / L, which must be an integer."""
+    q, r = divmod(n, L)
+    if r:
+        raise InternalError(f"{what} {Fraction(n, L)} is not an integer")
+    return q
 
 
 # --------------------------------------------------------------- enumeration
 
 
 def enumerate_paths(datum: RootDatum, lam: Weight):
-    """Every path of QLS(lam) once, as (points, breaks, weight, -deg).
+    """Every path of QLS(lam) once, as (points, cuts, weight, -deg), the
+    breaks being cuts / L.
 
     The paper's definition read as a search: a path is x_1, ..., x_s in W^J
     with breaks 0 = b_0 < ... < b_s = 1, where x_{k+1} != x_k reaches x_k in
     the graph restricted at b_k.  An explicit-stack DFS from each x_1 grows
     one segment per step; every node closes at 1 into a path, so each node
     is an output.  A break b is u/v in lowest terms with v dividing a pairing
-    p = <alpha^vee, lam> of a label, so breaks are kept as integers over the
-    lcm L of those p, and the weight and -deg are carried times L.  Vertices
-    are the orbit graph's indices, and its reach tables give each step.
+    p = <alpha^vee, lam> of a label, so b is a multiple of 1/L, and the
+    breaks, the weight and -deg are carried times L.  Vertices are the orbit
+    graph's indices, and its reach tables give each step.
     """
     graph = orbit_graph(datum, lam)
-    L = math.lcm(*graph.pairings)
+    L = graph.L
     # the candidate breaks a/L in increasing order, each with its denominator
-    candidates = sorted({a * L // p for p in graph.pairings for a in range(1, p)})
-    cuts = [(a, Fraction(a, L), L // math.gcd(a, L)) for a in candidates]
+    cuts = [(a, L // gcd(a, L)) for a in sorted({a * L // p for p in graph.pairings for a in range(1, p)})]
     # children[x][v]: the (y, path weight from y to x) pairs that may follow x
     # at a break of denominator v
-    dens = {v for _, _, v in cuts}
+    dens = {v for _, v in cuts}
     n = len(graph.points)
     children: list[dict[int, list]] = [{v: [] for v in dens} for _ in range(n)]
     for y in range(n):
@@ -203,86 +229,86 @@ def enumerate_paths(datum: RootDatum, lam: Weight):
                         children[x][v].append((y, weights[x]))
     points = graph.points
     zero = (0,) * datum.rank
-    one = Fraction(1)
-    stack = [(x, 0, zero, 0, (points[x],), (Fraction(0),)) for x in range(n)]
+    stack = [(x, 0, zero, 0, (points[x],), (0,)) for x in range(n)]
     while stack:
         x, start, wt, neg_deg, path, breaks = stack.pop()
         mu = points[x].coords
-        total = tuple(c + (L - start) * m for c, m in zip(wt, mu))
-        if any(c % L for c in total):
-            raise InternalError(f"weight {tuple(Fraction(c, L) for c in total)} is not integral")
-        if neg_deg % L:
-            raise InternalError(f"degree {Fraction(-neg_deg, L)} is not an integer")
-        yield path, breaks + (one,), Weight(tuple(c // L for c in total)), neg_deg // L
-        for a, b, v in reversed(cuts):
+        weight = _integral_weight([c + (L - start) * m for c, m in zip(wt, mu)], L)
+        yield path, breaks + (L,), weight, -_whole(-neg_deg, L, "degree")
+        for a, v in reversed(cuts):
             if a <= start:
                 break
             grown = tuple(c + (a - start) * m for c, m in zip(wt, mu))
             for y, w in children[x][v]:
-                stack.append((y, a, grown, neg_deg + (L - a) * w, path + (points[y],), breaks + (b,)))
+                stack.append((y, a, grown, neg_deg + (L - a) * w, path + (points[y],), breaks + (a,)))
 
 
 # ----------------------------------------------------------------- operators
 
 
-def _h_breaks(eta: QLSPath, j: int) -> list[Fraction]:
-    """Values of <alpha_tilde_j^vee, eta(t)> at the break points."""
+def _h_breaks(eta: QLSPath, j: int) -> list[int]:
+    """L times the values of <alpha_tilde_j^vee, eta(t)> at the break points."""
     datum = eta.datum
     root, sign = datum.affine_root(j)
     coroot = datum.positive_coroots[root]
-    vals = [Fraction(0)]
+    vals, cuts = [0], eta.cuts
     for k, mu in enumerate(eta.directions):
-        step = sign * datum.pairing(coroot, mu)
-        vals.append(vals[-1] + (eta.breaks[k + 1] - eta.breaks[k]) * step)
+        vals.append(vals[-1] + (cuts[k + 1] - cuts[k]) * sign * datum.pairing(coroot, mu))
     return vals
 
 
-def _checked_minimum(vals: list[Fraction]) -> int:
-    """The global minimum, after asserting every local minimum is integral."""
+def _checked_minimum(vals: list[int], L: int) -> int:
+    """The global minimum of H, after asserting every local minimum is
+    integral: vals are L times H, so L must divide them."""
     runs = [v for v, _ in itertools.groupby(vals)]
     for i, v in enumerate(runs):
         left_up = i == 0 or runs[i - 1] > v
         right_up = i == len(runs) - 1 or runs[i + 1] > v
-        if left_up and right_up and v.denominator != 1:
-            raise InternalError(f"local minimum {v} of H is not an integer")
+        if left_up and right_up and v % L:
+            raise InternalError(f"local minimum {Fraction(v, L)} of H is not an integer")
     m = min(vals)
-    if m.denominator != 1 or m > 0:
-        raise InternalError(f"minimum {m} of H must be a nonpositive integer")
-    return int(m)
+    if m % L or m > 0:
+        raise InternalError(f"minimum {Fraction(m, L)} of H must be a nonpositive integer")
+    return m // L
 
 
-def _reach(vals, breaks, target, i: int, step: int) -> Fraction:
-    """The t nearest breaks[i], scanning from it by step (+1 forwards, -1
-    backwards), with H(t) == target; H is linear between breaks."""
+def _reach(vals, cuts, target, i: int, step: int) -> int:
+    """The cut nearest cuts[i], scanning from it by step (+1 forwards, -1
+    backwards), where H * L == target; H is linear between breaks, and a
+    level it crosses between them must be crossed on the grid of 1/L."""
     while 0 <= i < len(vals):
         if vals[i] == target:
-            return breaks[i]
+            return cuts[i]
         k = i + step
         if 0 <= k < len(vals) and min(vals[i], vals[k]) < target < max(vals[i], vals[k]):
-            return breaks[i] + (target - vals[i]) * (breaks[k] - breaks[i]) / (vals[k] - vals[i])
+            t, off = divmod((target - vals[i]) * (cuts[k] - cuts[i]), vals[k] - vals[i])
+            if off:
+                raise InternalError("H crosses the requested level between two points of the grid")
+            return cuts[i] + t
         i = k
     raise InternalError("H never attains the requested level")
 
 
-def _window(eta: QLSPath, j: int, vals: list[Fraction], m: int, raising: bool):
+def _window(eta: QLSPath, j: int, vals: list[int], m: int, raising: bool):
     """Littelmann's window rule for e_j (raising) or f_j: the image's
-    (points, breaks), or None when the operator is undefined.
+    (points, cuts), or None when the operator is undefined.
 
-    vals are H_j = <alpha_tilde_j^vee, eta(t)> at the breaks and m their
-    checked minimum.  Scan from the first place H_j = m backwards (e_j) or
-    from the last one forwards (f_j) to the nearest place where H_j = m + 1;
-    the image reflects the window between them by s_j, and equal neighbouring
-    points merge.  The operator is undefined when H_j stays below m + 1 all
-    the way to t = 0 (e_j) or t = 1 (f_j).
+    vals are L times H_j = <alpha_tilde_j^vee, eta(t)> at the breaks and m
+    the checked minimum of H_j.  Scan from the first place H_j = m backwards
+    (e_j) or from the last one forwards (f_j) to the nearest place where
+    H_j = m + 1; the image reflects the window between them by s_j, and
+    equal neighbouring points merge.  The operator is undefined when H_j
+    stays below m + 1 all the way to t = 0 (e_j) or t = 1 (f_j).
     """
-    if (vals[0] if raising else vals[-1]) < m + 1:
+    low, high = m * eta.L, (m + 1) * eta.L
+    if (vals[0] if raising else vals[-1]) < high:
         return None
-    minima = [k for k, v in enumerate(vals) if v == m]
+    minima = [k for k, v in enumerate(vals) if v == low]
     anchor, step = (minima[0], -1) if raising else (minima[-1], 1)
-    t0, t1 = sorted((eta.breaks[anchor], _reach(vals, eta.breaks, Fraction(m + 1), anchor, step)))
+    dirs, breaks = eta.directions, eta.cuts
+    t0, t1 = sorted((breaks[anchor], _reach(vals, breaks, high, anchor, step)))
     datum = eta.datum
     root, _ = datum.affine_root(j)
-    dirs, breaks = eta.directions, eta.breaks
     # segment i0 holds t0 and segment i1 - 1 holds t1
     i0 = bisect.bisect_right(breaks, t0) - 1
     i1 = bisect.bisect_left(breaks, t1)
@@ -309,11 +335,11 @@ def _root_operator(eta: QLSPath, j: int, raising: bool) -> QLSPath | None:
     """Littelmann's root operator e_j (raising) or f_j on any path, or None
     when undefined; the image is validated from scratch."""
     vals = _h_breaks(eta, j)
-    image = _window(eta, j, vals, _checked_minimum(vals), raising)
+    image = _window(eta, j, vals, _checked_minimum(vals, eta.L), raising)
     if image is None:
         return None
     try:
-        new = qls_path(eta.datum, eta.lam, *image)
+        new = grid_path(eta.datum, eta.lam, *image)
     except InputError as exc:
         raise InternalError(f"root operator produced an invalid path: {exc}") from exc
     alpha = eta.datum.affine_root_weight(j)
@@ -335,15 +361,13 @@ def f_operator(eta: QLSPath, j: int) -> QLSPath | None:
 
 def epsilon(eta: QLSPath, j: int) -> int:
     """Number of times the raising operator applies: minus the minimum of H_j."""
-    return -_checked_minimum(_h_breaks(eta, j))
+    return -_checked_minimum(_h_breaks(eta, j), eta.L)
 
 
 def phi(eta: QLSPath, j: int) -> int:
     """Number of times the lowering operator applies: H_j(1) minus its minimum."""
     vals = _h_breaks(eta, j)
-    if vals[-1].denominator != 1:
-        raise InternalError(f"H(1) = {vals[-1]} is not an integer")
-    return vals[-1].numerator - _checked_minimum(vals)
+    return _whole(vals[-1], eta.L, "H(1) =") - _checked_minimum(vals, eta.L)
 
 
 # -------------------------------------------------------------------- degree
@@ -352,13 +376,9 @@ def phi(eta: QLSPath, j: int) -> int:
 def deg(eta: QLSPath) -> int:
     """Degree: minus the sum of (1 - b_k) times the segment path weights."""
     graph = orbit_graph(eta.datum, eta.lam)
-    points = eta.directions
-    total = Fraction(0)
-    for k in range(1, len(points)):
-        total -= (1 - eta.breaks[k]) * graph.path_weight(points[k], points[k - 1])
-    if total.denominator != 1:
-        raise InternalError(f"degree {total} is not an integer")
-    return int(total)
+    points, cuts = eta.directions, eta.cuts
+    total = -sum((eta.L - cuts[k]) * graph.path_weight(points[k], points[k - 1]) for k in range(1, len(points)))
+    return _whole(total, eta.L, "degree")
 
 
 # ------------------------------------------------------ duality and Lusztig S
@@ -368,23 +388,23 @@ def dual(eta: QLSPath) -> QLSPath:
     """Reverse the path and translate its endpoint to the origin: shape
     -w0(lambda), points -mu_k in reverse order."""
     dirs = tuple(-mu for mu in reversed(eta.directions))
-    cuts = tuple(1 - b for b in reversed(eta.breaks))
-    return qls_path(eta.datum, minus_w0(eta.datum, eta.lam), dirs, cuts)
+    cuts = tuple(eta.L - c for c in reversed(eta.cuts))
+    return grid_path(eta.datum, minus_w0(eta.datum, eta.lam), dirs, cuts, eta.L)
 
 
 def omega(eta: QLSPath) -> QLSPath:
     """Apply the diagram automorphism: every point mu goes to -w0(mu)."""
     datum = eta.datum
     dirs = tuple(minus_w0(datum, mu) for mu in eta.directions)
-    return qls_path(datum, minus_w0(datum, eta.lam), dirs, eta.breaks)
+    return grid_path(datum, minus_w0(datum, eta.lam), dirs, eta.cuts, eta.L)
 
 
 def lusztig_S(eta: QLSPath) -> QLSPath:
     """The Lusztig involution: apply the longest element and reverse."""
     datum = eta.datum
     dirs = tuple(-minus_w0(datum, mu) for mu in reversed(eta.directions))
-    cuts = tuple(1 - b for b in reversed(eta.breaks))
-    return qls_path(datum, eta.lam, dirs, cuts)
+    cuts = tuple(eta.L - c for c in reversed(eta.cuts))
+    return grid_path(datum, eta.lam, dirs, cuts, eta.L)
 
 
 # ------------------------------------------------------------------- crystals
@@ -440,48 +460,41 @@ class CrystalGraph:
                 raise InternalError(f"e then f is not the identity at label {j}")
 
     def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
         neighbours: dict = {v: [] for v in self.vertices}
         for (v, _), w in itertools.chain(self.e_arrows.items(), self.f_arrows.items()):
             neighbours[v].append(w)
             neighbours[w].append(v)
-        seen = {self.vertices[0]}
-        queue = deque(seen)
-        while queue:
-            v = queue.popleft()
+        seen = set(self.vertices[:1])
+        queue = list(seen)
+        for v in queue:  # queue grows as the search finds vertices
             for w in neighbours[v]:
                 if w not in seen:
                     seen.add(w)
                     queue.append(w)
         return len(seen) == len(self.vertices)
 
+    def _indexed_arrows(self) -> list[tuple[int, int, int]]:
+        """The f-arrows as (source index, label, target index), sorted."""
+        index = {v: i for i, v in enumerate(self.vertices)}
+        return sorted((index[v], j, index[w]) for (v, j), w in self.f_arrows.items())
+
     def to_dot(self) -> str:
         palette = ("red", "blue", "forestgreen", "orange", "purple", "brown", "cyan", "magenta")
-        index = {v: i for i, v in enumerate(self.vertices)}
         lines = ["digraph crystal {"]
-        for v in self.vertices:
-            lines.append(f'  n{index[v]} [label="{v!r}"];')
-        for (v, j), w in sorted(self.f_arrows.items(), key=lambda kv: (index[kv[0][0]], kv[0][1])):
-            colour = palette[j % len(palette)]
-            lines.append(f'  n{index[v]} -> n{index[w]} [label="{j}", color={colour}];')
+        lines += [f'  n{i} [label="{v!r}"];' for i, v in enumerate(self.vertices)]
+        for i, j, k in self._indexed_arrows():
+            lines.append(f'  n{i} -> n{k} [label="{j}", color={palette[j % len(palette)]}];')
         lines.append("}")
         return "\n".join(lines)
 
     def to_json_dict(self) -> dict:
-        index = {v: i for i, v in enumerate(self.vertices)}
         return {
             "vertices": [
                 {"index": i, "label": repr(v), "weight": list(self.weights[v].coords)}
                 for i, v in enumerate(self.vertices)
             ],
-            "arrows": [
-                {"j": j, "source": index[v], "target": index[w]}
-                for (v, j), w in sorted(
-                    self.f_arrows.items(), key=lambda kv: (index[kv[0][0]], kv[0][1])
-                )
-            ],
-            "distinguished": index[self.distinguished],
+            "arrows": [{"j": j, "source": i, "target": k} for i, j, k in self._indexed_arrows()],
+            "distinguished": self.vertices.index(self.distinguished),
             "connected": self.is_connected(),
         }
 
@@ -493,24 +506,22 @@ def build_crystal(datum: RootDatum, lam: Weight) -> CrystalGraph:
     weights.  At every (vertex, label) one H_j and its checked minimum give
     both e_j and f_j, and each image must be an enumerated path: the rule
     qls_path applies, since it and the enumeration both read the orbit
-    graph's reach tables.  Vertices
-    are ordered by a BFS from the straight path over the arrows in (label,
-    e then f) order, which must reach every enumerated path.
+    graph's reach tables.  Vertices are ordered by a BFS from the straight
+    path over the arrows in (label, e then f) order, which must reach every
+    enumerated path.
     """
-    table: dict = {}
-    weights: dict = {}
-    for points, breaks, weight, _ in enumerate_paths(datum, lam):
-        eta = table[(points, breaks)] = QLSPath(datum, lam, points, breaks)
+    L = orbit_graph(datum, lam).L
+    table, weights = {}, {}
+    for points, cuts, weight, _ in enumerate_paths(datum, lam):
+        eta = table[(points, cuts)] = QLSPath(datum, lam, points, cuts, L)
         weights[eta] = weight
-    start = table[((lam,), (Fraction(0), Fraction(1)))]
-    order = [start]
-    seen = {start}
-    e_arrows: dict = {}
-    f_arrows: dict = {}
+    start = table[((lam,), (0, L))]
+    order, seen = [start], {start}
+    e_arrows, f_arrows = {}, {}
     for v in order:  # order grows as the BFS finds vertices
         for j in range(datum.rank + 1):
             vals = _h_breaks(v, j)
-            m = _checked_minimum(vals)
+            m = _checked_minimum(vals, L)
             for arrows, raising in ((e_arrows, True), (f_arrows, False)):
                 image = _window(v, j, vals, m, raising)
                 if image is None:

@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from qalcove.lie_data import (
     InputError,
@@ -68,7 +68,8 @@ class OrbitGraph:
     alpha = x^-1(delta) has <alpha^vee, lambda> = p, and the edge goes to
     s_delta(mu): Bruhat when the length rises by one, quantum when it changes
     by 1 - |<delta^vee, nu>| = 1 - <alpha^vee, 2rho - 2rho_J>, and then its
-    weight pairs with lambda to p.  Edges are (target, kind, p, that weight).
+    weight pairs with lambda to p.  Edges are (target, kind, p, that weight),
+    built on a vertex's first use.
 
     By the shortest-path lemma of Lenart-Naito-Sagaki-Schilling-Shimozono
     (part I, arXiv:1211.2042), nu is reachable from mu in the b-restricted
@@ -83,6 +84,8 @@ class OrbitGraph:
             raise InputError(f"weight {lam.coords} is not dominant")
         # the pairings <alpha^vee, lambda> > 0 of the labels, the roots outside Phi_J
         self.pairings = tuple(sorted({p for c in datum.positive_coroots if (p := datum.pairing(c, lam))}))
+        # every break of a path of shape lambda is a multiple of 1/L
+        self.L = lcm(*self.pairings)
         simple = [datum.root_weights[k] for k in datum.simple_root_index]
         points, lengths = [lam.coords], [0]
         carried = [datum.two_rho_minus_two_rho_J(datum.stabilizer(lam)).coords]
@@ -97,19 +100,27 @@ class OrbitGraph:
         self.points = tuple(Weight(mu) for mu in points)
         self.index = {mu: n for n, mu in enumerate(self.points)}
         self.lengths = tuple(lengths)
-        self.edges: list[tuple] = []  # by vertex index
-        for mu, nu, length in zip(points, carried, lengths):
-            out = []
-            for coroot, root in zip(datum.positive_coroots, datum.root_weights):
+        self._coords, self._carried = index, carried
+        self._roots = tuple(zip(datum.positive_coroots, datum.root_weights))
+        # the edges and the reach tables, by vertex index, filled on first use
+        self._edges: dict[int, tuple] = {}
+        self._reach: dict[int, tuple[list[int], list[int]]] = {}
+
+    def edges(self, n: int) -> tuple:
+        """The edges leaving vertex n, built on its first use."""
+        out = self._edges.get(n)
+        if out is None:
+            mu, nu, length, out = self.points[n].coords, self._carried[n], self.lengths[n], []
+            for coroot, root in self._roots:
                 if c := sum(b * m for b, m in zip(coroot, mu)):
-                    target = index[tuple(m - c * a for m, a in zip(mu, root))]
-                    gain, p = lengths[target] - length - 1, abs(c)
+                    target = self._coords[tuple(m - c * a for m, a in zip(mu, root))]
+                    gain, p = self.lengths[target] - length - 1, abs(c)
                     if gain == 0:
                         out.append((target, BRUHAT, p, 0))
                     elif gain == -abs(sum(b * v for b, v in zip(coroot, nu))):
                         out.append((target, QUANTUM, p, p))
-            self.edges.append(tuple(out))
-        self._reach: dict[int, tuple[list[int], list[int]]] = {}
+            out = self._edges[n] = tuple(out)
+        return out
 
     def reach(self, source: int) -> tuple[list[int], list[int]]:
         """The label gcd (0 at the source itself) and the weight <wt, lambda>
@@ -122,7 +133,7 @@ class OrbitGraph:
             queue = [source]
             for v in queue:  # queue grows as the BFS finds vertices
                 g, w = gcds[v], weights[v]
-                for target, _, p, q in self.edges[v]:
+                for target, _, p, q in self.edges(v):
                     if gcds[target] < 0:
                         gcds[target], weights[target] = gcd(g, p), w + q
                         queue.append(target)
@@ -131,9 +142,9 @@ class OrbitGraph:
             table = self._reach[source] = (gcds, weights)
         return table
 
-    def reachable(self, mu: Weight, nu: Weight, b: Fraction) -> bool:
-        """Whether some path from mu to nu uses only edges with b<alpha^vee, lambda> integral."""
-        return self.reach(self.index[mu])[0][self.index[nu]] % Fraction(b).denominator == 0
+    def reachable(self, mu: Weight, nu: Weight, v: int) -> bool:
+        """Whether mu reaches nu in the graph restricted at breaks of denominator v."""
+        return self.reach(self.index[mu])[0][self.index[nu]] % v == 0
 
     def path_weight(self, mu: Weight, nu: Weight) -> int:
         """<wt(p), lambda> for any shortest directed path p from mu to nu."""

@@ -11,7 +11,7 @@ from qalcove import cli, qls_model
 from qalcove.cli import main
 from qalcove.lie_data import InternalError, Weight, build_root_datum
 from qalcove.qls_model import deg, qls_path
-from qalcove.quantum_bruhat import QuantumBruhatGraph
+from qalcove.quantum_bruhat import OrbitGraph, QuantumBruhatGraph
 
 A1 = build_root_datum("A", 1)
 
@@ -256,6 +256,45 @@ def test_invalid_path_data_exits_two(capsys):
     code, _, err = run(capsys, "qls", "--type", "A", "--rank", "1", "--weight", "2",
                        "--directions", "s1,e", "--breaks", "0,1/3,1")
     assert code == 2 and "segment" in err
+
+
+def test_an_off_grid_break_exits_two_with_the_rational_message(capsys):
+    # breaks are held over L = 2 for A2 rho; 1/7 is no multiple of 1/2, and
+    # the message names it as given
+    code, out, err = run(capsys, "qls", "--type", "A", "--rank", "2", "--weight", "1,1",
+                         "--directions", "s1,e", "--breaks", "0,1/7,1")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: segment 1: no directed path from direction 2 to direction 1 once edges "
+        "with non-integral 1/7*<alpha^vee, lambda> are removed\n"
+    )
+
+
+def test_a_non_reduced_break_prints_reduced(capsys):
+    code, out, _ = run(capsys, "qls", "--type", "A", "--rank", "1", "--weight", "2",
+                       "--directions", "s1,e", "--breaks", "0,2/4,1")
+    assert code == 0
+    expected = {
+        "path": "(s1, e; 0, 1/2, 1)",
+        "data": {"directions": [[1], []], "breaks": ["0/1", "1/2", "1/1"], "weight": [0], "deg": 0},
+        "weight": [0],
+        "deg": 0,
+        "eps": [0, 1],
+        "phi": [0, 1],
+    }
+    assert out == json.dumps(expected, indent=2) + "\n"
+
+
+def test_a_single_segment_qls_builds_no_edge(capsys, monkeypatch):
+    # the straight path on the 51,840 points of the E6 rho orbit reads no
+    # reachability, so no edge of the orbit graph is built
+    def refused(self, n):
+        raise AssertionError("a single-segment path must not build an edge")
+
+    monkeypatch.setattr(OrbitGraph, "edges", refused)
+    code, out, _ = run(capsys, "qls", "--type", "E", "--rank", "6", "--weight", "1,1,1,1,1,1",
+                       "--budget", "8087040")
+    assert code == 0 and json.loads(out)["path"] == "(e; 0, 1)"
 
 
 def test_budget_guard(capsys):

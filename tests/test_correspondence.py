@@ -53,7 +53,8 @@ def test_half_height_singleton_a1():
     assert rec.pi_star == a1_path([(1,), ()], (0, Fraction(1, 2), 1))
     assert rec.pi == a1_path([(1,), ()], (0, Fraction(1, 2), 1))
     assert rec.pi_star.weight == Weight((0,))
-    assert rec.breaks == (0, Fraction(1, 2))
+    # the breaks 0, 1/2 over L = 2
+    assert (rec.pi.L, rec.breaks) == (2, (0, 1))
     assert rec.elements == (A1.weyl.identity, A1.weyl.simple[0])
 
 

@@ -1,5 +1,6 @@
 """Quantum LS paths: validation, operators, degree, involutions, tensors."""
 
+import bisect
 import gc
 import itertools
 import json
@@ -12,6 +13,7 @@ from qalcove import qls_model
 from qalcove.lie_data import InputError, InternalError, Weight, build_root_datum
 from qalcove.qls_model import (
     CrystalGraph,
+    QLSPath,
     build_crystal,
     deg,
     dual,
@@ -451,18 +453,20 @@ def test_enumeration_equals_the_closure_of_the_straight_path(label, rank, coords
     # operators reaches exactly the paths that the definition enumerates
     datum = build_root_datum(label, rank)
     lam = Weight(coords)
-    found = [(points, breaks) for points, breaks, _, _ in enumerate_paths(datum, lam)]
+    found = [(points, cuts) for points, cuts, _, _ in enumerate_paths(datum, lam)]
     assert len(found) == len(set(found))
     graph = _closure(datum, lam)
-    assert set(found) == {(v.directions, v.breaks) for v in graph.vertices}
+    assert set(found) == {(v.directions, v.cuts) for v in graph.vertices}
 
 
 @pytest.mark.parametrize("label,rank,coords", ENUMERATION_CASES)
 def test_enumerated_paths_are_valid_with_their_weight_and_degree(label, rank, coords):
     datum = build_root_datum(label, rank)
     lam = Weight(coords)
-    for points, breaks, weight, neg_deg in enumerate_paths(datum, lam):
-        eta = qls_path(datum, lam, points, breaks)
+    L = orbit_graph(datum, lam).L
+    for points, cuts, weight, neg_deg in enumerate_paths(datum, lam):
+        eta = qls_path(datum, lam, points, [Fraction(c, L) for c in cuts])
+        assert eta.cuts == cuts
         assert eta.weight == weight
         assert -deg(eta) == neg_deg
 
@@ -487,6 +491,7 @@ def test_enumeration_keeps_the_integrality_checks(monkeypatch):
             list(enumerate_paths(build_root_datum("A", 1), Weight((2,))))
     graph = orbit_graph(fresh := build_root_datum("A", 1), Weight((1,)))
     monkeypatch.setattr(graph, "pairings", (3,))
+    monkeypatch.setattr(graph, "L", 3)
     monkeypatch.setattr(graph, "reach", lambda y: ([0 if x == y else 3 for x in range(2)], reach(graph, y)[1]))
     # with every pairing 3, (s1, e; 0, 1/3, 1) of shape w1 weighs -1/3 + 2/3
     with pytest.raises(InternalError, match=r"weight .* is not integral"):
@@ -541,7 +546,8 @@ def test_builder_rejects_an_image_outside_the_enumeration(monkeypatch):
 
     def off_by_a_break(eta, j, vals, m, raising):
         image = window(eta, j, vals, m, raising)
-        return None if image is None else (image[0], image[1][:-1] + (Fraction(2),))
+        # the last break moved from 1 to 2
+        return None if image is None else (image[0], image[1][:-1] + (2 * eta.L,))
 
     monkeypatch.setattr(qls_model, "_window", off_by_a_break)
     with pytest.raises(InternalError, match="root operator produced an invalid path"):
@@ -554,11 +560,124 @@ def test_builder_requires_the_operators_to_reach_every_path(monkeypatch):
     def with_a_stray(datum, lam):
         yield from enumerate_paths(datum, lam)
         stray = Weight((5, 5))
-        yield (stray,), (Fraction(0), Fraction(1)), stray, 0
+        yield (stray,), (0, orbit_graph(datum, lam).L), stray, 0
 
     monkeypatch.setattr(qls_model, "enumerate_paths", with_a_stray)
     with pytest.raises(InternalError, match="reach 9 of the 10 paths"):
         build_crystal(A2, Weight((1, 1)))
+
+
+# ------------------------------------------- the rational operator rule
+# _h_breaks, _checked_minimum, _reach and _window as they read with breaks
+# held as fractions; the integer rule over L must give the same images
+
+
+def _h_breaks(eta: QLSPath, j: int) -> list[Fraction]:
+    """Values of <alpha_tilde_j^vee, eta(t)> at the break points."""
+    datum = eta.datum
+    root, sign = datum.affine_root(j)
+    coroot = datum.positive_coroots[root]
+    vals = [Fraction(0)]
+    for k, mu in enumerate(eta.directions):
+        step = sign * datum.pairing(coroot, mu)
+        vals.append(vals[-1] + (eta.breaks[k + 1] - eta.breaks[k]) * step)
+    return vals
+
+
+def _checked_minimum(vals: list[Fraction]) -> int:
+    """The global minimum, after asserting every local minimum is integral."""
+    runs = [v for v, _ in itertools.groupby(vals)]
+    for i, v in enumerate(runs):
+        left_up = i == 0 or runs[i - 1] > v
+        right_up = i == len(runs) - 1 or runs[i + 1] > v
+        if left_up and right_up and v.denominator != 1:
+            raise InternalError(f"local minimum {v} of H is not an integer")
+    m = min(vals)
+    if m.denominator != 1 or m > 0:
+        raise InternalError(f"minimum {m} of H must be a nonpositive integer")
+    return int(m)
+
+
+def _reach(vals, breaks, target, i: int, step: int) -> Fraction:
+    """The t nearest breaks[i], scanning from it by step (+1 forwards, -1
+    backwards), with H(t) == target; H is linear between breaks."""
+    while 0 <= i < len(vals):
+        if vals[i] == target:
+            return breaks[i]
+        k = i + step
+        if 0 <= k < len(vals) and min(vals[i], vals[k]) < target < max(vals[i], vals[k]):
+            return breaks[i] + (target - vals[i]) * (breaks[k] - breaks[i]) / (vals[k] - vals[i])
+        i = k
+    raise InternalError("H never attains the requested level")
+
+
+def _window(eta: QLSPath, j: int, vals: list[Fraction], m: int, raising: bool):
+    """Littelmann's window rule for e_j (raising) or f_j: the image's
+    (points, breaks), or None when the operator is undefined.
+
+    vals are H_j = <alpha_tilde_j^vee, eta(t)> at the breaks and m their
+    checked minimum.  Scan from the first place H_j = m backwards (e_j) or
+    from the last one forwards (f_j) to the nearest place where H_j = m + 1;
+    the image reflects the window between them by s_j, and equal neighbouring
+    points merge.  The operator is undefined when H_j stays below m + 1 all
+    the way to t = 0 (e_j) or t = 1 (f_j).
+    """
+    if (vals[0] if raising else vals[-1]) < m + 1:
+        return None
+    minima = [k for k, v in enumerate(vals) if v == m]
+    anchor, step = (minima[0], -1) if raising else (minima[-1], 1)
+    t0, t1 = sorted((eta.breaks[anchor], _reach(vals, eta.breaks, Fraction(m + 1), anchor, step)))
+    datum = eta.datum
+    root, _ = datum.affine_root(j)
+    dirs, breaks = eta.directions, eta.breaks
+    # segment i0 holds t0 and segment i1 - 1 holds t1
+    i0 = bisect.bisect_right(breaks, t0) - 1
+    i1 = bisect.bisect_left(breaks, t1)
+    pieces = [(dirs[k], breaks[k + 1]) for k in range(i0)]
+    if breaks[i0] < t0:
+        pieces.append((dirs[i0], t0))
+    pieces += [(datum.reflect(dirs[k], root), breaks[k + 1]) for k in range(i0, i1 - 1)]
+    pieces.append((datum.reflect(dirs[i1 - 1], root), t1))
+    if t1 < breaks[i1]:
+        pieces.append((dirs[i1 - 1], breaks[i1]))
+    pieces += [(dirs[k], breaks[k + 1]) for k in range(i1, len(dirs))]
+    points: list[Weight] = []
+    cuts = [breaks[0]]
+    for d, end in pieces:
+        if points and points[-1] == d:
+            cuts[-1] = end
+        else:
+            points.append(d)
+            cuts.append(end)
+    return tuple(points), tuple(cuts)
+
+
+@pytest.mark.parametrize(
+    "label,rank,coords",
+    LADDER + [("G", 2, (2, 1)), ("C", 3, (1, 1, 1)), ("E", 6, (1, 0, 0, 0, 0, 0))],
+)
+def test_integer_operator_rule_equals_the_rational_one(label, rank, coords):
+    datum = build_root_datum(label, rank)
+    lam = Weight(coords)
+    L = orbit_graph(datum, lam).L
+    if (label, coords) == ("G", (2, 1)):
+        assert L == 420  # the largest grid of break points among these cases
+    graph = build_crystal(datum, lam)
+    for v in graph.vertices:
+        assert v.L == L and v.breaks == tuple(Fraction(c, L) for c in v.cuts)
+        for j in graph.labels:
+            vals = _h_breaks(v, j)
+            m = _checked_minimum(vals)
+            assert qls_model._h_breaks(v, j) == [L * h for h in vals]
+            assert (epsilon(v, j), phi(v, j)) == (-m, vals[-1] - m)
+            for arrows, raising in ((graph.e_arrows, True), (graph.f_arrows, False)):
+                ref = _window(v, j, vals, m, raising)
+                image = qls_model._window(v, j, qls_model._h_breaks(v, j), m, raising)
+                assert (image is None) == (ref is None) == ((v, j) not in arrows)
+                if ref is not None:
+                    assert (image[0], tuple(Fraction(c, L) for c in image[1])) == ref
+                    w = arrows[(v, j)]
+                    assert (w.directions, w.breaks) == ref
 
 
 # -------------------------------------------------------------------- tensors

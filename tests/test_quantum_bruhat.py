@@ -11,6 +11,7 @@ from qalcove.qls_model import straight_path
 from qalcove.quantum_bruhat import (
     BRUHAT,
     QUANTUM,
+    OrbitGraph,
     build_qbg,
     qbg_step,
     increasing_paths_from,
@@ -27,7 +28,7 @@ def _on_weyl_elements(d, lam):
     graph = orbit_graph(d, lam)
 
     def reachable(x, y, b):
-        return graph.reachable(x.act_weight(lam), y.act_weight(lam), b)
+        return graph.reachable(x.act_weight(lam), y.act_weight(lam), b.denominator)
 
     def weight(x, y):
         return graph.path_weight(x.act_weight(lam), y.act_weight(lam))
@@ -332,7 +333,33 @@ def test_orbit_graph_is_the_weyl_graph_read_on_the_orbit(label, rank, coords):
             (e.target.act_weight(lam), e.kind, d.pairing_index(e.label, lam), d.pairing(e.weight, lam))
             for e in g.adjacency[x]
         )
-        assert mapped == Counter((orbit.points[t], kind, p, w) for t, kind, p, w in orbit.edges[n])
+        assert mapped == Counter((orbit.points[t], kind, p, w) for t, kind, p, w in orbit.edges(n))
+
+
+@pytest.mark.parametrize("label,rank,coords", ORBIT_CASES)
+def test_lazy_edges_give_the_reach_tables_of_an_eager_graph(label, rank, coords):
+    # the eager graph builds every vertex's edges in index order before any
+    # search; the lazy one builds them as its first search, from the last
+    # vertex, meets them
+    d = build_root_datum(label, rank)
+    lam = Weight(coords)
+    eager, lazy = OrbitGraph(d, lam), OrbitGraph(d, lam)
+    n = len(eager.points)
+    for v in range(n):
+        eager.edges(v)
+    assert not lazy._edges
+    stride = -(-n // 100)  # at most 100 sources
+    for source in range(n - 1, -1, -stride):
+        assert lazy.reach(source) == eager.reach(source)
+    assert lazy._edges == eager._edges
+
+
+def test_a_straight_path_builds_no_edge():
+    d = build_root_datum("D", 4)
+    for x in (None, d.weyl.longest):
+        straight_path(d, d.rho, x)
+    graph = orbit_graph(d, d.rho)
+    assert len(graph.points) == 192 and not graph._edges
 
 
 @pytest.mark.parametrize("label,rank,coords", ORBIT_CASES)
