@@ -4,16 +4,16 @@ The two model routes (folding heights over admissible subsets, degrees over
 path crystals) produce the same graded character; the oracle route computes
 irreducible characters by the multiplicity recursion on dominant weights and
 shares no code with the model enumerations.  It runs in integers: it pairs
-weights only with root-lattice elements, where the invariant form is integral,
-and the decomposition orders its peel by heights scaled to integers.  It does
-not use the Weyl group that the models walk either: the oracle, the symmetry
+weights only with root-lattice elements, where the invariant form is integral.
+The decomposition does not call the oracle: it reads multiplicities off the
+terms by the Brauer-Klimyk rule, ordered by the integer heights <2 rho^vee, nu>.
+Neither uses the Weyl group that the models walk: the oracle, the symmetry
 check, the orbit form and the decomposition act on weights by one rule, the
 simple reflection on fundamental-weight coordinates.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 
 from . import alcove_model, qls_model
@@ -231,18 +231,14 @@ def weyl_character(datum: RootDatum, lam: Weight) -> GradedCharacter:
 
 
 def decompose(datum: RootDatum, character: GradedCharacter) -> list[tuple[int, tuple[int, ...], int]]:
-    """Greedy expansion into irreducible characters per q-layer.
-
-    Returns (q, highest weight, coefficient) triples; fails if the input is
-    not a nonnegative integer combination.
+    """Expansion into irreducible characters per q-layer, by the Brauer-Klimyk
+    rule: a term mu with w(mu + rho) = nu + rho dominant and regular adds its
+    coefficient, signed by w, to chi(nu); a term with mu + rho on a wall adds
+    nothing.  Returns (q, highest weight, coefficient) triples, highest first by
+    <2 rho^vee, nu>; fails if the input is not a nonnegative integer combination.
     """
-    # the peel takes the highest weight first: heights in root coordinates,
-    # scaled by one common denominator to integers
-    omegas = (datum.fundamental_weight(i) for i in range(1, datum.rank + 1))
-    heights = [sum(datum.weight_in_root_coords(omega)) for omega in omegas]
-    scale = math.lcm(*(h.denominator for h in heights))
-    unit = [int(h * scale) for h in heights]
-    known: dict[tuple[int, ...], dict[Weight, int]] = {}
+    # <2 rho^vee, nu> is twice the height of nu in root coordinates
+    unit = [sum(column) for column in zip(*datum.positive_coroots)]
     out: list[tuple[int, tuple[int, ...], int]] = []
     for q in character.q_exponents():
         layer = character.q_layer(q)
@@ -251,22 +247,23 @@ def decompose(datum: RootDatum, character: GradedCharacter) -> list[tuple[int, t
         )
         if not layer.is_symmetric(datum):
             raise failure
-        # the highest terms of a W-invariant layer are dominant, so the peel
-        # reads the dominant terms only; a weight outside the input can only
-        # come back with a negative coefficient, rejected before the next max
-        rest = {w: c for (w, _), c in layer.terms.items() if datum.is_dominant(Weight(w))}
-        height = {w: sum(u * x for u, x in zip(unit, w)) for w in rest}
-        while rest:
-            if any(c < 0 for c in rest.values()):
-                raise failure
-            top = max(rest, key=lambda w: (height[w], w))
-            coeff = rest[top]
-            if top not in known:
-                known[top] = _dominant_multiplicities(datum, Weight(top))
-            for wt, m in known[top].items():
-                rest[wt.coords] = rest.get(wt.coords, 0) - coeff * m
-            rest = {w: c for w, c in rest.items() if c}
-            out.append((q, top, coeff))
+        mult: Counter = Counter()
+        for (mu, _), c in layer.terms.items():
+            # x = mu + rho; rho is (1, ..., 1) in fundamental-weight coordinates,
+            # and a zero coordinate puts x on a wall, where it cancels out
+            x = tuple(m + 1 for m in mu)
+            while 0 not in x:
+                low = min(x)
+                if low > 0:
+                    mult[tuple(a - 1 for a in x)] += c
+                    break
+                x = _reflect(datum, x, x.index(low))
+                c = -c
+        if any(m < 0 for m in mult.values()):
+            raise failure
+        height = {nu: sum(u * a for u, a in zip(unit, nu)) for nu, m in mult.items() if m}
+        for nu in sorted(height, key=lambda nu: (height[nu], nu), reverse=True):
+            out.append((q, nu, mult[nu]))
     return out
 
 

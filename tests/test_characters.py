@@ -1,6 +1,7 @@
 """Graded characters: both model routes, the multiplicity oracle, verdicts."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -324,11 +325,10 @@ ORACLE_CASES = [
     ("A", 5, (1, 1, 1, 1, 1)),
     ("E", 8, (0, 0, 0, 0, 0, 0, 0, 1)),
 ]
+ORACLE_IDS = [f"{t}{n}-{''.join(map(str, lam))}" for t, n, lam in ORACLE_CASES]
 
 
-@pytest.mark.parametrize(
-    "label, rank, lam", ORACLE_CASES, ids=[f"{t}{n}-{''.join(map(str, lam))}" for t, n, lam in ORACLE_CASES]
-)
+@pytest.mark.parametrize("label, rank, lam", ORACLE_CASES, ids=ORACLE_IDS)
 def test_integer_oracle_equals_the_fraction_recursion(label, rank, lam):
     datum = RootDatum(label, rank)
     mult = characters._dominant_multiplicities(datum, Weight(lam))
@@ -337,7 +337,7 @@ def test_integer_oracle_equals_the_fraction_recursion(label, rank, lam):
     assert sum(weyl_character(datum, Weight(lam)).terms.values()) == _weyl_dimension(datum, lam)
 
 
-def test_decomposition_computes_each_top_once(monkeypatch):
+def test_decomposition_never_runs_the_oracle(monkeypatch):
     A4 = build_root_datum("A", 4)
     ch = character_from_qls(A4, A4.rho)
     calls = []
@@ -349,9 +349,57 @@ def test_decomposition_computes_each_top_once(monkeypatch):
 
     monkeypatch.setattr(characters, "_dominant_multiplicities", counted)
     parts = decompose(A4, ch)
-    # 16 (q, top) pairs over 9 distinct tops
+    # 16 (q, top) pairs over 9 distinct tops, read off the terms alone
     assert len(parts) == 16
-    assert len(calls) == len(set(calls)) == len({top for _, top, _ in parts}) == 9
+    assert len({top for _, top, _ in parts}) == 9
+    assert calls == []
+
+
+def _peel(datum, character):
+    """The greedy peel that decomposed characters before the Brauer-Klimyk
+    rule: subtract the irreducible character of the highest remaining dominant
+    weight, found by Fraction heights in root coordinates, until none is left."""
+    omegas = (datum.fundamental_weight(i) for i in range(1, datum.rank + 1))
+    heights = [sum(datum.weight_in_root_coords(omega)) for omega in omegas]
+    scale = math.lcm(*(h.denominator for h in heights))
+    unit = [int(h * scale) for h in heights]
+    known = {}
+    out = []
+    for q in character.q_exponents():
+        layer = character.q_layer(q)
+        failure = InputError(
+            f"layer q^{q} is not a nonnegative combination of irreducible characters"
+        )
+        if not layer.is_symmetric(datum):
+            raise failure
+        rest = {w: c for (w, _), c in layer.terms.items() if datum.is_dominant(Weight(w))}
+        height = {w: sum(u * x for u, x in zip(unit, w)) for w in rest}
+        while rest:
+            if any(c < 0 for c in rest.values()):
+                raise failure
+            top = max(rest, key=lambda w: (height[w], w))
+            coeff = rest[top]
+            if top not in known:
+                known[top] = characters._dominant_multiplicities(datum, Weight(top))
+            for wt, m in known[top].items():
+                rest[wt.coords] = rest.get(wt.coords, 0) - coeff * m
+            rest = {w: c for w, c in rest.items() if c}
+            out.append((q, top, coeff))
+    return out
+
+
+# the two crystals that take seconds to enumerate; the oracle gives a character
+QLS_TOO_SLOW = {("A", 5), ("E", 8)}
+
+
+@pytest.mark.parametrize("label, rank, lam", ORACLE_CASES, ids=ORACLE_IDS)
+def test_decomposition_equals_the_peel(label, rank, lam):
+    datum = RootDatum(label, rank)
+    if (label, rank) in QLS_TOO_SLOW:
+        ch = weyl_character(datum, Weight(lam))
+    else:
+        ch = character_from_qls(datum, Weight(lam))
+    assert decompose(datum, ch) == _peel(datum, ch)
 
 
 def test_oracle_rejects_non_dominant_weight():
@@ -416,6 +464,7 @@ def test_decomposition_with_multiplicity_and_higher_degree():
     mixed = 2 * base + GradedCharacter(2, {((1, 0), 3): 1, ((-1, 1), 3): 1, ((0, -1), 3): 1})
     parts = decompose(A2, mixed)
     assert parts == [(0, (1, 0), 2), (3, (1, 0), 1)]
+    assert parts == _peel(A2, mixed)
     assert format_decomposition(parts) == "2*chi(1, 0) + q^3*chi(1, 0)"
 
 
@@ -423,8 +472,28 @@ def test_decomposition_rejects_negative_combinations():
     lopsided = GradedCharacter(1, {((1,), 0): 1})
     negative = GradedCharacter(1, {((1,), 0): -1, ((-1,), 0): -1})
     for bad in (lopsided, negative):
-        with pytest.raises(InputError, match="nonnegative"):
+        with pytest.raises(InputError, match="nonnegative") as new:
             decompose(A1, bad)
+        with pytest.raises(InputError) as old:
+            _peel(A1, bad)
+        assert str(new.value) == str(old.value)
+
+
+def test_decomposition_rejects_a_positive_orbit_sum_with_a_negative_expansion():
+    # e^2 + e^-2 = chi(2) - chi(0): invariant, every term positive
+    orbit_sum = GradedCharacter(1, {((2,), 0): 1, ((-2,), 0): 1})
+    with pytest.raises(InputError, match="nonnegative"):
+        decompose(A1, orbit_sum)
+    with pytest.raises(InputError, match="nonnegative"):
+        _peel(A1, orbit_sum)
+
+
+def test_decomposition_names_the_only_failing_layer():
+    valid = weyl_character(A1, Weight((2,)))
+    higher = GradedCharacter(1, {((2,), 1): 1, ((-2,), 1): 1})
+    with pytest.raises(InputError, match=r"layer q\^1 "):
+        decompose(A1, valid + higher)
+    assert decompose(A1, valid) == [(0, (2,), 1)]
 
 
 # ----------------------------------------------------------------- verdict
