@@ -1,11 +1,11 @@
 """Exact models for single-column affine crystals and their graded characters.
 
 The package provides root-system data (`lie_data`), the parabolic quantum
-Bruhat graph (`quantum_bruhat`), the alcove walk model (`alcove_model`), the
-rational path model (`qls_model`), the weight-preserving bijection between
-the two models (`correspondence`), graded characters with an independent
-multiplicity oracle (`characters`), perfectness tests (`perfectness`), and a
-command line front end (`cli`).
+Bruhat graph on the orbit of lambda (`quantum_bruhat`), the alcove walk
+model (`alcove_model`), the rational path model (`qls_model`), the forgetful
+bijection between the two models and its checks (`correspondence`), graded
+characters with an independent multiplicity oracle (`characters`),
+perfectness tests (`perfectness`), and a command line front end (`cli`).
 """
 
 from qalcove.alcove_model import enumerate_admissible, lex_chain
@@ -16,7 +16,7 @@ from qalcove.characters import (
     verify_p_equals_x,
     weyl_character,
 )
-from qalcove.correspondence import forgetful, inverse
+from qalcove.correspondence import forgetful
 from qalcove.lie_data import (
     InputError,
     InternalError,
@@ -40,7 +40,6 @@ __all__ = [
     "check_perfect",
     "enumerate_admissible",
     "forgetful",
-    "inverse",
     "lex_chain",
     "minimal_elements",
     "qls_path",

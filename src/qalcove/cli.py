@@ -52,16 +52,17 @@ def _parse_node_order(text: str | None) -> tuple[int, ...] | None:
         raise InputError(f"cannot parse node order {text!r}")
 
 
-def _parse_weyl(datum: RootDatum, text: str):
-    w = datum.weyl.identity
+def _parse_weyl(datum: RootDatum, text: str) -> tuple[int, ...]:
+    """A Weyl word as its node indices; qls_path turns it into an element."""
     if text == "e":
-        return w
+        return ()
+    word = []
     for token in text.split("*"):
         m = re.fullmatch(r"s(\d+)", token)
         if not m or not 1 <= int(m.group(1)) <= datum.rank:
             raise InputError(f"cannot parse Weyl word {text!r}; expected e or s1*s2*...")
-        w = w * datum.weyl.simple[int(m.group(1)) - 1]
-    return w
+        word.append(int(m.group(1)))
+    return tuple(word)
 
 
 def _parse_breaks(text: str) -> tuple[Fraction, ...]:

@@ -5,10 +5,10 @@ positions, groups them into break values (integers over L, as the paths
 hold them), and emits a path whose directions are the orbit points
 w_k(lambda) of the prefix products w_k of the subset's reflections, and its
 dual with the points -w_k(lambda).
-The inverse rebuilds the subset from tilted minima and label-increasing
-paths in the quantum Bruhat graph.  On top of the two maps sit machine
-checks of the operator intertwining, the energy identity, and the crystal
-isomorphism with a tensor product of fundamental-weight crystals.
+On top of the map sit machine checks of the operator intertwining (which
+also counts that the map is a bijection), the energy identity, and the
+crystal isomorphism with a tensor product of fundamental-weight crystals.
+The tests invert the map by tilted Bruhat minima in QB(W) instead.
 """
 
 from __future__ import annotations
@@ -20,18 +20,11 @@ from . import alcove_model, qls_model
 from .alcove_model import AdmissibleSubset, LambdaChain, lex_chain, require_lex
 from .lie_data import InputError, InternalError, RootDatum, Weight, WeylElement
 from .qls_model import QLSPath, grid_path
-from .quantum_bruhat import orbit_graph, reflection_ordering, tilted_minimum
+from .quantum_bruhat import orbit_graph
 
 
 class IsomorphismMismatch(InternalError):
     """Arrow propagation found that the crystal is not the tensor product."""
-
-
-def _chain_ordering(chain: LambdaChain) -> tuple[int, ...]:
-    orderings, key = chain.datum._orderings, (chain.lam, chain.entries)
-    if key not in orderings:
-        orderings[key] = reflection_ordering(chain.datum, chain.datum.stabilizer(chain.lam), chain)
-    return orderings[key]
 
 
 @dataclass(frozen=True)
@@ -84,42 +77,6 @@ def forgetful(A: AdmissibleSubset) -> CorrespondenceRecord:
     return CorrespondenceRecord(A, pi, pi_star, tuple(breaks), elements)
 
 
-def inverse(eta: QLSPath, chain: LambdaChain | None = None) -> AdmissibleSubset:
-    """The admissible subset mapping to a given path of shape -w0.lam."""
-    datum = eta.datum
-    lam = qls_model.minus_w0(datum, eta.lam)
-    if chain is None:
-        chain = lex_chain(datum, lam)
-    require_lex(chain)
-    if chain.lam != lam:
-        raise InputError(
-            f"chain weight {chain.lam.coords} does not match the path shape"
-        )
-    J = datum.stabilizer(lam)
-    order = _chain_ordering(chain)
-    graph = qls_model._parabolic_graph(datum, frozenset())
-    position_of = {
-        (e.root, e.level): n for n, e in enumerate(chain.entries, start=1)
-    }
-
-    # the minimal coset representatives, built from the words of the points
-    sigmas = [qls_model._as_element(datum, word) for word in qls_model.dual(eta).words[::-1]]
-    positions: list[int] = []
-    current = datum.weyl.identity
-    for sigma, c in zip(sigmas, eta.cuts):
-        current, path = tilted_minimum(graph, current, sigma, J, order)
-        for edge in path:
-            level, off = divmod(c * datum.pairing_index(edge.label, lam), eta.L)
-            if off:
-                raise InternalError(
-                    f"edge label pairs non-integrally at relative height {Fraction(c, eta.L)}"
-                )
-            positions.append(position_of[(edge.label, level)])
-    if any(a >= b for a, b in zip(positions, positions[1:])):
-        raise InternalError("reconstructed positions are not increasing")
-    return AdmissibleSubset(chain, tuple(positions))
-
-
 # ----------------------------------------------------------- machine checks
 
 
@@ -145,6 +102,9 @@ def verify_intertwining(
     phi_p(pi_star) = eps_p(pi) and f_p(pi_star) = dual(e_p(pi)), so both
     are read off the crystal of lambda (built here when crystal is None).
     records is the forgetful table of the chain (built here when None).
+    Each pi_star must be a crystal vertex; the map is then a bijection iff
+    they are distinct and as many as the vertices, else a "bijection"
+    violation is added, which counts as no check.
     """
     if records is None:
         records = forgetful_table(chain if chain is not None else lex_chain(datum, lam))
@@ -171,6 +131,9 @@ def verify_intertwining(
                 violations.append(
                     {"positions": list(A.positions), "label": p, "kind": "image"}
                 )
+    images = len({rec.pi_star for rec in records.values()})
+    if images != len(records) or images != len(crystal.vertices):
+        violations.append({"kind": "bijection", "images": images, "vertices": len(crystal.vertices)})
     return {
         "lambda": list(lam.coords),
         "counts": {"subsets": len(records), "checks": checks},

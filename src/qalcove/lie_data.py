@@ -101,8 +101,6 @@ class RootDatum:
         self.positive_roots, self.positive_coroots = self._generate_roots()
         self._root_index = {r: k for k, r in enumerate(self.positive_roots)}
         self._quantum_drops: dict[frozenset[int], dict[int, int]] = {}
-        # correspondence's reflection orderings, keyed by (lambda, chain entries)
-        self._orderings: dict[tuple, tuple[int, ...]] = {}
         # quantum_bruhat's orbit graphs QB(W^J), keyed by lambda
         self._orbit_graphs: dict = {}
         self.simple_root_index: Vector = tuple(
@@ -549,10 +547,6 @@ class WeylGroup:
                     seen.add(u)
                     stack.append(u)
         return tuple(sorted(seen, key=lambda w: (w.length, w.perm)))
-
-    def parabolic_longest(self, J: frozenset[int]) -> WeylElement:
-        """Longest element of W_J, via w_0 = min_coset_rep(w_0, J) * w_J."""
-        return self.min_coset_rep(self.longest, J).inverse * self.longest
 
     @cached_property
     def omega(self) -> tuple[int, ...]:

@@ -40,8 +40,8 @@ _parabolic_cache: dict = {}
 
 
 def _parabolic_graph(datum: RootDatum, J: frozenset[int]) -> QuantumBruhatGraph:
-    """QB(W^J) on Weyl elements, built once per (datum, J); only
-    `correspondence.inverse` reads it, on the full graph J = {}."""
+    """QB(W^J) on Weyl elements, built once per (datum, J); kept only for
+    the benchmark replay, which times it as `quantum_bruhat.qbg_*`."""
     key = (datum, J)
     if key not in _parabolic_cache:
         _parabolic_cache[key] = build_qbg(datum, J)

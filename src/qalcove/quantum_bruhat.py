@@ -8,16 +8,12 @@ The QLS side reads the graph on the orbit of lambda (`OrbitGraph`, J the
 stabilizer of lambda): vertices, edges and lengths come from weights alone,
 and one BFS per source gives the shortest-path weights and the reachability
 in the b-restricted subgraphs.  The alcove walk takes single steps on Weyl
-elements (`qbg_step`), and the inverse of the bijection walks the full graph
-on Weyl elements (`QuantumBruhatGraph`) for reflection orderings compatible
-with a lex chain, label-increasing paths and tilted Bruhat minima.
+elements (`qbg_step`); no command builds the graph on Weyl elements.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 
 from qalcove.lie_data import (
@@ -162,8 +158,8 @@ def orbit_graph(datum: RootDatum, lam: Weight) -> OrbitGraph:
 class QuantumBruhatGraph:
     """Immutable quantum Bruhat graph on W^J, with Weyl elements as vertices.
 
-    Only `correspondence.inverse` walks it (through `tilted_minimum`), on the
-    full graph J = {}; the QLS side reads `OrbitGraph`.
+    No command builds it; it is kept only for the benchmark replay, which
+    times its build as the `quantum_bruhat.qbg_*` metrics.
     """
 
     def __init__(self, datum: RootDatum, J: frozenset[int] = frozenset()):
@@ -196,147 +192,3 @@ class QuantumBruhatGraph:
 
 def build_qbg(datum: RootDatum, J: frozenset[int] = frozenset()) -> QuantumBruhatGraph:
     return QuantumBruhatGraph(datum, J)
-
-
-# --------------------------------------------------------------- reflection order
-
-
-def reflection_ordering(
-    datum: RootDatum, J: frozenset[int], chain
-) -> tuple[int, ...]:
-    """Total order on the positive roots: first the roots outside the parabolic
-    subsystem, by first appearance of their level-zero hyperplane in the lex
-    chain, then the parabolic roots in the inversion order of the smallest
-    reduced word of the longest element of W_J."""
-    bottom: list[int] = []
-    seen = set()
-    for entry in chain.entries:
-        if entry.root not in seen:
-            seen.add(entry.root)
-            bottom.append(entry.root)
-    if set(bottom) != set(datum.parabolic_roots(frozenset(range(1, datum.rank + 1))) - datum.parabolic_roots(J)):
-        raise InternalError("lex chain roots do not match the non-parabolic roots")
-    top: list[int] = []
-    weyl = datum.weyl
-    w_J = weyl.parabolic_longest(J)
-    prefix = weyl.identity
-    for i in w_J.reduced_word():
-        # inversion beta_t = s_{i_1} ... s_{i_{t-1}}(alpha_{i_t})
-        root = prefix.act_root_index(datum.simple_root_index[i - 1])
-        if root < 0:
-            raise InternalError("inversion order produced a negative root")
-        top.append(root - 1)
-        prefix = prefix * weyl.simple[i - 1]
-    order = tuple(bottom + top)
-    if len(order) != len(datum.positive_roots) or len(set(order)) != len(order):
-        raise InternalError("reflection ordering is not a total order")
-    if len(datum.positive_roots) <= 12:
-        _verify_reflection_ordering(datum, order)
-    return order
-
-
-def _verify_reflection_ordering(datum: RootDatum, order: tuple[int, ...]) -> None:
-    # gamma^vee = a alpha^vee + b beta^vee with a, b > 0 forces gamma between
-    pos = {k: i for i, k in enumerate(order)}
-    n = len(order)
-    for ia in range(n):
-        for ib in range(ia + 1, n):
-            a_idx, b_idx = order[ia], order[ib]
-            u = datum.positive_coroots[a_idx]
-            v = datum.positive_coroots[b_idx]
-            for g_idx in range(len(datum.positive_roots)):
-                if g_idx in (a_idx, b_idx):
-                    continue
-                coeffs = _solve_two(u, v, datum.positive_coroots[g_idx])
-                if coeffs is not None and coeffs[0] > 0 and coeffs[1] > 0:
-                    if not ia < pos[g_idx] < ib:
-                        raise InternalError(
-                            "reflection ordering violates the interleaving property"
-                        )
-
-
-def _solve_two(u: Vector, v: Vector, g: Vector):
-    """Solve a*u + b*v = g exactly, or None if inconsistent/degenerate."""
-    rows = list(zip(u, v, g))
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            det = rows[i][0] * rows[j][1] - rows[i][1] * rows[j][0]
-            if det != 0:
-                a = Fraction(rows[i][2] * rows[j][1] - rows[i][1] * rows[j][2], det)
-                b = Fraction(rows[i][0] * rows[j][2] - rows[i][2] * rows[j][0], det)
-                if all(a * x + b * y == z for x, y, z in rows):
-                    return a, b
-                return None
-    return None
-
-
-# ---------------------------------------------------------------- shellability
-
-
-def increasing_paths_from(
-    graph: QuantumBruhatGraph,
-    start: WeylElement,
-    targets: frozenset[WeylElement],
-    order: tuple[int, ...],
-    allowed: frozenset[int] | None = None,
-) -> list[tuple[QBGEdge, ...]]:
-    """All strictly label-increasing paths from start into the target set."""
-    pos = {k: i for i, k in enumerate(order)}
-    found: list[tuple[QBGEdge, ...]] = []
-
-    def grow(w: WeylElement, floor: int, acc: list[QBGEdge]) -> None:
-        if w in targets:
-            found.append(tuple(acc))
-            # the empty continuation also counts; longer continuations could
-            # reenter the target set, so keep searching
-        for e in sorted(graph.adjacency[w], key=lambda e: pos[e.label]):
-            if pos[e.label] > floor and (allowed is None or e.label in allowed):
-                acc.append(e)
-                grow(e.target, pos[e.label], acc)
-                acc.pop()
-
-    grow(start, -1, [])
-    return found
-
-
-def tilted_minimum(
-    graph: QuantumBruhatGraph,
-    v: WeylElement,
-    coset_rep: WeylElement,
-    J: frozenset[int],
-    order: tuple[int, ...],
-) -> tuple[WeylElement, tuple[QBGEdge, ...]]:
-    """Endpoint (and path) of the unique increasing path from v into the coset
-    coset_rep * W_J with all labels outside the parabolic subsystem."""
-    if graph.J:
-        raise InputError("tilted minima are computed on the full graph")
-    datum = graph.datum
-    weyl = datum.weyl
-    rep = weyl.min_coset_rep(coset_rep, J)
-    coset = frozenset(
-        rep * u for u in _parabolic_elements(weyl, J)
-    )
-    allowed = frozenset(graph.labels) - datum.parabolic_roots(J)
-    found = increasing_paths_from(graph, v, coset, order, allowed)
-    if len(found) != 1:
-        raise InternalError(
-            f"expected exactly one increasing path into the coset, found {len(found)}"
-        )
-    path = found[0]
-    end = path[-1].target if path else v
-    return end, path
-
-
-def _parabolic_elements(weyl, J: frozenset[int]) -> tuple[WeylElement, ...]:
-    out = [weyl.identity]
-    seen = {weyl.identity}
-    queue = deque(out)
-    while queue:
-        w = queue.popleft()
-        for i in J:
-            nxt = w * weyl.simple[i - 1]
-            if nxt not in seen:
-                seen.add(nxt)
-                out.append(nxt)
-                queue.append(nxt)
-    return tuple(out)

@@ -14,19 +14,14 @@ from qalcove.characters import (
 from qalcove.correspondence import (
     build_isomorphism_to_tensor,
     forgetful,
-    inverse,
     verify_energy,
     verify_intertwining,
 )
 from qalcove.lie_data import Weight, build_root_datum
 from qalcove.perfectness import check_perfect
 from qalcove.qls_model import build_crystal, deg, tensor
-from qalcove.quantum_bruhat import (
-    build_qbg,
-    increasing_paths_from,
-    orbit_graph,
-    reflection_ordering,
-)
+from qalcove.quantum_bruhat import build_qbg, orbit_graph
+from inverse_reference import increasing_paths_from, inverse, reflection_ordering
 from qbg_reference import is_strongly_connected, shortest_paths
 
 A1 = build_root_datum("A", 1)

@@ -95,6 +95,23 @@ def test_qls_accepts_explicit_directions(capsys):
     assert blob["deg"] == deg(expected)
 
 
+def test_qls_directions_are_read_as_words(capsys, monkeypatch):
+    # the CLI hands qls_path node indices, and qls_path alone makes elements
+    assert cli._parse_weyl(build_root_datum("C", 3), "s2*s1*s3") == (2, 1, 3)
+    assert cli._parse_weyl(A1, "e") == ()
+    seen = []
+    validate = qls_model.qls_path
+
+    def recorded(datum, lam, directions, breaks):
+        seen.append(directions)
+        return validate(datum, lam, directions, breaks)
+
+    monkeypatch.setattr(qls_model, "qls_path", recorded)
+    code, _, _ = run(capsys, "qls", "--type", "A", "--rank", "1", "--weight", "2",
+                     "--directions", "s1,e", "--breaks", "0,1/2,1")
+    assert code == 0 and seen == [((1,), ())]
+
+
 def test_qls_honours_the_budget(capsys):
     # the same guard as character on the same weight: |W(E6)| times the chain length
     code, out, err = run(capsys, "qls", "--type", "E", "--rank", "6", "--weight", "1,1,1,1,1,1")
@@ -113,8 +130,8 @@ QLS_SIDE = [
 
 @pytest.mark.parametrize("argv", QLS_SIDE)
 def test_qls_side_builds_no_graph_on_weyl_elements(capsys, monkeypatch, argv):
-    # the QLS side reads QB(W^J) on the orbit of lambda; only the inverse of
-    # the bijection, which no command runs, builds it on Weyl elements
+    # the QLS side reads QB(W^J) on the orbit of lambda; only the benchmark
+    # replay and the tests' reference inverse build it on Weyl elements
     built = []
     init = QuantumBruhatGraph.__init__
 

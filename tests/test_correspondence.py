@@ -1,5 +1,6 @@
 """Forgetful map, its inverse, and the intertwining/energy/isomorphism checks."""
 
+import dataclasses
 import gc
 import json
 import weakref
@@ -12,12 +13,12 @@ from qalcove.alcove_model import AdmissibleSubset, chain_from_roots, enumerate_a
 from qalcove.correspondence import (
     build_isomorphism_to_tensor,
     forgetful,
-    inverse,
     verify_energy,
     verify_intertwining,
 )
 from qalcove.lie_data import InputError, InternalError, Weight, build_root_datum
 from qalcove.qls_model import build_crystal, deg, qls_path, straight_path
+from inverse_reference import inverse, reference_cache
 
 A1 = build_root_datum("A", 1)
 A2 = build_root_datum("A", 2)
@@ -128,16 +129,13 @@ def _invert_on_a_fresh_datum():
     chain = lex_chain(d, d.rho)
     for A in enumerate_admissible(chain):
         assert inverse(forgetful(A).pi, chain) == A
-    assert list(d._orderings) == [(chain.lam, chain.entries)]
+    assert list(reference_cache(d)["orderings"]) == [(chain.lam, chain.entries)]
     return weakref.ref(d)
 
 
-def test_inverse_keeps_no_datum_alive(monkeypatch):
-    # the reflection ordering lives on the datum; qls_model's graph cache,
-    # which the inverse also reads, gets a throwaway dict here
-    with monkeypatch.context() as m:
-        m.setattr(qls_model, "_parabolic_cache", {})
-        ref = _invert_on_a_fresh_datum()
+def test_inverse_keeps_no_datum_alive():
+    # the inverse's graph and reflection orderings live on the datum
+    ref = _invert_on_a_fresh_datum()
     gc.collect()
     assert ref() is None
 
@@ -218,6 +216,50 @@ def test_intertwining_zero_weight_is_vacuous():
     report = verify_intertwining(A2, Weight((0, 0)))
     assert report["counts"]["subsets"] == 1
     assert report["violations"] == []
+
+
+VERIFY_A2 = ["verify-crystal", "--type", "A", "--rank", "2", "--weight", "1,1"]
+
+
+def _share_one_image(monkeypatch):
+    # two records, one pi_star: the images fall one short of the subsets
+    table = correspondence.forgetful_table
+
+    def shared(chain):
+        records = table(chain)
+        first, second = list(records)[:2]
+        records[second] = dataclasses.replace(records[second], pi_star=records[first].pi_star)
+        return records
+
+    monkeypatch.setattr(correspondence, "forgetful_table", shared)
+    return {"images": 8, "vertices": 9}
+
+
+def _add_a_stray_vertex(monkeypatch):
+    # a crystal vertex that no record hits: a path of another shape
+    def stray(datum, lam):
+        g = build_crystal(datum, lam)
+        extra = straight_path(datum, lam + lam)
+        weights = {**g.weights, extra: g.weights[g.distinguished]}
+        return qls_model.CrystalGraph(datum, g.vertices + (extra,), weights, g.e_arrows, g.f_arrows, g.distinguished)
+
+    monkeypatch.setattr(cli, "build_crystal", stray)
+    return {"images": 9, "vertices": 10}
+
+
+@pytest.mark.parametrize("mutate", [_share_one_image, _add_a_stray_vertex])
+def test_verify_crystal_reports_a_broken_bijection(monkeypatch, capsys, mutate):
+    assert cli.main(VERIFY_A2) == 0
+    clean = json.loads(capsys.readouterr().out)["intertwining"]
+    expected = mutate(monkeypatch)
+    # a finding, exit 1, not an internal failure, exit 3
+    assert cli.main(VERIFY_A2) == 1
+    blob = json.loads(capsys.readouterr().out)
+    assert blob["pass"] is False
+    found = [v for v in blob["intertwining"]["violations"] if v["kind"] == "bijection"]
+    assert found == [{"kind": "bijection", **expected}]
+    # the count adds no check
+    assert blob["intertwining"]["counts"] == clean["counts"]
 
 
 def test_energy_reports_are_clean():

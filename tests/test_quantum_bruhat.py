@@ -14,11 +14,9 @@ from qalcove.quantum_bruhat import (
     OrbitGraph,
     build_qbg,
     qbg_step,
-    increasing_paths_from,
     orbit_graph,
-    reflection_ordering,
-    tilted_minimum,
 )
+from inverse_reference import increasing_paths_from, reflection_ordering, tilted_minimum
 from qbg_reference import QueryGraph, distance, is_strongly_connected, shortest_paths
 
 
