@@ -159,7 +159,10 @@ def cmd_crystal(datum: RootDatum, args) -> int:
     lam = _parse_weight(datum, args.weight)
     _guard(datum, lam, args.budget)
     graph = build_crystal(datum, lam)
-    print(graph.to_dot() if args.format == "dot" else json.dumps(graph.to_json_dict(), indent=2))
+    if args.format == "dot":
+        print(graph.to_dot())
+    else:
+        _emit(graph.to_json_dict())
     return 0
 
 

@@ -113,21 +113,21 @@ def verify_intertwining(
     violations: list[dict] = []
     checks = 0
     for rec in records.values():
-        A, star = rec.subset, rec.pi_star
-        if star not in crystal.weights:
+        A, i = rec.subset, crystal.index.get(rec.pi_star)
+        if i is None:
             raise InternalError(f"path image of {A.positions} is not a vertex of the crystal")
         for p in range(datum.rank + 1):
             checks += 1
             lowered = alcove_model.f_operator(A, p)
             threshold = 1 if p == 0 else 0
-            if (lowered is not None) != (crystal.phi(star, p) > threshold):
+            if (lowered is not None) != (crystal.phi[p][i] > threshold):
                 violations.append(
                     {"positions": list(A.positions), "label": p, "kind": "definedness"}
                 )
                 continue
             if lowered is not None and lowered.positions not in records:
                 raise InternalError(f"f_{p} of {A.positions} is not an enumerated subset")
-            if lowered is not None and crystal.f_arrows[(star, p)] != records[lowered.positions].pi_star:
+            if lowered is not None and crystal.vertices[crystal.f[p][i]] != records[lowered.positions].pi_star:
                 violations.append(
                     {"positions": list(A.positions), "label": p, "kind": "image"}
                 )
@@ -204,32 +204,29 @@ def build_isomorphism_to_tensor(
             factors.extend([factor] * c)
     target = qls_model.tensor(*factors)
 
-    mapping = {source.distinguished: target.distinguished}
+    # mapping[v] is the target index of source vertex v, -1 until reached
+    mapping = [-1] * len(source.vertices)
+    mapping[source.distinguished] = target.distinguished
     queue = [source.distinguished]
     while queue:
         v = queue.pop()
-        for table, image_table in (
-            (source.e_arrows, target.e_arrows),
-            (source.f_arrows, target.f_arrows),
-        ):
+        for arrows, image_arrows in ((source.e, target.e), (source.f, target.f)):
             for j in source.labels:
-                w = table.get((v, j))
-                image = image_table.get((mapping[v], j))
-                if (w is None) != (image is None):
+                w, image = arrows[j][v], image_arrows[j][mapping[v]]
+                if (w < 0) != (image < 0):
                     raise IsomorphismMismatch(f"arrow mismatch at label {j}")
-                if w is None:
+                if w < 0:
                     continue
-                if w in mapping:
+                if mapping[w] >= 0:
                     if mapping[w] != image:
                         raise IsomorphismMismatch(f"propagation conflict at label {j}")
                 else:
                     mapping[w] = image
                     queue.append(w)
-    if len(mapping) != len(source.vertices):
+    if -1 in mapping:
         raise IsomorphismMismatch("isomorphism is not total")
-    if len(set(mapping.values())) != len(target.vertices):
+    if len(set(mapping)) != len(target.vertices):
         raise IsomorphismMismatch("isomorphism is not onto")
-    for v, image in mapping.items():
-        if source.weights[v] != target.weights[image]:
-            raise IsomorphismMismatch("isomorphism moved a weight")
-    return mapping
+    if any(source.weight_of[v] != target.weight_of[image] for v, image in enumerate(mapping)):
+        raise IsomorphismMismatch("isomorphism moved a weight")
+    return {v: target.vertices[image] for v, image in zip(source.vertices, mapping)}

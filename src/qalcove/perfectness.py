@@ -17,10 +17,6 @@ from .lie_data import InputError, RootDatum, Vector, Weight
 from .qls_model import CrystalGraph
 
 
-def _affine_string(graph: CrystalGraph, v, stat) -> Vector:
-    return tuple(stat(v, j) for j in graph.labels)
-
-
 def level_weights(datum: RootDatum, level: int) -> tuple[Vector, ...]:
     """Dominant affine weights of the given level, as coefficient tuples."""
     if level < 0:
@@ -49,8 +45,8 @@ def minimal_elements(crystal: CrystalGraph, level: int) -> set:
         raise InputError("crystal is missing affine arrows; build it with all labels")
     return {
         v
-        for v in crystal.vertices
-        if datum.level_of_affine_weight(_affine_string(crystal, v, crystal.eps)) == level
+        for v, eps in zip(crystal.vertices, zip(*crystal.eps))
+        if datum.level_of_affine_weight(eps) == level
     }
 
 
@@ -107,22 +103,20 @@ def check_perfect(datum: RootDatum, node: int, level: int) -> PerfectnessReport:
 
     square_connected = qls_model.tensor(graph, graph).is_connected()
 
-    weight_counts = Counter(graph.weight_of(v).coords for v in graph.vertices)
+    weight_counts = Counter(w.coords for w in graph.weight_of)
     tops = [
         w for w in weight_counts if all(_dominates(datum, w, other) for other in weight_counts)
     ]
     top_weight = tops[0] if len(tops) == 1 else None
     top_unique = top_weight is not None and weight_counts[top_weight] == 1
 
-    eps_vectors = {v: _affine_string(graph, v, graph.eps) for v in graph.vertices}
-    phi_vectors = {v: _affine_string(graph, v, graph.phi) for v in graph.vertices}
-    min_eps_level = min(
-        datum.level_of_affine_weight(e) for e in eps_vectors.values()
-    )
+    # the eps and phi vectors of vertex i, one entry per label
+    eps_vectors, phi_vectors = list(zip(*graph.eps)), list(zip(*graph.phi))
+    min_eps_level = min(datum.level_of_affine_weight(e) for e in eps_vectors)
     level_bound_ok = min_eps_level >= level
 
-    eps_counts = Counter(eps_vectors.values())
-    phi_counts = Counter(phi_vectors.values())
+    eps_counts = Counter(eps_vectors)
+    phi_counts = Counter(phi_vectors)
     failures = []
     for target in level_weights(datum, level):
         n_eps, n_phi = eps_counts.get(target, 0), phi_counts.get(target, 0)
@@ -130,10 +124,8 @@ def check_perfect(datum: RootDatum, node: int, level: int) -> PerfectnessReport:
             failures.append({"weight": list(target), "eps_count": n_eps, "phi_count": n_phi})
 
     minimal = minimal_elements(graph, level)
-    table = tuple(
-        {"path": str(v), "eps": list(eps_vectors[v]), "phi": list(phi_vectors[v])}
-        for v in sorted(minimal, key=str)
-    )
+    rows = sorted((str(v), graph.index[v]) for v in minimal)
+    table = tuple({"path": v, "eps": list(eps_vectors[i]), "phi": list(phi_vectors[i])} for v, i in rows)
 
     is_perfect = square_connected and top_unique and level_bound_ok and not failures
     predicted = datum.c_r(node) == 1 and level == 1

@@ -25,7 +25,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, lcm, prod
+from types import MappingProxyType
 
 from .lie_data import (
     InputError,
@@ -411,78 +412,95 @@ def lusztig_S(eta: QLSPath) -> QLSPath:
 
 
 class CrystalGraph:
-    """Finite crystal with arrows for every affine label.
+    """Finite crystal with arrows for every affine label, stored as index arrays.
 
-    Vertices are opaque hashable model elements; arrows are stored as partial
-    maps keyed by (vertex, label).
+    Vertices are opaque hashable model elements, named elsewhere by their
+    index i in `vertices`: e[j][i] and f[j][i] are the indices of e_j and f_j
+    of vertex i (-1 where undefined), eps[j][i] and phi[j][i] its string
+    lengths, weight_of[i] its weight.  `e_arrows`, `f_arrows` (keyed by
+    (vertex, label)), `weights` and `index` are read-only dict views.
     """
 
-    def __init__(self, datum, vertices, weights, e_arrows, f_arrows, distinguished):
+    def __init__(self, datum, vertices, weight_of, e, f, distinguished: int):
         self.datum = datum
         self.vertices = tuple(vertices)
-        self.weights = dict(weights)
-        self.e_arrows = dict(e_arrows)
-        self.f_arrows = dict(f_arrows)
+        self.weight_of = list(weight_of)
+        self.e = e
+        self.f = f
         self.distinguished = distinguished
         self.labels = tuple(range(datum.rank + 1))
-        self._eps_cache: dict = {}
-        self._phi_cache: dict = {}
 
-    def weight_of(self, v) -> Weight:
-        return self.weights[v]
+    @cached_property
+    def eps(self) -> list[list[int]]:
+        return [_positions_on_strings(self.e[j], self.f[j]) for j in self.labels]
 
-    def eps(self, v, j: int) -> int:
-        return self._string(v, j, self.e_arrows, self._eps_cache)
+    @cached_property
+    def phi(self) -> list[list[int]]:
+        return [_positions_on_strings(self.f[j], self.e[j]) for j in self.labels]
 
-    def phi(self, v, j: int) -> int:
-        return self._string(v, j, self.f_arrows, self._phi_cache)
+    @cached_property
+    def index(self) -> MappingProxyType:
+        return MappingProxyType({v: i for i, v in enumerate(self.vertices)})
 
-    @staticmethod
-    def _string(v, j: int, arrows: dict, cache: dict) -> int:
-        """Number of j-arrows that can be followed from v, memoized in cache."""
-        key = (v, j)
-        if key not in cache:
-            n, cur = 0, v
-            while (nxt := arrows.get((cur, j))) is not None:
-                n, cur = n + 1, nxt
-            cache[key] = n
-        return cache[key]
+    @cached_property
+    def weights(self) -> MappingProxyType:
+        return MappingProxyType(dict(zip(self.vertices, self.weight_of)))
+
+    @cached_property
+    def e_arrows(self) -> MappingProxyType:
+        return self._arrow_view(self.e)
+
+    @cached_property
+    def f_arrows(self) -> MappingProxyType:
+        return self._arrow_view(self.f)
+
+    def _arrow_view(self, targets: list[list[int]]) -> MappingProxyType:
+        vs = self.vertices
+        return MappingProxyType({(vs[i], j): vs[k] for i, j, k in self._arrows(targets)})
+
+    def _arrows(self, targets: list[list[int]]):
+        """The arrows as (source, label, target) indices, in (source, label) order."""
+        for i in range(len(self.vertices)):
+            for j in self.labels:
+                if (k := targets[j][i]) >= 0:
+                    yield i, j, k
 
     def check(self) -> None:
         """Assert arrow-reversibility and weight consistency along arrows."""
-        for (v, j), w in self.f_arrows.items():
-            if self.e_arrows.get((w, j)) != v:
-                raise InternalError(f"f then e is not the identity at label {j}")
-            if self.weights[w] != self.weights[v] - self.datum.affine_root_weight(j):
-                raise InternalError(f"weight step along an f-arrow at label {j} is wrong")
-        for (v, j), w in self.e_arrows.items():
-            if self.f_arrows.get((w, j)) != v:
+        for j in self.labels:
+            e, f, alpha = self.e[j], self.f[j], self.datum.affine_root_weight(j)
+            for v, w in enumerate(f):
+                if w < 0:
+                    continue
+                if e[w] != v:
+                    raise InternalError(f"f then e is not the identity at label {j}")
+                if self.weight_of[w] != self.weight_of[v] - alpha:
+                    raise InternalError(f"weight step along an f-arrow at label {j} is wrong")
+            # e inverts f on the image of f; as many e- as f-arrows means e
+            # is defined nowhere else, so f inverts e too
+            if e.count(-1) != f.count(-1):
                 raise InternalError(f"e then f is not the identity at label {j}")
 
     def is_connected(self) -> bool:
-        neighbours: dict = {v: [] for v in self.vertices}
-        for (v, _), w in itertools.chain(self.e_arrows.items(), self.f_arrows.items()):
-            neighbours[v].append(w)
-            neighbours[w].append(v)
-        seen = set(self.vertices[:1])
-        queue = list(seen)
+        """Whether a search along e- and f-arrows from vertex 0 reaches every
+        vertex; since e_j and f_j are inverse, that ignores arrow direction."""
+        steps = self.e + self.f
+        seen = bytearray(len(self.vertices))
+        seen[0] = 1
+        queue = [0]
         for v in queue:  # queue grows as the search finds vertices
-            for w in neighbours[v]:
-                if w not in seen:
-                    seen.add(w)
+            for step in steps:
+                w = step[v]
+                if w >= 0 and not seen[w]:
+                    seen[w] = 1
                     queue.append(w)
-        return len(seen) == len(self.vertices)
-
-    def _indexed_arrows(self) -> list[tuple[int, int, int]]:
-        """The f-arrows as (source index, label, target index), sorted."""
-        index = {v: i for i, v in enumerate(self.vertices)}
-        return sorted((index[v], j, index[w]) for (v, j), w in self.f_arrows.items())
+        return len(queue) == len(self.vertices)
 
     def to_dot(self) -> str:
         palette = ("red", "blue", "forestgreen", "orange", "purple", "brown", "cyan", "magenta")
         lines = ["digraph crystal {"]
         lines += [f'  n{i} [label="{v!r}"];' for i, v in enumerate(self.vertices)]
-        for i, j, k in self._indexed_arrows():
+        for i, j, k in self._arrows(self.f):
             lines.append(f'  n{i} -> n{k} [label="{j}", color={palette[j % len(palette)]}];')
         lines.append("}")
         return "\n".join(lines)
@@ -490,13 +508,27 @@ class CrystalGraph:
     def to_json_dict(self) -> dict:
         return {
             "vertices": [
-                {"index": i, "label": repr(v), "weight": list(self.weights[v].coords)}
-                for i, v in enumerate(self.vertices)
+                {"index": i, "label": repr(v), "weight": list(w.coords)}
+                for i, (v, w) in enumerate(zip(self.vertices, self.weight_of))
             ],
-            "arrows": [{"j": j, "source": i, "target": k} for i, j, k in self._indexed_arrows()],
-            "distinguished": self.vertices.index(self.distinguished),
+            "arrows": [{"j": j, "source": i, "target": k} for i, j, k in self._arrows(self.f)],
+            "distinguished": self.distinguished,
             "connected": self.is_connected(),
         }
+
+
+def _positions_on_strings(back: list[int], forth: list[int]) -> list[int]:
+    """Each index's distance from the start of its string, in one pass along
+    the strings: walk `forth` from every index where `back` is undefined.
+    With back = e_j and forth = f_j that is eps_j; swapped, phi_j."""
+    out = [0] * len(forth)
+    for i, b in enumerate(back):
+        if b < 0:
+            n = 0
+            while (i := forth[i]) >= 0:
+                n += 1
+                out[i] = n
+    return out
 
 
 def build_crystal(datum: RootDatum, lam: Weight) -> CrystalGraph:
@@ -511,37 +543,39 @@ def build_crystal(datum: RootDatum, lam: Weight) -> CrystalGraph:
     enumerated path.
     """
     L = orbit_graph(datum, lam).L
-    table, weights = {}, {}
-    for points, cuts, weight, _ in enumerate_paths(datum, lam):
-        eta = table[(points, cuts)] = QLSPath(datum, lam, points, cuts, L)
-        weights[eta] = weight
-    start = table[((lam,), (0, L))]
-    order, seen = [start], {start}
-    e_arrows, f_arrows = {}, {}
-    for v in order:  # order grows as the BFS finds vertices
-        for j in range(datum.rank + 1):
+    rows = list(enumerate_paths(datum, lam))
+    table = {(points, cuts): p for p, (points, cuts, _, _) in enumerate(rows)}
+    n, labels = len(rows), range(datum.rank + 1)
+    order = [table[((lam,), (0, L))]]  # enumeration positions in BFS order
+    found = [-1] * n  # each enumerated path's BFS index
+    found[order[0]] = 0
+    e, f, vertices = [[-1] * n for _ in labels], [[-1] * n for _ in labels], []
+    for i, p in enumerate(order):  # order grows as the BFS finds vertices
+        v = QLSPath(datum, lam, rows[p][0], rows[p][1], L)
+        vertices.append(v)
+        for j in labels:
             vals = _h_breaks(v, j)
             m = _checked_minimum(vals, L)
-            for arrows, raising in ((e_arrows, True), (f_arrows, False)):
+            for arrows, raising in ((e, True), (f, False)):
                 image = _window(v, j, vals, m, raising)
                 if image is None:
                     continue
-                w = table.get(image)
-                if w is None:
+                q = table.get(image)
+                if q is None:
                     op = "e" if raising else "f"
                     raise InternalError(
                         f"root operator produced an invalid path: {op}_{j} of {v!r} "
                         f"is not in QLS(lambda)"
                     )
-                arrows[(v, j)] = w
-                if w not in seen:
-                    seen.add(w)
-                    order.append(w)
-    if len(order) != len(table):
+                if found[q] < 0:
+                    found[q] = len(order)
+                    order.append(q)
+                arrows[j][i] = found[q]
+    if len(order) != n:
         raise InternalError(
-            f"the root operators reach {len(order)} of the {len(table)} paths of QLS(lambda)"
+            f"the root operators reach {len(order)} of the {n} paths of QLS(lambda)"
         )
-    graph = CrystalGraph(datum, order, weights, e_arrows, f_arrows, start)
+    graph = CrystalGraph(datum, vertices, [rows[p][2] for p in order], e, f, 0)
     graph.check()
     return graph
 
@@ -555,37 +589,48 @@ def tensor(*factors: CrystalGraph) -> CrystalGraph:
     on the factor of the rightmost unmatched minus; either is undefined when
     no such sign is left.  On two factors, f_j acts on the left one exactly
     when phi_j(left) > eps_j(right).
+
+    Vertex b of the product is the b-th tuple in itertools.product order, so
+    its index is the sum of x_k * stride_k over its factor indices x_k, and
+    an arrow of factor k moves the index by (target - x_k) * stride_k.
     """
     if len(factors) < 2:
         raise InputError("a tensor product needs at least two factors")
     datum = factors[0].datum
-    if any(f.datum is not datum for f in factors[1:]):
+    if any(g.datum is not datum for g in factors[1:]):
         raise InputError("all factors must share one root datum")
-    labels = factors[0].labels
-    vertices = tuple(itertools.product(*(f.vertices for f in factors)))
-    zero = Weight((0,) * datum.rank)
-    weights = {}
-    e_arrows: dict = {}
-    f_arrows: dict = {}
-    for b in vertices:
-        weights[b] = sum((factors[k].weights[x] for k, x in enumerate(b)), zero)
-        for j in labels:
-            pluses: list[int] = []  # the factor of each unmatched plus, left to right
-            minus = None  # the factor of the rightmost unmatched minus
-            for k, x in enumerate(b):
-                for _ in range(factors[k].eps(x, j)):
-                    if pluses:
-                        pluses.pop()
-                    else:
-                        minus = k
-                pluses.extend([k] * factors[k].phi(x, j))
+    strides = [prod(len(g.vertices) for g in factors[k + 1 :]) for k in range(len(factors))]
+    weight_of = [Weight((0,) * datum.rank)]
+    for g in factors:
+        weight_of = [w + x for w in weight_of for x in g.weight_of]
+    n = len(weight_of)
+    e, f = [], []
+    for j in factors[0].labels:
+        # per factor and vertex x: (eps_j, phi_j, index shift of e_j, of f_j)
+        columns = []
+        for g, s in zip(factors, strides):
+            rows = enumerate(zip(g.eps[j], g.phi[j], g.e[j], g.f[j]))
+            columns.append([(a, b, (u - x) * s, (d - x) * s) for x, (a, b, u, d) in rows])
+        e_j, f_j = [-1] * n, [-1] * n
+        for b, signs in enumerate(itertools.product(*columns)):
+            pluses, up, down = 0, None, None  # unmatched pluses; the shifts of e_j and f_j
+            for eps, phi, de, df in signs:
+                if eps < pluses:
+                    pluses += phi - eps
+                    continue
+                if eps > pluses:
+                    up = de  # this factor holds the rightmost unmatched minus so far
+                pluses = phi  # every earlier plus is matched
+                if phi:
+                    down = df  # this factor holds the leftmost unmatched plus
             if pluses:
-                k = pluses[0]
-                f_arrows[(b, j)] = b[:k] + (factors[k].f_arrows[(b[k], j)],) + b[k + 1 :]
-            if minus is not None:
-                k = minus
-                e_arrows[(b, j)] = b[:k] + (factors[k].e_arrows[(b[k], j)],) + b[k + 1 :]
-    distinguished = tuple(f.distinguished for f in factors)
-    graph = CrystalGraph(datum, vertices, weights, e_arrows, f_arrows, distinguished)
+                f_j[b] = b + down
+            if up is not None:
+                e_j[b] = b + up
+        e.append(e_j)
+        f.append(f_j)
+    distinguished = sum(g.distinguished * s for g, s in zip(factors, strides))
+    vertices = itertools.product(*(g.vertices for g in factors))
+    graph = CrystalGraph(datum, vertices, weight_of, e, f, distinguished)
     graph.check()
     return graph

@@ -261,7 +261,7 @@ def test_criterion_10_tensor_isomorphisms():
                 total = image[0].weight
                 for part in image[1:]:
                     total = total + part.weight
-                assert total == source.weight_of(v)
+                assert total == source.weights[v]
             for (v, j), w in source.f_arrows.items():
                 assert target.f_arrows[(mapping[v], j)] == mapping[w]
             for (v, j), w in source.e_arrows.items():

@@ -364,7 +364,9 @@ def test_tensor_arrow_mismatch_fails_verify_crystal(capsys, monkeypatch):
 
     def missing_one_arrow(*factors):
         graph = real_tensor(*factors)
-        del graph.f_arrows[next(iter(graph.f_arrows))]
+        # the first f-arrow in (source, label) order leaves the stored arrays
+        i, j = min((i, j) for j, targets in enumerate(graph.f) for i, t in enumerate(targets) if t >= 0)
+        graph.f[j][i] = -1
         return graph
 
     monkeypatch.setattr(qls_model, "tensor", missing_one_arrow)

@@ -18,6 +18,7 @@ from qalcove.correspondence import (
 )
 from qalcove.lie_data import InputError, InternalError, Weight, build_root_datum
 from qalcove.qls_model import build_crystal, deg, qls_path, straight_path
+from crystal_reference import indexed
 from inverse_reference import inverse, reference_cache
 
 A1 = build_root_datum("A", 1)
@@ -240,8 +241,9 @@ def _add_a_stray_vertex(monkeypatch):
     def stray(datum, lam):
         g = build_crystal(datum, lam)
         extra = straight_path(datum, lam + lam)
-        weights = {**g.weights, extra: g.weights[g.distinguished]}
-        return qls_model.CrystalGraph(datum, g.vertices + (extra,), weights, g.e_arrows, g.f_arrows, g.distinguished)
+        top = g.vertices[g.distinguished]
+        weights = {**g.weights, extra: g.weights[top]}
+        return indexed(datum, g.vertices + (extra,), weights, g.e_arrows, g.f_arrows, top)
 
     monkeypatch.setattr(cli, "build_crystal", stray)
     return {"images": 9, "vertices": 10}

@@ -48,7 +48,7 @@ def test_vector_crystal_minimal_elements_hit_each_level_one_weight():
     graph = build_crystal(A2, A2.fundamental_weight(1))
     minimal = minimal_elements(graph, 1)
     assert minimal == set(graph.vertices)
-    eps_vectors = {tuple(graph.eps(v, j) for j in graph.labels) for v in minimal}
+    eps_vectors = {eps for v, eps in zip(graph.vertices, zip(*graph.eps)) if v in minimal}
     assert eps_vectors == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
 
 
@@ -131,11 +131,11 @@ def test_check_perfect_rejects_nonpositive_level():
 @pytest.mark.parametrize("datum, node", [(A2, 1), (C2, 1), (C2, 2), (B2, 2)])
 def test_string_statistics_are_level_zero_consistent(datum, node):
     graph = build_crystal(datum, datum.fundamental_weight(node))
-    for v in graph.vertices:
-        diffs = [graph.phi(v, j) - graph.eps(v, j) for j in graph.labels]
+    for i, weight in enumerate(graph.weight_of):
+        diffs = [graph.phi[j][i] - graph.eps[j][i] for j in graph.labels]
         # classical labels read the weight; the affine label balances the level
         for j in range(1, datum.rank + 1):
-            assert diffs[j] == graph.weight_of(v).coords[j - 1]
+            assert diffs[j] == weight.coords[j - 1]
         assert sum(a * d for a, d in zip(datum.comarks, diffs)) == 0
 
 

@@ -9,10 +9,11 @@ from fractions import Fraction
 
 import pytest
 
+import crystal_reference
+from crystal_reference import indexed
 from qalcove import qls_model
 from qalcove.lie_data import InputError, InternalError, Weight, build_root_datum
 from qalcove.qls_model import (
-    CrystalGraph,
     QLSPath,
     build_crystal,
     deg,
@@ -80,7 +81,7 @@ def _closure(datum, lam):
                         seen.add(w)
                         order.append(w)
     weights = {v: v.weight for v in order}
-    return CrystalGraph(datum, order, weights, e_arrows, f_arrows, start)
+    return indexed(datum, order, weights, e_arrows, f_arrows, start)
 
 
 # ------------------------------------------------------------------ validation
@@ -217,10 +218,10 @@ def test_string_lengths_match_arrow_walks():
     ]
     for datum, lam in cases:
         graph = build_crystal(datum, Weight(lam))
-        for v in graph.vertices:
+        for i, v in enumerate(graph.vertices):
             for j in graph.labels:
-                assert epsilon(v, j) == graph.eps(v, j)
-                assert phi(v, j) == graph.phi(v, j)
+                assert epsilon(v, j) == graph.eps[j][i]
+                assert phi(v, j) == graph.phi[j][i]
 
 
 # --------------------------------------------------------------------- degree
@@ -379,8 +380,8 @@ def test_crystal_sizes_small_cases():
 
 def test_crystal_distinguished_is_straight_dominant():
     graph = build_crystal(A2, Weight((1, 1)))
-    assert graph.distinguished == straight_path(A2, Weight((1, 1)))
-    assert graph.weight_of(graph.distinguished) == Weight((1, 1))
+    assert graph.vertices[graph.distinguished] == straight_path(A2, Weight((1, 1)))
+    assert graph.weight_of[graph.distinguished] == Weight((1, 1))
 
 
 def test_weight_multiset_is_reflection_invariant():
@@ -398,6 +399,29 @@ def test_arrow_reversibility_explicitly():
         assert graph.e_arrows[(w, j)] == v
     for (v, j), w in graph.e_arrows.items():
         assert graph.f_arrows[(w, j)] == v
+
+
+@pytest.mark.parametrize(
+    "arrays,value,message",
+    [
+        ("e", -1, "f then e is not the identity at label 1"),  # an f-arrow has no way back
+        ("f", -1, "e then f is not the identity at label 1"),  # an e-arrow has no way back
+        ("weight_of", Weight((9, 9)), "weight step along an f-arrow at label"),
+    ],
+)
+def test_check_rejects_a_broken_crystal(arrays, value, message):
+    graph = build_crystal(C2, Weight((0, 1)))
+    graph.check()
+    v = next(i for i, w in enumerate(graph.f[1]) if w >= 0)
+    w = graph.f[1][v]
+    if arrays == "e":
+        graph.e[1][w] = -1
+    elif arrays == "f":
+        graph.f[1][v] = -1
+    else:
+        graph.weight_of[w] = value
+    with pytest.raises(InternalError, match=message):
+        graph.check()
 
 
 def brute_force_paths(datum, lam):
@@ -710,8 +734,9 @@ def test_tensor_contains_the_classical_singlet():
     square = tensor(b, b)
     top = straight_path(A1, Weight((1,)))
     low = straight_path(A1, Weight((1,)), A1.weyl.simple[0])
-    assert square.eps((top, low), 1) == 0
-    assert square.phi((top, low), 1) == 0
+    i = square.index[(top, low)]
+    assert square.eps[1][i] == 0
+    assert square.phi[1][i] == 0
 
 
 def test_tensor_requires_two_factors_sharing_a_datum():
@@ -735,19 +760,20 @@ def kashiwara_pair(left, right):
     phi_j(b1) > eps_j(b2), e_j on the right factor when eps_j(b2) > phi_j(b1)."""
     vertices = tuple(itertools.product(left.vertices, right.vertices))
     weights, e_arrows, f_arrows = {}, {}, {}
-    for b1, b2 in vertices:
+    pairs = itertools.product(enumerate(left.vertices), enumerate(right.vertices))
+    for (i1, b1), (i2, b2) in pairs:
         weights[(b1, b2)] = left.weights[b1] + right.weights[b2]
         for j in left.labels:
-            if left.phi(b1, j) > right.eps(b2, j):
+            if left.phi[j][i1] > right.eps[j][i2]:
                 f_arrows[((b1, b2), j)] = (left.f_arrows[(b1, j)], b2)
             elif (b := right.f_arrows.get((b2, j))) is not None:
                 f_arrows[((b1, b2), j)] = (b1, b)
-            if right.eps(b2, j) > left.phi(b1, j):
+            if right.eps[j][i2] > left.phi[j][i1]:
                 e_arrows[((b1, b2), j)] = (b1, right.e_arrows[(b2, j)])
             elif (b := left.e_arrows.get((b1, j))) is not None:
                 e_arrows[((b1, b2), j)] = (b, b2)
-    distinguished = (left.distinguished, right.distinguished)
-    return CrystalGraph(left.datum, vertices, weights, e_arrows, f_arrows, distinguished)
+    distinguished = (left.vertices[left.distinguished], right.vertices[right.distinguished])
+    return indexed(left.datum, vertices, weights, e_arrows, f_arrows, distinguished)
 
 
 def flat(b):
@@ -756,11 +782,15 @@ def flat(b):
     return (head,) + tail if isinstance(tail, tuple) else b
 
 
-@pytest.mark.parametrize(
+# the columns of each product; the G2 case has two factors
+PRODUCTS = pytest.mark.parametrize(
     "datum,columns",
     [(A2, [(1, 0), (0, 1), (1, 0)]), (C2, [(1, 0), (0, 1), (0, 1)]), (G2, [(1, 0), (0, 1)])],
     ids=["A2", "C2", "G2"],
 )
+
+
+@PRODUCTS
 def test_signature_rule_matches_the_nested_two_factor_rule(datum, columns):
     # B1 (x) (B2 (x) B3) by the two-factor rule, flattened, has the same arrows
     factors = [build_crystal(datum, Weight(c)) for c in columns]
@@ -771,6 +801,39 @@ def test_signature_rule_matches_the_nested_two_factor_rule(datum, columns):
     assert set(product.vertices) == {flat(b) for b in nested.vertices}
     for mine, ref in ((product.e_arrows, nested.e_arrows), (product.f_arrows, nested.f_arrows)):
         assert mine == {(flat(b), j): flat(t) for (b, j), t in ref.items()}
+
+
+def assert_same_crystal(graph, ref):
+    """The index-array crystal equals the dict-based reference: vertex order,
+    distinguished vertex, arrows, weights, eps and phi at every (vertex,
+    label), and connectedness."""
+    assert graph.vertices == ref.vertices
+    assert graph.vertices[graph.distinguished] == ref.distinguished
+    assert graph.e_arrows == ref.e_arrows
+    assert graph.f_arrows == ref.f_arrows
+    assert graph.weights == ref.weights
+    for i, v in enumerate(graph.vertices):
+        for j in graph.labels:
+            assert (graph.eps[j][i], graph.phi[j][i]) == (ref.eps(v, j), ref.phi(v, j))
+    assert graph.is_connected() == ref.is_connected()
+
+
+@pytest.mark.parametrize("label,rank", [("B", 3), ("C", 3), ("D", 4), ("G", 2)])
+def test_indexed_squares_match_the_dict_reference(label, rank):
+    # every node's tensor square, as the perfectness check builds it
+    datum = build_root_datum(label, rank)
+    for node in range(1, rank + 1):
+        b = build_crystal(datum, datum.fundamental_weight(node))
+        ref = crystal_reference.reference(b)
+        assert_same_crystal(b, ref)
+        assert_same_crystal(tensor(b, b), crystal_reference.tensor(ref, ref))
+
+
+@PRODUCTS
+def test_indexed_tensor_matches_the_dict_reference(datum, columns):
+    factors = [build_crystal(datum, Weight(c)) for c in columns]
+    refs = [crystal_reference.reference(b) for b in factors]
+    assert_same_crystal(tensor(*factors), crystal_reference.tensor(*refs))
 
 
 # -------------------------------------------------------------------- exports
