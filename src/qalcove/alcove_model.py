@@ -11,7 +11,7 @@ linear function g_alpha of Lenart-Lubovsky off that walk.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
 
 from qalcove.lie_data import (
     InputError,
@@ -20,7 +20,7 @@ from qalcove.lie_data import (
     Weight,
     WeylElement,
 )
-from qalcove.quantum_bruhat import QUANTUM, qbg_step
+from qalcove.quantum_bruhat import QUANTUM, UNSEEN, qbg_row, qbg_step
 
 
 @dataclass(frozen=True)
@@ -73,22 +73,19 @@ def lex_chain(
 ) -> LambdaChain:
     """The lexicographic chain: hyperplanes sorted by their rational key
     (l, c_1, ..., c_r)/<beta^vee,lambda> with coroot coordinates read in
-    node_order."""
+    node_order, scaled into integers by the lcm of the pairings."""
     if not datum.is_dominant(lam):
         raise InputError(f"weight {lam.coords} is not dominant")
     if node_order is None:
         node_order = tuple(range(1, datum.rank + 1))
     if sorted(node_order) != list(range(1, datum.rank + 1)):
         raise InputError(f"node order {node_order} is not a permutation of 1..{datum.rank}")
+    crossed = [(k, h) for k in range(len(datum.positive_roots)) if (h := datum.pairing_index(k, lam)) > 0]
+    L = lcm(*(h for _, h in crossed))
     keyed = []
-    for k in range(len(datum.positive_roots)):
-        h = datum.pairing_index(k, lam)
-        if h <= 0:
-            continue
-        coroot = datum.positive_coroots[k]
-        for l in range(h):
-            key = (Fraction(l, h),) + tuple(Fraction(coroot[i - 1], h) for i in node_order)
-            keyed.append((key, ChainEntry(k, l)))
+    for k, h in crossed:
+        coroot = tuple(datum.positive_coroots[k][i - 1] * (L // h) for i in node_order)
+        keyed.extend((((L // h) * l,) + coroot, ChainEntry(k, l)) for l in range(h))
     keyed.sort(key=lambda t: t[0])
     if len({key for key, _ in keyed}) != len(keyed):
         raise InternalError("lex keys of distinct hyperplanes collide")
@@ -168,17 +165,20 @@ class AdmissibleSubset:
     __slots__ = ("chain", "positions", "path", "edge_kinds", "weight", "height")
 
     def __init__(self, chain: LambdaChain, positions: tuple[int, ...]):
-        node = _root_node(chain)
-        last = 0
+        datum, last = chain.datum, 0
+        path, kinds, coords, height = [datum.weyl.identity], [], chain.lam.coords, 0
         for pos in positions:
             if not last < pos <= len(chain.entries):
                 raise InputError(f"position {pos} out of order or out of range")
-            last = pos
-            node = _extend(chain, node, pos)
-            if node is None:
+            last, root = pos, chain.entries[pos - 1].root
+            step = qbg_step(datum, path[-1], root)
+            if step is None:
                 raise InputError(f"positions {positions} are not admissible for this chain")
-        self.chain = chain
-        self.positions, self.path, self.edge_kinds, self.weight, self.height = node
+            coords, height = _fold_step(datum, path[-1], root, chain.complementary_height(pos), step[1], coords, height)
+            path.append(step[0])
+            kinds.append(step[1])
+        self.chain, self.positions, self.path, self.edge_kinds = chain, tuple(positions), tuple(path), tuple(kinds)
+        self.weight, self.height = Weight(coords), height
 
     def __eq__(self, other) -> bool:
         return (
@@ -203,64 +203,59 @@ class AdmissibleSubset:
         }
 
 
-# A node of the walk: (positions, path, edge kinds, weight, height), where
-# weight is -r_{j1}...r_{js}(-lambda) and height sums l-tilde over the
-# quantum steps.
-Node = tuple[tuple[int, ...], tuple[WeylElement, ...], tuple[str, ...], Weight, int]
-
-
-def _root_node(chain: LambdaChain) -> Node:
-    return (), (chain.datum.weyl.identity,), (), chain.lam, 0
-
-
-def _extend(chain: LambdaChain, node: Node, pos: int) -> Node | None:
-    """The node one step further, folding at pos, or None when w -> w r_beta
-    is not an edge of QB(W).  Since w r_beta(lambda) = w(lambda) -
-    <beta^vee,lambda> w(beta) and the translation moves by -l w(beta), the
-    weight drops by l-tilde w(beta)."""
-    positions, path, kinds, weight, height = node
-    w = path[-1]
-    root = chain.entries[pos - 1].root
-    step = qbg_step(chain.datum, w, root)
-    if step is None:
-        return None
-    target, kind = step
-    lt = chain.complementary_height(pos)
+def _fold_step(datum: RootDatum, w: WeylElement, root: int, lt: int, kind: str, coords, height: int):
+    """Weight coordinates and height one step further, folding w at a position
+    with root beta and l-tilde lt: the weight drops by lt w(beta), and a
+    quantum step adds lt to the height."""
+    # w r_beta(lambda) = w(lambda) - <beta^vee,lambda> w(beta), and the
+    # translation moves by -l w(beta)
     image = w.perm[root]
-    shift = chain.datum.root_weights[abs(image) - 1]
     c = lt if image > 0 else -lt
-    weight = Weight(tuple(a - c * b for a, b in zip(weight.coords, shift)))
     if kind == QUANTUM:
         if lt <= 0:
             raise InternalError("height must be nonnegative")
         height += lt
-    return positions + (pos,), path + (target,), kinds + (kind,), weight, height
+    return tuple(a - c * b for a, b in zip(coords, datum.root_weights[abs(image) - 1])), height
 
 
-def try_admissible(chain: LambdaChain, positions) -> AdmissibleSubset | None:
-    try:
-        return AdmissibleSubset(chain, tuple(positions))
-    except InputError:
-        return None
+def walk_admissible(chain: LambdaChain):
+    """Every admissible subset as a node (depth, last position, last edge kind,
+    w, weight coordinates, height), depth first in lexicographic order of
+    position tuples, from (0, 0, None, identity, lambda, 0)."""
+    datum = chain.datum
+    roots = [-1] + [e.root for e in chain.entries]
+    lts = [0] + [chain.complementary_height(pos) for pos in range(1, len(roots))]
+    stack = [(0, 0, None, datum.weyl.identity, chain.lam.coords, 0)]
+    while stack:
+        node = stack.pop()
+        yield node
+        depth, last, _, w, coords, height = node
+        # a tried position reads w's row of the step memo at its root;
+        # children go on in reverse, so the smallest next position pops first
+        row = qbg_row(datum, w)
+        for pos in range(len(roots) - 1, last, -1):
+            step = row[roots[pos]]
+            if step is UNSEEN:
+                step = qbg_step(datum, w, roots[pos])
+            if step is not None:
+                fold = _fold_step(datum, w, roots[pos], lts[pos], step[1], coords, height)
+                stack.append((depth + 1, pos, step[1], step[0]) + fold)
 
 
 def enumerate_admissible(chain: LambdaChain) -> tuple[AdmissibleSubset, ...]:
     """All admissible subsets, in lexicographic order of position tuples."""
-    m = len(chain.entries)
+    # the walk visits a node right after its parent, so the positions, path
+    # and edge kinds of its ancestors are the prefix, kept by depth, of the
+    # last ones seen; a spare last slot takes the empty subset's writes to
+    # index -1, past the longest prefix
+    positions, path, kinds = ([None] * (len(chain.entries) + 1) for _ in range(3))
     out: list[AdmissibleSubset] = []
-    stack = [_root_node(chain)]
-    while stack:
-        node = stack.pop()
+    for depth, pos, kind, w, coords, height in walk_admissible(chain):
+        positions[depth - 1], path[depth], kinds[depth - 1] = pos, w, kind
         a = AdmissibleSubset.__new__(AdmissibleSubset)
-        a.chain = chain
-        a.positions, a.path, a.edge_kinds, a.weight, a.height = node
+        a.chain, a.weight, a.height = chain, Weight(coords), height
+        a.positions, a.path, a.edge_kinds = tuple(positions[:depth]), tuple(path[: depth + 1]), tuple(kinds[:depth])
         out.append(a)
-        start = node[0][-1] + 1 if node[0] else 1
-        # children go on in reverse, so the smallest next position pops first
-        for pos in range(m, start - 1, -1):
-            child = _extend(chain, node, pos)
-            if child is not None:
-                stack.append(child)
     return tuple(out)
 
 
@@ -312,10 +307,10 @@ def _samples_with_max(A: AdmissibleSubset, p: int):
 
 
 def _rebuild(A: AdmissibleSubset, positions: tuple[int, ...]) -> AdmissibleSubset:
-    new = try_admissible(A.chain, positions)
-    if new is None:
-        raise InternalError("root operator produced a non-admissible subset")
-    return new
+    try:
+        return AdmissibleSubset(A.chain, positions)
+    except InputError:
+        raise InternalError("root operator produced a non-admissible subset") from None
 
 
 def f_operator(A: AdmissibleSubset, p: int) -> AdmissibleSubset | None:

@@ -80,13 +80,16 @@ class GradedCharacter:
         return GradedCharacter(self.rank, out)
 
     def is_symmetric(self, datum: RootDatum) -> bool:
-        """Whether every simple reflection keeps each coefficient: s_i permutes
-        the keys and no coefficient is 0, so a term-by-term check suffices."""
+        """Whether every simple reflection keeps each coefficient."""
+        # s_i fixes the terms with mu_i = 0 and swaps the sides mu_i > 0 and
+        # mu_i < 0; no coefficient is 0, so it suffices that each term with
+        # mu_i > 0 meets its coefficient at its image and that both sides have
+        # as many terms
         terms = self.terms
         return all(
-            terms.get((_reflect(datum, w, i), q)) == c
+            sum((w[i] > 0) - (w[i] < 0) for w, _ in terms) == 0
+            and all(terms.get((_reflect(datum, w, i), q)) == c for (w, q), c in terms.items() if w[i] > 0)
             for i in range(datum.rank)
-            for (w, q), c in terms.items()
         )
 
     def _ordered(self) -> list[tuple[Key, int]]:
@@ -128,10 +131,9 @@ def _monomial_sum(terms, symbol: str) -> str:
 
 
 def character_from_alcove(chain: LambdaChain) -> GradedCharacter:
-    """Sum of q^height x^weight over all admissible subsets of the chain."""
-    terms: Counter = Counter()
-    for A in alcove_model.enumerate_admissible(chain):
-        terms[(A.weight.coords, A.height)] += 1
+    """Sum of q^height x^weight over all admissible subsets of the chain,
+    counted off the walk without building a subset."""
+    terms = Counter((coords, height) for _, _, _, _, coords, height in alcove_model.walk_admissible(chain))
     return GradedCharacter(chain.datum.rank, terms)
 
 

@@ -456,8 +456,8 @@ class WeylGroup:
         self.elements: list[WeylElement] = []
         self._by_perm: dict[Vector, WeylElement] = {}
         self._reflections: dict[int, WeylElement] = {}
-        # quantum_bruhat.qbg_step's results, keyed by (w, root, J)
-        self._steps: dict[tuple, tuple | None] = {}
+        # quantum_bruhat.qbg_step's results, one row per (w, J) indexed by root
+        self._steps: dict[tuple, list] = {}
         self.identity = self._intern(tuple(range(1, len(datum.positive_roots) + 1)))
         self.simple = tuple(self.reflection(k) for k in datum.simple_root_index)
 

@@ -8,7 +8,7 @@ The QLS side reads the graph on the orbit of lambda (`OrbitGraph`, J the
 stabilizer of lambda): vertices, edges and lengths come from weights alone,
 and one BFS per source gives the shortest-path weights and the reachability
 in the b-restricted subgraphs.  The alcove walk takes single steps on Weyl
-elements (`qbg_step`); no command builds the graph on Weyl elements.
+elements (`qbg_step`, `qbg_row`); no command builds the graph on Weyl elements.
 """
 
 from __future__ import annotations
@@ -38,19 +38,29 @@ class QBGEdge:
     weight: Vector  # coroot coordinates; zero vector on Bruhat edges
 
 
+UNSEEN = object()  # a step memo entry not composed yet; None is no edge
+
+
+def qbg_row(datum: RootDatum, w: WeylElement, J: frozenset[int] = frozenset()) -> list:
+    """w's row of the step memo: `qbg_step`'s results indexed by positive root,
+    UNSEEN where not composed yet; kept in the Weyl group's `_steps` by (w, J)."""
+    steps = datum.weyl._steps
+    return steps.get((w, J)) or steps.setdefault((w, J), [UNSEEN] * len(datum.positive_roots))
+
+
 def qbg_step(
     datum: RootDatum, w: WeylElement, root: int, J: frozenset[int] = frozenset()
 ) -> tuple[WeylElement, str] | None:
     """The edge of the parabolic graph on W^J leaving w with label root, as
     (target, kind), or None if neither edge condition holds; composed once per
-    datum and memoized in the Weyl group's `_steps`, keyed by (w, root, J)."""
-    weyl, key = datum.weyl, (w, root, J)
-    if key not in weyl._steps:
+    datum and kept in w's row of the step memo (`qbg_row`)."""
+    weyl, row = datum.weyl, qbg_row(datum, w, J)
+    if row[root] is UNSEEN:
         target = weyl.min_coset_rep(w * weyl.reflection(root), J)
         gain = target.length - w.length - 1
         kind = BRUHAT if gain == 0 else QUANTUM if gain == -datum.quantum_drops(J)[root] else None
-        weyl._steps[key] = (target, kind) if kind else None
-    return weyl._steps[key]
+        row[root] = (target, kind) if kind else None
+    return row[root]
 
 
 class OrbitGraph:

@@ -3,6 +3,7 @@
 import gc
 import itertools
 import weakref
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,12 +22,54 @@ from qalcove.alcove_model import (
     f_operator,
     lex_chain,
     phi,
-    try_admissible,
 )
 from qalcove.characters import character_from_alcove, decompose
 from qalcove.correspondence import verify_intertwining
 from qalcove.lie_data import InputError, Weight, WeylElement, build_root_datum
 from qalcove.quantum_bruhat import BRUHAT, QUANTUM
+import alcove_reference
+
+
+# The weights of the alcove-ladder benchmark workload, with their types.
+LADDER = [
+    ("A", 3, (1, 1, 1)),
+    ("G", 2, (1, 1)),
+    ("C", 3, (1, 0, 1)),
+    ("B", 3, (0, 1, 1)),
+    ("D", 4, (0, 0, 1, 1)),
+    ("C", 4, (1, 0, 0, 1)),
+    ("A", 4, (1, 1, 1, 1)),
+    ("B", 3, (1, 1, 1)),
+    ("C", 3, (1, 1, 1)),
+    ("G", 2, (2, 1)),
+    ("D", 4, (1, 0, 1, 1)),
+    ("C", 4, (0, 1, 0, 1)),
+]
+
+
+def _ladder_chains():
+    """Each ladder weight's lex chain, C3 rho's chain on every other node
+    order, and a chain_from_roots chain that is not lex."""
+    for label, rank, lam in LADDER:
+        yield pytest.param(label, rank, lam, None, None, id=f"{label}{rank}-{lam}")
+    for order in list(itertools.permutations(range(1, 4)))[1:]:
+        yield pytest.param("C", 3, (1, 1, 1), order, None, id=f"C3-rho-order-{order}")
+    # a1 and a1+2a2+a3 are orthogonal, so swapping entries 8 and 9 of C3
+    # rho's lex chain keeps it a reduced alcove walk
+    yield pytest.param("C", 3, (1, 1, 1), None, (8, 9), id="C3-rho-swapped")
+
+
+def _chain(label, rank, lam, order, swap):
+    d = build_root_datum(label, rank)
+    chain = lex_chain(d, Weight(lam), order)
+    if swap is None:
+        return chain
+    roots = [e.root for e in chain.entries]
+    i, j = swap
+    roots[i], roots[j] = roots[j], roots[i]
+    chain = chain_from_roots(d, Weight(lam), roots)
+    assert not chain.lex
+    return chain
 
 
 def names(datum, chain):
@@ -157,6 +200,15 @@ def test_user_chain_accepts_every_lex_chain(label, rank, lam):
         assert again.entries == base.entries
 
 
+@pytest.mark.parametrize("label, rank, lam", LADDER)
+def test_integer_lex_keys_match_the_fraction_rule(label, rank, lam):
+    # the integer keys are the rational ones scaled by one positive lcm, so
+    # every node order sorts the hyperplanes as the Fraction keys do
+    d = build_root_datum(label, rank)
+    for order in itertools.permutations(range(1, rank + 1)):
+        assert lex_chain(d, Weight(lam), order).entries == alcove_reference.lex_entries(d, Weight(lam), order)
+
+
 def test_user_chain_rejects_wrong_counts():
     d = build_root_datum("A", 2)
     with pytest.raises(InputError):
@@ -190,6 +242,39 @@ def test_admissible_enumeration_empty_chain():
     chain = lex_chain(d, Weight((0, 0)))
     subsets = enumerate_admissible(chain)
     assert [a.positions for a in subsets] == [()]
+
+
+@pytest.mark.parametrize("label, rank, lam, order, swap", _ladder_chains())
+def test_enumeration_equals_the_former_one(label, rank, lam, order, swap):
+    chain = _chain(label, rank, lam, order, swap)
+    ours, former = enumerate_admissible(chain), alcove_reference.enumerate_admissible(chain)
+    assert [(a.positions, a.path, a.edge_kinds, a.weight, a.height) for a in ours] == [
+        (a.positions, a.path, a.edge_kinds, a.weight, a.height) for a in former
+    ]
+    assert all(a.chain is chain for a in ours)
+    # the character counted off the walk is the (weight, height) bag of the subsets
+    bag = Counter((a.weight.coords, a.height) for a in ours)
+    assert character_from_alcove(chain).terms == bag
+
+
+def test_alcove_character_builds_no_subset(monkeypatch):
+    chain = lex_chain(build_root_datum("B", 3), Weight((1, 1, 1)))
+    built = []
+
+    class Counted(AdmissibleSubset):
+        __slots__ = ()
+
+        def __new__(cls, *args):
+            built.append(cls)
+            return super().__new__(cls)
+
+    # every subset the model builds goes through its module's class
+    monkeypatch.setattr(alcove_model, "AdmissibleSubset", Counted)
+    character = character_from_alcove(chain)
+    assert built == []
+    # the counter sees what enumerate_admissible builds
+    subsets = enumerate_admissible(chain)
+    assert len(built) == len(subsets) == sum(character.terms.values())
 
 
 def _check_carried_statistics(chain):
@@ -274,7 +359,8 @@ def test_weights_a1():
 def test_weight_of_non_admissible_subset():
     d = build_root_datum("A", 2)
     chain = lex_chain(d, Weight((1, 0)))
-    assert try_admissible(chain, (2,)) is None
+    with pytest.raises(InputError, match="not admissible"):
+        AdmissibleSubset(chain, (2,))
     assert weight_of(chain, (2,)) == Weight((0, -1))
 
 

@@ -236,6 +236,19 @@ def test_symmetry_check_equals_the_reflected_dict_rule(datum, lam):
     changed = GradedCharacter(datum.rank, {**top.terms, (w, q): c + 1})
     assert not changed.is_symmetric(datum)
     assert not _symmetric_by_reflected_dicts(changed, datum)
+    # an extra term at an antidominant weight of a new orbit has mu_i < 0 for
+    # every i: each term with mu_i > 0 still meets its image, and only the
+    # count of the two sides catches it
+    low = -1 - max(abs(x) for key in top.terms for x in key[0])
+    unmatched = GradedCharacter(datum.rank, {**top.terms, ((low,) * datum.rank, q): 1})
+    assert all(
+        unmatched.terms.get((characters._reflect(datum, mu, i), n)) == c
+        for i in range(datum.rank)
+        for (mu, n), c in unmatched.terms.items()
+        if mu[i] > 0
+    )
+    assert not unmatched.is_symmetric(datum)
+    assert not _symmetric_by_reflected_dicts(unmatched, datum)
 
 
 def test_interior_multiplicities():

@@ -11,8 +11,10 @@ from qalcove.qls_model import straight_path
 from qalcove.quantum_bruhat import (
     BRUHAT,
     QUANTUM,
+    UNSEEN,
     OrbitGraph,
     build_qbg,
+    qbg_row,
     qbg_step,
     orbit_graph,
 )
@@ -89,19 +91,25 @@ def test_step_memo_equals_the_direct_rule(label, rank, J, monkeypatch):
                 step = qbg_step(d, w, root, K)
                 assert step == _direct_step(d, w, root, K)
                 assert qbg_step(d, w, root, K) is step
-    # one entry per (w, root, J), and a repeated step composes nothing
-    steps = dict(d.weyl._steps)
-    assert len(steps) == len(group) * (len(d.positive_roots) + len(d.quantum_drops(J)))
+                assert qbg_row(d, w, K)[root] is step
+    # one row per (w, J) holding one entry per (w, root, J), and a repeated
+    # step composes nothing
+    steps = {key: list(row) for key, row in d.weyl._steps.items()}
+    assert len(steps) == 2 * len(group)
+    composed = sum(step is not UNSEEN for row in steps.values() for step in row)
+    assert composed == len(group) * (len(d.positive_roots) + len(d.quantum_drops(J)))
     with monkeypatch.context() as m:
         m.setattr(type(d.weyl), "product", lambda *args: pytest.fail("composed again"))
         for w in group:
-            assert all(qbg_step(d, w, root, J) is steps[w, root, J] for root in d.quantum_drops(J))
+            assert all(qbg_step(d, w, root, J) is steps[w, J][root] for root in d.quantum_drops(J))
     # a second datum of the same type keeps its own memo, with its own elements
     twin = build_root_datum(label, rank)
     assert twin.weyl._steps == {}
     step = qbg_step(twin, twin.weyl.longest, twin.theta)
     assert step[0].group is twin.weyl
-    assert list(twin.weyl._steps) == [(twin.weyl.longest, twin.theta, frozenset())]
+    assert list(twin.weyl._steps) == [(twin.weyl.longest, frozenset())]
+    row = twin.weyl._steps[twin.weyl.longest, frozenset()]
+    assert [root for root, s in enumerate(row) if s is not UNSEEN] == [twin.theta]
     assert d.weyl._steps == steps
 
 
