@@ -13,13 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from qalcove.lie_data import (
-    InputError,
-    InternalError,
-    RootDatum,
-    Weight,
-    WeylElement,
-)
+from qalcove.lie_data import InputError, InternalError, RootDatum, Weight
 from qalcove.quantum_bruhat import QUANTUM, UNSEEN, qbg_row, qbg_step
 
 
@@ -30,7 +24,18 @@ class ChainEntry:
 
 
 class LambdaChain:
-    """Ordered hyperplane sequence for a dominant weight; immutable."""
+    """Ordered hyperplane sequence for a dominant weight; immutable.
+
+    It holds the tables of the fold rule.  Folding w at a position with root
+    beta drops the weight by l-tilde w(beta), since w r_beta(lambda) =
+    w(lambda) - <beta^vee,lambda> w(beta) and the translation moves by
+    -l w(beta); a quantum step adds l-tilde to the height.  A weight mu is
+    packed into one integer, sum_i (mu_i + offset) base^i: every admissible
+    subset's weight lies in conv(W lambda), so |mu_i| stays within offset,
+    the largest <beta^vee,lambda>.  The fold is then
+    x - l_tilde[pos] * shift[w.perm[beta]], with shift the packed weight of
+    each signed root index.
+    """
 
     def __init__(
         self,
@@ -45,16 +50,36 @@ class LambdaChain:
         self.entries = entries
         self.node_order = node_order
         self.lex = lex
-        self._pair = tuple(
-            datum.pairing_index(e.root, lam) for e in entries
-        )
+        pairings = [datum.pairing(c, lam) for c in datum.positive_coroots]
+        # <beta^vee,lambda> - l by 1-based position, 0 at position 0
+        self.l_tilde = (0,) + tuple(pairings[e.root] - e.level for e in entries)
+        if min(self.l_tilde[1:], default=1) <= 0:
+            raise InternalError("height must be nonnegative")
+        self.offset = max([1] + pairings)
+        self.base = 2 * self.offset + 1
+        self._powers = tuple(self.base**i for i in range(datum.rank))
+        # the packing is affine, so a fold moves x by the linear part
+        # sum_i c_i base^i of a root's weight; shift[-j] reads the last
+        # entries, negated
+        packed = [sum(c * p for c, p in zip(r, self._powers)) for r in datum.root_weights]
+        self.shift = tuple([0] + packed + [-x for x in reversed(packed)])
 
     def __len__(self) -> int:
         return len(self.entries)
 
-    def complementary_height(self, position: int) -> int:
-        """l-tilde at a 1-based position: <beta^vee,lambda> - l."""
-        return self._pair[position - 1] - self.entries[position - 1].level
+    def pack(self, coords) -> int:
+        """sum_i (coords_i + offset) base^i."""
+        return sum((c + self.offset) * p for c, p in zip(coords, self._powers))
+
+    def unpack(self, x: int) -> tuple[int, ...]:
+        """The coordinates a packed weight holds."""
+        coords = []
+        for _ in range(self.datum.rank):
+            x, digit = divmod(x, self.base)
+            coords.append(digit - self.offset)
+        if x:
+            raise InternalError("packed weight has digits past its last coordinate")
+        return tuple(coords)
 
     def to_json_dict(self) -> dict:
         return {
@@ -166,19 +191,21 @@ class AdmissibleSubset:
 
     def __init__(self, chain: LambdaChain, positions: tuple[int, ...]):
         datum, last = chain.datum, 0
-        path, kinds, coords, height = [datum.weyl.identity], [], chain.lam.coords, 0
+        path, kinds, x, height = [datum.weyl.identity], [], chain.pack(chain.lam.coords), 0
         for pos in positions:
             if not last < pos <= len(chain.entries):
                 raise InputError(f"position {pos} out of order or out of range")
-            last, root = pos, chain.entries[pos - 1].root
-            step = qbg_step(datum, path[-1], root)
+            last, root, w = pos, chain.entries[pos - 1].root, path[-1]
+            step = qbg_step(datum, w, root)
             if step is None:
                 raise InputError(f"positions {positions} are not admissible for this chain")
-            coords, height = _fold_step(datum, path[-1], root, chain.complementary_height(pos), step[1], coords, height)
+            x -= chain.l_tilde[pos] * chain.shift[w.perm[root]]
+            if step[1] == QUANTUM:
+                height += chain.l_tilde[pos]
             path.append(step[0])
             kinds.append(step[1])
         self.chain, self.positions, self.path, self.edge_kinds = chain, tuple(positions), tuple(path), tuple(kinds)
-        self.weight, self.height = Weight(coords), height
+        self.weight, self.height = Weight(chain.unpack(x)), height
 
     def __eq__(self, other) -> bool:
         return (
@@ -203,43 +230,32 @@ class AdmissibleSubset:
         }
 
 
-def _fold_step(datum: RootDatum, w: WeylElement, root: int, lt: int, kind: str, coords, height: int):
-    """Weight coordinates and height one step further, folding w at a position
-    with root beta and l-tilde lt: the weight drops by lt w(beta), and a
-    quantum step adds lt to the height."""
-    # w r_beta(lambda) = w(lambda) - <beta^vee,lambda> w(beta), and the
-    # translation moves by -l w(beta)
-    image = w.perm[root]
-    c = lt if image > 0 else -lt
-    if kind == QUANTUM:
-        if lt <= 0:
-            raise InternalError("height must be nonnegative")
-        height += lt
-    return tuple(a - c * b for a, b in zip(coords, datum.root_weights[abs(image) - 1])), height
-
-
 def walk_admissible(chain: LambdaChain):
     """Every admissible subset as a node (depth, last position, last edge kind,
-    w, weight coordinates, height), depth first in lexicographic order of
-    position tuples, from (0, 0, None, identity, lambda, 0)."""
+    w, packed weight, height), depth first in lexicographic order of position
+    tuples, from (0, 0, None, identity, packed lambda, 0); `chain.unpack`
+    reads a packed weight's coordinates."""
     datum = chain.datum
     roots = [-1] + [e.root for e in chain.entries]
-    lts = [0] + [chain.complementary_height(pos) for pos in range(1, len(roots))]
-    stack = [(0, 0, None, datum.weyl.identity, chain.lam.coords, 0)]
+    l_tilde, shift = chain.l_tilde, chain.shift
+    stack = [(0, 0, None, datum.weyl.identity, chain.pack(chain.lam.coords), 0)]
     while stack:
         node = stack.pop()
         yield node
-        depth, last, _, w, coords, height = node
+        depth, last, _, w, x, height = node
         # a tried position reads w's row of the step memo at its root;
         # children go on in reverse, so the smallest next position pops first
-        row = qbg_row(datum, w)
+        row, perm = qbg_row(datum, w), w.perm
         for pos in range(len(roots) - 1, last, -1):
-            step = row[roots[pos]]
+            root = roots[pos]
+            step = row[root]
             if step is UNSEEN:
-                step = qbg_step(datum, w, roots[pos])
+                step = qbg_step(datum, w, root)
             if step is not None:
-                fold = _fold_step(datum, w, roots[pos], lts[pos], step[1], coords, height)
-                stack.append((depth + 1, pos, step[1], step[0]) + fold)
+                target, kind = step
+                lt = l_tilde[pos]
+                x_next = x - lt * shift[perm[root]]
+                stack.append((depth + 1, pos, kind, target, x_next, height + lt if kind == QUANTUM else height))
 
 
 def enumerate_admissible(chain: LambdaChain) -> tuple[AdmissibleSubset, ...]:
@@ -250,10 +266,11 @@ def enumerate_admissible(chain: LambdaChain) -> tuple[AdmissibleSubset, ...]:
     # index -1, past the longest prefix
     positions, path, kinds = ([None] * (len(chain.entries) + 1) for _ in range(3))
     out: list[AdmissibleSubset] = []
-    for depth, pos, kind, w, coords, height in walk_admissible(chain):
+    weights: dict[int, Weight] = {}
+    for depth, pos, kind, w, x, height in walk_admissible(chain):
         positions[depth - 1], path[depth], kinds[depth - 1] = pos, w, kind
         a = AdmissibleSubset.__new__(AdmissibleSubset)
-        a.chain, a.weight, a.height = chain, Weight(coords), height
+        a.chain, a.weight, a.height = chain, weights.get(x) or weights.setdefault(x, Weight(chain.unpack(x))), height
         a.positions, a.path, a.edge_kinds = tuple(positions[:depth]), tuple(path[: depth + 1]), tuple(kinds[:depth])
         out.append(a)
     return tuple(out)

@@ -132,8 +132,10 @@ def _monomial_sum(terms, symbol: str) -> str:
 
 def character_from_alcove(chain: LambdaChain) -> GradedCharacter:
     """Sum of q^height x^weight over all admissible subsets of the chain,
-    counted off the walk without building a subset."""
-    terms = Counter((coords, height) for _, _, _, _, coords, height in alcove_model.walk_admissible(chain))
+    counted off the walk without building a subset; each distinct packed
+    weight is unpacked once."""
+    counts = Counter((x, height) for _, _, _, _, x, height in alcove_model.walk_admissible(chain))
+    terms = {(chain.unpack(x), height): c for (x, height), c in counts.items()}
     return GradedCharacter(chain.datum.rank, terms)
 
 

@@ -447,7 +447,10 @@ class WeylGroup:
     """The finite Weyl group.  Construction interns only the identity and the
     simple reflections; every product, inverse or reflection is interned at
     first use, so only a walk that asks for all of W (`coset_reps` of the
-    empty set) enumerates it, and |W| is read off the root heights."""
+    empty set) enumerates it, and |W| is read off the root heights.  The
+    inversion set N(r_beta) of a reflection, the positive roots it negates,
+    is kept per root from its first use (`inversions`): with it the alcove
+    walk measures l(w r_beta) without composing w r_beta."""
 
     def __init__(self, datum: RootDatum):
         self.datum = datum
@@ -456,6 +459,7 @@ class WeylGroup:
         self.elements: list[WeylElement] = []
         self._by_perm: dict[Vector, WeylElement] = {}
         self._reflections: dict[int, WeylElement] = {}
+        self._inversions: dict[int, tuple[int, ...]] = {}
         # quantum_bruhat.qbg_step's results, one row per (w, J) indexed by root
         self._steps: dict[tuple, list] = {}
         self.identity = self._intern(tuple(range(1, len(datum.positive_roots) + 1)))
@@ -506,6 +510,14 @@ class WeylGroup:
             el = self._intern(tuple(perm))
             self._reflections[root_index] = el
         return el
+
+    def inversions(self, root_index: int) -> tuple[int, ...]:
+        """N(r_beta): the indices of the positive roots that r_beta negates."""
+        negated = self._inversions.get(root_index)
+        if negated is None:
+            perm = self.reflection(root_index).perm
+            negated = self._inversions[root_index] = tuple(k for k, v in enumerate(perm) if v < 0)
+        return negated
 
     @cached_property
     def longest(self) -> WeylElement:

@@ -38,12 +38,12 @@ class QBGEdge:
     weight: Vector  # coroot coordinates; zero vector on Bruhat edges
 
 
-UNSEEN = object()  # a step memo entry not composed yet; None is no edge
+UNSEEN = object()  # a step memo entry not decided yet; None is no edge
 
 
 def qbg_row(datum: RootDatum, w: WeylElement, J: frozenset[int] = frozenset()) -> list:
     """w's row of the step memo: `qbg_step`'s results indexed by positive root,
-    UNSEEN where not composed yet; kept in the Weyl group's `_steps` by (w, J)."""
+    UNSEEN where not decided yet; kept in the Weyl group's `_steps` by (w, J)."""
     steps = datum.weyl._steps
     return steps.get((w, J)) or steps.setdefault((w, J), [UNSEEN] * len(datum.positive_roots))
 
@@ -52,13 +52,29 @@ def qbg_step(
     datum: RootDatum, w: WeylElement, root: int, J: frozenset[int] = frozenset()
 ) -> tuple[WeylElement, str] | None:
     """The edge of the parabolic graph on W^J leaving w with label root, as
-    (target, kind), or None if neither edge condition holds; composed once per
-    datum and kept in w's row of the step memo (`qbg_row`)."""
+    (target, kind), or None if neither edge condition holds; decided once per
+    datum and kept in w's row of the step memo (`qbg_row`).
+
+    The edge conditions (Brenti-Fomin-Postnikov) read only lengths.  On W
+    (J empty) the length comes from the inversion sets, N(u) the positive
+    roots u negates: l(w r_beta) = l(w) + l(r_beta) - 2|N(w) & N(r_beta)|,
+    so w r_beta is composed only along an edge, and its length must agree.
+    On W^J the step composes w r_beta and takes its minimal coset
+    representative.
+    """
     weyl, row = datum.weyl, qbg_row(datum, w, J)
     if row[root] is UNSEEN:
-        target = weyl.min_coset_rep(w * weyl.reflection(root), J)
-        gain = target.length - w.length - 1
+        if J:
+            target = weyl.min_coset_rep(w * weyl.reflection(root), J)
+            gain = target.length - w.length - 1
+        else:
+            target, negated, perm = None, weyl.inversions(root), w.perm
+            gain = len(negated) - 1 - 2 * len([k for k in negated if perm[k] < 0])
         kind = BRUHAT if gain == 0 else QUANTUM if gain == -datum.quantum_drops(J)[root] else None
+        if kind and target is None:
+            target = w * weyl.reflection(root)
+            if target.length != w.length + 1 + gain:
+                raise InternalError("l(w r_beta) differs from its inversion-set count")
         row[root] = (target, kind) if kind else None
     return row[root]
 

@@ -37,7 +37,7 @@ def _extend(chain: LambdaChain, node: Node, pos: int) -> Node | None:
     if step is None:
         return None
     target, kind = step
-    lt = chain.complementary_height(pos)
+    lt = chain.datum.pairing_index(root, chain.lam) - chain.entries[pos - 1].level
     image = w.perm[root]
     shift = chain.datum.root_weights[abs(image) - 1]
     c = lt if image > 0 else -lt

@@ -12,6 +12,7 @@ import pytest
 from qalcove import alcove_model
 from qalcove.alcove_model import (
     AdmissibleSubset,
+    ChainEntry,
     LambdaChain,
     _alpha_signed,
     _samples,
@@ -25,7 +26,7 @@ from qalcove.alcove_model import (
 )
 from qalcove.characters import character_from_alcove, decompose
 from qalcove.correspondence import verify_intertwining
-from qalcove.lie_data import InputError, Weight, WeylElement, build_root_datum
+from qalcove.lie_data import InputError, InternalError, Weight, WeylElement, build_root_datum
 from qalcove.quantum_bruhat import BRUHAT, QUANTUM
 import alcove_reference
 
@@ -48,9 +49,9 @@ LADDER = [
 
 
 def _ladder_chains():
-    """Each ladder weight's lex chain, C3 rho's chain on every other node
-    order, and a chain_from_roots chain that is not lex."""
-    for label, rank, lam in LADDER:
+    """Each ladder weight's lex chain, C2 (2,1)'s, C3 rho's chain on every
+    other node order, and a chain_from_roots chain that is not lex."""
+    for label, rank, lam in LADDER + [("C", 2, (2, 1))]:
         yield pytest.param(label, rank, lam, None, None, id=f"{label}{rank}-{lam}")
     for order in list(itertools.permutations(range(1, 4)))[1:]:
         yield pytest.param("C", 3, (1, 1, 1), order, None, id=f"C3-rho-order-{order}")
@@ -251,10 +252,37 @@ def test_enumeration_equals_the_former_one(label, rank, lam, order, swap):
     assert [(a.positions, a.path, a.edge_kinds, a.weight, a.height) for a in ours] == [
         (a.positions, a.path, a.edge_kinds, a.weight, a.height) for a in former
     ]
+    # the walk's packed weights unpack to the former ones, whose coordinates
+    # reach the packing's offset and never pass it
+    walked = [chain.unpack(x) for _, _, _, _, x, _ in alcove_model.walk_admissible(chain)]
+    assert walked == [a.weight.coords for a in former]
+    assert max(abs(c) for coords in walked for c in coords) == chain.offset
     assert all(a.chain is chain for a in ours)
     # the character counted off the walk is the (weight, height) bag of the subsets
-    bag = Counter((a.weight.coords, a.height) for a in ours)
+    bag = Counter((a.weight.coords, a.height) for a in former)
     assert character_from_alcove(chain).terms == bag
+
+
+def test_packing_round_trips_within_the_offset():
+    chain = lex_chain(build_root_datum("G", 2), Weight((2, 1)))
+    off = chain.offset
+    assert chain.base == 2 * off + 1
+    for coords in itertools.product((-off, -1, 0, 1, off), repeat=2):
+        assert chain.unpack(chain.pack(coords)) == coords
+    # a carry past the last coordinate, up or down, is an internal failure
+    for x in (chain.pack((off, off)) + 1, chain.pack((-off, -off)) - 1):
+        with pytest.raises(InternalError, match="digits past its last coordinate"):
+            chain.unpack(x)
+    # the zero weight's chain is empty and still packs with offset 1
+    empty = lex_chain(build_root_datum("G", 2), Weight((0, 0)))
+    assert (empty.offset, empty.unpack(empty.pack((-1, 1)))) == (1, (-1, 1))
+
+
+def test_a_nonpositive_l_tilde_is_refused():
+    d = build_root_datum("A", 2)
+    # <alpha_1^vee, omega_1> = 1, so a crossing at level 1 leaves l-tilde 0
+    with pytest.raises(InternalError, match="height must be nonnegative"):
+        LambdaChain(d, Weight((1, 0)), (ChainEntry(d.simple_root_index[0], 1),), None, lex=False)
 
 
 def test_alcove_character_builds_no_subset(monkeypatch):
@@ -284,7 +312,8 @@ def _check_carried_statistics(chain):
     for a in enumerate_admissible(chain):
         assert a.weight == weight_of(chain, a.positions)
         quantum = [p for p, kind in zip(a.positions, a.edge_kinds) if kind == QUANTUM]
-        assert a.height == sum(chain.complementary_height(p) for p in quantum)
+        entries = [chain.entries[p - 1] for p in quantum]
+        assert a.height == sum(chain.datum.pairing_index(e.root, chain.lam) - e.level for e in entries)
         again = AdmissibleSubset(chain, a.positions)
         assert (again.path, again.edge_kinds, again.weight, again.height) == (
             a.path, a.edge_kinds, a.weight, a.height

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from qalcove.alcove_model import lex_chain
-from qalcove.lie_data import InputError, Weight, build_root_datum
+from qalcove.characters import character_from_alcove
+from qalcove.lie_data import InputError, InternalError, Weight, WeylGroup, build_root_datum
 from qalcove.qls_model import straight_path
 from qalcove.quantum_bruhat import (
     BRUHAT,
@@ -69,13 +70,16 @@ def test_step_along_the_highest_root_of_a2():
         assert qbg_step(d, e, d.simple_root_index[i]) == (d.weyl.simple[i], BRUHAT)
 
 
-def _direct_step(d, w, root, J):
+def _direct_step(d, w, root, J, depth=None):
     # the edge rule read off its definition: w r_beta, its minimal coset
-    # representative, then the two length conditions
+    # representative, then the two length conditions; depth is
+    # 2rho - 2rho_J, summed here unless a caller passes it
     target = d.weyl.min_coset_rep(w * d.weyl.reflection(root), J)
     if target.length == w.length + 1:
         return target, BRUHAT
-    drop = d.pairing(d.positive_coroots[root], d.two_rho_minus_two_rho_J(J))
+    if depth is None:
+        depth = d.two_rho_minus_two_rho_J(J)
+    drop = d.pairing(d.positive_coroots[root], depth)
     if target.length == w.length + 1 - drop:
         return target, QUANTUM
     return None
@@ -111,6 +115,40 @@ def test_step_memo_equals_the_direct_rule(label, rank, J, monkeypatch):
     row = twin.weyl._steps[twin.weyl.longest, frozenset()]
     assert [root for root, s in enumerate(row) if s is not UNSEEN] == [twin.theta]
     assert d.weyl._steps == steps
+
+
+@pytest.mark.parametrize("label, rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2), ("F", 4)])
+def test_inversion_set_rule_equals_the_direct_rule(label, rank):
+    # on W the step reads l(w r_beta) off N(w) and N(r_beta) and composes
+    # only along an edge; the direct rule composes every w r_beta first
+    d = build_root_datum(label, rank)
+    group = d.weyl.coset_reps(frozenset())
+    assert len(group) == len(d.weyl)
+    depth = d.two_rho_minus_two_rho_J(frozenset())
+    for w in group:
+        for root in range(len(d.positive_roots)):
+            assert qbg_step(d, w, root) == _direct_step(d, w, root, frozenset(), depth)
+
+
+def test_alcove_walk_composes_only_along_edges(monkeypatch):
+    d = build_root_datum("C", 3)
+    chain = lex_chain(d, d.rho)
+    calls = []
+    product = WeylGroup.product
+    monkeypatch.setattr(WeylGroup, "product", lambda *args: calls.append(args) or product(*args))
+    character_from_alcove(chain)
+    decided = [step for row in d.weyl._steps.values() for step in row if step is not UNSEEN]
+    edges = [step for step in decided if step is not None]
+    assert len(calls) == len(edges) < len(decided)
+
+
+def test_a_length_off_the_inversion_count_is_caught():
+    d = build_root_datum("A", 2)
+    # r_theta = w_0 negates all three positive roots; with theta alone in
+    # its inversion set, e -> r_theta would read as a Bruhat edge
+    d.weyl._inversions[d.theta] = (d.theta,)
+    with pytest.raises(InternalError, match="differs from its inversion-set count"):
+        qbg_step(d, d.weyl.identity, d.theta)
 
 
 def test_parabolic_vertex_count():
