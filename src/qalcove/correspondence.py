@@ -4,7 +4,8 @@ The forgetful map reads the relative heights of an admissible subset's
 positions, groups them into break values (integers over L, as the paths
 hold them), and emits a path whose directions are the orbit points
 w_k(lambda) of the prefix products w_k of the subset's reflections, and its
-dual with the points -w_k(lambda).
+dual with the points -w_k(lambda); both hold their points as orbit-graph
+indices, and the negation is the graph's table.
 On top of the map sit machine checks of the operator intertwining (which
 also counts that the map is a bijection), the energy identity, and the
 crystal isomorphism with a tensor product of fundamental-weight crystals.
@@ -48,7 +49,8 @@ def forgetful(A: AdmissibleSubset) -> CorrespondenceRecord:
     chain = A.chain
     require_lex(chain)
     datum, lam = chain.datum, chain.lam
-    L = orbit_graph(datum, lam).L
+    graph = orbit_graph(datum, lam)
+    L = graph.L
 
     # the relative heights times L; each label's pairing divides L
     heights = [
@@ -62,12 +64,13 @@ def forgetful(A: AdmissibleSubset) -> CorrespondenceRecord:
     elements = tuple(A.path[sum(1 for t in heights if t <= b)] for b in breaks)
 
     # pi has shape -w0(lam) and points -w_k(lam); pi_star reverses w_k(lam)
-    points = tuple(w.act_weight(lam) for w in elements)
+    points = tuple(graph.index[w.act_weight(lam)] for w in elements)
     pi_breaks = tuple(breaks) + (L,)
     star_breaks = (0,) + tuple(L - b for b in reversed(breaks[1:])) + (L,)
+    negated = graph.negated
     try:
-        pi = grid_path(datum, qls_model.minus_w0(datum, lam), tuple(-mu for mu in points), pi_breaks, L)
-        pi_star = grid_path(datum, lam, points[::-1], star_breaks, L)
+        pi = grid_path(graph.dual, tuple(negated[n] for n in points), pi_breaks, L)
+        pi_star = grid_path(graph, points[::-1], star_breaks, L)
     except InputError as exc:
         raise InternalError(f"forgetful image failed validation: {exc}") from exc
     if pi_star != qls_model.dual(pi):
@@ -157,7 +160,7 @@ def verify_energy(
     violations: list[dict] = []
     for rec in records.values():
         A = rec.subset
-        sigmas, L = rec.pi_star.directions[::-1], rec.pi.L
+        sigmas, L = rec.pi_star.points[::-1], rec.pi.L
         total = sum(
             (L - c) * graph.path_weight(prev, nxt)
             for prev, nxt, c in zip(sigmas, sigmas[1:], rec.pi.cuts[1:])

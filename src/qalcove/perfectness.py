@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import qls_model
 from .lie_data import InputError, RootDatum, Vector, Weight
@@ -89,9 +90,9 @@ class PerfectnessReport:
         }
 
 
-def _dominates(datum: RootDatum, high: Vector, low: Vector) -> bool:
-    coords = datum.weight_in_root_coords(Weight(high) - Weight(low))
-    return all(c.denominator == 1 and c >= 0 for c in coords)
+def _dominates(high: tuple[Fraction, ...], low: tuple[Fraction, ...]) -> bool:
+    """Whether high - low, both in root coordinates, is a sum of simple roots."""
+    return all((d := h - l).denominator == 1 and d >= 0 for h, l in zip(high, low))
 
 
 def check_perfect(datum: RootDatum, node: int, level: int) -> PerfectnessReport:
@@ -104,8 +105,10 @@ def check_perfect(datum: RootDatum, node: int, level: int) -> PerfectnessReport:
     square_connected = qls_model.tensor(graph, graph).is_connected()
 
     weight_counts = Counter(w.coords for w in graph.weight_of)
+    # the root coordinates of each distinct weight, solved for once
+    roots = {w: datum.weight_in_root_coords(Weight(w)) for w in weight_counts}
     tops = [
-        w for w in weight_counts if all(_dominates(datum, w, other) for other in weight_counts)
+        w for w in weight_counts if all(_dominates(roots[w], roots[other]) for other in weight_counts)
     ]
     top_weight = tops[0] if len(tops) == 1 else None
     top_unique = top_weight is not None and weight_counts[top_weight] == 1

@@ -7,15 +7,19 @@ lambda).  Every break is a multiple of 1/L, L the lcm of the label pairings
 become fractions only at the input (`qls_path`) and in the output.
 Consecutive points must be joined by a directed path in the suitably
 restricted parabolic quantum Bruhat graph, read on the orbit of lambda
-(`quantum_bruhat.OrbitGraph`), so no Weyl element is built: a direction
-given as a Weyl word is turned into its point at the boundary, and a point
-is printed as the word read off its coordinates.  This module provides
-validation, a direct enumeration of QLS(lambda) from that definition (what
-the characters sum over), the root operators e_j/f_j for j in the affine
-index set (they reflect a window of points), the degree statistic, duality
-and the Lusztig involution, the crystal graph on the enumerated QLS(lambda),
-whose operator images are checked by lookup in that set, and tensor
-products of crystals under the Kashiwara convention.
+(`quantum_bruhat.OrbitGraph`), so no Weyl element is built.  A path holds
+each point as its index in that graph: the operators read the graph's
+pairing and reflection tables, duality and the Lusztig involution its
+negation and -w0 tables, validation and the degree its reach tables.  A
+direction given as a Weight or a Weyl word is turned into its index at the
+boundary, and a point is printed as the word read off its coordinates.
+
+This module provides validation, a direct enumeration of QLS(lambda) from
+that definition (what the characters sum over), the root operators e_j/f_j
+for j in the affine index set (they reflect a window of points), the degree
+statistic, duality and the Lusztig involution, the crystal graph on the
+enumerated QLS(lambda), whose operator images are checked by lookup in that
+set, and tensor products of crystals under the Kashiwara convention.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from .lie_data import (
     Weight,
     WeylElement,
 )
-from .quantum_bruhat import QuantumBruhatGraph, build_qbg, orbit_graph
+from .quantum_bruhat import OrbitGraph, QuantumBruhatGraph, build_qbg, orbit_graph
 
 _parabolic_cache: dict = {}
 
@@ -49,28 +53,47 @@ def _parabolic_graph(datum: RootDatum, J: frozenset[int]) -> QuantumBruhatGraph:
     return _parabolic_cache[key]
 
 
-def minus_w0(datum: RootDatum, mu: Weight) -> Weight:
-    """-w0(mu): the diagram automorphism omega, an involution, permutes coordinates."""
-    return Weight(tuple(mu.coords[i - 1] for i in datum.weyl.omega))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QLSPath:
     """A validated quantum LS path; build through :func:`qls_path`.  Its
-    directions are the orbit points x_k(lambda) and its breaks are cuts / L."""
+    points are the indices of the orbit points x_k(lambda) in `graph`, the
+    orbit graph of lambda, and its breaks are cuts / L."""
 
-    datum: RootDatum
-    lam: Weight
-    directions: tuple[Weight, ...]
+    graph: OrbitGraph
+    points: tuple[int, ...]
     cuts: tuple[int, ...]
-    L: int
+
+    @property
+    def datum(self) -> RootDatum:
+        return self.graph.datum
+
+    @property
+    def lam(self) -> Weight:
+        return self.graph.lam
+
+    @property
+    def L(self) -> int:
+        return self.graph.L
+
+    @property
+    def directions(self) -> tuple[Weight, ...]:
+        """The orbit points x_k(lambda) as weights."""
+        return tuple(self.graph.points[n] for n in self.points)
+
+    def __eq__(self, other) -> bool:
+        return self is other or (
+            isinstance(other, QLSPath)
+            and self.points == other.points
+            and self.cuts == other.cuts
+            and self.graph is other.graph
+        )
 
     def __hash__(self) -> int:
         return self._hash
 
     @cached_property
     def _hash(self) -> int:
-        return hash((self.lam, self.directions, self.cuts))
+        return hash((self.points, self.cuts))
 
     @property
     def breaks(self) -> tuple[Fraction, ...]:
@@ -99,9 +122,9 @@ class QLSPath:
     @cached_property
     def weight(self) -> Weight:
         """Sum over the segments of (b_{k+1} - b_k) times mu_k."""
-        total = [0] * self.datum.rank
-        for a, b, mu in zip(self.cuts, self.cuts[1:], self.directions):
-            total = [t + (b - a) * c for t, c in zip(total, mu.coords)]
+        total, points = [0] * self.datum.rank, self.graph.points
+        for a, b, n in zip(self.cuts, self.cuts[1:], self.points):
+            total = [t + (b - a) * c for t, c in zip(total, points[n].coords)]
         return _integral_weight(total, self.L)
 
     def to_json_dict(self) -> dict:
@@ -147,19 +170,30 @@ def qls_path(datum: RootDatum, lam: Weight, directions, breaks) -> QLSPath:
     for k, x in enumerate(dirs, start=1):
         if isinstance(x, WeylElement) and datum.weyl.min_coset_rep(x, datum.stabilizer(lam)) != x:
             raise InputError(f"direction {k} is not a minimal coset representative")
-    points = tuple(x.act_weight(lam) if isinstance(x, WeylElement) else x for x in dirs)
+    points = tuple(
+        _vertex(graph, k, x.act_weight(lam) if isinstance(x, WeylElement) else x)
+        for k, x in enumerate(dirs, start=1)
+    )
     scale = lcm(graph.L, *(b.denominator for b in cuts))
-    return grid_path(datum, lam, points, tuple(b.numerator * (scale // b.denominator) for b in cuts), scale)
+    return grid_path(graph, points, tuple(b.numerator * (scale // b.denominator) for b in cuts), scale)
 
 
-def grid_path(datum: RootDatum, lam: Weight, points: tuple, cuts: tuple, scale: int = 0) -> QLSPath:
-    """The path with orbit points `points` and breaks cuts / scale (scale L
-    by default), checked as qls_path checks its points.  Those checks put
-    every break on the grid of 1/L, over which the path keeps them."""
-    graph = orbit_graph(datum, lam)
+def _vertex(graph: OrbitGraph, k: int, mu: Weight) -> int:
+    """The index of direction k, the orbit point mu, in the orbit graph."""
+    n = graph.index.get(mu)
+    if n is None:
+        raise InputError(f"direction {k} is not in the orbit of lambda")
+    return n
+
+
+def grid_path(graph: OrbitGraph, points: tuple[int, ...], cuts: tuple[int, ...], scale: int = 0) -> QLSPath:
+    """The path through the vertices `points` of the orbit graph of its
+    shape, with breaks cuts / scale (scale L by default), checked as qls_path
+    checks its points.  Those checks put every break on the grid of 1/L,
+    over which the path keeps them."""
     L, scale = graph.L, scale or graph.L
-    for k, mu in enumerate(points, start=1):
-        if mu not in graph.index:
+    for k, n in enumerate(points, start=1):
+        if not 0 <= n < len(graph.points):
             raise InputError(f"direction {k} is not in the orbit of lambda")
     for k in range(1, len(points)):
         if points[k - 1] == points[k]:
@@ -172,13 +206,13 @@ def grid_path(datum: RootDatum, lam: Weight, points: tuple, cuts: tuple, scale: 
             )
     if scale != L:
         cuts = tuple(c * L // scale for c in cuts)
-    return QLSPath(datum, lam, points, cuts, L)
+    return QLSPath(graph, points, cuts)
 
 
 def straight_path(datum: RootDatum, lam: Weight, x: WeylElement | None = None) -> QLSPath:
     """The single-segment path in direction x(lam) (default: lam itself)."""
-    point = lam if x is None else x.act_weight(lam)
-    return grid_path(datum, lam, (point,), (0, 1), 1)
+    graph = orbit_graph(datum, lam)
+    return grid_path(graph, (_vertex(graph, 1, lam if x is None else x.act_weight(lam)),), (0, 1), 1)
 
 
 def _integral_weight(total: list[int], L: int) -> Weight:
@@ -209,8 +243,9 @@ def enumerate_paths(datum: RootDatum, lam: Weight):
     one segment per step; every node closes at 1 into a path, so each node
     is an output.  A break b is u/v in lowest terms with v dividing a pairing
     p = <alpha^vee, lam> of a label, so b is a multiple of 1/L, and the
-    breaks, the weight and -deg are carried times L.  Vertices are the orbit
-    graph's indices, and its reach tables give each step.
+    breaks, the weight and -deg are carried times L.  The points are the
+    orbit graph's vertex indices, as a QLSPath holds them, and its reach
+    tables give each step.
     """
     graph = orbit_graph(datum, lam)
     L = graph.L
@@ -230,7 +265,7 @@ def enumerate_paths(datum: RootDatum, lam: Weight):
                         children[x][v].append((y, weights[x]))
     points = graph.points
     zero = (0,) * datum.rank
-    stack = [(x, 0, zero, 0, (points[x],), (0,)) for x in range(n)]
+    stack = [(x, 0, zero, 0, (x,), (0,)) for x in range(n)]
     while stack:
         x, start, wt, neg_deg, path, breaks = stack.pop()
         mu = points[x].coords
@@ -241,20 +276,19 @@ def enumerate_paths(datum: RootDatum, lam: Weight):
                 break
             grown = tuple(c + (a - start) * m for c, m in zip(wt, mu))
             for y, w in children[x][v]:
-                stack.append((y, a, grown, neg_deg + (L - a) * w, path + (points[y],), breaks + (a,)))
+                stack.append((y, a, grown, neg_deg + (L - a) * w, path + (y,), breaks + (a,)))
 
 
 # ----------------------------------------------------------------- operators
 
 
 def _h_breaks(eta: QLSPath, j: int) -> list[int]:
-    """L times the values of <alpha_tilde_j^vee, eta(t)> at the break points."""
-    datum = eta.datum
-    root, sign = datum.affine_root(j)
-    coroot = datum.positive_coroots[root]
-    vals, cuts = [0], eta.cuts
-    for k, mu in enumerate(eta.directions):
-        vals.append(vals[-1] + (cuts[k + 1] - cuts[k]) * sign * datum.pairing(coroot, mu))
+    """L times the values of <alpha_tilde_j^vee, eta(t)> at the break points:
+    a running sum over the orbit graph's pairing table."""
+    pairings, cuts = eta.graph.affine_pairings(j), eta.cuts
+    vals = [0]
+    for k, n in enumerate(eta.points):
+        vals.append(vals[-1] + (cuts[k + 1] - cuts[k]) * pairings[n])
     return vals
 
 
@@ -292,36 +326,37 @@ def _reach(vals, cuts, target, i: int, step: int) -> int:
 
 def _window(eta: QLSPath, j: int, vals: list[int], m: int, raising: bool):
     """Littelmann's window rule for e_j (raising) or f_j: the image's
-    (points, cuts), or None when the operator is undefined.
+    (points, cuts), its points as orbit-graph indices, or None when the
+    operator is undefined.
 
     vals are L times H_j = <alpha_tilde_j^vee, eta(t)> at the breaks and m
     the checked minimum of H_j.  Scan from the first place H_j = m backwards
     (e_j) or from the last one forwards (f_j) to the nearest place where
-    H_j = m + 1; the image reflects the window between them by s_j, and
-    equal neighbouring points merge.  The operator is undefined when H_j
-    stays below m + 1 all the way to t = 0 (e_j) or t = 1 (f_j).
+    H_j = m + 1; the image reflects the window between them by s_j, read
+    off the orbit graph's reflection table, and equal neighbouring points
+    merge.  The operator is undefined when H_j stays below m + 1 all the
+    way to t = 0 (e_j) or t = 1 (f_j).
     """
     low, high = m * eta.L, (m + 1) * eta.L
     if (vals[0] if raising else vals[-1]) < high:
         return None
     minima = [k for k, v in enumerate(vals) if v == low]
     anchor, step = (minima[0], -1) if raising else (minima[-1], 1)
-    dirs, breaks = eta.directions, eta.cuts
+    dirs, breaks = eta.points, eta.cuts
     t0, t1 = sorted((breaks[anchor], _reach(vals, breaks, high, anchor, step)))
-    datum = eta.datum
-    root, _ = datum.affine_root(j)
+    reflected = eta.graph.affine_reflections(j)
     # segment i0 holds t0 and segment i1 - 1 holds t1
     i0 = bisect.bisect_right(breaks, t0) - 1
     i1 = bisect.bisect_left(breaks, t1)
     pieces = [(dirs[k], breaks[k + 1]) for k in range(i0)]
     if breaks[i0] < t0:
         pieces.append((dirs[i0], t0))
-    pieces += [(datum.reflect(dirs[k], root), breaks[k + 1]) for k in range(i0, i1 - 1)]
-    pieces.append((datum.reflect(dirs[i1 - 1], root), t1))
+    pieces += [(reflected[dirs[k]], breaks[k + 1]) for k in range(i0, i1 - 1)]
+    pieces.append((reflected[dirs[i1 - 1]], t1))
     if t1 < breaks[i1]:
         pieces.append((dirs[i1 - 1], breaks[i1]))
     pieces += [(dirs[k], breaks[k + 1]) for k in range(i1, len(dirs))]
-    points: list[Weight] = []
+    points: list[int] = []
     cuts = [breaks[0]]
     for d, end in pieces:
         if points and points[-1] == d:
@@ -340,7 +375,7 @@ def _root_operator(eta: QLSPath, j: int, raising: bool) -> QLSPath | None:
     if image is None:
         return None
     try:
-        new = grid_path(eta.datum, eta.lam, *image)
+        new = grid_path(eta.graph, *image)
     except InputError as exc:
         raise InternalError(f"root operator produced an invalid path: {exc}") from exc
     alpha = eta.datum.affine_root_weight(j)
@@ -376,8 +411,7 @@ def phi(eta: QLSPath, j: int) -> int:
 
 def deg(eta: QLSPath) -> int:
     """Degree: minus the sum of (1 - b_k) times the segment path weights."""
-    graph = orbit_graph(eta.datum, eta.lam)
-    points, cuts = eta.directions, eta.cuts
+    graph, points, cuts = eta.graph, eta.points, eta.cuts
     total = -sum((eta.L - cuts[k]) * graph.path_weight(points[k], points[k - 1]) for k in range(1, len(points)))
     return _whole(total, eta.L, "degree")
 
@@ -388,24 +422,26 @@ def deg(eta: QLSPath) -> int:
 def dual(eta: QLSPath) -> QLSPath:
     """Reverse the path and translate its endpoint to the origin: shape
     -w0(lambda), points -mu_k in reverse order."""
-    dirs = tuple(-mu for mu in reversed(eta.directions))
+    graph = eta.graph
+    dirs = tuple(graph.negated[n] for n in reversed(eta.points))
     cuts = tuple(eta.L - c for c in reversed(eta.cuts))
-    return grid_path(eta.datum, minus_w0(eta.datum, eta.lam), dirs, cuts, eta.L)
+    return grid_path(graph.dual, dirs, cuts, eta.L)
 
 
 def omega(eta: QLSPath) -> QLSPath:
     """Apply the diagram automorphism: every point mu goes to -w0(mu)."""
-    datum = eta.datum
-    dirs = tuple(minus_w0(datum, mu) for mu in eta.directions)
-    return grid_path(datum, minus_w0(datum, eta.lam), dirs, eta.cuts, eta.L)
+    graph = eta.graph
+    return grid_path(graph.dual, tuple(graph.omega_images[n] for n in eta.points), eta.cuts, eta.L)
 
 
 def lusztig_S(eta: QLSPath) -> QLSPath:
-    """The Lusztig involution: apply the longest element and reverse."""
-    datum = eta.datum
-    dirs = tuple(-minus_w0(datum, mu) for mu in reversed(eta.directions))
+    """The Lusztig involution: apply the longest element and reverse; w0(mu)
+    is the negation of -w0(mu), back in the orbit of lambda."""
+    graph = eta.graph
+    images, negated = graph.omega_images, graph.dual.negated
+    dirs = tuple(negated[images[n]] for n in reversed(eta.points))
     cuts = tuple(eta.L - c for c in reversed(eta.cuts))
-    return grid_path(datum, eta.lam, dirs, cuts, eta.L)
+    return grid_path(graph, dirs, cuts, eta.L)
 
 
 # ------------------------------------------------------------------- crystals
@@ -535,23 +571,24 @@ def build_crystal(datum: RootDatum, lam: Weight) -> CrystalGraph:
     """The crystal on QLS(lam) under Littelmann's root operators.
 
     The vertices are the paths from enumerate_paths, with its integral
-    weights.  At every (vertex, label) one H_j and its checked minimum give
-    both e_j and f_j, and each image must be an enumerated path: the rule
-    qls_path applies, since it and the enumeration both read the orbit
-    graph's reach tables.  Vertices are ordered by a BFS from the straight
-    path over the arrows in (label, e then f) order, which must reach every
-    enumerated path.
+    weights, keyed by their (points, cuts) index tuples.  At every (vertex,
+    label) one H_j and its checked minimum give both e_j and f_j, and each
+    image must be an enumerated path: the rule qls_path applies, since it
+    and the enumeration both read the orbit graph's reach tables.  Vertices
+    are ordered by a BFS from the straight path over the arrows in (label,
+    e then f) order, which must reach every enumerated path.
     """
-    L = orbit_graph(datum, lam).L
+    graph = orbit_graph(datum, lam)
+    L = graph.L
     rows = list(enumerate_paths(datum, lam))
     table = {(points, cuts): p for p, (points, cuts, _, _) in enumerate(rows)}
     n, labels = len(rows), range(datum.rank + 1)
-    order = [table[((lam,), (0, L))]]  # enumeration positions in BFS order
+    order = [table[((0,), (0, L))]]  # enumeration positions in BFS order; vertex 0 is lambda
     found = [-1] * n  # each enumerated path's BFS index
     found[order[0]] = 0
     e, f, vertices = [[-1] * n for _ in labels], [[-1] * n for _ in labels], []
     for i, p in enumerate(order):  # order grows as the BFS finds vertices
-        v = QLSPath(datum, lam, rows[p][0], rows[p][1], L)
+        v = QLSPath(graph, rows[p][0], rows[p][1])
         vertices.append(v)
         for j in labels:
             vals = _h_breaks(v, j)

@@ -7,13 +7,19 @@ when the length goes up by one, a quantum edge when it drops by
 The QLS side reads the graph on the orbit of lambda (`OrbitGraph`, J the
 stabilizer of lambda): vertices, edges and lengths come from weights alone,
 and one BFS per source gives the shortest-path weights and the reachability
-in the b-restricted subgraphs.  The alcove walk takes single steps on Weyl
-elements (`qbg_step`, `qbg_row`); no command builds the graph on Weyl elements.
+in the b-restricted subgraphs.  The graph numbers its vertices, and a QLS
+path holds its points as those numbers: per affine label j the graph keeps
+the pairing of alpha_tilde_j^vee with every vertex and the index of its
+s_j-image, and across orbits the index of -mu and of -w0(mu) in the graph
+of -w0(lambda), each table built on first use.  The alcove walk takes single
+steps on Weyl elements (`qbg_step`, `qbg_row`); no command builds the graph
+on Weyl elements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, lcm
 
 from qalcove.lie_data import (
@@ -119,14 +125,17 @@ class OrbitGraph:
                     points.append(image)
                     carried.append(tuple(m - carried[n][i] * a for m, a in zip(carried[n], simple[i])))
                     lengths.append(lengths[n] + 1)
+        self.datum, self.lam = datum, lam
         self.points = tuple(Weight(mu) for mu in points)
         self.index = {mu: n for n, mu in enumerate(self.points)}
         self.lengths = tuple(lengths)
         self._coords, self._carried = index, carried
         self._roots = tuple(zip(datum.positive_coroots, datum.root_weights))
-        # the edges and the reach tables, by vertex index, filled on first use
+        # the edges, the reach tables and the label tables, filled on first use
         self._edges: dict[int, tuple] = {}
         self._reach: dict[int, tuple[list[int], list[int]]] = {}
+        self._pairings: dict[int, list[int]] = {}
+        self._reflections: dict[int, list[int]] = {}
 
     def edges(self, n: int) -> tuple:
         """The edges leaving vertex n, built on its first use."""
@@ -164,13 +173,63 @@ class OrbitGraph:
             table = self._reach[source] = (gcds, weights)
         return table
 
-    def reachable(self, mu: Weight, nu: Weight, v: int) -> bool:
-        """Whether mu reaches nu in the graph restricted at breaks of denominator v."""
-        return self.reach(self.index[mu])[0][self.index[nu]] % v == 0
+    def reachable(self, m: int, n: int, v: int) -> bool:
+        """Whether vertex m reaches vertex n in the graph restricted at breaks
+        of denominator v."""
+        return self.reach(m)[0][n] % v == 0
 
-    def path_weight(self, mu: Weight, nu: Weight) -> int:
-        """<wt(p), lambda> for any shortest directed path p from mu to nu."""
-        return self.reach(self.index[mu])[1][self.index[nu]]
+    def path_weight(self, m: int, n: int) -> int:
+        """<wt(p), lambda> for any shortest directed path p from vertex m to n."""
+        return self.reach(m)[1][n]
+
+    def affine_pairings(self, j: int) -> list[int]:
+        """<alpha_tilde_j^vee, mu_n> for every vertex n (-<theta^vee, mu_n>
+        at j = 0), built on the label's first use."""
+        table = self._pairings.get(j)
+        if table is None:
+            root, sign = self.datum.affine_root(j)  # refuses a label outside 0..rank
+            table = [0] * len(self.points)
+            for i, b in enumerate(self.datum.positive_coroots[root]):
+                if b:
+                    table = [t + sign * b * mu.coords[i] for t, mu in zip(table, self.points)]
+            self._pairings[j] = table
+        return table
+
+    def affine_reflections(self, j: int) -> list[int]:
+        """The index of s_j(mu_n) (s_theta at j = 0) for every vertex n,
+        built on the label's first use."""
+        table = self._reflections.get(j)
+        if table is None:
+            root, sign = self.datum.affine_root(j)
+            alpha = self.datum.root_weights[root]
+            table = self._reflections[j] = [
+                self._coords[tuple(m - sign * c * a for m, a in zip(mu.coords, alpha))] if c else n
+                for n, (mu, c) in enumerate(zip(self.points, self.affine_pairings(j)))
+            ]
+        return table
+
+    @cached_property
+    def dual(self) -> OrbitGraph:
+        """The orbit graph of -w0(lambda), which holds -mu and -w0(mu) for
+        every vertex mu of this one."""
+        return orbit_graph(self.datum, minus_w0(self.datum, self.lam))
+
+    @cached_property
+    def negated(self) -> tuple[int, ...]:
+        """The index of -mu_n in the graph of -w0(lambda), by vertex n."""
+        index = self.dual._coords
+        return tuple(index[tuple(-m for m in mu.coords)] for mu in self.points)
+
+    @cached_property
+    def omega_images(self) -> tuple[int, ...]:
+        """The index of -w0(mu_n) in the graph of -w0(lambda), by vertex n."""
+        index, omega = self.dual._coords, self.datum.weyl.omega
+        return tuple(index[tuple(mu.coords[i - 1] for i in omega)] for mu in self.points)
+
+
+def minus_w0(datum: RootDatum, mu: Weight) -> Weight:
+    """-w0(mu): the diagram automorphism omega, an involution, permutes coordinates."""
+    return Weight(tuple(mu.coords[i - 1] for i in datum.weyl.omega))
 
 
 def orbit_graph(datum: RootDatum, lam: Weight) -> OrbitGraph:

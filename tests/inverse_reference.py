@@ -19,7 +19,7 @@ from qalcove import qls_model
 from qalcove.alcove_model import AdmissibleSubset, LambdaChain, lex_chain, require_lex
 from qalcove.lie_data import InputError, InternalError, RootDatum, Vector, WeylElement
 from qalcove.qls_model import QLSPath
-from qalcove.quantum_bruhat import QBGEdge, QuantumBruhatGraph, build_qbg
+from qalcove.quantum_bruhat import QBGEdge, QuantumBruhatGraph, build_qbg, minus_w0
 
 
 def parabolic_longest(weyl, J: frozenset[int]) -> WeylElement:
@@ -196,7 +196,7 @@ def chain_ordering(chain: LambdaChain) -> tuple[int, ...]:
 def inverse(eta: QLSPath, chain: LambdaChain | None = None) -> AdmissibleSubset:
     """The admissible subset mapping to a given path of shape -w0.lam."""
     datum = eta.datum
-    lam = qls_model.minus_w0(datum, eta.lam)
+    lam = minus_w0(datum, eta.lam)
     if chain is None:
         chain = lex_chain(datum, lam)
     require_lex(chain)

@@ -56,7 +56,7 @@ def deg_of_involution(eta):
     """Degree of the Lusztig involution of eta from eta's own break data:
     minus the sum of b_k times the segment path weights."""
     graph = orbit_graph(eta.datum, eta.lam)
-    points = eta.directions
+    points = eta.points
     total = -sum(
         eta.breaks[k] * graph.path_weight(points[k], points[k - 1])
         for k in range(1, len(points))
@@ -135,6 +135,14 @@ def test_rejects_non_minimal_coset_representative():
     # a point outside the orbit W(w1) = {w1, w2 - w1, -w2}
     with pytest.raises(InputError, match="direction 1 is not in the orbit"):
         path(A2, (1, 0), [Weight((0, 1))], (0, 1))
+
+
+def test_grid_path_refuses_an_index_outside_the_orbit():
+    # -1 would otherwise read the last vertex
+    graph = orbit_graph(A2, Weight((1, 0)))
+    for n in (-1, len(graph.points)):
+        with pytest.raises(InputError, match="direction 1 is not in the orbit"):
+            qls_model.grid_path(graph, (n,), (0, graph.L))
 
 
 def test_rejects_node_out_of_range():
@@ -480,17 +488,18 @@ def test_enumeration_equals_the_closure_of_the_straight_path(label, rank, coords
     found = [(points, cuts) for points, cuts, _, _ in enumerate_paths(datum, lam)]
     assert len(found) == len(set(found))
     graph = _closure(datum, lam)
-    assert set(found) == {(v.directions, v.cuts) for v in graph.vertices}
+    assert set(found) == {(v.points, v.cuts) for v in graph.vertices}
 
 
 @pytest.mark.parametrize("label,rank,coords", ENUMERATION_CASES)
 def test_enumerated_paths_are_valid_with_their_weight_and_degree(label, rank, coords):
     datum = build_root_datum(label, rank)
     lam = Weight(coords)
-    L = orbit_graph(datum, lam).L
+    graph = orbit_graph(datum, lam)
     for points, cuts, weight, neg_deg in enumerate_paths(datum, lam):
-        eta = qls_path(datum, lam, points, [Fraction(c, L) for c in cuts])
-        assert eta.cuts == cuts
+        directions = [graph.points[n] for n in points]
+        eta = qls_path(datum, lam, directions, [Fraction(c, graph.L) for c in cuts])
+        assert (eta.points, eta.cuts) == (points, cuts)
         assert eta.weight == weight
         assert -deg(eta) == neg_deg
 
@@ -556,6 +565,20 @@ def test_builder_equals_the_closure(label, rank, coords):
     assert graph.weights == ref.weights
 
 
+@pytest.mark.parametrize("label,rank,coords", [("A", 3, (1, 1, 0)), ("B", 3, (0, 1, 1))])
+def test_paths_read_in_equal_the_crystal_vertices(label, rank, coords):
+    # qls_path turns weights and Weyl words into orbit-graph indices; either
+    # way the path equals, and hashes as, the builder's vertex
+    datum = build_root_datum(label, rank)
+    lam = Weight(coords)
+    graph = build_crystal(datum, lam)
+    for i, v in enumerate(graph.vertices):
+        for directions in (v.directions, v.words):
+            eta = qls_path(datum, lam, directions, v.breaks)
+            assert eta == v and hash(eta) == hash(v)
+            assert eta.points == v.points and graph.index[eta] == i
+
+
 @pytest.mark.parametrize("label,rank,coords", LADDER)
 def test_public_operators_reproduce_every_arrow(label, rank, coords):
     graph = build_crystal(build_root_datum(label, rank), Weight(coords))
@@ -570,8 +593,12 @@ def test_builder_rejects_an_image_outside_the_enumeration(monkeypatch):
 
     def off_by_a_break(eta, j, vals, m, raising):
         image = window(eta, j, vals, m, raising)
+        if image is None:
+            return None
+        points, cuts = image
+        assert all(0 <= n < len(eta.graph.points) for n in points)  # orbit-graph indices
         # the last break moved from 1 to 2
-        return None if image is None else (image[0], image[1][:-1] + (2 * eta.L,))
+        return points, cuts[:-1] + (2 * eta.L,)
 
     monkeypatch.setattr(qls_model, "_window", off_by_a_break)
     with pytest.raises(InternalError, match="root operator produced an invalid path"):
@@ -583,8 +610,9 @@ def test_builder_requires_the_operators_to_reach_every_path(monkeypatch):
 
     def with_a_stray(datum, lam):
         yield from enumerate_paths(datum, lam)
-        stray = Weight((5, 5))
-        yield (stray,), (0, orbit_graph(datum, lam).L), stray, 0
+        graph = orbit_graph(datum, lam)
+        # a vertex index past the orbit, which no arrow can reach
+        yield (len(graph.points),), (0, graph.L), Weight((5, 5)), 0
 
     monkeypatch.setattr(qls_model, "enumerate_paths", with_a_stray)
     with pytest.raises(InternalError, match="reach 9 of the 10 paths"):
@@ -683,7 +711,8 @@ def _window(eta: QLSPath, j: int, vals: list[Fraction], m: int, raising: bool):
 def test_integer_operator_rule_equals_the_rational_one(label, rank, coords):
     datum = build_root_datum(label, rank)
     lam = Weight(coords)
-    L = orbit_graph(datum, lam).L
+    orbit = orbit_graph(datum, lam)
+    L = orbit.L
     if (label, coords) == ("G", (2, 1)):
         assert L == 420  # the largest grid of break points among these cases
     graph = build_crystal(datum, lam)
@@ -699,7 +728,9 @@ def test_integer_operator_rule_equals_the_rational_one(label, rank, coords):
                 image = qls_model._window(v, j, qls_model._h_breaks(v, j), m, raising)
                 assert (image is None) == (ref is None) == ((v, j) not in arrows)
                 if ref is not None:
-                    assert (image[0], tuple(Fraction(c, L) for c in image[1])) == ref
+                    # the integer rule's images are orbit-graph indices
+                    points = tuple(orbit.points[n] for n in image[0])
+                    assert (points, tuple(Fraction(c, L) for c in image[1])) == ref
                     w = arrows[(v, j)]
                     assert (w.directions, w.breaks) == ref
 

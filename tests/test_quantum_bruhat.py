@@ -15,6 +15,7 @@ from qalcove.quantum_bruhat import (
     UNSEEN,
     OrbitGraph,
     build_qbg,
+    minus_w0,
     qbg_row,
     qbg_step,
     orbit_graph,
@@ -29,10 +30,10 @@ def _on_weyl_elements(d, lam):
     graph = orbit_graph(d, lam)
 
     def reachable(x, y, b):
-        return graph.reachable(x.act_weight(lam), y.act_weight(lam), b.denominator)
+        return graph.reachable(graph.index[x.act_weight(lam)], graph.index[y.act_weight(lam)], b.denominator)
 
     def weight(x, y):
-        return graph.path_weight(x.act_weight(lam), y.act_weight(lam))
+        return graph.path_weight(graph.index[x.act_weight(lam)], graph.index[y.act_weight(lam)])
 
     return reachable, weight
 
@@ -396,6 +397,39 @@ def test_lazy_edges_give_the_reach_tables_of_an_eager_graph(label, rank, coords)
     for source in range(n - 1, -1, -stride):
         assert lazy.reach(source) == eager.reach(source)
     assert lazy._edges == eager._edges
+
+
+@pytest.mark.parametrize(
+    "label,rank,coords",
+    [
+        ("G", 2, (2, 1)),  # regular
+        ("B", 3, (0, 1, 1)),  # parabolic, J = {1}
+        ("A", 3, (1, 1, 0)),  # -w0(lambda) = (0, 1, 1)
+        ("E", 6, (1, 0, 0, 0, 0, 0)),  # -w0 sends omega_1 to omega_6
+    ],
+)
+def test_orbit_tables_equal_the_weight_rules(label, rank, coords):
+    d = build_root_datum(label, rank)
+    lam = Weight(coords)
+    graph = orbit_graph(d, lam)
+    w0 = d.weyl.longest
+    dual = graph.dual
+    assert dual is orbit_graph(d, -w0.act_weight(lam))
+    assert (dual is graph) == (-w0.act_weight(lam) == lam)
+    for j in range(d.rank + 1):
+        root, sign = d.affine_root(j)
+        pairings, images = graph.affine_pairings(j), graph.affine_reflections(j)
+        assert len(pairings) == len(images) == len(graph.points)
+        for n, mu in enumerate(graph.points):
+            assert pairings[n] == sign * d.pairing_index(root, mu)
+            assert graph.points[images[n]] == d.reflect(mu, root)
+    for n, mu in enumerate(graph.points):
+        assert dual.points[graph.negated[n]] == -mu
+        assert dual.points[graph.omega_images[n]] == minus_w0(d, mu) == -w0.act_weight(mu)
+    with pytest.raises(InputError, match="outside the affine index set"):
+        graph.affine_pairings(d.rank + 1)
+    with pytest.raises(InputError, match="outside the affine index set"):
+        graph.affine_reflections(-1)
 
 
 def test_a_straight_path_builds_no_edge():
