@@ -152,7 +152,9 @@ def verify_energy(
     height(A) must equal the break-weighted sum of graph distances along the
     path image, minus the degree of that image, and minus the degree of the
     reversed dual image.  records is the forgetful table of the chain (built
-    here when None).
+    here when None).  The graph distances are read off the unrestricted
+    graph and `qls_model.deg` off the searches restricted at each break, so
+    only deg rests on the shortest-path lemma.
     """
     if records is None:
         records = forgetful_table(chain if chain is not None else lex_chain(datum, lam))
@@ -162,7 +164,7 @@ def verify_energy(
         A = rec.subset
         sigmas, L = rec.pi_star.points[::-1], rec.pi.L
         total = sum(
-            (L - c) * graph.path_weight(prev, nxt)
+            (L - c) * graph.path_weight(prev, nxt, 1)
             for prev, nxt, c in zip(sigmas, sigmas[1:], rec.pi.cuts[1:])
         )
         reversed_dual = qls_model.lusztig_S(rec.pi_star)

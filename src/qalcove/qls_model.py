@@ -10,9 +10,10 @@ restricted parabolic quantum Bruhat graph, read on the orbit of lambda
 (`quantum_bruhat.OrbitGraph`), so no Weyl element is built.  A path holds
 each point as its index in that graph: the operators read the graph's
 pairing and reflection tables, duality and the Lusztig involution its
-negation and -w0 tables, validation and the degree its reach tables.  A
-direction given as a Weight or a Weyl word is turned into its index at the
-boundary, and a point is printed as the word read off its coordinates.
+negation and -w0 tables, validation and the degree its searches of the
+subgraph restricted at each break.  A direction given as a Weight or a Weyl
+word is turned into its index at the boundary, and a point is printed as
+the word read off its coordinates.
 
 This module provides validation, a direct enumeration of QLS(lambda) from
 that definition (what the characters sum over), the root operators e_j/f_j
@@ -244,8 +245,9 @@ def enumerate_paths(datum: RootDatum, lam: Weight):
     is an output.  A break b is u/v in lowest terms with v dividing a pairing
     p = <alpha^vee, lam> of a label, so b is a multiple of 1/L, and the
     breaks, the weight and -deg are carried times L.  The points are the
-    orbit graph's vertex indices, as a QLSPath holds them, and its reach
-    tables give each step.
+    orbit graph's vertex indices, as a QLSPath holds them.  One search per
+    (denominator v, source y), not kept, lists the points x that y may
+    follow at a break of denominator v, so each x's followers ascend in y.
     """
     graph = orbit_graph(datum, lam)
     L = graph.L
@@ -256,13 +258,11 @@ def enumerate_paths(datum: RootDatum, lam: Weight):
     dens = {v for _, v in cuts}
     n = len(graph.points)
     children: list[dict[int, list]] = [{v: [] for v in dens} for _ in range(n)]
-    for y in range(n):
-        gcds, weights = graph.reach(y)
-        for x, g in enumerate(gcds):
-            if x != y:
-                for v in dens:
-                    if g % v == 0:
-                        children[x][v].append((y, weights[x]))
+    for v in dens:
+        for y in range(n):
+            for x, w in graph.search(y, v).items():
+                if x != y:
+                    children[x][v].append((y, w))
     points = graph.points
     zero = (0,) * datum.rank
     stack = [(x, 0, zero, 0, (x,), (0,)) for x in range(n)]
@@ -410,10 +410,14 @@ def phi(eta: QLSPath, j: int) -> int:
 
 
 def deg(eta: QLSPath) -> int:
-    """Degree: minus the sum of (1 - b_k) times the segment path weights."""
-    graph, points, cuts = eta.graph, eta.points, eta.cuts
-    total = -sum((eta.L - cuts[k]) * graph.path_weight(points[k], points[k - 1]) for k in range(1, len(points)))
-    return _whole(total, eta.L, "degree")
+    """Degree: minus the sum of (1 - b_k) times the segment path weights,
+    each read off the search restricted at its break b_k."""
+    graph, points, cuts, L = eta.graph, eta.points, eta.cuts, eta.L
+    total = -sum(
+        (L - cuts[k]) * graph.path_weight(points[k], points[k - 1], L // gcd(cuts[k], L))
+        for k in range(1, len(points))
+    )
+    return _whole(total, L, "degree")
 
 
 # ------------------------------------------------------ duality and Lusztig S
@@ -574,9 +578,9 @@ def build_crystal(datum: RootDatum, lam: Weight) -> CrystalGraph:
     weights, keyed by their (points, cuts) index tuples.  At every (vertex,
     label) one H_j and its checked minimum give both e_j and f_j, and each
     image must be an enumerated path: the rule qls_path applies, since it
-    and the enumeration both read the orbit graph's reach tables.  Vertices
-    are ordered by a BFS from the straight path over the arrows in (label,
-    e then f) order, which must reach every enumerated path.
+    and the enumeration both read the orbit graph's restricted searches.
+    Vertices are ordered by a BFS from the straight path over the arrows in
+    (label, e then f) order, which must reach every enumerated path.
     """
     graph = orbit_graph(datum, lam)
     L = graph.L

@@ -6,21 +6,22 @@ when the length goes up by one, a quantum edge when it drops by
 <alpha^vee, 2rho - 2rho_J> - 1, and then its weight is the coroot alpha^vee.
 The QLS side reads the graph on the orbit of lambda (`OrbitGraph`, J the
 stabilizer of lambda): vertices, edges and lengths come from weights alone,
-and one BFS per source gives the shortest-path weights and the reachability
-in the b-restricted subgraphs.  The graph numbers its vertices, and a QLS
-path holds its points as those numbers: per affine label j the graph keeps
-the pairing of alpha_tilde_j^vee with every vertex and the index of its
-s_j-image, and across orbits the index of -mu and of -w0(mu) in the graph
-of -w0(lambda), each table built on first use.  The alcove walk takes single
-steps on Weyl elements (`qbg_step`, `qbg_row`); no command builds the graph
-on Weyl elements.
+and one BFS per (source, denominator of b) over the b-restricted subgraph
+gives its reachability and the shortest-path weights.  The graph numbers its
+vertices, and a QLS path holds its points as those numbers: per affine
+label j the graph keeps the pairing of alpha_tilde_j^vee with every vertex
+and the index of its s_j-image, and across orbits the index of -mu and of
+-w0(mu) in the graph of -w0(lambda), each table built on first use.  The
+alcove walk takes single steps on Weyl elements (`qbg_step`, `qbg_row`); no
+command builds the graph on Weyl elements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd, lcm
+from math import lcm
+from operator import mul
 
 from qalcove.lie_data import (
     InputError,
@@ -96,15 +97,15 @@ class OrbitGraph:
     alpha = x^-1(delta) has <alpha^vee, lambda> = p, and the edge goes to
     s_delta(mu): Bruhat when the length rises by one, quantum when it changes
     by 1 - |<delta^vee, nu>| = 1 - <alpha^vee, 2rho - 2rho_J>, and then its
-    weight pairs with lambda to p.  Edges are (target, kind, p, that weight),
-    built on a vertex's first use.
+    weight pairs with lambda to p.
 
-    By the shortest-path lemma of Lenart-Naito-Sagaki-Schilling-Shimozono
-    (part I, arXiv:1211.2042), nu is reachable from mu in the b-restricted
-    subgraph exactly when a shortest path from mu to nu uses only its edges,
-    and all shortest paths share their weight.  So `reach`, one BFS per
-    source, gives both: with b = u/v in lowest terms, b<alpha^vee, lambda> is
-    integral on every label of the path iff v divides their pairings' gcd.
+    A break b = u/v in lowest terms keeps the edges with v | p.  By the
+    shortest-path lemma of Lenart-Naito-Sagaki-Schilling-Shimozono (part I,
+    arXiv:1211.2042), if mu reaches nu in that subgraph, every shortest path
+    from mu to nu lies in it, and all shortest paths share their weight; so
+    one BFS over those edges (`search`) decides reachability and carries the
+    shortest-path weight.  A vertex's edges at v are built on first use, at
+    v >= 2 none with p = 1.
     """
 
     def __init__(self, datum: RootDatum, lam: Weight):
@@ -131,56 +132,67 @@ class OrbitGraph:
         self.lengths = tuple(lengths)
         self._coords, self._carried = index, carried
         self._roots = tuple(zip(datum.positive_coroots, datum.root_weights))
-        # the edges, the reach tables and the label tables, filled on first use
-        self._edges: dict[int, tuple] = {}
-        self._reach: dict[int, tuple[list[int], list[int]]] = {}
+        # the edges and searches per break denominator, and the label tables,
+        # filled on first use
+        self._edges: dict[int, list] = {}
+        self._searches: dict[tuple[int, int], dict[int, int]] = {}
         self._pairings: dict[int, list[int]] = {}
         self._reflections: dict[int, list[int]] = {}
 
-    def edges(self, n: int) -> tuple:
-        """The edges leaving vertex n, built on its first use."""
-        out = self._edges.get(n)
-        if out is None:
-            mu, nu, length, out = self.points[n].coords, self._carried[n], self.lengths[n], []
-            for coroot, root in self._roots:
-                if c := sum(b * m for b, m in zip(coroot, mu)):
-                    target = self._coords[tuple(m - c * a for m, a in zip(mu, root))]
-                    gain, p = self.lengths[target] - length - 1, abs(c)
-                    if gain == 0:
-                        out.append((target, BRUHAT, p, 0))
-                    elif gain == -abs(sum(b * v for b, v in zip(coroot, nu))):
-                        out.append((target, QUANTUM, p, p))
-            out = self._edges[n] = tuple(out)
-        return out
+    def _out(self, n: int, v: int) -> tuple[tuple[int, int], ...]:
+        """The edges leaving vertex n whose pairing v divides, as (target,
+        weight) pairs; at v >= 2 no edge with p = 1 is built."""
+        mu, nu, length, out = self.points[n].coords, self._carried[n], self.lengths[n], []
+        for coroot, root in self._roots:
+            c = sum(map(mul, coroot, mu))
+            if c and c % v == 0:
+                target = self._coords[tuple([m - c * a for m, a in zip(mu, root)])]
+                gain = self.lengths[target] - length - 1
+                if gain == 0:
+                    out.append((target, 0))
+                elif gain == -abs(sum(map(mul, coroot, nu))):
+                    out.append((target, abs(c)))
+        return tuple(out)
 
-    def reach(self, source: int) -> tuple[list[int], list[int]]:
-        """The label gcd (0 at the source itself) and the weight <wt, lambda>
-        of one shortest path from the vertex source to each vertex, as lists
-        by index: one BFS, run once per source."""
-        table = self._reach.get(source)
+    def search(self, source: int, v: int) -> dict[int, int]:
+        """One BFS from the vertex source over the edges whose pairing v
+        divides (every edge at v = 1): the weight <wt, lambda> of the path it
+        finds to each vertex reached, keyed in BFS order; not kept."""
+        edges = self._edges.get(v)
+        if edges is None:
+            edges = self._edges[v] = [None] * len(self.points)
+        weights = {source: 0}
+        queue = [source]
+        for m in queue:  # queue grows as the BFS finds vertices
+            out = edges[m]
+            if out is None:
+                out = edges[m] = self._out(m, v)
+            w = weights[m]
+            for target, q in out:
+                if target not in weights:
+                    weights[target] = w + q
+                    queue.append(target)
+        return weights
+
+    def _searched(self, m: int, v: int) -> dict[int, int]:
+        table = self._searches.get((m, v))
         if table is None:
-            gcds, weights = [-1] * len(self.points), [0] * len(self.points)
-            gcds[source] = 0
-            queue = [source]
-            for v in queue:  # queue grows as the BFS finds vertices
-                g, w = gcds[v], weights[v]
-                for target, _, p, q in self.edges(v):
-                    if gcds[target] < 0:
-                        gcds[target], weights[target] = gcd(g, p), w + q
-                        queue.append(target)
-            if len(queue) != len(self.points):
-                raise InternalError("graph is not strongly connected")
-            table = self._reach[source] = (gcds, weights)
+            table = self._searches[m, v] = self.search(m, v)
         return table
 
     def reachable(self, m: int, n: int, v: int) -> bool:
         """Whether vertex m reaches vertex n in the graph restricted at breaks
         of denominator v."""
-        return self.reach(m)[0][n] % v == 0
+        return n in self._searched(m, v)
 
-    def path_weight(self, m: int, n: int) -> int:
-        """<wt(p), lambda> for any shortest directed path p from vertex m to n."""
-        return self.reach(m)[1][n]
+    def path_weight(self, m: int, n: int, v: int) -> int:
+        """<wt(p), lambda> for any shortest directed path p from vertex m to
+        n, read off the search restricted at breaks of denominator v, which
+        must reach n."""
+        weight = self._searched(m, v).get(n)
+        if weight is None:
+            raise InternalError(f"vertex {n} is not reachable from vertex {m} at denominator {v}")
+        return weight
 
     def affine_pairings(self, j: int) -> list[int]:
         """<alpha_tilde_j^vee, mu_n> for every vertex n (-<theta^vee, mu_n>

@@ -1,14 +1,17 @@
 """Reference queries on quantum Bruhat graphs for the tests: plain searches
-over the adjacency lists, and `QueryGraph`, the graph on Weyl elements with
-the shortest-path queries that the orbit graph of `quantum_bruhat` is checked
-against."""
+over the adjacency lists, `QueryGraph`, the graph on Weyl elements with the
+shortest-path queries that the orbit graph of `quantum_bruhat` is checked
+against, and `orbit_edges` and `orbit_reach`, the orbit graph's every edge
+and one BFS over all of them per source with the label gcd of each path,
+which its searches restricted per break denominator are checked against."""
 
 from collections import deque
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from qalcove.lie_data import InputError, InternalError, Weight, WeylElement
-from qalcove.quantum_bruhat import QBGEdge, QuantumBruhatGraph
+from qalcove.quantum_bruhat import BRUHAT, QUANTUM, OrbitGraph, QBGEdge, QuantumBruhatGraph
 
 
 class QueryGraph(QuantumBruhatGraph):
@@ -137,3 +140,44 @@ def shortest_paths(graph, x, y):
 
     grow(x, [])
     return out
+
+
+def orbit_edges(graph: OrbitGraph, n: int) -> tuple:
+    """Every edge leaving vertex n of the orbit graph, whatever its pairing,
+    as (target, kind, p, weight): for each root delta (either sign) with
+    p = <delta^vee, mu> > 0, the edge to s_delta(mu) when the length rises
+    by one (Bruhat, weight 0) or changes by 1 - |<delta^vee, nu>| (quantum,
+    weight p), nu the point carried beside mu."""
+    mu, nu, length, out = graph.points[n].coords, graph._carried[n], graph.lengths[n], []
+    for coroot, root in graph._roots:
+        if c := sum(map(mul, coroot, mu)):
+            target = graph._coords[tuple(m - c * a for m, a in zip(mu, root))]
+            gain, p = graph.lengths[target] - length - 1, abs(c)
+            if gain == 0:
+                out.append((target, BRUHAT, p, 0))
+            elif gain == -abs(sum(map(mul, coroot, nu))):
+                out.append((target, QUANTUM, p, p))
+    return tuple(out)
+
+
+def orbit_reach(graph: OrbitGraph) -> list[tuple[list[int], list[int]]]:
+    """Per source vertex, one BFS over every edge of the orbit graph: the
+    label gcd (0 at the source itself) and the weight <wt, lambda> of the
+    shortest path it finds to each vertex, as lists by index.  By the
+    shortest-path lemma, a target is reachable at breaks of denominator v
+    exactly when v divides its gcd."""
+    edges = [orbit_edges(graph, n) for n in range(len(graph.points))]
+    tables = []
+    for source in range(len(graph.points)):
+        gcds, weights = [-1] * len(graph.points), [0] * len(graph.points)
+        gcds[source] = 0
+        queue = [source]
+        for v in queue:  # queue grows as the BFS finds vertices
+            for target, _, p, q in edges[v]:
+                if gcds[target] < 0:
+                    gcds[target], weights[target] = gcd(gcds[v], p), weights[v] + q
+                    queue.append(target)
+        if len(queue) != len(graph.points):
+            raise InternalError("graph is not strongly connected")
+        tables.append((gcds, weights))
+    return tables

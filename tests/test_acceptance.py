@@ -197,7 +197,7 @@ def test_criterion_07_quantum_bruhat_properties():
                             for p in paths
                         }
                         at = orbit.index
-                        assert vals == {orbit.path_weight(at[x.act_weight(lam)], at[y.act_weight(lam)])}
+                        assert vals == {orbit.path_weight(at[x.act_weight(lam)], at[y.act_weight(lam)], 1)}
             # unique label-increasing path between every pair of elements
             order = reflection_ordering(datum, frozenset(), lex_chain(datum, rho))
             for x in full.vertices:

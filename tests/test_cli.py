@@ -305,10 +305,10 @@ def test_a_non_reduced_break_prints_reduced(capsys):
 def test_a_single_segment_qls_builds_no_edge(capsys, monkeypatch):
     # the straight path on the 51,840 points of the E6 rho orbit reads no
     # reachability, so no edge of the orbit graph is built
-    def refused(self, n):
+    def refused(self, n, v):
         raise AssertionError("a single-segment path must not build an edge")
 
-    monkeypatch.setattr(OrbitGraph, "edges", refused)
+    monkeypatch.setattr(OrbitGraph, "_out", refused)
     code, out, _ = run(capsys, "qls", "--type", "E", "--rank", "6", "--weight", "1,1,1,1,1,1",
                        "--budget", "8087040")
     assert code == 0 and json.loads(out)["path"] == "(e; 0, 1)"

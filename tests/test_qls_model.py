@@ -54,11 +54,12 @@ def omega_affine(datum, j):
 
 def deg_of_involution(eta):
     """Degree of the Lusztig involution of eta from eta's own break data:
-    minus the sum of b_k times the segment path weights."""
+    minus the sum of b_k times the segment path weights, read off the
+    unrestricted graph."""
     graph = orbit_graph(eta.datum, eta.lam)
     points = eta.points
     total = -sum(
-        eta.breaks[k] * graph.path_weight(points[k], points[k - 1])
+        eta.breaks[k] * graph.path_weight(points[k], points[k - 1], 1)
         for k in range(1, len(points))
     )
     assert total.denominator == 1
@@ -510,22 +511,23 @@ def test_enumeration_rejects_non_dominant_weight():
 
 
 def test_enumeration_keeps_the_integrality_checks(monkeypatch):
-    # each fake acts on the orbit graph of a fresh datum, so the faked tables
+    # each fake acts on the orbit graph of a fresh datum, so the faked searches
     # neither meet nor leave a cached graph
-    reach = OrbitGraph.reach
+    search = OrbitGraph.search
 
-    def weights_one(self, y):
-        return reach(self, y)[0], [0 if x == y else 1 for x in range(len(self.points))]
+    def weights_one(self, y, v):
+        return {x: 0 if x == y else 1 for x in search(self, y, v)}
 
     with monkeypatch.context() as m:
-        m.setattr(OrbitGraph, "reach", weights_one)
+        m.setattr(OrbitGraph, "search", weights_one)
         # (s1, e; 0, 1/2, 1) of shape 2w1 has -deg (1 - 1/2) * 1 = 1/2
         with pytest.raises(InternalError, match=r"degree -1/2 is not an integer"):
             list(enumerate_paths(build_root_datum("A", 1), Weight((2,))))
     graph = orbit_graph(fresh := build_root_datum("A", 1), Weight((1,)))
     monkeypatch.setattr(graph, "pairings", (3,))
     monkeypatch.setattr(graph, "L", 3)
-    monkeypatch.setattr(graph, "reach", lambda y: ([0 if x == y else 3 for x in range(2)], reach(graph, y)[1]))
+    # and every vertex reachable at denominator 3, at its true path weight
+    monkeypatch.setattr(graph, "search", lambda y, v: search(graph, y, 1))
     # with every pairing 3, (s1, e; 0, 1/3, 1) of shape w1 weighs -1/3 + 2/3
     with pytest.raises(InternalError, match=r"weight .* is not integral"):
         list(enumerate_paths(fresh, Weight((1,))))

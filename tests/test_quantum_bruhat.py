@@ -21,7 +21,14 @@ from qalcove.quantum_bruhat import (
     orbit_graph,
 )
 from inverse_reference import increasing_paths_from, reflection_ordering, tilted_minimum
-from qbg_reference import QueryGraph, distance, is_strongly_connected, shortest_paths
+from qbg_reference import (
+    QueryGraph,
+    distance,
+    is_strongly_connected,
+    orbit_edges,
+    orbit_reach,
+    shortest_paths,
+)
 
 
 def _on_weyl_elements(d, lam):
@@ -33,7 +40,7 @@ def _on_weyl_elements(d, lam):
         return graph.reachable(graph.index[x.act_weight(lam)], graph.index[y.act_weight(lam)], b.denominator)
 
     def weight(x, y):
-        return graph.path_weight(graph.index[x.act_weight(lam)], graph.index[y.act_weight(lam)])
+        return graph.path_weight(graph.index[x.act_weight(lam)], graph.index[y.act_weight(lam)], 1)
 
     return reachable, weight
 
@@ -267,9 +274,8 @@ def test_reachable_matches_a_search_of_the_restricted_graph(label, rank, coords,
 
 @pytest.mark.parametrize("label,rank,coords,J", REACHABILITY_CASES)
 def test_enumeration_tables_match_a_search_of_the_restricted_graph(label, rank, coords, J):
-    # the QLS enumerator lets y follow x at b exactly when den(b) divides
-    # the label gcd in the orbit graph's reach table of y; that must be
-    # reachability of x from y
+    # the QLS enumerator lets y follow x at b exactly when the search from y
+    # restricted at den(b) reaches x; that must be reachability of x from y
     d = build_root_datum(label, rank)
     lam = Weight(coords)
     g = QueryGraph(d, d.stabilizer(lam) if J is None else frozenset(J))
@@ -277,16 +283,20 @@ def test_enumeration_tables_match_a_search_of_the_restricted_graph(label, rank, 
     if J is None:
         orbit = orbit_graph(d, lam)
         at = {x: orbit.index[x.act_weight(lam)] for x in g.vertices}
-        gcds = {y: dict(zip(g.vertices, (orbit.reach(at[y])[0][at[x]] for x in g.vertices))) for y in g.vertices}
+
+        def follows(y, x, v):
+            return at[x] in orbit.search(at[y], v)
     else:
         # a full graph restricted by a weight with a nonempty stabilizer has
         # no orbit graph; the reference table is checked instead
-        gcds = {y: g.label_gcd(y, lam) for y in g.vertices}
+        def follows(y, x, v):
+            return g.label_gcd(y, lam)[x] % v == 0
+
     for b in sorted({Fraction(a, p) for p in pairings for a in range(1, p)} | {Fraction(1, 7)}):
         kept = _restricted(g, b, lam)
         reach = {y: _reach(kept, y) for y in g.vertices}
         for x in g.vertices:
-            followers = {y for y in g.vertices if y != x and gcds[y][x] % b.denominator == 0}
+            followers = {y for y in g.vertices if y != x and follows(y, x, b.denominator)}
             assert followers == {y for y in g.vertices if y != x and x in reach[y]}, (label, coords, b)
 
 
@@ -378,25 +388,93 @@ def test_orbit_graph_is_the_weyl_graph_read_on_the_orbit(label, rank, coords):
             (e.target.act_weight(lam), e.kind, d.pairing_index(e.label, lam), d.pairing(e.weight, lam))
             for e in g.adjacency[x]
         )
-        assert mapped == Counter((orbit.points[t], kind, p, w) for t, kind, p, w in orbit.edges(n))
+        assert mapped == Counter((orbit.points[t], kind, p, w) for t, kind, p, w in orbit_edges(orbit, n))
+
+
+def _denominators(graph):
+    """1 and the denominator of every break of a path of the graph's shape:
+    each divisor v >= 2 of a label pairing."""
+    return [1] + sorted({v for p in graph.pairings for v in range(2, p + 1) if p % v == 0})
 
 
 @pytest.mark.parametrize("label,rank,coords", ORBIT_CASES)
 def test_lazy_edges_give_the_reach_tables_of_an_eager_graph(label, rank, coords):
-    # the eager graph builds every vertex's edges in index order before any
-    # search; the lazy one builds them as its first search, from the last
-    # vertex, meets them
+    # the eager graph builds every vertex's edges at every denominator, in
+    # index order, before any search; the lazy one builds them as its
+    # searches, from the last vertex, meet them, denominators in decreasing
+    # order.  A vertex's edges at v are its full edges whose pairing v divides.
     d = build_root_datum(label, rank)
     lam = Weight(coords)
     eager, lazy = OrbitGraph(d, lam), OrbitGraph(d, lam)
     n = len(eager.points)
-    for v in range(n):
-        eager.edges(v)
+    dens = _denominators(eager)
+    for v in dens:
+        eager._edges[v] = [eager._out(m, v) for m in range(n)]
+        for m in range(n):
+            full = orbit_edges(eager, m)
+            assert eager._edges[v][m] == tuple((t, w) for t, _, p, w in full if p % v == 0)
     assert not lazy._edges
     stride = -(-n // 100)  # at most 100 sources
-    for source in range(n - 1, -1, -stride):
-        assert lazy.reach(source) == eager.reach(source)
-    assert lazy._edges == eager._edges
+    for v in reversed(dens):
+        seen = set()
+        for source in range(n - 1, -1, -stride):
+            found = lazy.search(source, v)
+            assert list(found.items()) == list(eager.search(source, v).items())
+            seen.update(found)
+        # the searches built the edges of exactly the vertices they reached,
+        # and a restricted search builds no edge at v = 1
+        built = lazy._edges[v]
+        assert [m for m in range(n) if built[m] is not None] == sorted(seen)
+        assert all(built[m] == eager._edges[v][m] for m in seen)
+        assert (1 in lazy._edges) == (v == 1)
+
+
+# the cases on which the restricted searches are checked against the full
+# BFS with label gcds: regular, parabolic and one -w0(lambda) != lambda
+GCD_CASES = [
+    ("A", 3, (1, 1, 1)),
+    ("C", 3, (1, 1, 1)),
+    ("G", 2, (2, 1)),
+    ("D", 4, (1, 0, 1, 1)),
+    ("B", 3, (0, 1, 1)),
+    ("A", 4, (1, 1, 0, 0)),
+    ("F", 4, (0, 1, 0, 0)),
+]
+
+
+@pytest.mark.parametrize("label,rank,coords", GCD_CASES)
+def test_restricted_searches_equal_the_gcd_reference(label, rank, coords):
+    # at every denominator v, m reaches n exactly when v divides the label
+    # gcd of the full BFS path, and then at that path's weight
+    d = build_root_datum(label, rank)
+    graph = OrbitGraph(d, Weight(coords))
+    reference = orbit_reach(graph)
+    n = len(graph.points)
+    outcomes = set()
+    for v in _denominators(graph):
+        for m in range(n):
+            gcds, weights = reference[m]
+            for k in range(n):
+                reached = gcds[k] % v == 0
+                assert graph.reachable(m, k, v) == reached, (m, k, v)
+                outcomes.add(reached)
+                if reached:
+                    assert graph.path_weight(m, k, v) == weights[k], (m, k, v)
+                else:
+                    with pytest.raises(InternalError, match="not reachable"):
+                        graph.path_weight(m, k, v)
+    assert outcomes == {False, True}
+
+
+@pytest.mark.parametrize("label,rank,coords", GCD_CASES)
+def test_the_unrestricted_search_reaches_every_vertex(label, rank, coords):
+    # strong connectivity of the orbit graph, which the paths' reachability
+    # and the energy's graph distances rest on
+    d = build_root_datum(label, rank)
+    graph = OrbitGraph(d, Weight(coords))
+    n = len(graph.points)
+    for m in range(n):
+        assert sorted(graph.search(m, 1)) == list(range(n))
 
 
 @pytest.mark.parametrize(
