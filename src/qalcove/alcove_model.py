@@ -1,11 +1,13 @@
-"""The quantum alcove model: lex chains, admissible subsets, root operators.
+"""The quantum alcove model: lex chains, admissible subsets, the crystal.
 
 A chain for a dominant weight lambda lists the hyperplanes H_{beta,-l}
 (0 <= l < <beta^vee,lambda>) crossed by a reduced alcove walk from the
 fundamental alcove to its translate by -lambda.  Admissible subsets of chain
 positions are walks in the quantum Bruhat graph starting at the identity.
-The root operators f_p / e_p (p in the affine index set) read the piecewise
-linear function g_alpha of Lenart-Lubovsky off that walk.
+`build_crystal` makes the enumerated subsets of a lex chain a
+`qls_model.CrystalGraph`: its root operators f_p / e_p (p in the affine
+index set) read the piecewise linear function g_alpha of Lenart-Lubovsky off
+that walk and look their images up in the enumeration.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from qalcove.lie_data import InputError, InternalError, RootDatum, Weight
+from qalcove.lie_data import InputError, InternalError, RootDatum, Weight, WeylElement
+from qalcove.qls_model import CrystalGraph
 from qalcove.quantum_bruhat import QUANTUM, UNSEEN, qbg_row, qbg_step
 
 
@@ -316,95 +319,81 @@ def _samples(A: AdmissibleSubset, alpha_signed: int):
     return finite, inf_sample
 
 
-def _samples_with_max(A: AdmissibleSubset, p: int):
-    """The samples of g for the label p and their maximum M, over a lex chain."""
-    require_lex(A.chain)
-    finite, inf_sample = _samples(A, _alpha_signed(A.chain.datum, p))
-    return finite, inf_sample, max([s for _, s in finite] + [inf_sample])
+def build_crystal(subsets: tuple[AdmissibleSubset, ...]) -> CrystalGraph:
+    """The crystal on `enumerate_admissible(chain)` of a lex chain under
+    Lenart-Lubovsky's root operators; vertex i is subsets[i], and vertex 0,
+    the empty subset, is the distinguished one.
+
+    One pass of `_samples` per (subset, label p), with maximum M, gives both
+    operators as positions.  Where M > delta_{p,0}, f_p unfolds the first
+    index attaining M (none when only infinity does) and folds the sample
+    index before it; where M > g(infinity) and M >= delta_{p,0}, e_p unfolds
+    the last index attaining M and folds the next sample index, if any.
+    Each image is looked up by its positions, and an f_p image must hold the
+    source's path with one segment conjugated by s_p.  `CrystalGraph.check`
+    holds that f_p lowers the weight by alpha-tilde_p and e_p undoes f_p.
+    """
+    chain = subsets[0].chain
+    require_lex(chain)
+    datum = chain.datum
+    index = {A.positions: i for i, A in enumerate(subsets)}
+    labels = range(datum.rank + 1)
+    e, f = [[-1] * len(subsets) for _ in labels], [[-1] * len(subsets) for _ in labels]
+
+    def lookup(positions) -> int:
+        i = index.get(tuple(sorted(positions)))
+        if i is None:
+            raise InternalError("root operator produced a non-admissible subset")
+        return i
+
+    for p in labels:
+        alpha, delta = _alpha_signed(datum, p), 1 if p == 0 else 0
+        refl = datum.weyl.reflection(abs(alpha) - 1).perm
+        for i, A in enumerate(subsets):
+            finite, inf_sample = _samples(A, alpha)
+            M = max([g for _, g in finite] + [inf_sample])
+            if M < delta:
+                continue
+            folded = set(A.positions)
+            attaining = [j for j, g in finite if g == M]
+            if M > delta:
+                m_idx = attaining[0] if attaining else None  # None = infinity
+                if m_idx is not None and m_idx not in folded:
+                    raise InternalError("minimum attaining index must be a folding position")
+                prior = [j for j, _ in finite if m_idx is None or j < m_idx]
+                if not prior:
+                    raise InternalError("the first attaining index has no sample before it")
+                k_idx = prior[-1]
+                if k_idx in folded:
+                    raise InternalError("predecessor index must not be a folding position")
+                f[p][i] = lookup((folded - {m_idx}) | {k_idx})
+                # f_p conjugates path[a:b] by s_p and shifts it one place on
+                a = sum(1 for j in A.positions if j < k_idx)
+                b = len(A.path) if m_idx is None else A.positions.index(m_idx) + 1
+                old, new = A.path, subsets[f[p][i]].path
+                if not (
+                    len(new) == len(old) + (m_idx is None)
+                    and new[: a + 1] == old[: a + 1]
+                    and new[b + 1 :] == old[b + 1 :]
+                    and all(_is_conjugate(u, w, refl, datum.simple_root_index) for u, w in zip(new[a + 1 :], old[a:b]))
+                ):
+                    raise InternalError("f_p did not conjugate a contiguous path segment")
+            if M > inf_sample:
+                if not attaining:
+                    raise InternalError("e-operator needs a finite attaining index")
+                k_idx = attaining[-1]
+                if k_idx not in folded:
+                    raise InternalError("maximum attaining index must be a folding position")
+                later = [j for j, _ in finite if j > k_idx]
+                if later and later[0] in folded:
+                    raise InternalError("successor index must not be a folding position")
+                e[p][i] = lookup((folded - {k_idx}) | set(later[:1]))
+    graph = CrystalGraph(datum, subsets, [A.weight for A in subsets], e, f, 0)
+    graph.check()
+    return graph
 
 
-def _rebuild(A: AdmissibleSubset, positions: tuple[int, ...]) -> AdmissibleSubset:
-    try:
-        return AdmissibleSubset(A.chain, positions)
-    except InputError:
-        raise InternalError("root operator produced a non-admissible subset") from None
-
-
-def f_operator(A: AdmissibleSubset, p: int) -> AdmissibleSubset | None:
-    """Root operator f_p, or None when the subset is killed."""
-    finite, inf_sample, M = _samples_with_max(A, p)
-    if M <= (1 if p == 0 else 0):
-        return None
-    attaining = [i for i, s in finite if s == M]
-    if attaining:
-        m_idx = attaining[0]
-        if m_idx not in A.positions:
-            raise InternalError("minimum attaining index must be a folding position")
-        prior = [i for i, _ in finite if i < m_idx]
-        if not prior:
-            raise InternalError("attaining index has no predecessor")
-        k_idx = prior[-1]
-    else:
-        m_idx = None  # infinity
-        if not finite:
-            raise InternalError("sample list empty with M above threshold")
-        k_idx = finite[-1][0]
-    if k_idx in A.positions:
-        raise InternalError("predecessor index must not be a folding position")
-    positions = tuple(sorted((set(A.positions) - {m_idx}) | {k_idx}))
-    new = _rebuild(A, positions)
-    _check_f_effect(A, new, p, m_idx, k_idx)
-    return new
-
-
-def e_operator(A: AdmissibleSubset, p: int) -> AdmissibleSubset | None:
-    """Root operator e_p, or None when the subset is killed."""
-    finite, inf_sample, M = _samples_with_max(A, p)
-    if not (M > inf_sample and M >= (1 if p == 0 else 0)):
-        return None
-    attaining = [i for i, s in finite if s == M]
-    if not attaining:
-        raise InternalError("e-operator needs a finite attaining index")
-    k_idx = attaining[-1]
-    if k_idx not in A.positions:
-        raise InternalError("maximum attaining index must be a folding position")
-    later = [i for i, _ in finite if i > k_idx]
-    m_idx = later[0] if later else None  # None = infinity
-    if m_idx is not None and m_idx in A.positions:
-        raise InternalError("successor index must not be a folding position")
-    extra = {m_idx} if m_idx is not None else set()
-    positions = tuple(sorted((set(A.positions) - {k_idx}) | extra))
-    return _rebuild(A, positions)
-
-
-def _check_f_effect(A, new, p: int, m_idx: int | None, k_idx: int) -> None:
-    """Postconditions of f_p: the weight drops by alpha-tilde_p, the cached
-    path changes by conjugating one contiguous segment, and e_p undoes it."""
-    datum = A.chain.datum
-    if new.weight != A.weight - datum.affine_root_weight(p):
-        raise InternalError("f_p must lower the weight by alpha-tilde_p")
-    s_p = datum.weyl.reflection(datum.affine_root(p)[0])
-    a = sum(1 for j in A.positions if j < k_idx)
-    old = A.path
-    if m_idx is None:
-        expected = old[: a + 1] + tuple(s_p * w for w in old[a:])
-    else:
-        b = A.positions.index(m_idx) + 1
-        expected = old[: a + 1] + tuple(s_p * w for w in old[a:b]) + old[b + 1 :]
-    if new.path != expected:
-        raise InternalError("f_p did not conjugate a contiguous path segment")
-    back = e_operator(new, p)
-    if back is None or back.positions != A.positions:
-        raise InternalError("e_p failed to invert f_p")
-
-
-def phi(A: AdmissibleSubset, p: int) -> int:
-    _, _, M = _samples_with_max(A, p)
-    delta = 1 if p == 0 else 0
-    return M - delta if M >= delta else 0
-
-
-def epsilon(A: AdmissibleSubset, p: int) -> int:
-    _, inf_sample, M = _samples_with_max(A, p)
-    delta = 1 if p == 0 else 0
-    return M - inf_sample if M >= delta else 0
+def _is_conjugate(u: WeylElement, w: WeylElement, s: tuple[int, ...], simple: tuple[int, ...]) -> bool:
+    """Whether u = s_beta w, s the signed permutation of s_beta: an element is
+    fixed by its images of the simple roots."""
+    return all(u.perm[k] == (s[v - 1] if (v := w.perm[k]) > 0 else -s[-v - 1]) for k in simple)

@@ -7,8 +7,9 @@ w_k(lambda) of the prefix products w_k of the subset's reflections, and its
 dual with the points -w_k(lambda); both hold their points as orbit-graph
 indices, and the negation is the graph's table.
 On top of the map sit machine checks of the operator intertwining (which
-also counts that the map is a bijection), the energy identity, and the
-crystal isomorphism with a tensor product of fundamental-weight crystals.
+compares the index arrays of the alcove crystal and the QLS crystal, and
+counts that the map is a bijection), the energy identity, and the crystal
+isomorphism with a tensor product of fundamental-weight crystals.
 The tests invert the map by tilted Bruhat minima in QB(W) instead.
 """
 
@@ -104,7 +105,11 @@ def verify_intertwining(
     pi has shape -w0(lambda); its dual pi_star, of shape lambda, has
     phi_p(pi_star) = eps_p(pi) and f_p(pi_star) = dual(e_p(pi)), so both
     are read off the crystal of lambda (built here when crystal is None).
-    records is the forgetful table of the chain (built here when None).
+    The threshold says phi_p(A) = max(phi_p(pi_star) - delta_{p,0}, 0): the
+    alcove f_0 is undefined at the last arrow of each 0-string of QLS paths.
+    records is the forgetful table of the chain (built here when None); the
+    alcove crystal is built on its subsets, and both crystals are compared
+    as index arrays through sigma(a), the crystal index of a's pi_star.
     Each pi_star must be a crystal vertex; the map is then a bijection iff
     they are distinct and as many as the vertices, else a "bijection"
     violation is added, which counts as no check.
@@ -113,33 +118,28 @@ def verify_intertwining(
         records = forgetful_table(chain if chain is not None else lex_chain(datum, lam))
     if crystal is None:
         crystal = qls_model.build_crystal(datum, lam)
-    violations: list[dict] = []
-    checks = 0
-    for rec in records.values():
-        A, i = rec.subset, crystal.index.get(rec.pi_star)
+    sigma = []
+    for positions, rec in records.items():
+        i = crystal.index.get(rec.pi_star)
         if i is None:
-            raise InternalError(f"path image of {A.positions} is not a vertex of the crystal")
-        for p in range(datum.rank + 1):
-            checks += 1
-            lowered = alcove_model.f_operator(A, p)
-            threshold = 1 if p == 0 else 0
-            if (lowered is not None) != (crystal.phi[p][i] > threshold):
-                violations.append(
-                    {"positions": list(A.positions), "label": p, "kind": "definedness"}
-                )
-                continue
-            if lowered is not None and lowered.positions not in records:
-                raise InternalError(f"f_{p} of {A.positions} is not an enumerated subset")
-            if lowered is not None and crystal.vertices[crystal.f[p][i]] != records[lowered.positions].pi_star:
-                violations.append(
-                    {"positions": list(A.positions), "label": p, "kind": "image"}
-                )
-    images = len({rec.pi_star for rec in records.values()})
+            raise InternalError(f"path image of {positions} is not a vertex of the crystal")
+        sigma.append(i)
+    alcove = alcove_model.build_crystal(tuple(rec.subset for rec in records.values()))
+    violations: list[dict] = []
+    for a, positions in enumerate(records):
+        i = sigma[a]
+        for p in alcove.labels:
+            lowered = alcove.f[p][a]
+            if (lowered >= 0) != (crystal.phi[p][i] > (1 if p == 0 else 0)):
+                violations.append({"positions": list(positions), "label": p, "kind": "definedness"})
+            elif lowered >= 0 and crystal.f[p][i] != sigma[lowered]:
+                violations.append({"positions": list(positions), "label": p, "kind": "image"})
+    images = len(set(sigma))
     if images != len(records) or images != len(crystal.vertices):
         violations.append({"kind": "bijection", "images": images, "vertices": len(crystal.vertices)})
     return {
         "lambda": list(lam.coords),
-        "counts": {"subsets": len(records), "checks": checks},
+        "counts": {"subsets": len(records), "checks": len(records) * len(alcove.labels)},
         "violations": violations,
     }
 

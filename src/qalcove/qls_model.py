@@ -454,10 +454,12 @@ def lusztig_S(eta: QLSPath) -> QLSPath:
 class CrystalGraph:
     """Finite crystal with arrows for every affine label, stored as index arrays.
 
-    Vertices are opaque hashable model elements, named elsewhere by their
-    index i in `vertices`: e[j][i] and f[j][i] are the indices of e_j and f_j
-    of vertex i (-1 where undefined), eps[j][i] and phi[j][i] its string
-    lengths, weight_of[i] its weight.  `e_arrows`, `f_arrows` (keyed by
+    Both models build one: `build_crystal` here on QLS paths, and
+    `alcove_model.build_crystal` on admissible subsets.  Vertices are opaque
+    hashable model elements, named elsewhere by their index i in `vertices`:
+    e[j][i] and f[j][i] are the indices of e_j and f_j of vertex i (-1 where
+    undefined), eps[j][i] and phi[j][i] its string lengths, weight_of[i] its
+    weight.  `e_arrows`, `f_arrows` (keyed by
     (vertex, label)), `weights` and `index` are read-only dict views.
     """
 

@@ -16,13 +16,10 @@ from qalcove.alcove_model import (
     LambdaChain,
     _alpha_signed,
     _samples,
+    build_crystal,
     chain_from_roots,
-    e_operator,
     enumerate_admissible,
-    epsilon,
-    f_operator,
     lex_chain,
-    phi,
 )
 from qalcove.characters import character_from_alcove, decompose
 from qalcove.correspondence import verify_intertwining
@@ -183,7 +180,7 @@ def test_user_chain_other_node_order_is_valid_but_not_lex():
     rebuilt = chain_from_roots(d, d.rho, [d.positive_roots[e.root] for e in other.entries])
     assert not rebuilt.lex
     with pytest.raises(InputError):
-        f_operator(AdmissibleSubset(rebuilt, ()), 1)
+        build_crystal(enumerate_admissible(rebuilt))
 
 
 @pytest.mark.parametrize(
@@ -363,9 +360,7 @@ def test_enumeration_leaves_no_cycles():
 
 def _walk_the_alcove_route():
     d = build_root_datum("B", 2)
-    for A in enumerate_admissible(lex_chain(d, d.rho)):
-        for p in range(d.rank + 1):
-            f_operator(A, p)
+    build_crystal(enumerate_admissible(lex_chain(d, d.rho)))
     return weakref.ref(d)
 
 
@@ -411,9 +406,21 @@ def test_fold_a1_single_position():
     assert folded.gamma_inf == Weight((-1,))
 
 
+def _operators(graph):
+    """f_p and e_p of the alcove crystal as maps on its subsets, None where
+    undefined."""
+    def op(arrows):
+        def apply(A, p):
+            k = arrows[p][graph.index[A]]
+            return graph.vertices[k] if k >= 0 else None
+        return apply
+    return op(graph.f), op(graph.e)
+
+
 def test_operator_examples_a1_fundamental():
     d = build_root_datum("A", 1)
     chain = lex_chain(d, Weight((1,)))
+    f_operator, e_operator = _operators(build_crystal(enumerate_admissible(chain)))
     empty = AdmissibleSubset(chain, ())
     one = f_operator(empty, 1)
     assert one.positions == (1,)
@@ -424,6 +431,7 @@ def test_operator_examples_a1_fundamental():
 def test_operator_examples_a1_doubled():
     d = build_root_datum("A", 1)
     chain = lex_chain(d, Weight((2,)))
+    f_operator, e_operator = _operators(build_crystal(enumerate_admissible(chain)))
     empty = AdmissibleSubset(chain, ())
     a2 = f_operator(empty, 1)
     assert a2.positions == (2,)
@@ -438,17 +446,27 @@ def test_operator_examples_a1_doubled():
     assert up.weight == Weight((0,))
 
 
+def _string_lengths(A, p):
+    """(phi_p, eps_p) of a subset from the maximum M of its g samples:
+    M - delta_{p,0} and M - g(infinity), both 0 below the threshold."""
+    finite, inf_sample = _samples(A, _alpha_signed(A.chain.datum, p))
+    M = max([s for _, s in finite] + [inf_sample])
+    delta = 1 if p == 0 else 0
+    return (M - delta, M - inf_sample) if M >= delta else (0, 0)
+
+
 def test_phi_epsilon_a1_doubled():
     d = build_root_datum("A", 1)
     chain = lex_chain(d, Weight((2,)))
-    empty = AdmissibleSubset(chain, ())
-    assert phi(empty, 1) == 2
-    assert epsilon(empty, 1) == 0
-    assert phi(empty, 0) == 0
-    assert epsilon(empty, 0) == 0
-    full = AdmissibleSubset(chain, (1,))
-    assert phi(full, 1) == 0
-    assert epsilon(full, 1) == 2
+    graph = build_crystal(enumerate_admissible(chain))
+    empty = graph.index[AdmissibleSubset(chain, ())]
+    assert graph.phi[1][empty] == 2
+    assert graph.eps[1][empty] == 0
+    assert graph.phi[0][empty] == 0
+    assert graph.eps[0][empty] == 0
+    full = graph.index[AdmissibleSubset(chain, (1,))]
+    assert graph.phi[1][full] == 0
+    assert graph.eps[1][full] == 2
 
 
 def test_height_examples():
@@ -566,15 +584,16 @@ def test_root_operators_never_fold(label, rank, lam):
     d = build_root_datum(label, rank)
     chain = lex_chain(d, Weight(lam))
     assert verify_intertwining(d, Weight(lam), chain=chain)["violations"] == []
-    for a in enumerate_admissible(chain):
-        for p in range(d.rank + 1):
+    graph = build_crystal(enumerate_admissible(chain))
+    for i, a in enumerate(graph.vertices):
+        for p in graph.labels:
             lengths = []
-            for op in (f_operator, e_operator):
-                n, cur = 0, op(a, p)
-                while cur is not None:
-                    n, cur = n + 1, op(cur, p)
+            for arrows in (graph.f, graph.e):
+                n, cur = 0, arrows[p][i]
+                while cur >= 0:
+                    n, cur = n + 1, arrows[p][cur]
                 lengths.append(n)
-            assert lengths == [phi(a, p), epsilon(a, p)], (a.positions, p)
+            assert tuple(lengths) == _string_lengths(a, p), (a.positions, p)
 
 
 def test_crystal_axioms_small_sweep():
@@ -589,11 +608,14 @@ def test_crystal_axioms_small_sweep():
         d = build_root_datum(label, rank)
         chain = lex_chain(d, Weight(lam))
         subsets = enumerate_admissible(chain)
+        graph = build_crystal(subsets)  # postconditions run inside
+        f_operator, e_operator = _operators(graph)
         index = {a.positions: a for a in subsets}
         theta_wt = d.root_as_weight(d.theta)
         for a in subsets:
             for p in range(0, d.rank + 1):
-                down = f_operator(a, p)  # postconditions run inside
+                phi, epsilon = _string_lengths(a, p)
+                down = f_operator(a, p)
                 if down is not None:
                     assert down.positions in index
                     step = theta_wt if p == 0 else d.root_as_weight(d.simple_root_index[p - 1])
@@ -601,17 +623,62 @@ def test_crystal_axioms_small_sweep():
                         assert down.weight == a.weight + step
                     else:
                         assert down.weight == a.weight - step
-                    assert phi(a, p) >= 1
+                    assert phi >= 1
                 up = e_operator(a, p)
                 if up is not None:
                     assert f_operator(up, p).positions == a.positions
-                    assert epsilon(a, p) >= 1
+                    assert epsilon >= 1
                 # string formulas, exactly as displayed
-                if phi(a, p) == 0 and epsilon(a, p) == 0:
+                if phi == 0 and epsilon == 0:
                     assert down is None
                 else:
-                    assert (down is not None) == (phi(a, p) >= 1)
-                    assert (up is not None) == (epsilon(a, p) >= 1)
+                    assert (down is not None) == (phi >= 1)
+                    assert (up is not None) == (epsilon >= 1)
+
+
+def _corrupted(subset, **changes):
+    """A copy of an enumerated subset with some of its fields replaced."""
+    copy = AdmissibleSubset.__new__(AdmissibleSubset)
+    for name in AdmissibleSubset.__slots__:
+        setattr(copy, name, changes.get(name, getattr(subset, name)))
+    return copy
+
+
+def _swap_two_paths(subsets):
+    # (3,) = f_1(()) and (1,) = f_2(()): both one fold deep
+    i, j = (next(k for k, a in enumerate(subsets) if a.positions == p) for p in ((1,), (3,)))
+    subsets[i], subsets[j] = _corrupted(subsets[i], path=subsets[j].path), _corrupted(subsets[j], path=subsets[i].path)
+
+
+def _drop_the_last_subset(subsets):
+    subsets.pop()
+
+
+def _shift_one_weight(subsets):
+    subsets[0] = _corrupted(subsets[0], weight=subsets[0].weight + Weight((1, 1)))
+
+
+def _repeat_one_subset(subsets):
+    # the positions now name the copy, so e_p of an f_p image returns to it
+    subsets.append(subsets[1])
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_swap_two_paths, "did not conjugate a contiguous path segment"),
+        (_drop_the_last_subset, "root operator produced a non-admissible subset"),
+        (_shift_one_weight, "weight step along an f-arrow at label 1 is wrong"),
+        (_repeat_one_subset, "f then e is not the identity at label 1"),
+    ],
+)
+def test_alcove_crystal_rejects_a_corrupted_enumeration(corrupt, message):
+    d = build_root_datum("A", 2)
+    subsets = list(enumerate_admissible(lex_chain(d, d.rho)))
+    build_crystal(tuple(subsets))  # the uncorrupted enumeration builds
+    corrupt(subsets)
+    with pytest.raises(InternalError, match=message):
+        build_crystal(tuple(subsets))
 
 
 def test_weight_multiset_is_invariant_under_chain_choice():

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from qalcove import cli, correspondence, qls_model
+from qalcove import alcove_model, cli, correspondence, qls_model
 from qalcove.alcove_model import AdmissibleSubset, chain_from_roots, enumerate_admissible, lex_chain
 from qalcove.correspondence import (
     build_isomorphism_to_tensor,
@@ -345,3 +345,26 @@ def test_verify_crystal_builds_the_lambda_crystal_once(monkeypatch, capsys):
     assert cli.main(["verify-crystal", "--type", "A", "--rank", "2", "--weight", "1,1"]) == 0
     assert '"pass": true' in capsys.readouterr().out
     assert sorted(calls) == [(0, 1), (1, 0), (1, 1)]
+
+
+@pytest.mark.parametrize("label, rank, lam", [("A", 2, "1,1"), ("B", 3, "0,1,1")])
+def test_verify_crystal_reads_the_operators_off_the_enumeration(monkeypatch, capsys, label, rank, lam):
+    # the alcove crystal is built on the enumerated subsets: no subset is
+    # folded again, and one pass of the g samples per (subset, label) gives
+    # both f_p and e_p
+    def refused(*args):
+        raise AssertionError("no admissible subset may be rebuilt")
+
+    samples = alcove_model._samples
+    calls = []
+
+    def counted(A, alpha_signed):
+        calls.append((A.positions, alpha_signed))
+        return samples(A, alpha_signed)
+
+    monkeypatch.setattr(AdmissibleSubset, "__init__", refused)
+    monkeypatch.setattr(alcove_model, "_samples", counted)
+    assert cli.main(["verify-crystal", "--type", label, "--rank", str(rank), "--weight", lam]) == 0
+    blob = json.loads(capsys.readouterr().out)
+    assert blob["pass"] is True
+    assert len(calls) == blob["intertwining"]["counts"]["subsets"] * (rank + 1) == len(set(calls))
