@@ -53,12 +53,13 @@ class LambdaChain:
         self.entries = entries
         self.node_order = node_order
         self.lex = lex
-        pairings = [datum.pairing(c, lam) for c in datum.positive_coroots]
+        # <beta^vee,lambda> by positive-root index
+        self.pairings = pairings = tuple(datum.pairing(c, lam) for c in datum.positive_coroots)
         # <beta^vee,lambda> - l by 1-based position, 0 at position 0
         self.l_tilde = (0,) + tuple(pairings[e.root] - e.level for e in entries)
         if min(self.l_tilde[1:], default=1) <= 0:
             raise InternalError("height must be nonnegative")
-        self.offset = max([1] + pairings)
+        self.offset = max((1,) + pairings)
         self.base = 2 * self.offset + 1
         self._powers = tuple(self.base**i for i in range(datum.rank))
         # the packing is affine, so a fold moves x by the linear part

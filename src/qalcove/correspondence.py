@@ -55,7 +55,7 @@ def forgetful(A: AdmissibleSubset) -> CorrespondenceRecord:
 
     # the relative heights times L; each label's pairing divides L
     heights = [
-        chain.entries[p - 1].level * (L // datum.pairing_index(chain.entries[p - 1].root, lam))
+        chain.entries[p - 1].level * (L // chain.pairings[chain.entries[p - 1].root])
         for p in A.positions
     ]
     if any(a > b for a, b in zip(heights, heights[1:])):

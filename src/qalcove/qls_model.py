@@ -54,7 +54,7 @@ def _parabolic_graph(datum: RootDatum, J: frozenset[int]) -> QuantumBruhatGraph:
     return _parabolic_cache[key]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class QLSPath:
     """A validated quantum LS path; build through :func:`qls_path`.  Its
     points are the indices of the orbit points x_k(lambda) in `graph`, the
@@ -80,21 +80,6 @@ class QLSPath:
     def directions(self) -> tuple[Weight, ...]:
         """The orbit points x_k(lambda) as weights."""
         return tuple(self.graph.points[n] for n in self.points)
-
-    def __eq__(self, other) -> bool:
-        return self is other or (
-            isinstance(other, QLSPath)
-            and self.points == other.points
-            and self.cuts == other.cuts
-            and self.graph is other.graph
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.points, self.cuts))
 
     @property
     def breaks(self) -> tuple[Fraction, ...]:

@@ -1,0 +1,65 @@
+"""Run every command in tests/pins.txt and compare its stdout with the recorded digest.
+
+    python3 tests/pins.py
+
+Each line of the table is `<sha256> <argv>`: the sha256 of what
+`python3 -m qalcove.cli <argv>` prints on stdout, with the argv split on
+whitespace and passed without a shell.  Blank lines and lines starting with
+`#` are comments.  A pin passes when its command exits 0 within the timeout
+and its stdout has the recorded digest.  Every failing pin is reported with
+both digests, and the script exits 1 if any failed.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TABLE = ROOT / "tests" / "pins.txt"
+TIMEOUT_S = 300
+
+
+def read_pins(text: str) -> list[tuple[str, list[str]]]:
+    """The (digest, argv) pairs of a table, in order."""
+    pins = []
+    for line in text.splitlines():
+        line = line.strip()
+        if line and not line.startswith("#"):
+            digest, *argv = line.split()
+            pins.append((digest, argv))
+    return pins
+
+
+def check(pins: list[tuple[str, list[str]]]) -> list[str]:
+    """Run each pin and return one message per pin that failed."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    failures = []
+    for digest, argv in pins:
+        command = " ".join(argv)
+        try:
+            run = subprocess.run([sys.executable, "-m", "qalcove.cli", *argv], env=env,
+                                 stdout=subprocess.PIPE, timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            failures.append(f"{command}: no exit within {TIMEOUT_S} s")
+            continue
+        got = hashlib.sha256(run.stdout).hexdigest()
+        if run.returncode != 0 or got != digest:
+            failures.append(f"{command}: exit {run.returncode}, recorded {digest}, got {got}")
+    return failures
+
+
+def main() -> int:
+    pins = read_pins(TABLE.read_text())
+    failures = check(pins)
+    for message in failures:
+        print(message)
+    print(f"{len(pins) - len(failures)} of {len(pins)} pins match")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
