@@ -14,7 +14,7 @@ simple reflection on fundamental-weight coordinates.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 
 from . import alcove_model, qls_model
 from .alcove_model import LambdaChain, lex_chain
@@ -81,24 +81,39 @@ class GradedCharacter:
 
     def is_symmetric(self, datum: RootDatum) -> bool:
         """Whether every simple reflection keeps each coefficient."""
-        # s_i fixes the terms with mu_i = 0 and swaps the sides mu_i > 0 and
-        # mu_i < 0; no coefficient is 0, so it suffices that each term with
-        # mu_i > 0 meets its coefficient at its image and that both sides have
-        # as many terms
-        terms = self.terms
-        return all(
-            sum((w[i] > 0) - (w[i] < 0) for w, _ in terms) == 0
-            and all(terms.get((_reflect(datum, w, i), q)) == c for (w, q), c in terms.items() if w[i] > 0)
-            for i in range(datum.rank)
-        )
+        supports = _root_supports(datum)
+        return all(_layer_is_symmetric(layer, supports) for layer in self._layers().values())
+
+    def _layers(self) -> dict[int, dict[tuple[int, ...], int]]:
+        """The terms split by power of q, in one pass: q -> weight -> coefficient."""
+        layers: defaultdict[int, dict[tuple[int, ...], int]] = defaultdict(dict)
+        for (w, q), c in self.terms.items():
+            layers[q][w] = c
+        return layers
 
     def _ordered(self) -> list[tuple[Key, int]]:
-        return sorted(self.terms.items(), key=lambda t: (t[0][1], tuple(-x for x in t[0][0])))
+        """The terms by ascending q, then descending weight; neither sort needs a key."""
+        layers = self._layers()
+        return [((w, q), layer[w]) for q, layer in sorted(layers.items())
+                for w in sorted(layer, reverse=True)]
 
     def to_json_list(self) -> list[dict]:
         return [
             {"weight": list(w), "q": q, "coeff": c} for (w, q), c in self._ordered()
         ]
+
+    def json_terms(self) -> str:
+        """Exactly the text of json.dumps(self.to_json_list(), indent=2) nested
+        one level deep (every line after the first indented by two more
+        spaces), written one term at a time."""
+        if not self.terms:
+            return "[]"
+        sep = ",\n        "
+        return "[\n" + ",\n".join(
+            f'    {{\n      "weight": [\n        {sep.join(map(str, w))}\n      ],\n'
+            f'      "q": {q},\n      "coeff": {c}\n    }}'
+            for (w, q), c in self._ordered()
+        ) + "\n  ]"
 
     def __str__(self) -> str:
         return _monomial_sum(((q, w, c) for (w, q), c in self._ordered()), "x^")
@@ -155,6 +170,39 @@ def _reflect(datum: RootDatum, coords: tuple[int, ...], i: int) -> tuple[int, ..
     """s_i(mu) = mu - <alpha_i^vee, mu> alpha_i on fundamental-weight coordinates."""
     alpha = datum.root_weights[datum.simple_root_index[i]]
     return tuple(m - coords[i] * a for m, a in zip(coords, alpha))
+
+
+def _root_supports(datum: RootDatum) -> list[list[tuple[int, int]]]:
+    """Per node i, the nonzero fundamental-weight coordinates (j, a_j) of
+    alpha_i: node i and its neighbours in the Dynkin diagram."""
+    return [
+        [(j, a) for j, a in enumerate(datum.root_weights[datum.simple_root_index[i]]) if a]
+        for i in range(datum.rank)
+    ]
+
+
+def _layer_is_symmetric(layer: dict[tuple[int, ...], int], supports) -> bool:
+    """Whether every simple reflection keeps each coefficient of one q-layer."""
+    # s_i fixes the terms with mu_i = 0 and swaps the sides mu_i > 0 and
+    # mu_i < 0; no coefficient is 0, so it suffices that each term with
+    # mu_i > 0 meets its coefficient at its image and that both sides have
+    # as many terms
+    for i, support in enumerate(supports):
+        balance = 0
+        for mu, c in layer.items():
+            m = mu[i]
+            if m > 0:
+                balance += 1
+                image = list(mu)
+                for j, a in support:
+                    image[j] -= m * a
+                if layer.get(tuple(image)) != c:
+                    return False
+            elif m < 0:
+                balance -= 1
+        if balance:
+            return False
+    return True
 
 
 def dominant_representative(datum: RootDatum, wt: Weight) -> Weight:
@@ -243,25 +291,26 @@ def decompose(datum: RootDatum, character: GradedCharacter) -> list[tuple[int, t
     """
     # <2 rho^vee, nu> is twice the height of nu in root coordinates
     unit = [sum(column) for column in zip(*datum.positive_coroots)]
+    supports = _root_supports(datum)
     out: list[tuple[int, tuple[int, ...], int]] = []
-    for q in character.q_exponents():
-        layer = character.q_layer(q)
+    for q, layer in sorted(character._layers().items()):
         failure = InputError(
             f"layer q^{q} is not a nonnegative combination of irreducible characters"
         )
-        if not layer.is_symmetric(datum):
+        if not _layer_is_symmetric(layer, supports):
             raise failure
         mult: Counter = Counter()
-        for (mu, _), c in layer.terms.items():
+        for mu, c in layer.items():
             # x = mu + rho; rho is (1, ..., 1) in fundamental-weight coordinates,
             # and a zero coordinate puts x on a wall, where it cancels out
-            x = tuple(m + 1 for m in mu)
+            x = [m + 1 for m in mu]
             while 0 not in x:
                 low = min(x)
                 if low > 0:
                     mult[tuple(a - 1 for a in x)] += c
                     break
-                x = _reflect(datum, x, x.index(low))
+                for j, a in supports[x.index(low)]:
+                    x[j] -= low * a
                 c = -c
         if any(m < 0 for m in mult.values()):
             raise failure

@@ -90,7 +90,7 @@ def _load_chain(datum: RootDatum, lam: Weight, filename: str) -> LambdaChain:
 
 
 def _chain_for(datum: RootDatum, lam: Weight, args) -> LambdaChain:
-    if getattr(args, "chain_file", None):
+    if args.chain_file is not None:
         return _load_chain(datum, lam, args.chain_file)
     return lex_chain(datum, lam, node_order=_parse_node_order(args.node_order))
 
@@ -168,6 +168,9 @@ def cmd_crystal(datum: RootDatum, args) -> int:
 
 def cmd_character(datum: RootDatum, args) -> int:
     lam = _parse_weight(datum, args.weight)
+    if args.route != "alcove" and (args.node_order is not None or args.chain_file is not None):
+        raise InputError("--node-order and --chain-file build a lambda-chain, "
+                         "which only --route alcove reads")
     if args.route == "alcove":
         _guard(datum, lam, args.budget)
         ch = character_from_alcove(_chain_for(datum, lam, args))
@@ -181,13 +184,11 @@ def cmd_character(datum: RootDatum, args) -> int:
     elif args.format == "orbit":
         print(ch.orbit_line(datum))
     else:
-        _emit(
-            {
-                "route": args.route,
-                "terms": ch.to_json_list(),
-                "decomposition": format_decomposition(decompose(datum, ch)),
-            }
-        )
+        # the text _emit would print for {"route", "terms", "decomposition"},
+        # with the terms written by the character itself
+        decomposition = json.dumps(format_decomposition(decompose(datum, ch)))
+        print(f'{{\n  "route": {json.dumps(args.route)},\n  "terms": {ch.json_terms()},\n'
+              f'  "decomposition": {decomposition}\n}}')
     return 0
 
 
@@ -277,21 +278,24 @@ def _build_parser() -> argparse.ArgumentParser:
     weighted = argparse.ArgumentParser(add_help=False)
     weighted.add_argument("--weight", required=True,
                           help="comma-separated fundamental-weight coefficients")
-    weighted.add_argument("--node-order", default=None,
-                          help="node permutation for the lexicographic chain, e.g. 2,1")
+    # the commands that build a lambda-chain: a lexicographic one, or one read
+    # from a file
+    chained = argparse.ArgumentParser(add_help=False)
+    source = chained.add_mutually_exclusive_group()
+    source.add_argument("--node-order", default=None,
+                        help="node permutation for the lexicographic chain, e.g. 2,1")
+    source.add_argument("--chain-file", default=None, help="JSON list of (root, level) entries")
 
     parser = argparse.ArgumentParser(prog="qalcove",
                                      description="Exact graded characters of single-column "
                                                  "tensor products from two path models.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("chain", parents=[common, weighted], help="print the lambda-chain")
-    p.add_argument("--chain-file", default=None, help="JSON list of (root, level) entries")
+    p = sub.add_parser("chain", parents=[common, weighted, chained], help="print the lambda-chain")
     p.set_defaults(handler=cmd_chain)
 
-    p = sub.add_parser("admissible", parents=[common, weighted],
+    p = sub.add_parser("admissible", parents=[common, weighted, chained],
                        help="enumerate admissible subsets")
-    p.add_argument("--chain-file", default=None)
     p.set_defaults(handler=cmd_admissible)
 
     p = sub.add_parser("qls", parents=[common, weighted], help="describe one quantum LS path")
@@ -303,20 +307,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "dot"), default="json")
     p.set_defaults(handler=cmd_crystal)
 
-    p = sub.add_parser("character", parents=[common, weighted], help="print a graded character")
+    p = sub.add_parser("character", parents=[common, weighted, chained],
+                       help="print a graded character")
     p.add_argument("--route", choices=("qls", "alcove", "weyl"), default="qls")
     p.add_argument("--format", choices=("json", "text", "orbit"), default="json")
-    p.add_argument("--chain-file", default=None)
     p.set_defaults(handler=cmd_character)
 
-    p = sub.add_parser("verify-px", parents=[common, weighted],
+    p = sub.add_parser("verify-px", parents=[common, weighted, chained],
                        help="check that both model characters agree and match the oracle")
-    p.add_argument("--chain-file", default=None)
     p.set_defaults(handler=cmd_verify_px)
 
-    p = sub.add_parser("verify-crystal", parents=[common, weighted],
+    p = sub.add_parser("verify-crystal", parents=[common, weighted, chained],
                        help="run the operator, energy, and tensor checks")
-    p.add_argument("--chain-file", default=None)
     p.set_defaults(handler=cmd_verify_crystal)
 
     p = sub.add_parser("perfect", parents=[common], help="perfectness report per node")

@@ -1,6 +1,7 @@
 """Graded characters: both model routes, the multiplicity oracle, verdicts."""
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -98,6 +99,40 @@ def test_json_form_is_sorted_and_round_trips():
         {"weight": [-2], "q": 0, "coeff": 1},
         {"weight": [0], "q": 1, "coeff": 1},
     ]
+
+
+def _nested_once(text: str) -> str:
+    """json.dumps(..., indent=2) text moved one nesting level deeper."""
+    return text.replace("\n", "\n  ")
+
+
+@pytest.mark.parametrize(
+    "letter, rank, lam",
+    [
+        ("A", 1, (1,)),
+        ("A", 1, (12,)),
+        ("A", 3, (1, 1, 1)),
+        ("B", 3, (0, 1, 1)),
+        ("C", 3, (1, 0, 1)),
+        ("D", 4, (0, 0, 1, 1)),
+        ("E", 6, (1, 0, 0, 0, 0, 0)),
+        ("F", 4, (0, 0, 0, 1)),
+        ("G", 2, (2, 1)),
+    ],
+)
+def test_json_terms_are_the_json_module_text_nested_once(letter, rank, lam):
+    datum = build_root_datum(letter, rank)
+    for ch in (alcove_char(datum, lam), character_from_qls(datum, Weight(lam))):
+        assert ch.json_terms() == _nested_once(json.dumps(ch.to_json_list(), indent=2))
+
+
+def test_json_terms_of_hand_made_characters():
+    # a negative coefficient, a large one, a two-digit q and coordinates of
+    # both signs; the zero character is the empty list
+    ch = GradedCharacter(2, {((1, -1), 0): -3, ((0, 0), 15): 1, ((-10, 12), 3): 1234567})
+    assert ch.json_terms() == _nested_once(json.dumps(ch.to_json_list(), indent=2))
+    assert ch.json_terms().startswith('[\n    {\n      "weight": [\n        1,\n        -1\n')
+    assert GradedCharacter(1).json_terms() == "[]" == json.dumps([], indent=2)
 
 
 # ------------------------------------------------------------ model routes

@@ -8,6 +8,14 @@ from fractions import Fraction
 import pytest
 
 from qalcove import cli, qls_model
+from qalcove.alcove_model import lex_chain
+from qalcove.characters import (
+    character_from_alcove,
+    character_from_qls,
+    decompose,
+    format_decomposition,
+    weyl_character,
+)
 from qalcove.cli import main
 from qalcove.lie_data import InternalError, Weight, build_root_datum
 from qalcove.qls_model import deg, qls_path
@@ -17,7 +25,11 @@ A1 = build_root_datum("A", 1)
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    # argparse reports a usage error by SystemExit(2); report it as a code too
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     out, err = capsys.readouterr()
     return code, out, err
 
@@ -190,6 +202,36 @@ def test_character_text_and_orbit_formats(capsys):
     assert code == 0 and out.strip() == "m(2) + m(0) + q*m(0)"
 
 
+@pytest.mark.parametrize(
+    "letter, rank, lam, route",
+    [
+        ("A", 1, (12,), "alcove"),
+        ("A", 1, (12,), "qls"),
+        ("C", 3, (1, 0, 1), "alcove"),
+        ("G", 2, (1, 1), "qls"),
+        ("B", 2, (1, 1), "weyl"),
+    ],
+)
+def test_character_json_is_the_json_module_text(capsys, letter, rank, lam, route):
+    # the whole document as json.dumps(..., indent=2) prints it
+    datum = build_root_datum(letter, rank)
+    weight = Weight(lam)
+    if route == "alcove":
+        ch = character_from_alcove(lex_chain(datum, weight))
+    elif route == "qls":
+        ch = character_from_qls(datum, weight)
+    else:
+        ch = weyl_character(datum, weight)
+    blob = {
+        "route": route,
+        "terms": ch.to_json_list(),
+        "decomposition": format_decomposition(decompose(datum, ch)),
+    }
+    code, out, _ = run(capsys, "character", "--type", letter, "--rank", str(rank),
+                       "--weight", ",".join(map(str, lam)), "--route", route)
+    assert (code, out) == (0, json.dumps(blob, indent=2) + "\n")
+
+
 def test_chain_file_round_trip(tmp_path, capsys):
     code, out, _ = run(capsys, "chain", "--type", "A", "--rank", "2", "--weight", "1,1")
     assert code == 0
@@ -261,6 +303,22 @@ def test_outputs_are_deterministic(capsys):
         # |W(E7)| = 2903040 times a chain of length 27, with no element enumerated
         (("verify-px", "--type", "E", "--rank", "7", "--weight", "0,0,0,0,0,0,1"),
          "job size 78382080 exceeds budget 200000"),
+        # the chain options exist only where a lambda-chain is built, and
+        # character reads them on the alcove route alone
+        (("crystal", "--type", "A", "--rank", "2", "--weight", "1,1", "--node-order", "7,7"),
+         "unrecognized arguments: --node-order 7,7"),
+        (("qls", "--type", "A", "--rank", "1", "--weight", "2", "--node-order", "x"),
+         "unrecognized arguments: --node-order x"),
+        (("character", "--type", "A", "--rank", "2", "--weight", "1,1", "--route", "qls",
+          "--node-order", "2,1"), "only --route alcove"),
+        (("character", "--type", "A", "--rank", "2", "--weight", "1,1", "--route", "weyl",
+          "--node-order", "2,1"), "only --route alcove"),
+        (("character", "--type", "A", "--rank", "2", "--weight", "1,1", "--route", "qls",
+          "--chain-file", "/nonexistent"), "only --route alcove"),
+        (("character", "--type", "A", "--rank", "2", "--weight", "1,1", "--route", "weyl",
+          "--chain-file", "/nonexistent"), "only --route alcove"),
+        (("chain", "--type", "A", "--rank", "2", "--weight", "1,1", "--node-order", "2,1",
+          "--chain-file", "/nonexistent"), "not allowed with argument --node-order"),
     ],
 )
 def test_bad_input_exits_two(capsys, argv, message):
