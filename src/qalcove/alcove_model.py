@@ -15,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from qalcove.lie_data import InputError, InternalError, RootDatum, Weight, WeylElement
+from qalcove.lie_data import UNSEEN, InputError, InternalError, RootDatum, Weight, WeylElement
 from qalcove.qls_model import CrystalGraph
-from qalcove.quantum_bruhat import QUANTUM, UNSEEN, qbg_row, qbg_step
+from qalcove.quantum_bruhat import QUANTUM, qbg_step
 
 
 @dataclass(frozen=True)
@@ -165,7 +165,7 @@ def _validate_walk(chain: LambdaChain) -> None:
     walls.add((top, 1))
     for n, entry in enumerate(chain.entries, start=1):
         # pull H_{beta,-l} back through the affine map (w, v)
-        g = w.inverse.act_root_index(entry.root)
+        g = w.inverse.perm[entry.root]
         j = abs(g) - 1
         level = -entry.level - datum.pairing(datum.positive_coroots[entry.root], v)
         if g < 0:
@@ -247,9 +247,9 @@ def walk_admissible(chain: LambdaChain):
         node = stack.pop()
         yield node
         depth, last, _, w, x, height = node
-        # a tried position reads w's row of the step memo at its root;
+        # a tried position reads w's row of QB(W) steps at its root;
         # children go on in reverse, so the smallest next position pops first
-        row, perm = qbg_row(datum, w), w.perm
+        row, perm = w.steps, w.perm
         for pos in range(len(roots) - 1, last, -1):
             root = roots[pos]
             step = row[root]

@@ -25,6 +25,9 @@ class InternalError(RuntimeError):
     """A checked invariant failed; signals a bug, not bad input."""
 
 
+UNSEEN = object()  # a QB(W) step not decided yet; None is no edge
+
+
 @dataclass(frozen=True)
 class Weight:
     """Integral weight in fundamental-weight coordinates."""
@@ -220,11 +223,8 @@ class RootDatum:
     # ----------------------------------------------------------------- reflections
 
     def reflect(self, weight: Weight, root_index: int) -> Weight:
-        return self.affine_reflect(weight, root_index, 0)
-
-    def affine_reflect(self, weight: Weight, root_index: int, level: int) -> Weight:
-        """Reflection through the hyperplane where <beta^vee, .> equals level."""
-        c = self.pairing_index(root_index, weight) - level
+        """s_beta(weight) = weight - <beta^vee, weight> beta."""
+        c = self.pairing_index(root_index, weight)
         return Weight(tuple(m - c * b for m, b in zip(weight.coords, self.root_weights[root_index])))
 
     def affine_root(self, j: int) -> tuple[int, int]:
@@ -372,28 +372,25 @@ class WeylElement:
     """Group element stored as a signed permutation of the positive roots.
 
     perm[k] = +-(j+1) means the element maps positive root k to +-(positive
-    root j); equality and hashing are content-based and O(1) amortized via the
-    cached hash, which is what the graph code leans on.
+    root j).  Its group interns every element, so identity is equality: an
+    element compares and hashes as the object it is, and elements of two
+    root data never compare equal.  `steps` holds the QB(W) steps from the
+    element (`quantum_bruhat.qbg_step`) by positive root, UNSEEN until
+    decided.
     """
 
-    __slots__ = ("group", "perm", "length", "_inverse", "_hash")
+    __slots__ = ("group", "perm", "length", "_inverse", "steps")
 
     def __init__(self, group: "WeylGroup", perm: Vector):
         self.group = group
         self.perm = perm
         self.length = sum(1 for v in perm if v < 0)
         self._inverse: WeylElement | None = None
-        self._hash = hash(perm)
+        self.steps: list = [UNSEEN] * len(perm)
 
     def __repr__(self) -> str:
         word = self.reduced_word()
         return "*".join(f"s{i}" for i in word) if word else "e"
-
-    def __eq__(self, other) -> bool:
-        return self is other or (isinstance(other, WeylElement) and self.perm == other.perm)
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         return self.group.product(self, other)
@@ -409,10 +406,6 @@ class WeylElement:
             inv = self.group._intern(tuple(perm))
             self._inverse, inv._inverse = inv, self
         return inv
-
-    def act_root_index(self, root_index: int) -> int:
-        """Image of positive root (0-based index) as signed 1-based index."""
-        return self.perm[root_index]
 
     def act_weight(self, weight: Weight) -> Weight:
         """Action on a weight in fundamental coordinates."""
@@ -444,13 +437,15 @@ class WeylElement:
 
 
 class WeylGroup:
-    """The finite Weyl group.  Construction interns only the identity and the
-    simple reflections; every product, inverse or reflection is interned at
-    first use, so only a walk that asks for all of W (`coset_reps` of the
-    empty set) enumerates it, and |W| is read off the root heights.  The
-    inversion set N(r_beta) of a reflection, the positive roots it negates,
-    is kept per root from its first use (`inversions`): with it the alcove
-    walk measures l(w r_beta) without composing w r_beta."""
+    """The finite Weyl group.  `_intern` makes every element, one object per
+    signed permutation, so elements compare by identity.  Construction
+    interns only the identity and the simple reflections; every product,
+    inverse or reflection is interned at first use, so only a walk that asks
+    for all of W (`coset_reps` of the empty set) enumerates it, and |W| is
+    read off the root heights.  The inversion set N(r_beta) of a reflection,
+    the positive roots it negates, is kept per root from its first use
+    (`inversions`): with it the alcove walk measures l(w r_beta) without
+    composing w r_beta."""
 
     def __init__(self, datum: RootDatum):
         self.datum = datum
@@ -460,8 +455,6 @@ class WeylGroup:
         self._by_perm: dict[Vector, WeylElement] = {}
         self._reflections: dict[int, WeylElement] = {}
         self._inversions: dict[int, tuple[int, ...]] = {}
-        # quantum_bruhat.qbg_step's results, one row per (w, J) indexed by root
-        self._steps: dict[tuple, list] = {}
         self.identity = self._intern(tuple(range(1, len(datum.positive_roots) + 1)))
         self.simple = tuple(self.reflection(k) for k in datum.simple_root_index)
 

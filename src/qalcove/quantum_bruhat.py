@@ -12,8 +12,8 @@ vertices, and a QLS path holds its points as those numbers: per affine
 label j the graph keeps the pairing of alpha_tilde_j^vee with every vertex
 and the index of its s_j-image, and across orbits the index of -mu and of
 -w0(mu) in the graph of -w0(lambda), each table built on first use.  The
-alcove walk takes single steps on Weyl elements (`qbg_step`, `qbg_row`); no
-command builds the graph on Weyl elements.
+alcove walk takes single QB(W) steps on Weyl elements (`qbg_step`), kept in
+each element's row `steps`; no command builds the graph on Weyl elements.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from math import lcm
 from operator import mul
 
 from qalcove.lie_data import (
+    UNSEEN,
     InputError,
     InternalError,
     RootDatum,
@@ -45,41 +46,23 @@ class QBGEdge:
     weight: Vector  # coroot coordinates; zero vector on Bruhat edges
 
 
-UNSEEN = object()  # a step memo entry not decided yet; None is no edge
+def qbg_step(datum: RootDatum, w: WeylElement, root: int) -> tuple[WeylElement, str] | None:
+    """The edge of QB(W) leaving w with label root, as (target, kind), or
+    None if neither edge condition holds; decided once and kept in w's row
+    `w.steps`.
 
-
-def qbg_row(datum: RootDatum, w: WeylElement, J: frozenset[int] = frozenset()) -> list:
-    """w's row of the step memo: `qbg_step`'s results indexed by positive root,
-    UNSEEN where not decided yet; kept in the Weyl group's `_steps` by (w, J)."""
-    steps = datum.weyl._steps
-    return steps.get((w, J)) or steps.setdefault((w, J), [UNSEEN] * len(datum.positive_roots))
-
-
-def qbg_step(
-    datum: RootDatum, w: WeylElement, root: int, J: frozenset[int] = frozenset()
-) -> tuple[WeylElement, str] | None:
-    """The edge of the parabolic graph on W^J leaving w with label root, as
-    (target, kind), or None if neither edge condition holds; decided once per
-    datum and kept in w's row of the step memo (`qbg_row`).
-
-    The edge conditions (Brenti-Fomin-Postnikov) read only lengths.  On W
-    (J empty) the length comes from the inversion sets, N(u) the positive
-    roots u negates: l(w r_beta) = l(w) + l(r_beta) - 2|N(w) & N(r_beta)|,
-    so w r_beta is composed only along an edge, and its length must agree.
-    On W^J the step composes w r_beta and takes its minimal coset
-    representative.
+    The edge conditions (Brenti-Fomin-Postnikov) read only lengths, here
+    from the inversion sets, N(u) the positive roots u negates:
+    l(w r_beta) = l(w) + l(r_beta) - 2|N(w) & N(r_beta)|, so w r_beta is
+    composed only along an edge, and its length must agree.
     """
-    weyl, row = datum.weyl, qbg_row(datum, w, J)
+    row = w.steps
     if row[root] is UNSEEN:
-        if J:
-            target = weyl.min_coset_rep(w * weyl.reflection(root), J)
-            gain = target.length - w.length - 1
-        else:
-            target, negated, perm = None, weyl.inversions(root), w.perm
-            gain = len(negated) - 1 - 2 * len([k for k in negated if perm[k] < 0])
-        kind = BRUHAT if gain == 0 else QUANTUM if gain == -datum.quantum_drops(J)[root] else None
-        if kind and target is None:
-            target = w * weyl.reflection(root)
+        negated, perm = datum.weyl.inversions(root), w.perm
+        gain = len(negated) - 1 - 2 * len([k for k in negated if perm[k] < 0])
+        kind = BRUHAT if gain == 0 else QUANTUM if gain == -datum.quantum_drops()[root] else None
+        if kind:
+            target = w * datum.weyl.reflection(root)
             if target.length != w.length + 1 + gain:
                 raise InternalError("l(w r_beta) differs from its inversion-set count")
         row[root] = (target, kind) if kind else None
@@ -255,8 +238,10 @@ def orbit_graph(datum: RootDatum, lam: Weight) -> OrbitGraph:
 class QuantumBruhatGraph:
     """Immutable quantum Bruhat graph on W^J, with Weyl elements as vertices.
 
-    No command builds it; it is kept only for the benchmark replay, which
-    times its build as the `quantum_bruhat.qbg_*` metrics.
+    Each edge is read off its definition, composing w r_alpha for every
+    label; nothing is kept on the elements.  No command builds it; it is kept
+    only for the benchmark replay, which times its build as the
+    `quantum_bruhat.qbg_*` metrics.
     """
 
     def __init__(self, datum: RootDatum, J: frozenset[int] = frozenset()):
@@ -268,15 +253,18 @@ class QuantumBruhatGraph:
         self.vertices = tuple(self.adjacency)
 
     def _build_edges(self, w: WeylElement) -> tuple[QBGEdge, ...]:
-        datum = self.datum
+        # the target is min_coset_rep(w r_alpha), and its length decides the
+        # edge with the drop <alpha^vee, 2rho - 2rho_J>
+        datum, weyl, drops = self.datum, self.datum.weyl, self.datum.quantum_drops(self.J)
         zero = (0,) * datum.rank
         out = []
         for k in self.labels:
-            step = qbg_step(datum, w, k, self.J)
-            if step is not None:
-                target, kind = step
-                weight = zero if kind == BRUHAT else datum.positive_coroots[k]
-                out.append(QBGEdge(w, target, k, kind, weight))
+            target = weyl.min_coset_rep(w * weyl.reflection(k), self.J)
+            gain = target.length - w.length - 1
+            if gain == 0:
+                out.append(QBGEdge(w, target, k, BRUHAT, zero))
+            elif gain == -drops[k]:
+                out.append(QBGEdge(w, target, k, QUANTUM, datum.positive_coroots[k]))
         return tuple(out)
 
     def edges(self):

@@ -51,7 +51,7 @@ def reflection_ordering(
     prefix = weyl.identity
     for i in w_J.reduced_word():
         # inversion beta_t = s_{i_1} ... s_{i_{t-1}}(alpha_{i_t})
-        root = prefix.act_root_index(datum.simple_root_index[i - 1])
+        root = prefix.perm[datum.simple_root_index[i - 1]]
         if root < 0:
             raise InternalError("inversion order produced a negative root")
         top.append(root - 1)

@@ -93,7 +93,7 @@ def fold(chain, positions):
     pos_set = set(positions)
     gammas, heights = [], []
     for i, entry in enumerate(chain.entries, start=1):
-        g = w.act_root_index(entry.root)
+        g = w.perm[entry.root]
         sign = 1 if g > 0 else -1
         c = datum.pairing(datum.positive_coroots[abs(g) - 1], v)
         gammas.append(g)

@@ -114,15 +114,13 @@ def test_pairing_examples():
 def test_reflections_a1():
     d = build_root_datum("A", 1)
     assert d.reflect(Weight((1,)), 0) == Weight((-1,))
-    assert d.affine_reflect(Weight((-2,)), 0, -1) == Weight((0,))
 
 
-def test_affine_reflect_is_involution():
+def test_reflect_is_involution():
     d = build_root_datum("C", 2)
     for k in range(len(d.positive_roots)):
-        for level in (-2, 0, 3):
-            mu = Weight((2, -1))
-            assert d.affine_reflect(d.affine_reflect(mu, k, level), k, level) == mu
+        mu = Weight((2, -1))
+        assert d.reflect(d.reflect(mu, k), k) == mu
 
 
 def test_levels():
@@ -245,7 +243,7 @@ def test_omega_involution_and_theta_fixed():
         om = d.weyl.omega
         assert tuple(om[i - 1] for i in om) == tuple(range(1, rank + 1))
         # w_0 sends -theta to theta
-        assert d.weyl.longest.act_root_index(d.theta) == -(d.theta + 1)
+        assert d.weyl.longest.perm[d.theta] == -(d.theta + 1)
 
 
 def test_omega_identity_on_c2_b2():
@@ -253,6 +251,19 @@ def test_omega_identity_on_c2_b2():
     assert build_root_datum("B", 2).weyl.omega == (1, 2)
     assert build_root_datum("A", 3).weyl.omega == (3, 2, 1)
     assert build_root_datum("D", 4).weyl.omega == (1, 2, 3, 4)
+
+
+def test_elements_are_interned_and_compare_by_identity():
+    d, twin = build_root_datum("B", 3), build_root_datum("B", 3)
+    group, twins = d.weyl.coset_reps(frozenset()), twin.weyl.coset_reps(frozenset())
+    for u in group[::5]:
+        for v in group[::7]:
+            assert u * v is u * v
+            assert (u * v).inverse is v.inverse * u.inverse
+    # a twin datum's elements have the same permutations, but none is equal
+    assert [u.perm for u in group] == [v.perm for v in twins]
+    assert not any(u == v for u in group for v in twins)
+    assert not set(group) & set(twins)
 
 
 def test_length_changes_by_one_under_simple_mult():

@@ -14,9 +14,9 @@ from qalcove.quantum_bruhat import (
     QUANTUM,
     UNSEEN,
     OrbitGraph,
+    QuantumBruhatGraph,
     build_qbg,
     minus_w0,
-    qbg_row,
     qbg_step,
     orbit_graph,
 )
@@ -97,32 +97,37 @@ def _direct_step(d, w, root, J, depth=None):
 def test_step_memo_equals_the_direct_rule(label, rank, J, monkeypatch):
     d = build_root_datum(label, rank)
     group = d.weyl.coset_reps(frozenset())
+    # the graph composes every step and keeps nothing on the elements
     for K in (frozenset(), J):
-        for w in group:
-            for root in d.quantum_drops(K):
-                step = qbg_step(d, w, root, K)
-                assert step == _direct_step(d, w, root, K)
-                assert qbg_step(d, w, root, K) is step
-                assert qbg_row(d, w, K)[root] is step
-    # one row per (w, J) holding one entry per (w, root, J), and a repeated
-    # step composes nothing
-    steps = {key: list(row) for key, row in d.weyl._steps.items()}
-    assert len(steps) == 2 * len(group)
-    composed = sum(step is not UNSEEN for row in steps.values() for step in row)
-    assert composed == len(group) * (len(d.positive_roots) + len(d.quantum_drops(J)))
+        graph = QuantumBruhatGraph(d, K)
+        for w in graph.vertices:
+            edges = {e.label: (e.target, e.kind) for e in graph.adjacency[w]}
+            direct = {root: _direct_step(d, w, root, K) for root in d.quantum_drops(K)}
+            assert edges == {root: step for root, step in direct.items() if step}
+            assert all(step is UNSEEN for step in w.steps)
+    for w in group:
+        for root in range(len(d.positive_roots)):
+            step = qbg_step(d, w, root)
+            assert step == _direct_step(d, w, root, frozenset())
+            assert qbg_step(d, w, root) is step
+            assert w.steps[root] is step
+    # each (w, root) is decided once, in w's own row, and a repeated step
+    # composes nothing
+    rows = {w: list(w.steps) for w in group}
+    assert not any(step is UNSEEN for row in rows.values() for step in row)
     with monkeypatch.context() as m:
-        m.setattr(type(d.weyl), "product", lambda *args: pytest.fail("composed again"))
+        m.setattr(WeylGroup, "product", lambda *args: pytest.fail("composed again"))
         for w in group:
-            assert all(qbg_step(d, w, root, J) is steps[w, J][root] for root in d.quantum_drops(J))
-    # a second datum of the same type keeps its own memo, with its own elements
+            assert all(qbg_step(d, w, root) is step for root, step in enumerate(rows[w]))
+    # the elements of a second datum of the same type carry their own rows
     twin = build_root_datum(label, rank)
-    assert twin.weyl._steps == {}
-    step = qbg_step(twin, twin.weyl.longest, twin.theta)
+    w0 = twin.weyl.longest
+    assert w0 is not d.weyl.longest and w0.perm == d.weyl.longest.perm
+    assert all(step is UNSEEN for step in w0.steps)
+    step = qbg_step(twin, w0, twin.theta)
     assert step[0].group is twin.weyl
-    assert list(twin.weyl._steps) == [(twin.weyl.longest, frozenset())]
-    row = twin.weyl._steps[twin.weyl.longest, frozenset()]
-    assert [root for root, s in enumerate(row) if s is not UNSEEN] == [twin.theta]
-    assert d.weyl._steps == steps
+    assert [root for root, s in enumerate(w0.steps) if s is not UNSEEN] == [twin.theta]
+    assert all(w.steps == rows[w] for w in group)
 
 
 @pytest.mark.parametrize("label, rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2), ("F", 4)])
@@ -144,9 +149,14 @@ def test_alcove_walk_composes_only_along_edges(monkeypatch):
     calls = []
     product = WeylGroup.product
     monkeypatch.setattr(WeylGroup, "product", lambda *args: calls.append(args) or product(*args))
+    decisions = []
+    inversions = WeylGroup.inversions
+    monkeypatch.setattr(WeylGroup, "inversions", lambda *args: decisions.append(args) or inversions(*args))
     character_from_alcove(chain)
-    decided = [step for row in d.weyl._steps.values() for step in row if step is not UNSEEN]
+    # each (w, root) is decided once, in w's row
+    decided = [step for w in d.weyl.elements for step in w.steps if step is not UNSEEN]
     edges = [step for step in decided if step is not None]
+    assert len(decisions) == len(decided)
     assert len(calls) == len(edges) < len(decided)
 
 
