@@ -1,15 +1,15 @@
 """Graded characters from both models, a multiplicity oracle, and the verdict.
 
-The two model routes (folding heights over admissible subsets, degrees over
-path crystals) produce the same graded character; the oracle route computes
-irreducible characters by the multiplicity recursion on dominant weights and
-shares no code with the model enumerations.  It runs in integers: it pairs
-weights only with root-lattice elements, where the invariant form is integral.
-The decomposition does not call the oracle: it reads multiplicities off the
-terms by the Brauer-Klimyk rule, ordered by the integer heights <2 rho^vee, nu>.
-Neither uses the Weyl group that the models walk: the oracle, the symmetry
-check, the orbit form and the decomposition act on weights by one rule, the
-simple reflection on fundamental-weight coordinates.
+The two model routes (heights folded over admissible subsets, weights and
+degrees summed per break over QLS paths) give the same graded character; the
+oracle computes irreducible characters by the multiplicity recursion on
+dominant weights and shares no code with the models.  It runs in integers:
+it pairs weights only with root-lattice elements, where the invariant form is
+integral.  The decomposition does not call the oracle: it reads multiplicities
+off the terms by the Brauer-Klimyk rule, ordered by the integer heights
+<2 rho^vee, nu>.  Neither uses the Weyl group that the models walk: the
+oracle, the symmetry check, the orbit form and the decomposition act on
+weights by one rule, the simple reflection on fundamental-weight coordinates.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from collections import Counter, defaultdict
 from . import alcove_model, qls_model
 from .alcove_model import LambdaChain, lex_chain
 from .lie_data import InputError, InternalError, RootDatum, Weight
+from .quantum_bruhat import orbit_graph
 
 Key = tuple[tuple[int, ...], int]
 
@@ -155,12 +156,65 @@ def character_from_alcove(chain: LambdaChain) -> GradedCharacter:
 
 
 def character_from_qls(datum: RootDatum, lam: Weight) -> GradedCharacter:
-    """Sum of q^(-deg) x^weight over QLS(lam), enumerated from the paper's
-    definition of its paths; no root operator is applied."""
-    terms: Counter = Counter()
-    for _, _, weight, neg_deg in qls_model.enumerate_paths(datum, lam):
-        terms[(weight.coords, neg_deg)] += 1
-    return GradedCharacter(datum.rank, terms)
+    """Sum of q^(-deg) x^weight over QLS(lam), from the paper's definition of
+    its paths without visiting them one by one; no root operator is applied.
+
+    A path with points x_1, ..., x_s and cuts 0 = a_0 < ... < a_s = L has
+    L wt = L mu_{x_s} + sum_{k<s} a_k (mu_{x_k} - mu_{x_{k+1}}) and
+    -L deg = sum_{k<s} (L - a_k) w_k, w_k the weight with which x_{k+1}
+    follows x_k in `break_children`: one term per break.  So the multiset
+    F(y, a) of (L wt, -L deg) over the paths that start at y and break only
+    after cut a is {L mu_y} plus, over the cuts a' > a and the followers
+    (z, w) of y at a', F(z, a') shifted by (a' (mu_y - mu_z), (L - a') w).
+    One table per point holds F(y, a) as the cuts go down, a cut copies only
+    the tables of the points that follow there, and a table no later cut
+    reads goes into the character, the sum of F(y, 0) over y.  A key packs
+    -L deg and L wt into one integer, so a shift is one addition; every path
+    lands in one key, so checking each distinct key once checks every path.
+    """
+    graph = orbit_graph(datum, lam)  # refuses a weight that is not dominant
+    L, rank = graph.L, datum.rank
+    cuts, children = qls_model.break_children(graph)
+    # L wt lies in L conv(W lam), whose coordinates the orbit points bound
+    offset = L * max([1] + [abs(c) for mu in graph.points for c in mu.coords])
+    base = 2 * offset + 1
+    powers = [base**i for i in range(rank)]
+    unit = base**rank  # one step of -L deg, above every packed weight
+    linear = [sum(c * p for c, p in zip(mu.coords, powers)) for mu in graph.points]
+    # per denominator: the points with followers there, and those followers
+    leaders = {v: [(y, kids[v]) for y, kids in enumerate(children) if kids[v]] for v in {v for _, v in cuts}}
+    followers = {v: {z for _, kids in pairs for z, _ in kids} for v, pairs in leaders.items()}
+    # F(y, L): y's straight path
+    origin = offset * sum(powers)
+    tables = [{origin + L * x: 1} for x in linear]
+    # a table that no later cut reads is added into the character, which then
+    # takes its place, so only the tables still to be read are kept
+    counts: Counter = Counter()
+    last = {z: i for i, (_, v) in enumerate(reversed(cuts)) for z in followers[v]}
+    read_last: defaultdict[int, list[int]] = defaultdict(list)
+    for y in range(len(tables)):
+        read_last[last.get(y, -1)].append(y)
+    for i, (a, v) in enumerate(reversed(cuts)):
+        for y in read_last[i - 1]:
+            counts.update(tables[y])
+            tables[y] = counts
+        frozen = {z: dict(tables[z]) for z in followers[v]}
+        for y, kids in leaders[v]:
+            table = tables[y]
+            for z, w in kids:
+                shift = a * (linear[y] - linear[z]) + (L - a) * w * unit
+                for key, c in frozen[z].items():
+                    key += shift
+                    table[key] = table.get(key, 0) + c
+    for table in tables:
+        if table is not counts:
+            counts.update(table)
+    terms = {}
+    for key, c in counts.items():
+        neg_deg, x = divmod(key, unit)
+        weight = qls_model._integral_weight([x // p % base - offset for p in powers], L)
+        terms[(weight.coords, -qls_model._whole(-neg_deg, L, "degree"))] = c
+    return GradedCharacter(rank, terms)
 
 
 # ----------------------------------------------------------- oracle route

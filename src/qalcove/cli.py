@@ -268,69 +268,70 @@ def cmd_perfect(datum: RootDatum, args) -> int:
 # ----------------------------------------------------------------- driver
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--type", required=True, metavar="LETTER", help="Cartan type, e.g. A, C, G")
-    common.add_argument("--rank", required=True, type=int)
-    common.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+# Every subcommand, in the order `qalcove --help` lists them: how many of the
+# shared option sets it takes (see _add_shared), its help line, its handler,
+# and its own options as (flag, keyword arguments) pairs.
+SUBCOMMANDS = {
+    "chain": (3, "print the lambda-chain", cmd_chain, ()),
+    "admissible": (3, "enumerate admissible subsets", cmd_admissible, ()),
+    "qls": (2, "describe one quantum LS path", cmd_qls, (
+        ("--directions", {"default": None, "help": "comma-separated Weyl words, e.g. s1*s2,e"}),
+        ("--breaks", {"default": None, "help": "comma-separated fractions, e.g. 0,1/2,1"}))),
+    "crystal": (2, "build the path crystal", cmd_crystal,
+                (("--format", {"choices": ("json", "dot"), "default": "json"}),)),
+    "character": (3, "print a graded character", cmd_character, (
+        ("--route", {"choices": ("qls", "alcove", "weyl"), "default": "qls"}),
+        ("--format", {"choices": ("json", "text", "orbit"), "default": "json"}))),
+    "verify-px": (3, "check that both model characters agree and match the oracle", cmd_verify_px, ()),
+    "verify-crystal": (3, "run the operator, energy, and tensor checks", cmd_verify_crystal, ()),
+    "perfect": (1, "perfectness report per node", cmd_perfect, (
+        ("--node", {"default": "all", "help": "node index, long, short, or all"}),
+        ("--level", {"type": int, "default": 1}))),
+}
+
+
+def _add_shared(parser: argparse.ArgumentParser, sets: int) -> None:
+    """Add the first `sets` shared option sets: datum and budget, weight, chain source."""
+    parser.add_argument("--type", required=True, metavar="LETTER", help="Cartan type, e.g. A, C, G")
+    parser.add_argument("--rank", required=True, type=int)
+    parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                         help="abort if |W| * chain length exceeds this; perfect "
                              "also aborts if |B(omega_node)|^2 does")
-    weighted = argparse.ArgumentParser(add_help=False)
-    weighted.add_argument("--weight", required=True,
-                          help="comma-separated fundamental-weight coefficients")
-    # the commands that build a lambda-chain: a lexicographic one, or one read
-    # from a file
-    chained = argparse.ArgumentParser(add_help=False)
-    source = chained.add_mutually_exclusive_group()
-    source.add_argument("--node-order", default=None,
-                        help="node permutation for the lexicographic chain, e.g. 2,1")
-    source.add_argument("--chain-file", default=None, help="JSON list of (root, level) entries")
+    if sets > 1:
+        parser.add_argument("--weight", required=True,
+                            help="comma-separated fundamental-weight coefficients")
+    if sets > 2:
+        # a lexicographic chain, or one read from a file
+        source = parser.add_mutually_exclusive_group()
+        source.add_argument("--node-order", default=None,
+                            help="node permutation for the lexicographic chain, e.g. 2,1")
+        source.add_argument("--chain-file", default=None, help="JSON list of (root, level) entries")
 
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of `command` alone, with one usage line."""
     parser = argparse.ArgumentParser(prog="qalcove",
                                      description="Exact graded characters of single-column "
                                                  "tensor products from two path models.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("chain", parents=[common, weighted, chained], help="print the lambda-chain")
-    p.set_defaults(handler=cmd_chain)
-
-    p = sub.add_parser("admissible", parents=[common, weighted, chained],
-                       help="enumerate admissible subsets")
-    p.set_defaults(handler=cmd_admissible)
-
-    p = sub.add_parser("qls", parents=[common, weighted], help="describe one quantum LS path")
-    p.add_argument("--directions", default=None, help="comma-separated Weyl words, e.g. s1*s2,e")
-    p.add_argument("--breaks", default=None, help="comma-separated fractions, e.g. 0,1/2,1")
-    p.set_defaults(handler=cmd_qls)
-
-    p = sub.add_parser("crystal", parents=[common, weighted], help="build the path crystal")
-    p.add_argument("--format", choices=("json", "dot"), default="json")
-    p.set_defaults(handler=cmd_crystal)
-
-    p = sub.add_parser("character", parents=[common, weighted, chained],
-                       help="print a graded character")
-    p.add_argument("--route", choices=("qls", "alcove", "weyl"), default="qls")
-    p.add_argument("--format", choices=("json", "text", "orbit"), default="json")
-    p.set_defaults(handler=cmd_character)
-
-    p = sub.add_parser("verify-px", parents=[common, weighted, chained],
-                       help="check that both model characters agree and match the oracle")
-    p.set_defaults(handler=cmd_verify_px)
-
-    p = sub.add_parser("verify-crystal", parents=[common, weighted, chained],
-                       help="run the operator, energy, and tensor checks")
-    p.set_defaults(handler=cmd_verify_crystal)
-
-    p = sub.add_parser("perfect", parents=[common], help="perfectness report per node")
-    p.add_argument("--node", default="all", help="node index, long, short, or all")
-    p.add_argument("--level", type=int, default=1)
-    p.set_defaults(handler=cmd_perfect)
-
+    # metavar=None lets argparse name the subcommands from their choices and
+    # the action "command"; the single-subcommand parser has one choice, so it
+    # names them all itself, and no error naming the action can reach it
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=None if command is None else "{" + ",".join(SUBCOMMANDS) + "}")
+    for name, (sets, help_line, handler, own) in SUBCOMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_line)
+            _add_shared(p, sets)
+            for flag, kwargs in own:
+                p.add_argument(flag, **kwargs)
+            p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # one subcommand's parser is a fraction of the full one to build
+    args = _build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None).parse_args(argv)
     try:
         datum = build_root_datum(args.type, args.rank)
         code = args.handler(datum, args)

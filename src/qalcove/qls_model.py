@@ -15,12 +15,13 @@ subgraph restricted at each break.  A direction given as a Weight or a Weyl
 word is turned into its index at the boundary, and a point is printed as
 the word read off its coordinates.
 
-This module provides validation, a direct enumeration of QLS(lambda) from
-that definition (what the characters sum over), the root operators e_j/f_j
-for j in the affine index set (they reflect a window of points), the degree
-statistic, duality and the Lusztig involution, the crystal graph on the
-enumerated QLS(lambda), whose operator images are checked by lookup in that
-set, and tensor products of crystals under the Kashiwara convention.
+This module provides validation, the followers of each point at each break
+(`break_children`, which the QLS character sums over), a direct enumeration
+of QLS(lambda) from that definition, the root operators e_j/f_j for j in the
+affine index set (they reflect a window of points), the degree statistic,
+duality and the Lusztig involution, the crystal graph on the enumerated
+QLS(lambda), whose operator images are checked by lookup in that set, and
+tensor products of crystals under the Kashiwara convention.
 """
 
 from __future__ import annotations
@@ -219,6 +220,23 @@ def _whole(n: int, L: int, what: str) -> int:
 # --------------------------------------------------------------- enumeration
 
 
+def break_children(graph: OrbitGraph) -> tuple[list[tuple[int, int]], list[dict[int, list]]]:
+    """The candidate breaks a/L ascending, as (a, denominator v), and
+    children[x][v]: the (y, path weight from y to x) pairs, y != x, that may
+    follow x at a break of denominator v, by one unkept search per (v, y)."""
+    L = graph.L
+    cuts = [(a, L // gcd(a, L)) for a in sorted({a * L // p for p in graph.pairings for a in range(1, p)})]
+    dens = {v for _, v in cuts}
+    n = len(graph.points)
+    children: list[dict[int, list]] = [{v: [] for v in dens} for _ in range(n)]
+    for v in dens:
+        for y in range(n):
+            for x, w in graph.search(y, v).items():
+                if x != y:
+                    children[x][v].append((y, w))
+    return cuts, children
+
+
 def enumerate_paths(datum: RootDatum, lam: Weight):
     """Every path of QLS(lam) once, as (points, cuts, weight, -deg), the
     breaks being cuts / L.
@@ -230,27 +248,15 @@ def enumerate_paths(datum: RootDatum, lam: Weight):
     is an output.  A break b is u/v in lowest terms with v dividing a pairing
     p = <alpha^vee, lam> of a label, so b is a multiple of 1/L, and the
     breaks, the weight and -deg are carried times L.  The points are the
-    orbit graph's vertex indices, as a QLSPath holds them.  One search per
-    (denominator v, source y), not kept, lists the points x that y may
-    follow at a break of denominator v, so each x's followers ascend in y.
+    orbit graph's vertex indices, as a QLSPath holds them, and each point's
+    followers come from `break_children`.
     """
     graph = orbit_graph(datum, lam)
     L = graph.L
-    # the candidate breaks a/L in increasing order, each with its denominator
-    cuts = [(a, L // gcd(a, L)) for a in sorted({a * L // p for p in graph.pairings for a in range(1, p)})]
-    # children[x][v]: the (y, path weight from y to x) pairs that may follow x
-    # at a break of denominator v
-    dens = {v for _, v in cuts}
-    n = len(graph.points)
-    children: list[dict[int, list]] = [{v: [] for v in dens} for _ in range(n)]
-    for v in dens:
-        for y in range(n):
-            for x, w in graph.search(y, v).items():
-                if x != y:
-                    children[x][v].append((y, w))
+    cuts, children = break_children(graph)
     points = graph.points
     zero = (0,) * datum.rank
-    stack = [(x, 0, zero, 0, (x,), (0,)) for x in range(n)]
+    stack = [(x, 0, zero, 0, (x,), (0,)) for x in range(len(points))]
     while stack:
         x, start, wt, neg_deg, path, breaks = stack.pop()
         mu = points[x].coords

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -185,6 +186,37 @@ def test_both_routes_agree_beyond_the_benchmark_ladder(label, rank, lam):
     # the weights whose closure of the QLS crystal took a second or more
     datum = build_root_datum(label, rank)
     assert alcove_char(datum, lam) == character_from_qls(datum, Weight(lam))
+
+
+# the alcove ladder's twelve weights, then B, C, F and G weights that break
+# at several denominators
+SUFFIX_SUM_CASES = [
+    ("A", 3, (1, 1, 1)),
+    ("G", 2, (1, 1)),
+    ("C", 3, (1, 0, 1)),
+    ("B", 3, (0, 1, 1)),
+    ("D", 4, (0, 0, 1, 1)),
+    ("C", 4, (1, 0, 0, 1)),
+    ("A", 4, (1, 1, 1, 1)),
+    ("B", 3, (1, 1, 1)),
+    ("C", 3, (1, 1, 1)),
+    ("G", 2, (2, 1)),
+    ("D", 4, (1, 0, 1, 1)),
+    ("C", 4, (0, 1, 0, 1)),
+    ("G", 2, (2, 2)),
+    ("C", 3, (0, 2, 0)),
+    ("C", 4, (1, 1, 1, 1)),
+    ("F", 4, (0, 1, 0, 0)),
+    ("B", 4, (0, 0, 0, 2)),
+]
+
+
+@pytest.mark.parametrize("label, rank, lam", SUFFIX_SUM_CASES)
+def test_qls_character_equals_the_sum_over_enumerated_paths(label, rank, lam):
+    datum = build_root_datum(label, rank)
+    reference = Counter((weight.coords, neg_deg) for _, _, weight, neg_deg
+                        in qls_model.enumerate_paths(datum, Weight(lam)))
+    assert character_from_qls(datum, Weight(lam)) == GradedCharacter(rank, reference)
 
 
 def test_chain_order_does_not_change_the_character():
@@ -601,21 +633,23 @@ def test_verdict_accepts_custom_chain():
     assert report["pass"]
 
 
-def test_verdict_on_a_fundamental_weight_enumerates_its_paths_once(monkeypatch):
-    # the q = 1 factor of a fundamental lambda is lambda's own character, and
-    # no character closes a crystal under root operators
+def test_verdict_on_a_fundamental_weight_sums_its_qls_character_once(monkeypatch):
+    # the q = 1 factor of a fundamental lambda is lambda's own character, no
+    # character closes a crystal under root operators, and the QLS character
+    # is a sum over the break tables, not over enumerated paths
     calls = []
-    real = qls_model.enumerate_paths
+    real = characters.character_from_qls
 
     def counted(datum, lam):
         calls.append(lam.coords)
         return real(datum, lam)
 
-    def refused(datum, lam):
-        raise AssertionError("the verdict must not build a crystal")
+    def refused(*args):
+        raise AssertionError("the verdict must neither build a crystal nor enumerate paths")
 
-    monkeypatch.setattr(qls_model, "enumerate_paths", counted)
+    monkeypatch.setattr(characters, "character_from_qls", counted)
     monkeypatch.setattr(qls_model, "build_crystal", refused)
+    monkeypatch.setattr(qls_model, "enumerate_paths", refused)
     assert verify_p_equals_x(A2, Weight((1, 0)))["pass"]
     assert calls == [(1, 0)]
 

@@ -280,51 +280,61 @@ def test_outputs_are_deterministic(capsys):
 # ------------------------------------------------------------ error paths
 
 
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (("chain", "--type", "Z", "--rank", "2", "--weight", "1,0"), "type"),
-        (("chain", "--type", "A", "--rank", "2", "--weight", "1"), "coefficients"),
-        (("chain", "--type", "A", "--rank", "2", "--weight", "a,b"), "parse"),
-        (("chain", "--type", "A", "--rank", "2", "--weight", "1,0", "--node-order", "1,3"),
-         "permutation"),
-        (("qls", "--type", "A", "--rank", "1", "--weight", "2", "--directions", "s1"),
-         "together"),
-        (("qls", "--type", "A", "--rank", "1", "--weight", "2", "--directions", "s9",
-          "--breaks", "0,1"), "Weyl word"),
-        (("perfect", "--type", "A", "--rank", "2", "--node", "short"), "short"),
-        (("perfect", "--type", "A", "--rank", "2", "--node", "x"), "node"),
-        (("perfect", "--type", "A", "--rank", "2", "--level", "0"), "positive"),
-        (("character", "--type", "A", "--rank", "2", "--weight=-1,1", "--route", "qls"),
-         "is not dominant"),
-        (("crystal", "--type", "A", "--rank", "2", "--weight=-1,1"), "is not dominant"),
-        (("character", "--type", "A", "--rank", "2", "--weight", "1,1", "--route", "qls",
-          "--budget", "5"), "budget"),
-        # |W(E7)| = 2903040 times a chain of length 27, with no element enumerated
-        (("verify-px", "--type", "E", "--rank", "7", "--weight", "0,0,0,0,0,0,1"),
-         "job size 78382080 exceeds budget 200000"),
-        # the chain options exist only where a lambda-chain is built, and
-        # character reads them on the alcove route alone
-        (("crystal", "--type", "A", "--rank", "2", "--weight", "1,1", "--node-order", "7,7"),
-         "unrecognized arguments: --node-order 7,7"),
-        (("qls", "--type", "A", "--rank", "1", "--weight", "2", "--node-order", "x"),
-         "unrecognized arguments: --node-order x"),
-        (("character", "--type", "A", "--rank", "2", "--weight", "1,1", "--route", "qls",
-          "--node-order", "2,1"), "only --route alcove"),
-        (("character", "--type", "A", "--rank", "2", "--weight", "1,1", "--route", "weyl",
-          "--node-order", "2,1"), "only --route alcove"),
-        (("character", "--type", "A", "--rank", "2", "--weight", "1,1", "--route", "qls",
-          "--chain-file", "/nonexistent"), "only --route alcove"),
-        (("character", "--type", "A", "--rank", "2", "--weight", "1,1", "--route", "weyl",
-          "--chain-file", "/nonexistent"), "only --route alcove"),
-        (("chain", "--type", "A", "--rank", "2", "--weight", "1,1", "--node-order", "2,1",
-          "--chain-file", "/nonexistent"), "not allowed with argument --node-order"),
-    ],
-)
+BAD_INPUT = [
+    (("chain", "--type", "Z", "--rank", "2", "--weight", "1,0"), "type"),
+    (("chain", "--type", "A", "--rank", "2", "--weight", "1"), "coefficients"),
+    (("chain", "--type", "A", "--rank", "2", "--weight", "a,b"), "parse"),
+    (("chain", "--type", "A", "--rank", "2", "--weight", "1,0", "--node-order", "1,3"),
+     "permutation"),
+    (("qls", "--type", "A", "--rank", "1", "--weight", "2", "--directions", "s1"),
+     "together"),
+    (("qls", "--type", "A", "--rank", "1", "--weight", "2", "--directions", "s9",
+      "--breaks", "0,1"), "Weyl word"),
+    (("perfect", "--type", "A", "--rank", "2", "--node", "short"), "short"),
+    (("perfect", "--type", "A", "--rank", "2", "--node", "x"), "node"),
+    (("perfect", "--type", "A", "--rank", "2", "--level", "0"), "positive"),
+    (("character", "--type", "A", "--rank", "2", "--weight=-1,1", "--route", "qls"),
+     "is not dominant"),
+    (("crystal", "--type", "A", "--rank", "2", "--weight=-1,1"), "is not dominant"),
+    (("character", "--type", "A", "--rank", "2", "--weight", "1,1", "--route", "qls",
+      "--budget", "5"), "budget"),
+    # |W(E7)| = 2903040 times a chain of length 27, with no element enumerated
+    (("verify-px", "--type", "E", "--rank", "7", "--weight", "0,0,0,0,0,0,1"),
+     "job size 78382080 exceeds budget 200000"),
+    # the chain options exist only where a lambda-chain is built, and
+    # character reads them on the alcove route alone
+    (("crystal", "--type", "A", "--rank", "2", "--weight", "1,1", "--node-order", "7,7"),
+     "unrecognized arguments: --node-order 7,7"),
+    (("qls", "--type", "A", "--rank", "1", "--weight", "2", "--node-order", "x"),
+     "unrecognized arguments: --node-order x"),
+    (("character", "--type", "A", "--rank", "2", "--weight", "1,1", "--route", "qls",
+      "--node-order", "2,1"), "only --route alcove"),
+    (("character", "--type", "A", "--rank", "2", "--weight", "1,1", "--route", "weyl",
+      "--node-order", "2,1"), "only --route alcove"),
+    (("character", "--type", "A", "--rank", "2", "--weight", "1,1", "--route", "qls",
+      "--chain-file", "/nonexistent"), "only --route alcove"),
+    (("character", "--type", "A", "--rank", "2", "--weight", "1,1", "--route", "weyl",
+      "--chain-file", "/nonexistent"), "only --route alcove"),
+    (("chain", "--type", "A", "--rank", "2", "--weight", "1,1", "--node-order", "2,1",
+      "--chain-file", "/nonexistent"), "not allowed with argument --node-order"),
+]
+
+
+@pytest.mark.parametrize("argv, message", BAD_INPUT)
 def test_bad_input_exits_two(capsys, argv, message):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert message in err
+
+
+@pytest.mark.parametrize("argv, message", BAD_INPUT)
+def test_bad_input_reads_the_same_from_the_full_parser(capsys, monkeypatch, argv, message):
+    # main builds the named subcommand's parser alone; the full one must
+    # answer with the same exit code and stderr
+    lean = run(capsys, *argv)
+    full = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda command=None: full())
+    assert run(capsys, *argv) == lean
 
 
 def test_invalid_path_data_exits_two(capsys):
@@ -434,6 +444,34 @@ def test_tensor_arrow_mismatch_fails_verify_crystal(capsys, monkeypatch):
     assert code == 1 and not report["pass"]
     assert report["tensor_isomorphism"]["ok"] is False
     assert "arrow mismatch" in report["tensor_isomorphism"]["error"]
+
+
+@pytest.mark.parametrize("command", list(cli.SUBCOMMANDS))
+def test_one_subcommand_parser_has_the_full_parsers_help_and_usage(capsys, command):
+    seen = []
+    for parser in (cli._build_parser(), cli._build_parser(command)):
+        with pytest.raises(SystemExit) as info:
+            parser.parse_args([command, "--help"])
+        assert info.value.code == 0
+        seen.append((capsys.readouterr().out, parser.format_usage()))
+    assert seen[0] == seen[1]
+    assert seen[0][0].startswith(f"usage: qalcove {command} [-h]")
+
+
+def test_main_builds_only_the_named_subcommand(capsys, monkeypatch):
+    built = []
+    real = cli._build_parser
+
+    def recorded(command=None):
+        built.append(command)
+        return real(command)
+
+    monkeypatch.setattr(cli, "_build_parser", recorded)
+    assert main(["chain", "--type", "A", "--rank", "1", "--weight", "1"]) == 0
+    for argv in (["--help"], ["nonesuch"], []):
+        with pytest.raises(SystemExit):
+            main(argv)
+    assert built == ["chain", None, None, None]
 
 
 def test_missing_subcommand_is_a_usage_error():

@@ -12,6 +12,7 @@ import pytest
 import crystal_reference
 from crystal_reference import indexed
 from qalcove import qls_model
+from qalcove.characters import character_from_qls
 from qalcove.lie_data import InputError, InternalError, Weight, build_root_datum
 from qalcove.qls_model import (
     QLSPath,
@@ -510,7 +511,8 @@ def test_enumeration_rejects_non_dominant_weight():
         list(enumerate_paths(A2, Weight((1, -1))))
 
 
-def test_enumeration_keeps_the_integrality_checks(monkeypatch):
+def _assert_integrality_checks(monkeypatch, run):
+    """run(datum, lam) on two faked orbit graphs must raise both checks."""
     # each fake acts on the orbit graph of a fresh datum, so the faked searches
     # neither meet nor leave a cached graph
     search = OrbitGraph.search
@@ -522,7 +524,7 @@ def test_enumeration_keeps_the_integrality_checks(monkeypatch):
         m.setattr(OrbitGraph, "search", weights_one)
         # (s1, e; 0, 1/2, 1) of shape 2w1 has -deg (1 - 1/2) * 1 = 1/2
         with pytest.raises(InternalError, match=r"degree -1/2 is not an integer"):
-            list(enumerate_paths(build_root_datum("A", 1), Weight((2,))))
+            run(build_root_datum("A", 1), Weight((2,)))
     graph = orbit_graph(fresh := build_root_datum("A", 1), Weight((1,)))
     monkeypatch.setattr(graph, "pairings", (3,))
     monkeypatch.setattr(graph, "L", 3)
@@ -530,7 +532,16 @@ def test_enumeration_keeps_the_integrality_checks(monkeypatch):
     monkeypatch.setattr(graph, "search", lambda y, v: search(graph, y, 1))
     # with every pairing 3, (s1, e; 0, 1/3, 1) of shape w1 weighs -1/3 + 2/3
     with pytest.raises(InternalError, match=r"weight .* is not integral"):
-        list(enumerate_paths(fresh, Weight((1,))))
+        run(fresh, Weight((1,)))
+
+
+def test_enumeration_keeps_the_integrality_checks(monkeypatch):
+    _assert_integrality_checks(monkeypatch, lambda datum, lam: list(enumerate_paths(datum, lam)))
+
+
+def test_qls_character_keeps_the_integrality_checks(monkeypatch):
+    # the character checks each distinct key once instead of each path
+    _assert_integrality_checks(monkeypatch, character_from_qls)
 
 
 def _enumerate_on_a_fresh_datum():
