@@ -2,7 +2,8 @@
 
 The package provides root-system data (`lie_data`), the parabolic quantum
 Bruhat graph on the orbit of lambda (`quantum_bruhat`), the alcove walk
-model (`alcove_model`), the rational path model (`qls_model`), the forgetful
+model (`alcove_model`), the rational path model (`qls_model`), the crystal
+graphs both models build and their tensor products (`crystal`), the forgetful
 bijection between the two models and its checks (`correspondence`), graded
 characters with an independent multiplicity oracle (`characters`),
 perfectness tests (`perfectness`), and a command line front end (`cli`).

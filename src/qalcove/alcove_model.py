@@ -5,7 +5,7 @@ A chain for a dominant weight lambda lists the hyperplanes H_{beta,-l}
 fundamental alcove to its translate by -lambda.  Admissible subsets of chain
 positions are walks in the quantum Bruhat graph starting at the identity.
 `build_crystal` makes the enumerated subsets of a lex chain a
-`qls_model.CrystalGraph`: its root operators f_p / e_p (p in the affine
+`crystal.CrystalGraph`: its root operators f_p / e_p (p in the affine
 index set) read the piecewise linear function g_alpha of Lenart-Lubovsky off
 that walk and look their images up in the enumeration.
 """
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from qalcove.lie_data import UNSEEN, InputError, InternalError, RootDatum, Weight, WeylElement
-from qalcove.qls_model import CrystalGraph
+from qalcove.crystal import CrystalGraph, shape_packing
 from qalcove.quantum_bruhat import QUANTUM, qbg_step
 
 
@@ -51,6 +51,7 @@ class LambdaChain:
         self.datum = datum
         self.lam = lam
         self.entries = entries
+        self.roots = tuple(e.root for e in entries)
         self.node_order = node_order
         self.lex = lex
         # <beta^vee,lambda> by positive-root index
@@ -240,7 +241,7 @@ def walk_admissible(chain: LambdaChain):
     tuples, from (0, 0, None, identity, packed lambda, 0); `chain.unpack`
     reads a packed weight's coordinates."""
     datum = chain.datum
-    roots = [-1] + [e.root for e in chain.entries]
+    roots = (-1,) + chain.roots
     l_tilde, shift = chain.l_tilde, chain.shift
     stack = [(0, 0, None, datum.weyl.identity, chain.pack(chain.lam.coords), 0)]
     while stack:
@@ -295,29 +296,54 @@ def require_lex(chain: LambdaChain) -> None:
         raise InputError("root operators and the path bijection need a lex chain")
 
 
-def _samples(A: AdmissibleSubset, alpha_signed: int):
-    """The samples of Lenart-Lubovsky's g_alpha at the indices i with
-    gamma_i = +-alpha, plus the sample at infinity.  gamma_i is beta_i moved by
-    the walk's element before i; at each such i, g moves by sign(gamma_i)/2 up
-    to the sample and by as much again after it, reversed when i is folded."""
-    j = abs(alpha_signed)
-    sign = 1 if alpha_signed > 0 else -1
-    finite = []
-    h, a = -1, 0  # h = 2g; a = positions of A below i
-    for i, entry in enumerate(A.chain.entries, start=1):
-        gamma = A.path[a].perm[entry.root]
-        folded = a < len(A.positions) and A.positions[a] == i
-        if abs(gamma) == j:
+def _label_feeds(datum: RootDatum) -> dict[int, list[tuple[int, int]]]:
+    """|alpha-tilde_p| as a signed root index, mapped to the (p, sign of
+    alpha-tilde_p) that read it: one label per root, except in A1, where
+    theta = alpha_1 and labels 0 and 1 read the same root."""
+    feeds: dict[int, list[tuple[int, int]]] = {}
+    for p in range(datum.rank + 1):
+        alpha = _alpha_signed(datum, p)
+        feeds.setdefault(abs(alpha), []).append((p, 1 if alpha > 0 else -1))
+    return feeds
+
+
+def _label_samples(A: AdmissibleSubset, feeds: dict[int, list[tuple[int, int]]]):
+    """For every label p, the samples of Lenart-Lubovsky's g_alpha at
+    alpha = alpha-tilde_p, as (finite samples, sample at infinity), in one
+    walk along the chain; feeds is `_label_feeds(datum)`.
+
+    gamma_i is beta_i moved by the walk's element before i, and it feeds the
+    labels whose root is +-gamma_i.  The finite samples of a label are its
+    (i, g_alpha(i)) at those i: g moves by sign(gamma_i)/2 up to the sample
+    and by as much again after it, reversed when i is folded.
+    """
+    chain, path, positions = A.chain, A.path, A.positions
+    n = chain.datum.rank + 1
+    h = [-1] * n  # 2 g per label
+    finite: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    a, perm = 0, path[0].perm  # a = positions of A below i
+    fold = positions[0] if positions else 0
+    for i, root in enumerate(chain.roots, start=1):
+        gamma = perm[root]
+        readers = feeds.get(gamma if gamma > 0 else -gamma)
+        if readers:
             s = 1 if gamma > 0 else -1
-            h += s
-            if h % 2:
-                raise InternalError(f"g_alpha takes the non-integer value {h}/2")
-            finite.append((i, sign * h // 2))
-            h += -s if folded else s
-        a += folded
-    datum = A.chain.datum
-    inf_sample = sign * datum.pairing(datum.positive_coroots[j - 1], A.weight)
-    return finite, inf_sample
+            for p, sign in readers:
+                hp = h[p] + s
+                if hp % 2:
+                    raise InternalError(f"g_alpha takes the non-integer value {hp}/2")
+                finite[p].append((i, sign * hp // 2))
+                h[p] = hp - s if i == fold else hp + s
+        if i == fold:
+            a += 1
+            perm = path[a].perm
+            fold = positions[a] if a < len(positions) else 0
+    datum, out = chain.datum, [None] * n
+    for root, readers in feeds.items():
+        value = datum.pairing(datum.positive_coroots[root - 1], A.weight)
+        for p, sign in readers:
+            out[p] = (finite[p], sign * value)
+    return out
 
 
 def build_crystal(subsets: tuple[AdmissibleSubset, ...]) -> CrystalGraph:
@@ -325,14 +351,16 @@ def build_crystal(subsets: tuple[AdmissibleSubset, ...]) -> CrystalGraph:
     Lenart-Lubovsky's root operators; vertex i is subsets[i], and vertex 0,
     the empty subset, is the distinguished one.
 
-    One pass of `_samples` per (subset, label p), with maximum M, gives both
-    operators as positions.  Where M > delta_{p,0}, f_p unfolds the first
-    index attaining M (none when only infinity does) and folds the sample
-    index before it; where M > g(infinity) and M >= delta_{p,0}, e_p unfolds
-    the last index attaining M and folds the next sample index, if any.
-    Each image is looked up by its positions, and an f_p image must hold the
-    source's path with one segment conjugated by s_p.  `CrystalGraph.check`
-    holds that f_p lowers the weight by alpha-tilde_p and e_p undoes f_p.
+    One `_label_samples` walk per subset gives the samples of every label p;
+    with their maximum M they give both operators as positions.  Where
+    M > delta_{p,0}, f_p unfolds the first index attaining M (none when only
+    infinity does) and folds the sample index before it; where
+    M > g(infinity) and M >= delta_{p,0}, e_p unfolds the last index
+    attaining M and folds the next sample index, if any.  Each image is
+    looked up by its positions, and an f_p image must hold the source's path
+    with one segment conjugated by s_p.  The weights are packed by
+    `crystal.shape_packing`, and `CrystalGraph.check` holds that f_p
+    lowers the weight by alpha-tilde_p and e_p undoes f_p.
     """
     chain = subsets[0].chain
     require_lex(chain)
@@ -340,6 +368,8 @@ def build_crystal(subsets: tuple[AdmissibleSubset, ...]) -> CrystalGraph:
     index = {A.positions: i for i, A in enumerate(subsets)}
     labels = range(datum.rank + 1)
     e, f = [[-1] * len(subsets) for _ in labels], [[-1] * len(subsets) for _ in labels]
+    feeds = _label_feeds(datum)
+    refls = [datum.weyl.reflection(abs(_alpha_signed(datum, p)) - 1).perm for p in labels]
 
     def lookup(positions) -> int:
         i = index.get(tuple(sorted(positions)))
@@ -347,15 +377,13 @@ def build_crystal(subsets: tuple[AdmissibleSubset, ...]) -> CrystalGraph:
             raise InternalError("root operator produced a non-admissible subset")
         return i
 
-    for p in labels:
-        alpha, delta = _alpha_signed(datum, p), 1 if p == 0 else 0
-        refl = datum.weyl.reflection(abs(alpha) - 1).perm
-        for i, A in enumerate(subsets):
-            finite, inf_sample = _samples(A, alpha)
+    for i, A in enumerate(subsets):
+        folded = set(A.positions)
+        for p, (finite, inf_sample) in enumerate(_label_samples(A, feeds)):
+            delta = 1 if p == 0 else 0
             M = max([g for _, g in finite] + [inf_sample])
             if M < delta:
                 continue
-            folded = set(A.positions)
             attaining = [j for j, g in finite if g == M]
             if M > delta:
                 m_idx = attaining[0] if attaining else None  # None = infinity
@@ -376,7 +404,7 @@ def build_crystal(subsets: tuple[AdmissibleSubset, ...]) -> CrystalGraph:
                     len(new) == len(old) + (m_idx is None)
                     and new[: a + 1] == old[: a + 1]
                     and new[b + 1 :] == old[b + 1 :]
-                    and all(_is_conjugate(u, w, refl, datum.simple_root_index) for u, w in zip(new[a + 1 :], old[a:b]))
+                    and all(_is_conjugate(u, w, refls[p], datum.simple_root_index) for u, w in zip(new[a + 1 :], old[a:b]))
                 ):
                     raise InternalError("f_p did not conjugate a contiguous path segment")
             if M > inf_sample:
@@ -389,7 +417,8 @@ def build_crystal(subsets: tuple[AdmissibleSubset, ...]) -> CrystalGraph:
                 if later and later[0] in folded:
                     raise InternalError("successor index must not be a folding position")
                 e[p][i] = lookup((folded - {k_idx}) | set(later[:1]))
-    graph = CrystalGraph(datum, subsets, [A.weight for A in subsets], e, f, 0)
+    packing = shape_packing(datum, chain.lam)
+    graph = CrystalGraph(datum, subsets, [packing.pack(A.weight.coords) for A in subsets], e, f, 0, packing)
     graph.check()
     return graph
 

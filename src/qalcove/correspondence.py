@@ -20,6 +20,7 @@ from fractions import Fraction
 
 from . import alcove_model, qls_model
 from .alcove_model import AdmissibleSubset, LambdaChain, lex_chain, require_lex
+from .crystal import CrystalGraph, tensor
 from .lie_data import InputError, InternalError, RootDatum, Weight, WeylElement
 from .qls_model import QLSPath, grid_path
 from .quantum_bruhat import orbit_graph
@@ -64,8 +65,15 @@ def forgetful(A: AdmissibleSubset) -> CorrespondenceRecord:
     # w_k is the prefix product after the last position at relative height b_k
     elements = tuple(A.path[sum(1 for t in heights if t <= b)] for b in breaks)
 
-    # pi has shape -w0(lam) and points -w_k(lam); pi_star reverses w_k(lam)
-    points = tuple(graph.index[w.act_weight(lam)] for w in elements)
+    # pi has shape -w0(lam) and points -w_k(lam); pi_star reverses w_k(lam),
+    # whose coordinate <alpha_i^vee, w(lam)> = <w^-1(alpha_i^vee), lam> is
+    # the chain's pairing at the root w^-1(alpha_i), negated if it is negative
+    pairings, simple, found = chain.pairings, datum.simple_root_index, []
+    for w in elements:
+        perm = w.inverse.perm
+        coords = tuple(pairings[g - 1] if g > 0 else -pairings[-g - 1] for g in (perm[k] for k in simple))
+        found.append(graph.coords_index[coords])
+    points = tuple(found)
     pi_breaks = tuple(breaks) + (L,)
     star_breaks = (0,) + tuple(L - b for b in reversed(breaks[1:])) + (L,)
     negated = graph.negated
@@ -96,7 +104,7 @@ def verify_intertwining(
     lam: Weight,
     chain: LambdaChain | None = None,
     records: dict | None = None,
-    crystal: qls_model.CrystalGraph | None = None,
+    crystal: CrystalGraph | None = None,
 ) -> dict:
     """Check that lowering on subsets matches raising on their path images.
 
@@ -189,7 +197,7 @@ def verify_energy(
 
 
 def build_isomorphism_to_tensor(
-    datum: RootDatum, lam: Weight, source: qls_model.CrystalGraph | None = None
+    datum: RootDatum, lam: Weight, source: CrystalGraph | None = None
 ) -> dict:
     """Vertex bijection from the crystal of lam (source, built here when None)
     onto the tensor product of one fundamental-weight crystal per unit of lam,
@@ -207,7 +215,7 @@ def build_isomorphism_to_tensor(
         if c:
             factor = qls_model.build_crystal(datum, datum.fundamental_weight(i))
             factors.extend([factor] * c)
-    target = qls_model.tensor(*factors)
+    target = tensor(*factors)
 
     # mapping[v] is the target index of source vertex v, -1 until reached
     mapping = [-1] * len(source.vertices)
@@ -232,6 +240,9 @@ def build_isomorphism_to_tensor(
         raise IsomorphismMismatch("isomorphism is not total")
     if len(set(mapping)) != len(target.vertices):
         raise IsomorphismMismatch("isomorphism is not onto")
-    if any(source.weight_of[v] != target.weight_of[image] for v, image in enumerate(mapping)):
+    # lambda and its fundamental factors pack alike, so the keys compare as
+    # they are; a source of another packing is repacked
+    keys, image_keys = source.keys_in(target.packing), target.keys
+    if any(keys[v] != image_keys[image] for v, image in enumerate(mapping)):
         raise IsomorphismMismatch("isomorphism moved a weight")
     return {v: target.vertices[image] for v, image in zip(source.vertices, mapping)}

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
+from math import lcm
 
 from . import qls_model
-from .lie_data import InputError, RootDatum, Vector, Weight
-from .qls_model import CrystalGraph
+from .crystal import CrystalGraph, tensor
+from .lie_data import InputError, RootDatum, Vector
 
 
 def level_weights(datum: RootDatum, level: int) -> tuple[Vector, ...]:
@@ -90,9 +90,10 @@ class PerfectnessReport:
         }
 
 
-def _dominates(high: tuple[Fraction, ...], low: tuple[Fraction, ...]) -> bool:
-    """Whether high - low, both in root coordinates, is a sum of simple roots."""
-    return all((d := h - l).denominator == 1 and d >= 0 for h, l in zip(high, low))
+def _dominates(high: tuple[int, ...], low: tuple[int, ...], scale: int) -> bool:
+    """Whether high - low, both root coordinates times scale, is a sum of
+    simple roots."""
+    return all((d := h - l) >= 0 and d % scale == 0 for h, l in zip(high, low))
 
 
 def check_perfect(datum: RootDatum, node: int, level: int) -> PerfectnessReport:
@@ -102,16 +103,20 @@ def check_perfect(datum: RootDatum, node: int, level: int) -> PerfectnessReport:
     lam = datum.fundamental_weight(node)
     graph = qls_model.build_crystal(datum, lam)
 
-    square_connected = qls_model.tensor(graph, graph).is_connected()
+    square_connected = tensor(graph, graph).is_connected()
 
-    weight_counts = Counter(w.coords for w in graph.weight_of)
-    # the root coordinates of each distinct weight, solved for once
-    roots = {w: datum.weight_in_root_coords(Weight(w)) for w in weight_counts}
-    tops = [
-        w for w in weight_counts if all(_dominates(roots[w], roots[other]) for other in weight_counts)
-    ]
-    top_weight = tops[0] if len(tops) == 1 else None
-    top_unique = top_weight is not None and weight_counts[top_weight] == 1
+    key_counts = Counter(graph.keys)
+    # the root coordinates of each distinct weight, solved for once and
+    # scaled into integers by the lcm of their denominators
+    fractions = {k: datum.weight_in_root_coords(graph.packing.unpack(k)) for k in key_counts}
+    scale = lcm(*(c.denominator for coords in fractions.values() for c in coords))
+    roots = {k: tuple(int(c * scale) for c in coords) for k, coords in fractions.items()}
+    # a weight above every other one exceeds each by a nonzero sum of simple
+    # roots, so it alone has the greatest height: one candidate decides
+    top = max(roots, key=lambda k: sum(roots[k]))
+    above_all = all(_dominates(roots[top], r, scale) for r in roots.values())
+    top_weight = graph.packing.unpack(top).coords if above_all else None
+    top_unique = top_weight is not None and key_counts[top] == 1
 
     # the eps and phi vectors of vertex i, one entry per label
     eps_vectors, phi_vectors = list(zip(*graph.eps)), list(zip(*graph.phi))

@@ -19,9 +19,9 @@ This module provides validation, the followers of each point at each break
 (`break_children`, which the QLS character sums over), a direct enumeration
 of QLS(lambda) from that definition, the root operators e_j/f_j for j in the
 affine index set (they reflect a window of points), the degree statistic,
-duality and the Lusztig involution, the crystal graph on the enumerated
-QLS(lambda), whose operator images are checked by lookup in that set, and
-tensor products of crystals under the Kashiwara convention.
+duality and the Lusztig involution, and the crystal graph
+(`crystal.CrystalGraph`) on the enumerated QLS(lambda), whose operator
+images are checked by lookup in that set.
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm, prod
-from types import MappingProxyType
+from math import gcd, lcm
 
 from .lie_data import (
     InputError,
@@ -41,6 +40,7 @@ from .lie_data import (
     Weight,
     WeylElement,
 )
+from .crystal import CrystalGraph, shape_packing
 from .quantum_bruhat import OrbitGraph, QuantumBruhatGraph, build_qbg, orbit_graph
 
 _parabolic_cache: dict = {}
@@ -442,128 +442,6 @@ def lusztig_S(eta: QLSPath) -> QLSPath:
 # ------------------------------------------------------------------- crystals
 
 
-class CrystalGraph:
-    """Finite crystal with arrows for every affine label, stored as index arrays.
-
-    Both models build one: `build_crystal` here on QLS paths, and
-    `alcove_model.build_crystal` on admissible subsets.  Vertices are opaque
-    hashable model elements, named elsewhere by their index i in `vertices`:
-    e[j][i] and f[j][i] are the indices of e_j and f_j of vertex i (-1 where
-    undefined), eps[j][i] and phi[j][i] its string lengths, weight_of[i] its
-    weight.  `e_arrows`, `f_arrows` (keyed by
-    (vertex, label)), `weights` and `index` are read-only dict views.
-    """
-
-    def __init__(self, datum, vertices, weight_of, e, f, distinguished: int):
-        self.datum = datum
-        self.vertices = tuple(vertices)
-        self.weight_of = list(weight_of)
-        self.e = e
-        self.f = f
-        self.distinguished = distinguished
-        self.labels = tuple(range(datum.rank + 1))
-
-    @cached_property
-    def eps(self) -> list[list[int]]:
-        return [_positions_on_strings(self.e[j], self.f[j]) for j in self.labels]
-
-    @cached_property
-    def phi(self) -> list[list[int]]:
-        return [_positions_on_strings(self.f[j], self.e[j]) for j in self.labels]
-
-    @cached_property
-    def index(self) -> MappingProxyType:
-        return MappingProxyType({v: i for i, v in enumerate(self.vertices)})
-
-    @cached_property
-    def weights(self) -> MappingProxyType:
-        return MappingProxyType(dict(zip(self.vertices, self.weight_of)))
-
-    @cached_property
-    def e_arrows(self) -> MappingProxyType:
-        return self._arrow_view(self.e)
-
-    @cached_property
-    def f_arrows(self) -> MappingProxyType:
-        return self._arrow_view(self.f)
-
-    def _arrow_view(self, targets: list[list[int]]) -> MappingProxyType:
-        vs = self.vertices
-        return MappingProxyType({(vs[i], j): vs[k] for i, j, k in self._arrows(targets)})
-
-    def _arrows(self, targets: list[list[int]]):
-        """The arrows as (source, label, target) indices, in (source, label) order."""
-        for i in range(len(self.vertices)):
-            for j in self.labels:
-                if (k := targets[j][i]) >= 0:
-                    yield i, j, k
-
-    def check(self) -> None:
-        """Assert arrow-reversibility and weight consistency along arrows."""
-        for j in self.labels:
-            e, f, alpha = self.e[j], self.f[j], self.datum.affine_root_weight(j)
-            for v, w in enumerate(f):
-                if w < 0:
-                    continue
-                if e[w] != v:
-                    raise InternalError(f"f then e is not the identity at label {j}")
-                if self.weight_of[w] != self.weight_of[v] - alpha:
-                    raise InternalError(f"weight step along an f-arrow at label {j} is wrong")
-            # e inverts f on the image of f; as many e- as f-arrows means e
-            # is defined nowhere else, so f inverts e too
-            if e.count(-1) != f.count(-1):
-                raise InternalError(f"e then f is not the identity at label {j}")
-
-    def is_connected(self) -> bool:
-        """Whether a search along e- and f-arrows from vertex 0 reaches every
-        vertex; since e_j and f_j are inverse, that ignores arrow direction."""
-        steps = self.e + self.f
-        seen = bytearray(len(self.vertices))
-        seen[0] = 1
-        queue = [0]
-        for v in queue:  # queue grows as the search finds vertices
-            for step in steps:
-                w = step[v]
-                if w >= 0 and not seen[w]:
-                    seen[w] = 1
-                    queue.append(w)
-        return len(queue) == len(self.vertices)
-
-    def to_dot(self) -> str:
-        palette = ("red", "blue", "forestgreen", "orange", "purple", "brown", "cyan", "magenta")
-        lines = ["digraph crystal {"]
-        lines += [f'  n{i} [label="{v!r}"];' for i, v in enumerate(self.vertices)]
-        for i, j, k in self._arrows(self.f):
-            lines.append(f'  n{i} -> n{k} [label="{j}", color={palette[j % len(palette)]}];')
-        lines.append("}")
-        return "\n".join(lines)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "vertices": [
-                {"index": i, "label": repr(v), "weight": list(w.coords)}
-                for i, (v, w) in enumerate(zip(self.vertices, self.weight_of))
-            ],
-            "arrows": [{"j": j, "source": i, "target": k} for i, j, k in self._arrows(self.f)],
-            "distinguished": self.distinguished,
-            "connected": self.is_connected(),
-        }
-
-
-def _positions_on_strings(back: list[int], forth: list[int]) -> list[int]:
-    """Each index's distance from the start of its string, in one pass along
-    the strings: walk `forth` from every index where `back` is undefined.
-    With back = e_j and forth = f_j that is eps_j; swapped, phi_j."""
-    out = [0] * len(forth)
-    for i, b in enumerate(back):
-        if b < 0:
-            n = 0
-            while (i := forth[i]) >= 0:
-                n += 1
-                out[i] = n
-    return out
-
-
 def build_crystal(datum: RootDatum, lam: Weight) -> CrystalGraph:
     """The crystal on QLS(lam) under Littelmann's root operators.
 
@@ -609,62 +487,7 @@ def build_crystal(datum: RootDatum, lam: Weight) -> CrystalGraph:
         raise InternalError(
             f"the root operators reach {len(order)} of the {n} paths of QLS(lambda)"
         )
-    graph = CrystalGraph(datum, vertices, [rows[p][2] for p in order], e, f, 0)
-    graph.check()
-    return graph
-
-
-def tensor(*factors: CrystalGraph) -> CrystalGraph:
-    """Tensor product under the Kashiwara convention, by the signature rule.
-
-    For the label j, factor k writes eps_j minus signs, then phi_j plus signs.
-    Reading left to right, each minus cancels the nearest unmatched plus
-    before it.  f_j acts on the factor of the leftmost unmatched plus and e_j
-    on the factor of the rightmost unmatched minus; either is undefined when
-    no such sign is left.  On two factors, f_j acts on the left one exactly
-    when phi_j(left) > eps_j(right).
-
-    Vertex b of the product is the b-th tuple in itertools.product order, so
-    its index is the sum of x_k * stride_k over its factor indices x_k, and
-    an arrow of factor k moves the index by (target - x_k) * stride_k.
-    """
-    if len(factors) < 2:
-        raise InputError("a tensor product needs at least two factors")
-    datum = factors[0].datum
-    if any(g.datum is not datum for g in factors[1:]):
-        raise InputError("all factors must share one root datum")
-    strides = [prod(len(g.vertices) for g in factors[k + 1 :]) for k in range(len(factors))]
-    weight_of = [Weight((0,) * datum.rank)]
-    for g in factors:
-        weight_of = [w + x for w in weight_of for x in g.weight_of]
-    n = len(weight_of)
-    e, f = [], []
-    for j in factors[0].labels:
-        # per factor and vertex x: (eps_j, phi_j, index shift of e_j, of f_j)
-        columns = []
-        for g, s in zip(factors, strides):
-            rows = enumerate(zip(g.eps[j], g.phi[j], g.e[j], g.f[j]))
-            columns.append([(a, b, (u - x) * s, (d - x) * s) for x, (a, b, u, d) in rows])
-        e_j, f_j = [-1] * n, [-1] * n
-        for b, signs in enumerate(itertools.product(*columns)):
-            pluses, up, down = 0, None, None  # unmatched pluses; the shifts of e_j and f_j
-            for eps, phi, de, df in signs:
-                if eps < pluses:
-                    pluses += phi - eps
-                    continue
-                if eps > pluses:
-                    up = de  # this factor holds the rightmost unmatched minus so far
-                pluses = phi  # every earlier plus is matched
-                if phi:
-                    down = df  # this factor holds the leftmost unmatched plus
-            if pluses:
-                f_j[b] = b + down
-            if up is not None:
-                e_j[b] = b + up
-        e.append(e_j)
-        f.append(f_j)
-    distinguished = sum(g.distinguished * s for g, s in zip(factors, strides))
-    vertices = itertools.product(*(g.vertices for g in factors))
-    graph = CrystalGraph(datum, vertices, weight_of, e, f, distinguished)
+    packing = shape_packing(datum, lam)
+    graph = CrystalGraph(datum, vertices, [packing.pack(rows[p][2].coords) for p in order], e, f, 0, packing)
     graph.check()
     return graph

@@ -113,7 +113,8 @@ class OrbitGraph:
         self.points = tuple(Weight(mu) for mu in points)
         self.index = {mu: n for n, mu in enumerate(self.points)}
         self.lengths = tuple(lengths)
-        self._coords, self._carried = index, carried
+        # coords_index numbers the points by their coordinates
+        self.coords_index, self._carried = index, carried
         self._roots = tuple(zip(datum.positive_coroots, datum.root_weights))
         # the edges and searches per break denominator, and the label tables,
         # filled on first use
@@ -129,7 +130,7 @@ class OrbitGraph:
         for coroot, root in self._roots:
             c = sum(map(mul, coroot, mu))
             if c and c % v == 0:
-                target = self._coords[tuple([m - c * a for m, a in zip(mu, root)])]
+                target = self.coords_index[tuple([m - c * a for m, a in zip(mu, root)])]
                 gain = self.lengths[target] - length - 1
                 if gain == 0:
                     out.append((target, 0))
@@ -198,7 +199,7 @@ class OrbitGraph:
             root, sign = self.datum.affine_root(j)
             alpha = self.datum.root_weights[root]
             table = self._reflections[j] = [
-                self._coords[tuple(m - sign * c * a for m, a in zip(mu.coords, alpha))] if c else n
+                self.coords_index[tuple(m - sign * c * a for m, a in zip(mu.coords, alpha))] if c else n
                 for n, (mu, c) in enumerate(zip(self.points, self.affine_pairings(j)))
             ]
         return table
@@ -212,13 +213,13 @@ class OrbitGraph:
     @cached_property
     def negated(self) -> tuple[int, ...]:
         """The index of -mu_n in the graph of -w0(lambda), by vertex n."""
-        index = self.dual._coords
+        index = self.dual.coords_index
         return tuple(index[tuple(-m for m in mu.coords)] for mu in self.points)
 
     @cached_property
     def omega_images(self) -> tuple[int, ...]:
         """The index of -w0(mu_n) in the graph of -w0(lambda), by vertex n."""
-        index, omega = self.dual._coords, self.datum.weyl.omega
+        index, omega = self.dual.coords_index, self.datum.weyl.omega
         return tuple(index[tuple(mu.coords[i - 1] for i in omega)] for mu in self.points)
 
 

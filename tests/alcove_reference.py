@@ -4,7 +4,9 @@
 `enumerate_admissible` is the former enumeration: it grows every node of the
 walk (positions, path, edge kinds, weight, height) by tuple concatenation and
 asks `qbg_step` once per tried position.  `lex_entries` is the former sort of
-`lex_chain`, keyed by a tuple of `Fraction`s per hyperplane.
+`lex_chain`, keyed by a tuple of `Fraction`s per hyperplane.  `_samples` is
+the former sampler of g_alpha, one walk along the chain per (subset, label),
+where `alcove_model._label_samples` serves every label in one walk.
 """
 
 from __future__ import annotations
@@ -86,3 +88,28 @@ def lex_entries(datum: RootDatum, lam: Weight, node_order: tuple[int, ...]) -> t
     if len({key for key, _ in keyed}) != len(keyed):
         raise InternalError("lex keys of distinct hyperplanes collide")
     return tuple(e for _, e in keyed)
+
+
+def _samples(A: AdmissibleSubset, alpha_signed: int):
+    """The samples of Lenart-Lubovsky's g_alpha at the indices i with
+    gamma_i = +-alpha, plus the sample at infinity.  gamma_i is beta_i moved by
+    the walk's element before i; at each such i, g moves by sign(gamma_i)/2 up
+    to the sample and by as much again after it, reversed when i is folded."""
+    j = abs(alpha_signed)
+    sign = 1 if alpha_signed > 0 else -1
+    finite = []
+    h, a = -1, 0  # h = 2g; a = positions of A below i
+    for i, entry in enumerate(A.chain.entries, start=1):
+        gamma = A.path[a].perm[entry.root]
+        folded = a < len(A.positions) and A.positions[a] == i
+        if abs(gamma) == j:
+            s = 1 if gamma > 0 else -1
+            h += s
+            if h % 2:
+                raise InternalError(f"g_alpha takes the non-integer value {h}/2")
+            finite.append((i, sign * h // 2))
+            h += -s if folded else s
+        a += folded
+    datum = A.chain.datum
+    inf_sample = sign * datum.pairing(datum.positive_coroots[j - 1], A.weight)
+    return finite, inf_sample

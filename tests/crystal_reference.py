@@ -3,7 +3,7 @@
 `CrystalGraph` and `tensor` are the earlier implementation, kept verbatim:
 arrows are partial maps keyed by (vertex, label), string lengths are walked
 and memoized per (vertex, label), and the tensor product keys every arrow by
-a tuple of factor vertices.  `qalcove.qls_model` stores the same crystals as
+a tuple of factor vertices.  `qalcove.crystal` stores the same crystals as
 per-label index arrays; `reference` converts one of those into this form,
 and `indexed` builds one from dicts.
 """
@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import itertools
 
-from qalcove import qls_model
+from qalcove import crystal
 from qalcove.lie_data import InputError, InternalError, Weight
 
 
-def indexed(datum, vertices, weights, e_arrows, f_arrows, distinguished) -> qls_model.CrystalGraph:
+def indexed(datum, vertices, weights, e_arrows, f_arrows, distinguished) -> crystal.CrystalGraph:
     """The index-array crystal with the given vertex order, {vertex: weight}
     and {(vertex, label): vertex} arrows, and distinguished vertex."""
     vertices = tuple(vertices)
@@ -26,11 +26,12 @@ def indexed(datum, vertices, weights, e_arrows, f_arrows, distinguished) -> qls_
     for targets, arrows in ((e, e_arrows), (f, f_arrows)):
         for (v, j), w in arrows.items():
             targets[j][index[v]] = index[w]
-    weight_of = [weights[v] for v in vertices]
-    return qls_model.CrystalGraph(datum, vertices, weight_of, e, f, index[distinguished])
+    packing = crystal.WeightPacking(datum, max(abs(c) for w in weights.values() for c in w.coords))
+    keys = [packing.pack(weights[v].coords) for v in vertices]
+    return crystal.CrystalGraph(datum, vertices, keys, e, f, index[distinguished], packing)
 
 
-def reference(graph: qls_model.CrystalGraph) -> CrystalGraph:
+def reference(graph: crystal.CrystalGraph) -> CrystalGraph:
     """The same crystal in the dict-based form."""
     return CrystalGraph(
         graph.datum, graph.vertices, graph.weights, graph.e_arrows, graph.f_arrows,

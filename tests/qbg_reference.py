@@ -151,7 +151,7 @@ def orbit_edges(graph: OrbitGraph, n: int) -> tuple:
     mu, nu, length, out = graph.points[n].coords, graph._carried[n], graph.lengths[n], []
     for coroot, root in graph._roots:
         if c := sum(map(mul, coroot, mu)):
-            target = graph._coords[tuple(m - c * a for m, a in zip(mu, root))]
+            target = graph.coords_index[tuple(m - c * a for m, a in zip(mu, root))]
             gain, p = graph.lengths[target] - length - 1, abs(c)
             if gain == 0:
                 out.append((target, BRUHAT, p, 0))

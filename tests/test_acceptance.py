@@ -19,7 +19,8 @@ from qalcove.correspondence import (
 )
 from qalcove.lie_data import Weight, build_root_datum
 from qalcove.perfectness import check_perfect
-from qalcove.qls_model import build_crystal, deg, tensor
+from qalcove.crystal import tensor
+from qalcove.qls_model import build_crystal, deg
 from qalcove.quantum_bruhat import build_qbg, orbit_graph
 from inverse_reference import increasing_paths_from, inverse, reflection_ordering
 from qbg_reference import is_strongly_connected, shortest_paths

@@ -15,7 +15,8 @@ from qalcove.alcove_model import (
     ChainEntry,
     LambdaChain,
     _alpha_signed,
-    _samples,
+    _label_feeds,
+    _label_samples,
     build_crystal,
     chain_from_roots,
     enumerate_admissible,
@@ -449,7 +450,7 @@ def test_operator_examples_a1_doubled():
 def _string_lengths(A, p):
     """(phi_p, eps_p) of a subset from the maximum M of its g samples:
     M - delta_{p,0} and M - g(infinity), both 0 below the threshold."""
-    finite, inf_sample = _samples(A, _alpha_signed(A.chain.datum, p))
+    finite, inf_sample = _label_samples(A, _label_feeds(A.chain.datum))[p]
     M = max([s for _, s in finite] + [inf_sample])
     delta = 1 if p == 0 else 0
     return (M - delta, M - inf_sample) if M >= delta else (0, 0)
@@ -532,11 +533,11 @@ def test_samples_match_continuous_maximum():
 
 
 def _sweep_continuous(d, chain):
+    feeds = _label_feeds(d)
     for a in enumerate_admissible(chain):
-        for p in range(0, d.rank + 1):
+        for p, (finite, inf_sample) in enumerate(_label_samples(a, feeds)):
             delta = 1 if p == 0 else 0
             cont = _continuous_max(d, chain, a, p)
-            finite, inf_sample = _samples(a, _alpha_signed(d, p))
             m_val = max([s for _, s in finite] + [inf_sample])
             if m_val >= delta:
                 assert cont == m_val, (a.positions, p)
@@ -561,12 +562,12 @@ def _sweep_continuous(d, chain):
 def test_samples_read_off_the_walk_match_folding(label, rank, lam):
     d = build_root_datum(label, rank)
     chain = lex_chain(d, Weight(lam))
+    feeds = _label_feeds(d)
     for a in enumerate_admissible(chain):
         folded = fold(chain, a.positions)
-        for p in range(d.rank + 1):
+        for p, (finite, inf_sample) in enumerate(_label_samples(a, feeds)):
             alpha = _alpha_signed(d, p)
             sign = 1 if alpha > 0 else -1
-            finite, inf_sample = _samples(a, alpha)
             expected = [
                 (i + 1, sign * folded.heights[i])
                 for i, g in enumerate(folded.gammas)
@@ -575,6 +576,29 @@ def test_samples_read_off_the_walk_match_folding(label, rank, lam):
             assert finite == expected, (a.positions, p)
             coroot = d.positive_coroots[abs(alpha) - 1]
             assert inf_sample == sign * d.pairing(coroot, weight_of(chain, a.positions))
+
+
+@pytest.mark.parametrize(
+    "label, rank, lam",
+    [
+        # the verify-crystal workload's weights
+        ("G", 2, (1, 1)),
+        ("A", 3, (1, 1, 1)),
+        ("C", 3, (1, 0, 1)),
+        ("D", 4, (0, 1, 0, 0)),
+        ("C", 2, (2, 1)),
+        # theta = alpha_1: labels 0 and 1 read the same root
+        ("A", 1, (2,)),
+        ("A", 1, (3,)),
+    ],
+)
+def test_one_walk_samples_every_label_as_the_reference_does(label, rank, lam):
+    d = build_root_datum(label, rank)
+    feeds = _label_feeds(d)
+    assert sum(len(readers) for readers in feeds.values()) == d.rank + 1
+    for a in enumerate_admissible(lex_chain(d, Weight(lam))):
+        expected = [alcove_reference._samples(a, _alpha_signed(d, p)) for p in range(d.rank + 1)]
+        assert _label_samples(a, feeds) == expected, a.positions
 
 
 @pytest.mark.parametrize("label, rank, lam", [("A", 3, (1, 1, 1)), ("C", 3, (1, 0, 1))])

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from qalcove import cli, qls_model
+from qalcove import cli, correspondence, qls_model
 from qalcove.alcove_model import lex_chain
 from qalcove.characters import (
     character_from_alcove,
@@ -419,7 +419,7 @@ def test_crystal_construction_failure_in_verify_crystal_exits_three(capsys, monk
     def broken(*factors):
         raise InternalError("f then e is not the identity at label 0")
 
-    monkeypatch.setattr(qls_model, "tensor", broken)
+    monkeypatch.setattr(correspondence, "tensor", broken)
     code, out, err = run(capsys, "verify-crystal", "--type", "A", "--rank", "2",
                          "--weight", "1,1")
     assert code == 3 and out == ""
@@ -428,7 +428,7 @@ def test_crystal_construction_failure_in_verify_crystal_exits_three(capsys, monk
 
 
 def test_tensor_arrow_mismatch_fails_verify_crystal(capsys, monkeypatch):
-    real_tensor = qls_model.tensor
+    real_tensor = correspondence.tensor
 
     def missing_one_arrow(*factors):
         graph = real_tensor(*factors)
@@ -437,7 +437,7 @@ def test_tensor_arrow_mismatch_fails_verify_crystal(capsys, monkeypatch):
         graph.f[j][i] = -1
         return graph
 
-    monkeypatch.setattr(qls_model, "tensor", missing_one_arrow)
+    monkeypatch.setattr(correspondence, "tensor", missing_one_arrow)
     code, out, _ = run(capsys, "verify-crystal", "--type", "A", "--rank", "2",
                        "--weight", "1,1")
     report = json.loads(out)

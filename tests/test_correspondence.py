@@ -350,21 +350,21 @@ def test_verify_crystal_builds_the_lambda_crystal_once(monkeypatch, capsys):
 @pytest.mark.parametrize("label, rank, lam", [("A", 2, "1,1"), ("B", 3, "0,1,1")])
 def test_verify_crystal_reads_the_operators_off_the_enumeration(monkeypatch, capsys, label, rank, lam):
     # the alcove crystal is built on the enumerated subsets: no subset is
-    # folded again, and one pass of the g samples per (subset, label) gives
-    # both f_p and e_p
+    # folded again, and one pass of the g samples per subset gives f_p and
+    # e_p for every label p
     def refused(*args):
         raise AssertionError("no admissible subset may be rebuilt")
 
-    samples = alcove_model._samples
+    samples = alcove_model._label_samples
     calls = []
 
-    def counted(A, alpha_signed):
-        calls.append((A.positions, alpha_signed))
-        return samples(A, alpha_signed)
+    def counted(A, feeds):
+        calls.append(A.positions)
+        return samples(A, feeds)
 
     monkeypatch.setattr(AdmissibleSubset, "__init__", refused)
-    monkeypatch.setattr(alcove_model, "_samples", counted)
+    monkeypatch.setattr(alcove_model, "_label_samples", counted)
     assert cli.main(["verify-crystal", "--type", label, "--rank", str(rank), "--weight", lam]) == 0
     blob = json.loads(capsys.readouterr().out)
     assert blob["pass"] is True
-    assert len(calls) == blob["intertwining"]["counts"]["subsets"] * (rank + 1) == len(set(calls))
+    assert len(calls) == blob["intertwining"]["counts"]["subsets"] == len(set(calls))

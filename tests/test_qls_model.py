@@ -13,6 +13,7 @@ import crystal_reference
 from crystal_reference import indexed
 from qalcove import qls_model
 from qalcove.characters import character_from_qls
+from qalcove.crystal import WeightPacking, tensor
 from qalcove.lie_data import InputError, InternalError, Weight, build_root_datum
 from qalcove.qls_model import (
     QLSPath,
@@ -28,7 +29,6 @@ from qalcove.qls_model import (
     phi,
     qls_path,
     straight_path,
-    tensor,
 )
 from qalcove.quantum_bruhat import OrbitGraph, orbit_graph
 
@@ -416,7 +416,8 @@ def test_arrow_reversibility_explicitly():
     [
         ("e", -1, "f then e is not the identity at label 1"),  # an f-arrow has no way back
         ("f", -1, "e then f is not the identity at label 1"),  # an e-arrow has no way back
-        ("weight_of", Weight((9, 9)), "weight step along an f-arrow at label"),
+        # the weight is stored as its key: write another weight's key
+        ("weight_of", Weight((1, 1)), "weight step along an f-arrow at label"),
     ],
 )
 def test_check_rejects_a_broken_crystal(arrays, value, message):
@@ -429,7 +430,9 @@ def test_check_rejects_a_broken_crystal(arrays, value, message):
     elif arrays == "f":
         graph.f[1][v] = -1
     else:
-        graph.weight_of[w] = value
+        assert graph.weight_of[w] != value
+        graph.keys[w] = graph.packing.pack(value.coords)
+        assert graph.weight_of[w] == value
     with pytest.raises(InternalError, match=message):
         graph.check()
 
@@ -763,6 +766,44 @@ def test_tensor_weights_are_sums():
     square = tensor(b, b)
     for u, v in square.vertices:
         assert square.weights[(u, v)] == b.weights[u] + b.weights[v]
+
+
+@pytest.mark.parametrize("label", ["C", "B"])
+def test_tensor_square_keys_unpack_to_the_factor_weight_sums(label):
+    # the squares perfect builds on C3 and B3, one per node
+    datum = build_root_datum(label, 3)
+    for node in range(1, 4):
+        b = build_crystal(datum, datum.fundamental_weight(node))
+        square = tensor(b, b)
+        assert square.packing.bound == 2 * b.packing.bound
+        weights = b.weight_of
+        pairs = itertools.product(weights, weights)
+        assert square.weight_of == [u + v for u, v in pairs]
+
+
+def test_packing_refuses_a_coordinate_outside_its_range():
+    packing = WeightPacking(A2, 2)
+    for coords in [(2, -2), (0, 0), (-1, 2)]:
+        assert packing.unpack(packing.pack(coords)) == Weight(coords)
+    # digits run over [-4, 4], the bound plus alpha_1's coordinate 2, so
+    # (5, 0) would alias (-4, 1)
+    assert packing.base == 9
+    for coords in [(3, 0), (0, -3), (5, 0)]:
+        with pytest.raises(InternalError, match="outside the packing range"):
+            packing.pack(coords)
+    with pytest.raises(InternalError, match="digits past"):
+        packing.unpack(packing.base**2)
+
+
+def test_the_crystal_of_lambda_packs_as_its_fundamental_factors_do():
+    # so the tensor isomorphism compares keys without repacking
+    lam = Weight((1, 1))
+    square = tensor(*(build_crystal(C2, C2.fundamental_weight(i)) for i in (1, 2)))
+    source = build_crystal(C2, lam)
+    assert source.packing.bound == square.packing.bound
+    assert source.keys_in(square.packing) is source.keys
+    wider = WeightPacking(C2, 5)
+    assert [wider.unpack(k) for k in source.keys_in(wider)] == source.weight_of
 
 
 def test_tensor_lowering_acts_on_left_when_right_is_exhausted():
