@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from qalcove.lie_data import UNSEEN, InputError, InternalError, RootDatum, Weight, WeylElement
-from qalcove.crystal import CrystalGraph, shape_packing
+from qalcove.crystal import CrystalGraph, WeightPacking
 from qalcove.quantum_bruhat import QUANTUM, qbg_step
 
 
@@ -32,12 +32,12 @@ class LambdaChain:
     It holds the tables of the fold rule.  Folding w at a position with root
     beta drops the weight by l-tilde w(beta), since w r_beta(lambda) =
     w(lambda) - <beta^vee,lambda> w(beta) and the translation moves by
-    -l w(beta); a quantum step adds l-tilde to the height.  A weight mu is
-    packed into one integer, sum_i (mu_i + offset) base^i: every admissible
-    subset's weight lies in conv(W lambda), so |mu_i| stays within offset,
-    the largest <beta^vee,lambda>.  The fold is then
-    x - l_tilde[pos] * shift[w.perm[beta]], with shift the packed weight of
-    each signed root index.
+    -l w(beta); a quantum step adds l-tilde to the height.  A weight is one
+    integer key under `packing`, the `crystal.shape_packing` of lambda: every
+    admissible subset's weight lies in conv(W lambda), so its coordinates
+    stay within the largest <beta^vee,lambda>, the packing's bound.  The
+    packing is linear, so the fold is x - l_tilde[pos] * shift[w.perm[beta]],
+    with shift the key of each signed root index.
     """
 
     def __init__(
@@ -60,31 +60,14 @@ class LambdaChain:
         self.l_tilde = (0,) + tuple(pairings[e.root] - e.level for e in entries)
         if min(self.l_tilde[1:], default=1) <= 0:
             raise InternalError("height must be nonnegative")
-        self.offset = max((1,) + pairings)
-        self.base = 2 * self.offset + 1
-        self._powers = tuple(self.base**i for i in range(datum.rank))
-        # the packing is affine, so a fold moves x by the linear part
-        # sum_i c_i base^i of a root's weight; shift[-j] reads the last
-        # entries, negated
-        packed = [sum(c * p for c, p in zip(r, self._powers)) for r in datum.root_weights]
+        # the bound of `crystal.shape_packing`, read off the pairings at hand
+        self.packing = WeightPacking(datum, max(pairings))
+        # shift[-j] reads the last entries, negated
+        packed = [self.packing.linear(r) for r in datum.root_weights]
         self.shift = tuple([0] + packed + [-x for x in reversed(packed)])
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def pack(self, coords) -> int:
-        """sum_i (coords_i + offset) base^i."""
-        return sum((c + self.offset) * p for c, p in zip(coords, self._powers))
-
-    def unpack(self, x: int) -> tuple[int, ...]:
-        """The coordinates a packed weight holds."""
-        coords = []
-        for _ in range(self.datum.rank):
-            x, digit = divmod(x, self.base)
-            coords.append(digit - self.offset)
-        if x:
-            raise InternalError("packed weight has digits past its last coordinate")
-        return tuple(coords)
 
     def to_json_dict(self) -> dict:
         return {
@@ -196,7 +179,7 @@ class AdmissibleSubset:
 
     def __init__(self, chain: LambdaChain, positions: tuple[int, ...]):
         datum, last = chain.datum, 0
-        path, kinds, x, height = [datum.weyl.identity], [], chain.pack(chain.lam.coords), 0
+        path, kinds, x, height = [datum.weyl.identity], [], chain.packing.pack(chain.lam.coords), 0
         for pos in positions:
             if not last < pos <= len(chain.entries):
                 raise InputError(f"position {pos} out of order or out of range")
@@ -210,7 +193,7 @@ class AdmissibleSubset:
             path.append(step[0])
             kinds.append(step[1])
         self.chain, self.positions, self.path, self.edge_kinds = chain, tuple(positions), tuple(path), tuple(kinds)
-        self.weight, self.height = Weight(chain.unpack(x)), height
+        self.weight, self.height = chain.packing.unpack(x), height
 
     def __eq__(self, other) -> bool:
         return (
@@ -238,12 +221,12 @@ class AdmissibleSubset:
 def walk_admissible(chain: LambdaChain):
     """Every admissible subset as a node (depth, last position, last edge kind,
     w, packed weight, height), depth first in lexicographic order of position
-    tuples, from (0, 0, None, identity, packed lambda, 0); `chain.unpack`
-    reads a packed weight's coordinates."""
+    tuples, from (0, 0, None, identity, packed lambda, 0); a packed weight
+    is a key under `chain.packing`."""
     datum = chain.datum
     roots = (-1,) + chain.roots
     l_tilde, shift = chain.l_tilde, chain.shift
-    stack = [(0, 0, None, datum.weyl.identity, chain.pack(chain.lam.coords), 0)]
+    stack = [(0, 0, None, datum.weyl.identity, chain.packing.pack(chain.lam.coords), 0)]
     while stack:
         node = stack.pop()
         yield node
@@ -275,7 +258,7 @@ def enumerate_admissible(chain: LambdaChain) -> tuple[AdmissibleSubset, ...]:
     for depth, pos, kind, w, x, height in walk_admissible(chain):
         positions[depth - 1], path[depth], kinds[depth - 1] = pos, w, kind
         a = AdmissibleSubset.__new__(AdmissibleSubset)
-        a.chain, a.weight, a.height = chain, weights.get(x) or weights.setdefault(x, Weight(chain.unpack(x))), height
+        a.chain, a.weight, a.height = chain, weights.get(x) or weights.setdefault(x, chain.packing.unpack(x)), height
         a.positions, a.path, a.edge_kinds = tuple(positions[:depth]), tuple(path[: depth + 1]), tuple(kinds[:depth])
         out.append(a)
     return tuple(out)
@@ -358,9 +341,9 @@ def build_crystal(subsets: tuple[AdmissibleSubset, ...]) -> CrystalGraph:
     M > g(infinity) and M >= delta_{p,0}, e_p unfolds the last index
     attaining M and folds the next sample index, if any.  Each image is
     looked up by its positions, and an f_p image must hold the source's path
-    with one segment conjugated by s_p.  The weights are packed by
-    `crystal.shape_packing`, and `CrystalGraph.check` holds that f_p
-    lowers the weight by alpha-tilde_p and e_p undoes f_p.
+    with one segment conjugated by s_p.  The weights are keys under
+    `chain.packing`, as the walk's are, and `CrystalGraph.check` holds that
+    f_p lowers the weight by alpha-tilde_p and e_p undoes f_p.
     """
     chain = subsets[0].chain
     require_lex(chain)
@@ -417,8 +400,8 @@ def build_crystal(subsets: tuple[AdmissibleSubset, ...]) -> CrystalGraph:
                 if later and later[0] in folded:
                     raise InternalError("successor index must not be a folding position")
                 e[p][i] = lookup((folded - {k_idx}) | set(later[:1]))
-    packing = shape_packing(datum, chain.lam)
-    graph = CrystalGraph(datum, subsets, [packing.pack(A.weight.coords) for A in subsets], e, f, 0, packing)
+    keys = [chain.packing.pack(A.weight.coords) for A in subsets]
+    graph = CrystalGraph(datum, subsets, keys, e, f, 0, chain.packing)
     graph.check()
     return graph
 

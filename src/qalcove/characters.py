@@ -18,6 +18,7 @@ from collections import Counter, defaultdict
 
 from . import alcove_model, qls_model
 from .alcove_model import LambdaChain, lex_chain
+from .crystal import WeightPacking
 from .lie_data import InputError, InternalError, RootDatum, Weight
 from .quantum_bruhat import orbit_graph
 
@@ -151,7 +152,8 @@ def character_from_alcove(chain: LambdaChain) -> GradedCharacter:
     counted off the walk without building a subset; each distinct packed
     weight is unpacked once."""
     counts = Counter((x, height) for _, _, _, _, x, height in alcove_model.walk_admissible(chain))
-    terms = {(chain.unpack(x), height): c for (x, height), c in counts.items()}
+    coords = {x: chain.packing.unpack(x).coords for x in {x for x, _ in counts}}
+    terms = {(coords[x], height): c for (x, height), c in counts.items()}
     return GradedCharacter(chain.datum.rank, terms)
 
 
@@ -168,25 +170,22 @@ def character_from_qls(datum: RootDatum, lam: Weight) -> GradedCharacter:
     (z, w) of y at a', F(z, a') shifted by (a' (mu_y - mu_z), (L - a') w).
     One table per point holds F(y, a) as the cuts go down, a cut copies only
     the tables of the points that follow there, and a table no later cut
-    reads goes into the character, the sum of F(y, 0) over y.  A key packs
-    -L deg and L wt into one integer, so a shift is one addition; every path
-    lands in one key, so checking each distinct key once checks every path.
+    reads goes into the character, the sum of F(y, 0) over y.  A key is
+    L wt under a `crystal.WeightPacking` plus -L deg times its `carry`, so a
+    shift is one addition and `split` reads both back; every path lands in
+    one key, so checking each distinct key once checks every path.
     """
     graph = orbit_graph(datum, lam)  # refuses a weight that is not dominant
     L, rank = graph.L, datum.rank
     cuts, children = qls_model.break_children(graph)
     # L wt lies in L conv(W lam), whose coordinates the orbit points bound
-    offset = L * max([1] + [abs(c) for mu in graph.points for c in mu.coords])
-    base = 2 * offset + 1
-    powers = [base**i for i in range(rank)]
-    unit = base**rank  # one step of -L deg, above every packed weight
-    linear = [sum(c * p for c, p in zip(mu.coords, powers)) for mu in graph.points]
+    packing = WeightPacking(datum, L * max(abs(c) for mu in graph.points for c in mu.coords))
+    linear = [packing.linear(mu.coords) for mu in graph.points]
     # per denominator: the points with followers there, and those followers
     leaders = {v: [(y, kids[v]) for y, kids in enumerate(children) if kids[v]] for v in {v for _, v in cuts}}
     followers = {v: {z for _, kids in pairs for z, _ in kids} for v, pairs in leaders.items()}
     # F(y, L): y's straight path
-    origin = offset * sum(powers)
-    tables = [{origin + L * x: 1} for x in linear]
+    tables = [{L * x: 1} for x in linear]
     # a table that no later cut reads is added into the character, which then
     # takes its place, so only the tables still to be read are kept
     counts: Counter = Counter()
@@ -202,7 +201,7 @@ def character_from_qls(datum: RootDatum, lam: Weight) -> GradedCharacter:
         for y, kids in leaders[v]:
             table = tables[y]
             for z, w in kids:
-                shift = a * (linear[y] - linear[z]) + (L - a) * w * unit
+                shift = a * (linear[y] - linear[z]) + (L - a) * w * packing.carry
                 for key, c in frozen[z].items():
                     key += shift
                     table[key] = table.get(key, 0) + c
@@ -211,8 +210,8 @@ def character_from_qls(datum: RootDatum, lam: Weight) -> GradedCharacter:
             counts.update(table)
     terms = {}
     for key, c in counts.items():
-        neg_deg, x = divmod(key, unit)
-        weight = qls_model._integral_weight([x // p % base - offset for p in powers], L)
+        neg_deg, total = packing.split(key)
+        weight = qls_model._integral_weight(total, L)
         terms[(weight.coords, -qls_model._whole(-neg_deg, L, "degree"))] = c
     return GradedCharacter(rank, terms)
 

@@ -6,6 +6,8 @@ names its vertices by index and stores, per affine label, the e_j and f_j
 targets as index arrays; its weights are integer keys under a
 `WeightPacking`, so the weight check along arrows and the weights of a
 tensor product (`tensor`, by the signature rule) are integer arithmetic.
+The alcove walk (`LambdaChain.packing`) and the QLS character pack their
+weights the same way, so only `WeightPacking` reads or writes the digits.
 """
 
 from __future__ import annotations
@@ -28,32 +30,43 @@ class WeightPacking:
     so a key minus the key of alpha-tilde_j (`steps[j]`) is the key of the
     weight minus alpha-tilde_j, and a sum of keys under a packing with the
     summed bounds is the key of the summed weights.  `pack` refuses a
-    coordinate past bound rather than alias it.
+    coordinate past bound rather than alias it.  A key plus t * `carry`
+    holds t in the digits past the last coordinate; `split` reads both
+    parts, and `unpack` refuses a key with t != 0.
     """
 
     def __init__(self, datum: RootDatum, bound: int):
-        self.rank, self.bound = datum.rank, bound
+        self.bound = bound
         alphas = [datum.affine_root_weight(j).coords for j in range(datum.rank + 1)]
         self.half = bound + max(abs(c) for alpha in alphas for c in alpha)
         self.base = 2 * self.half + 1
         self._powers = tuple(self.base**i for i in range(datum.rank))
-        self.steps = tuple(sum(map(mul, alpha, self._powers)) for alpha in alphas)
+        self.carry = self.base**datum.rank
+        # adding half to every digit makes them the nonnegative digits of base
+        self._lift = self.half * sum(self._powers)
+        self.steps = tuple(map(self.linear, alphas))
+
+    def linear(self, coords) -> int:
+        """sum_i c_i base^i with no range check, as for a root step."""
+        return sum(map(mul, coords, self._powers))
 
     def pack(self, coords) -> int:
         """The key of a weight's coordinates."""
         if any(not -self.bound <= c <= self.bound for c in coords):
             raise InternalError(f"weight {tuple(coords)} lies outside the packing range +-{self.bound}")
-        return sum(map(mul, coords, self._powers))
+        return self.linear(coords)
+
+    def split(self, key: int) -> tuple[int, tuple[int, ...]]:
+        """(t, coordinates) with key = t * carry + the key of the coordinates."""
+        lifted, half, base = key + self._lift, self.half, self.base
+        return lifted // self.carry, tuple([lifted // p % base - half for p in self._powers])
 
     def unpack(self, key: int) -> Weight:
         """The weight a key holds."""
-        coords, half, base = [], self.half, self.base
-        for _ in range(self.rank):
-            key, digit = divmod(key + half, base)
-            coords.append(digit - half)
-        if key:
+        past, coords = self.split(key)
+        if past:
             raise InternalError("weight key has digits past its last coordinate")
-        return Weight(tuple(coords))
+        return Weight(coords)
 
 
 def shape_packing(datum: RootDatum, lam: Weight) -> WeightPacking:

@@ -251,29 +251,14 @@ def test_enumeration_equals_the_former_one(label, rank, lam, order, swap):
         (a.positions, a.path, a.edge_kinds, a.weight, a.height) for a in former
     ]
     # the walk's packed weights unpack to the former ones, whose coordinates
-    # reach the packing's offset and never pass it
-    walked = [chain.unpack(x) for _, _, _, _, x, _ in alcove_model.walk_admissible(chain)]
+    # reach the packing's bound and never pass it
+    walked = [chain.packing.unpack(x).coords for _, _, _, _, x, _ in alcove_model.walk_admissible(chain)]
     assert walked == [a.weight.coords for a in former]
-    assert max(abs(c) for coords in walked for c in coords) == chain.offset
+    assert max(abs(c) for coords in walked for c in coords) == chain.packing.bound
     assert all(a.chain is chain for a in ours)
     # the character counted off the walk is the (weight, height) bag of the subsets
     bag = Counter((a.weight.coords, a.height) for a in former)
     assert character_from_alcove(chain).terms == bag
-
-
-def test_packing_round_trips_within_the_offset():
-    chain = lex_chain(build_root_datum("G", 2), Weight((2, 1)))
-    off = chain.offset
-    assert chain.base == 2 * off + 1
-    for coords in itertools.product((-off, -1, 0, 1, off), repeat=2):
-        assert chain.unpack(chain.pack(coords)) == coords
-    # a carry past the last coordinate, up or down, is an internal failure
-    for x in (chain.pack((off, off)) + 1, chain.pack((-off, -off)) - 1):
-        with pytest.raises(InternalError, match="digits past its last coordinate"):
-            chain.unpack(x)
-    # the zero weight's chain is empty and still packs with offset 1
-    empty = lex_chain(build_root_datum("G", 2), Weight((0, 0)))
-    assert (empty.offset, empty.unpack(empty.pack((-1, 1)))) == (1, (-1, 1))
 
 
 def test_a_nonpositive_l_tilde_is_refused():

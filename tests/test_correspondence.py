@@ -160,6 +160,19 @@ def test_bijection_matches_cardinalities():
 # ----------------------------------------------------------- operator checks
 
 
+@pytest.mark.parametrize("label, rank, lam", [("C", 3, (1, 1, 1)), ("B", 3, (0, 1, 1)), ("G", 2, (2, 1)), ("A", 1, (1,))])
+def test_both_crystals_share_the_walks_packing(label, rank, lam):
+    datum = build_root_datum(label, rank)
+    chain = lex_chain(datum, Weight(lam))
+    alcove = alcove_model.build_crystal(enumerate_admissible(chain))
+    # the alcove crystal keeps the walk's keys, in walk order
+    assert alcove.keys == [x for _, _, _, _, x, _ in alcove_model.walk_admissible(chain)]
+    # and packs as the QLS crystal does, so keys compare without repacking
+    paths = build_crystal(datum, Weight(lam))
+    assert alcove.packing.bound == paths.packing.bound
+    assert alcove.keys_in(paths.packing) is alcove.keys
+
+
 def test_intertwining_reports_are_clean():
     for datum, lam in [(A1, (1,)), (A1, (2,)), (A2, (1, 1)), (C2, (0, 1)), (C2, (1, 0))]:
         report = verify_intertwining(datum, Weight(lam))
