@@ -261,6 +261,26 @@ def test_enumeration_equals_the_former_one(label, rank, lam, order, swap):
     assert character_from_alcove(chain).terms == bag
 
 
+def test_packing_round_trips_within_the_offset():
+    # an alcove chain packs its weights under the shape's packing: it round-trips
+    # at +-bound, refuses a coordinate past it, and a carry past the last digit,
+    # up or down, is an internal failure
+    g2 = build_root_datum("G", 2)
+    packing = lex_chain(g2, Weight((2, 1))).packing
+    b, half = packing.bound, packing.half
+    for coords in itertools.product((-b, -1, 0, 1, b), repeat=2):
+        assert packing.unpack(packing.pack(coords)) == Weight(coords)
+    for coords in [(b + 1, 0), (0, -b - 1)]:
+        with pytest.raises(InternalError, match="outside the packing range"):
+            packing.pack(coords)
+    for key in (packing.linear((half, half)) + 1, packing.linear((-half, -half)) - 1):
+        with pytest.raises(InternalError, match="digits past its last coordinate"):
+            packing.unpack(key)
+    # the zero weight's chain is empty and still packs
+    empty = lex_chain(g2, Weight((0, 0))).packing
+    assert (empty.bound, empty.unpack(empty.pack((0, 0)))) == (0, Weight((0, 0)))
+
+
 def test_a_nonpositive_l_tilde_is_refused():
     d = build_root_datum("A", 2)
     # <alpha_1^vee, omega_1> = 1, so a crossing at level 1 leaves l-tilde 0

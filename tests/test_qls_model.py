@@ -12,7 +12,6 @@ import pytest
 import crystal_reference
 from crystal_reference import indexed
 from qalcove import qls_model
-from qalcove.alcove_model import lex_chain
 from qalcove.characters import character_from_qls
 from qalcove.crystal import WeightPacking, tensor
 from qalcove.lie_data import InputError, InternalError, Weight, build_root_datum
@@ -804,22 +803,6 @@ def test_packing_refuses_a_coordinate_outside_its_range():
     for t in (-2, 3):
         with pytest.raises(InternalError, match="digits past"):
             packing.unpack(key + t * carry)
-    # an alcove chain packs its weights under the shape's packing: it round-trips
-    # at +-bound, refuses a coordinate past it, and a carry past the last digit,
-    # up or down, is an internal failure
-    packing = lex_chain(G2, Weight((2, 1))).packing
-    b, half = packing.bound, packing.half
-    for coords in itertools.product((-b, -1, 0, 1, b), repeat=2):
-        assert packing.unpack(packing.pack(coords)) == Weight(coords)
-    for coords in [(b + 1, 0), (0, -b - 1)]:
-        with pytest.raises(InternalError, match="outside the packing range"):
-            packing.pack(coords)
-    for key in (packing.linear((half, half)) + 1, packing.linear((-half, -half)) - 1):
-        with pytest.raises(InternalError, match="digits past its last coordinate"):
-            packing.unpack(key)
-    # the zero weight's chain is empty and still packs
-    empty = lex_chain(G2, Weight((0, 0))).packing
-    assert (empty.bound, empty.unpack(empty.pack((0, 0)))) == (0, Weight((0, 0)))
 
 
 def test_the_crystal_of_lambda_packs_as_its_fundamental_factors_do():
