@@ -61,7 +61,7 @@ class LambdaChain:
         if min(self.l_tilde[1:], default=1) <= 0:
             raise InternalError("height must be nonnegative")
         # the bound of `crystal.shape_packing`, read off the pairings at hand
-        self.packing = WeightPacking(datum, max(pairings))
+        self.packing = WeightPacking(datum, pairings[datum.highest_coroot])
         # shift[-j] reads the last entries, negated
         packed = [self.packing.linear(r) for r in datum.root_weights]
         self.shift = tuple([0] + packed + [-x for x in reversed(packed)])
@@ -144,7 +144,7 @@ def _validate_walk(chain: LambdaChain) -> None:
     v = Weight((0,) * datum.rank)
     # the fundamental alcove's last wall is H_{gamma,1} for the root gamma
     # with the highest coroot: the highest short root, not theta
-    top = max(range(len(datum.positive_roots)), key=lambda k: sum(datum.positive_coroots[k]))
+    top = datum.highest_coroot
     walls = {(datum.simple_root_index[i], 0) for i in range(datum.rank)}
     walls.add((top, 1))
     for n, entry in enumerate(chain.entries, start=1):

@@ -37,7 +37,7 @@ class WeightPacking:
 
     def __init__(self, datum: RootDatum, bound: int):
         self.bound = bound
-        alphas = [datum.affine_root_weight(j).coords for j in range(datum.rank + 1)]
+        alphas = datum.affine_root_weights
         self.half = bound + max(abs(c) for alpha in alphas for c in alpha)
         self.base = 2 * self.half + 1
         self._powers = tuple(self.base**i for i in range(datum.rank))
@@ -73,10 +73,10 @@ def shape_packing(datum: RootDatum, lam: Weight) -> WeightPacking:
     """The packing of a crystal of shape lambda.  Its weights lie in
     conv(W lambda), and <alpha_i^vee, w(lambda)> = <w^-1(alpha_i^vee), lambda>,
     so every coordinate is bounded by the largest pairing of a coroot with
-    lambda.  The highest coroot attains it for every dominant lambda, so the
-    bound is additive: a tensor product of crystals whose shapes sum to
-    lambda packs as the crystal of lambda does."""
-    return WeightPacking(datum, max(datum.pairing(c, lam) for c in datum.positive_coroots))
+    lambda.  The highest coroot (`RootDatum.highest_coroot`) attains it for
+    every dominant lambda, so the bound is additive: a tensor product of
+    crystals whose shapes sum to lambda packs as the crystal of lambda does."""
+    return WeightPacking(datum, datum.pairing_index(datum.highest_coroot, lam))
 
 
 class CrystalGraph:

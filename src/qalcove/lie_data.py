@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 Vector = tuple[int, ...]
 
@@ -101,7 +102,7 @@ class RootDatum:
             for i in range(rank)
         )
         self._check_cartan()
-        self.positive_roots, self.positive_coroots = self._generate_roots()
+        self.positive_roots, self.positive_coroots, self.root_weights = self._generate_roots()
         self._root_index = {r: k for k, r in enumerate(self.positive_roots)}
         self._quantum_drops: dict[frozenset[int], dict[int, int]] = {}
         # quantum_bruhat's orbit graphs QB(W^J), keyed by lambda
@@ -115,6 +116,15 @@ class RootDatum:
         if heights.count(top) != 1:
             raise InternalError("highest root is not unique")
         self.theta = heights.index(top)
+        # the root whose coroot is highest, the highest short root: its
+        # pairing with a dominant weight is the largest of all coroots
+        coheights = [sum(c) for c in self.positive_coroots]
+        self.highest_coroot = coheights.index(max(coheights))
+        # the weights of alpha-tilde_0..rank: -theta, then the simple roots
+        self.affine_root_weights: tuple[Vector, ...] = (
+            tuple(-c for c in self.root_weights[self.theta]),
+            *(self.root_weights[k] for k in self.simple_root_index),
+        )
         self.rho = Weight((1,) * rank)
         # theta = sum_i marks[i] alpha_i, theta^vee = sum_i comarks[i] alpha_i^vee,
         # and the affine node always carries mark = comark = 1.
@@ -135,32 +145,32 @@ class RootDatum:
                 if i != j and (a[i][j] > 0 or (a[i][j] == 0) != (a[j][i] == 0)):
                     raise InternalError("invalid Cartan off-diagonal pattern")
 
-    def _generate_roots(self) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:
-        # Closure of the simple (root, coroot) pairs under simple reflections.
+    def _generate_roots(self) -> tuple[tuple[Vector, ...], ...]:
+        # Closure of the simple (root, coroot, weight) triples under simple
+        # reflections: the weight of a root holds its pairings wt[i] with the
+        # simple coroots, and wt(s_i beta) = wt(beta) - wt(beta)[i] wt(alpha_i),
+        # wt(alpha_i) the i-th Cartan column.
         rank, a = self.rank, self.cartan
-        seen: dict[Vector, Vector] = {}
-        stack: list[tuple[Vector, Vector]] = []
+        columns = [tuple(row[i] for row in a) for i in range(rank)]
+        seen: dict[Vector, tuple[Vector, Vector]] = {}
+        stack: list[tuple[Vector, Vector, Vector]] = []
         for i in range(rank):
             e = tuple(1 if j == i else 0 for j in range(rank))
-            seen[e] = e
-            stack.append((e, e))
+            seen[e] = e, columns[i]
+            stack.append((e, e, columns[i]))
         while stack:
-            root, coroot = stack.pop()
-            for i in range(rank):
-                pr = sum(c * a[i][j] for j, c in enumerate(root))
-                new_root = tuple(
-                    c - (pr if j == i else 0) for j, c in enumerate(root)
-                )
-                if any(c < 0 for c in new_root) or new_root in seen:
+            root, coroot, wt = stack.pop()
+            for i, pr in enumerate(wt):
+                new_root = root[:i] + (root[i] - pr,) + root[i + 1 :]
+                if new_root[i] < 0 or new_root in seen:
                     continue
                 pc = sum(c * a[j][i] for j, c in enumerate(coroot))
-                new_coroot = tuple(
-                    c - (pc if j == i else 0) for j, c in enumerate(coroot)
-                )
-                seen[new_root] = new_coroot
-                stack.append((new_root, new_coroot))
+                new_coroot = coroot[:i] + (coroot[i] - pc,) + coroot[i + 1 :]
+                new_wt = tuple(x - pr * y for x, y in zip(wt, columns[i]))
+                seen[new_root] = new_coroot, new_wt
+                stack.append((new_root, new_coroot, new_wt))
         order = sorted(seen, key=lambda r: (sum(r), r[::-1]))
-        return tuple(order), tuple(seen[r] for r in order)
+        return tuple(order), tuple(seen[r][0] for r in order), tuple(seen[r][1] for r in order)
 
     # ------------------------------------------------------------------ pairings
 
@@ -173,30 +183,16 @@ class RootDatum:
 
     def pairing_roots(self, coroot_index: int, root_index: int) -> int:
         """<beta^vee, gamma> for two positive roots given by index."""
-        coroot = self.positive_coroots[coroot_index]
-        root = self.positive_roots[root_index]
-        return sum(
-            b * self.cartan[i][j] * c
-            for i, b in enumerate(coroot)
-            for j, c in enumerate(root)
-        )
+        return sum(map(mul, self.positive_coroots[coroot_index], self.root_weights[root_index]))
 
     def root_index(self, coords: Vector) -> int | None:
         """Index of a positive root given in simple-root coordinates."""
         return self._root_index.get(tuple(coords))
 
-    def root_as_weight(self, root: Vector | int) -> Weight:
-        """Fundamental-weight coordinates of a root vector."""
-        if isinstance(root, int):
-            root = self.positive_roots[root]
-        return Weight(
-            tuple(sum(self.cartan[i][j] * c for j, c in enumerate(root)) for i in range(self.rank))
-        )
-
-    @cached_property
-    def root_weights(self) -> tuple[Vector, ...]:
-        """Fundamental-weight coordinates of every positive root, by index."""
-        return tuple(self.root_as_weight(k).coords for k in range(len(self.positive_roots)))
+    def root_as_weight(self, root_index: int) -> Weight:
+        """Fundamental-weight coordinates of a positive root, read off
+        `root_weights`, which holds them for every root by index."""
+        return Weight(self.root_weights[root_index])
 
     @cached_property
     def _cartan_inverse(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -236,8 +232,8 @@ class RootDatum:
 
     def affine_root_weight(self, j: int) -> Weight:
         """The weight of alpha-tilde_j: -theta at j = 0 and alpha_j otherwise."""
-        root, sign = self.affine_root(j)
-        return Weight(tuple(sign * c for c in self.root_weights[root]))
+        self.affine_root(j)  # refuses a label outside 0..rank
+        return Weight(self.affine_root_weights[j])
 
     # ------------------------------------------------------------------- weights
 
@@ -274,11 +270,8 @@ class RootDatum:
     def two_rho_minus_two_rho_J(self, J: frozenset[int]) -> Weight:
         """Sum of the positive roots not supported on J, as a weight."""
         inside = self.parabolic_roots(J)
-        total = Weight((0,) * self.rank)
-        for k in range(len(self.positive_roots)):
-            if k not in inside:
-                total = total + self.root_as_weight(k)
-        return total
+        outside = [wt for k, wt in enumerate(self.root_weights) if k not in inside]
+        return Weight(tuple(map(sum, zip((0,) * self.rank, *outside))))
 
     def quantum_drops(self, J: frozenset[int] = frozenset()) -> dict[int, int]:
         """<alpha^vee, 2rho - 2rho_J> for every positive root alpha outside the
@@ -368,23 +361,31 @@ def build_root_datum(type_label: str, rank: int) -> RootDatum:
     return RootDatum(type_label, rank)
 
 
+def inversion_mask(perm: Vector) -> int:
+    """N(w), the positive roots a signed permutation negates, as the bits k."""
+    return sum([1 << k for k, v in enumerate(perm) if v < 0])
+
+
 class WeylElement:
     """Group element stored as a signed permutation of the positive roots.
 
     perm[k] = +-(j+1) means the element maps positive root k to +-(positive
-    root j).  Its group interns every element, so identity is equality: an
+    root j).  `mask` is its inversion set N(w), the positive roots it
+    negates, as a bitmask (bit k for root k), and its length is the mask's
+    popcount.  Its group interns every element, so identity is equality: an
     element compares and hashes as the object it is, and elements of two
     root data never compare equal.  `steps` holds the QB(W) steps from the
     element (`quantum_bruhat.qbg_step`) by positive root, UNSEEN until
     decided.
     """
 
-    __slots__ = ("group", "perm", "length", "_inverse", "steps")
+    __slots__ = ("group", "perm", "mask", "length", "_inverse", "steps")
 
     def __init__(self, group: "WeylGroup", perm: Vector):
         self.group = group
         self.perm = perm
-        self.length = sum(1 for v in perm if v < 0)
+        self.mask = inversion_mask(perm)
+        self.length = self.mask.bit_count()
         self._inverse: WeylElement | None = None
         self.steps: list = [UNSEEN] * len(perm)
 
@@ -442,10 +443,14 @@ class WeylGroup:
     interns only the identity and the simple reflections; every product,
     inverse or reflection is interned at first use, so only a walk that asks
     for all of W (`coset_reps` of the empty set) enumerates it, and |W| is
-    read off the root heights.  The inversion set N(r_beta) of a reflection,
-    the positive roots it negates, is kept per root from its first use
-    (`inversions`): with it the alcove walk measures l(w r_beta) without
-    composing w r_beta."""
+    read off the root heights.
+
+    The permutation of every reflection is built at construction, by
+    conjugation: s_i(alpha) = alpha - wt(alpha)[i] alpha_i, and for a
+    non-simple root beta and a node i with wt(beta)[i] > 0, beta' = s_i beta
+    is a lower root and r_beta = s_i r_beta' s_i, two compositions.
+    `edge_table` holds N(r_beta) as a bitmask beside the quantum drop, so the
+    alcove walk measures l(w r_beta) without composing w r_beta."""
 
     def __init__(self, datum: RootDatum):
         self.datum = datum
@@ -454,7 +459,7 @@ class WeylGroup:
         self.elements: list[WeylElement] = []
         self._by_perm: dict[Vector, WeylElement] = {}
         self._reflections: dict[int, WeylElement] = {}
-        self._inversions: dict[int, tuple[int, ...]] = {}
+        self._perms = self._reflection_perms()
         self.identity = self._intern(tuple(range(1, len(datum.positive_roots) + 1)))
         self.simple = tuple(self.reflection(k) for k in datum.simple_root_index)
 
@@ -469,11 +474,24 @@ class WeylGroup:
     @staticmethod
     def _compose(outer: Vector, inner: Vector) -> Vector:
         # (outer . inner)(beta_k) = outer(inner(beta_k))
-        out = []
-        for v in inner:
-            w = outer[abs(v) - 1]
-            out.append(w if v > 0 else -w)
-        return tuple(out)
+        return tuple([outer[v - 1] if v > 0 else -outer[-v - 1] for v in inner])
+
+    def _reflection_perms(self) -> list[Vector]:
+        # roots are sorted by height, so r_beta' is built before r_beta
+        datum, compose = self.datum, self._compose
+        roots = tuple(zip(datum.positive_roots, datum.root_weights))
+        simple = [
+            tuple(
+                -(k + 1) if k == s else datum._root_index[r[:i] + (r[i] - wt[i],) + r[i + 1 :]] + 1
+                for k, (r, wt) in enumerate(roots)
+            )
+            for i, s in enumerate(datum.simple_root_index)
+        ]
+        perms: list[Vector] = []
+        for k, wt in enumerate(datum.root_weights):
+            s = simple[next(i for i, c in enumerate(wt) if c > 0)]
+            perms.append(s if s[k] < 0 else compose(s, compose(perms[s[k] - 1], s)))
+        return perms
 
     def product(self, w: WeylElement, v: WeylElement) -> WeylElement:
         return self._intern(self._compose(w.perm, v.perm))
@@ -489,28 +507,15 @@ class WeylGroup:
         """The reflection r_beta for a positive root, as a group element."""
         el = self._reflections.get(root_index)
         if el is None:
-            datum = self.datum
-            beta = datum.positive_roots[root_index]
-            coroot = datum.positive_coroots[root_index]
-            perm = []
-            for root, root_wt in zip(datum.positive_roots, datum.root_weights):
-                c = sum(b * x for b, x in zip(coroot, root_wt))
-                image = tuple(x - c * b for x, b in zip(root, beta))
-                if all(x <= 0 for x in image):
-                    perm.append(-(datum._root_index[tuple(-x for x in image)] + 1))
-                else:
-                    perm.append(datum._root_index[image] + 1)
-            el = self._intern(tuple(perm))
-            self._reflections[root_index] = el
+            el = self._reflections[root_index] = self._intern(self._perms[root_index])
         return el
 
-    def inversions(self, root_index: int) -> tuple[int, ...]:
-        """N(r_beta): the indices of the positive roots that r_beta negates."""
-        negated = self._inversions.get(root_index)
-        if negated is None:
-            perm = self.reflection(root_index).perm
-            negated = self._inversions[root_index] = tuple(k for k, v in enumerate(perm) if v < 0)
-        return negated
+    @cached_property
+    def edge_table(self) -> list[tuple[int, int]]:
+        """(N(r_beta) as a bitmask, <beta^vee, 2rho>) by positive root: what
+        `quantum_bruhat.qbg_step` reads to decide an edge of QB(W)."""
+        drops = self.datum.quantum_drops()
+        return [(inversion_mask(perm), drops[k]) for k, perm in enumerate(self._perms)]
 
     @cached_property
     def longest(self) -> WeylElement:

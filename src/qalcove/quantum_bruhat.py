@@ -52,15 +52,16 @@ def qbg_step(datum: RootDatum, w: WeylElement, root: int) -> tuple[WeylElement, 
     `w.steps`.
 
     The edge conditions (Brenti-Fomin-Postnikov) read only lengths, here
-    from the inversion sets, N(u) the positive roots u negates:
-    l(w r_beta) = l(w) + l(r_beta) - 2|N(w) & N(r_beta)|, so w r_beta is
+    from the inversion sets as bitmasks, N(u) the positive roots u negates:
+    l(w r_beta) = l(w) + l(r_beta) - 2|N(w) & N(r_beta)|, with N(r_beta)
+    and the quantum drop read off `WeylGroup.edge_table`.  So w r_beta is
     composed only along an edge, and its length must agree.
     """
     row = w.steps
     if row[root] is UNSEEN:
-        negated, perm = datum.weyl.inversions(root), w.perm
-        gain = len(negated) - 1 - 2 * len([k for k in negated if perm[k] < 0])
-        kind = BRUHAT if gain == 0 else QUANTUM if gain == -datum.quantum_drops()[root] else None
+        negated, drop = datum.weyl.edge_table[root]
+        gain = negated.bit_count() - 1 - 2 * (w.mask & negated).bit_count()
+        kind = BRUHAT if gain == 0 else QUANTUM if gain == -drop else None
         if kind:
             target = w * datum.weyl.reflection(root)
             if target.length != w.length + 1 + gain:

@@ -1,10 +1,13 @@
 """Root data, pairings, reflections, and the Weyl group."""
 
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
 
+from qalcove.crystal import shape_packing
 from qalcove.lie_data import InputError, Weight, build_root_datum
 from inverse_reference import parabolic_longest
 
@@ -182,6 +185,72 @@ def test_root_coords_invert_root_as_weight(label, rank):
     d = build_root_datum(label, rank)
     for k, root in enumerate(d.positive_roots):
         assert d.weight_in_root_coords(d.root_as_weight(k)) == root
+
+
+THROUGH_RANK_8 = (
+    [("A", n) for n in range(1, 9)]
+    + [("B", n) for n in range(2, 9)]
+    + [("C", n) for n in range(2, 9)]
+    + [("D", n) for n in range(4, 9)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
+def _gram(cartan):
+    """G[i][j] = eps_i cartan[i][j] with eps_i cartan[i][j] = eps_j cartan[j][i]
+    the integral, symmetric Gram matrix of the simple roots (up to a scale)."""
+    n = len(cartan)
+    eps = [Fraction(0)] * n
+    eps[0], todo = Fraction(1), [0]
+    while todo:
+        i = todo.pop()
+        for j in range(n):
+            if i != j and cartan[i][j] and not eps[j]:
+                eps[j] = eps[i] * cartan[i][j] / cartan[j][i]
+                todo.append(j)
+    scale = math.lcm(*(e.denominator for e in eps))
+    gram = [[int(eps[i] * scale) * cartan[i][j] for j in range(n)] for i in range(n)]
+    assert all(gram[i][j] == gram[j][i] for i in range(n) for j in range(n))
+    return gram
+
+
+@pytest.mark.parametrize("label,rank", THROUGH_RANK_8)
+def test_reflection_tables_equal_the_direct_rule(label, rank):
+    # r_beta(alpha) = alpha - <beta^vee, alpha> beta through the Gram matrix,
+    # against the reflections built by conjugation and the carried weights
+    d = build_root_datum(label, rank)
+    roots, cartan, weyl = d.positive_roots, d.cartan, d.weyl
+    gram = _gram(cartan)
+    index = {r: k + 1 for k, r in enumerate(roots)}
+    index.update({tuple(-c for c in r): -(k + 1) for k, r in enumerate(roots)})
+    image = [tuple(sum(g * c for g, c in zip(row, r)) for row in gram) for r in roots]
+    for k, root in enumerate(roots):
+        assert d.root_weights[k] == tuple(sum(a * c for a, c in zip(row, root)) for row in cartan)
+    for m, beta in enumerate(roots):
+        norm = sum(b * g for b, g in zip(beta, image[m]))
+        perm = []
+        for k, alpha in enumerate(roots):
+            twice, rest = divmod(2 * sum(b * g for b, g in zip(beta, image[k])), norm)
+            assert rest == 0
+            perm.append(index[tuple(a - twice * b for a, b in zip(alpha, beta))])
+        assert weyl.reflection(m).perm == tuple(perm)
+    weyl.longest
+    for el in weyl.elements:
+        negated = [k for k, v in enumerate(el.perm) if v < 0]
+        assert [k for k in range(len(roots)) if el.mask >> k & 1] == negated
+        assert bin(el.mask).count("1") == el.length == len(negated)
+
+
+@pytest.mark.parametrize("label,rank", THROUGH_RANK_8)
+def test_the_highest_coroot_pairs_to_the_maximum(label, rank):
+    d = build_root_datum(label, rank)
+    rng = random.Random(rank)
+    weights = [d.fundamental_weight(i) for i in range(1, rank + 1)] + [d.rho, Weight((0,) * rank)]
+    weights += [Weight(tuple(rng.randrange(4) for _ in range(rank))) for _ in range(8)]
+    for lam in weights:
+        top = max(d.pairing(c, lam) for c in d.positive_coroots)
+        assert d.pairing_index(d.highest_coroot, lam) == top
+        assert shape_packing(d, lam).bound == top
 
 
 def test_bad_inputs():

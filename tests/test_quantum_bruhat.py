@@ -150,8 +150,14 @@ def test_alcove_walk_composes_only_along_edges(monkeypatch):
     product = WeylGroup.product
     monkeypatch.setattr(WeylGroup, "product", lambda *args: calls.append(args) or product(*args))
     decisions = []
-    inversions = WeylGroup.inversions
-    monkeypatch.setattr(WeylGroup, "inversions", lambda *args: decisions.append(args) or inversions(*args))
+
+    class CountedReads(list):
+        def __getitem__(self, root):
+            decisions.append(root)
+            return super().__getitem__(root)
+
+    # a step reads the edge-table row of its root once, when it decides
+    monkeypatch.setattr(d.weyl, "edge_table", CountedReads(d.weyl.edge_table))
     character_from_alcove(chain)
     # each (w, root) is decided once, in w's row
     decided = [step for w in d.weyl.elements for step in w.steps if step is not UNSEEN]
@@ -163,8 +169,9 @@ def test_alcove_walk_composes_only_along_edges(monkeypatch):
 def test_a_length_off_the_inversion_count_is_caught():
     d = build_root_datum("A", 2)
     # r_theta = w_0 negates all three positive roots; with theta alone in
-    # its inversion set, e -> r_theta would read as a Bruhat edge
-    d.weyl._inversions[d.theta] = (d.theta,)
+    # its inversion mask, e -> r_theta would read as a Bruhat edge
+    drop = d.weyl.edge_table[d.theta][1]
+    d.weyl.edge_table[d.theta] = (1 << d.theta, drop)
     with pytest.raises(InternalError, match="differs from its inversion-set count"):
         qbg_step(d, d.weyl.identity, d.theta)
 
