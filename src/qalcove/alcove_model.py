@@ -159,8 +159,7 @@ def _validate_walk(chain: LambdaChain) -> None:
         # each crossing reflects the alcove, so the new reflection goes on the
         # outside: (r, -l beta) . (w, v)
         refl = weyl.reflection(entry.root)
-        beta_wt = datum.root_as_weight(entry.root)
-        v = refl.act_weight(v) - Weight(tuple(entry.level * x for x in beta_wt.coords))
+        v = refl.act_weight(v) - Weight(tuple(entry.level * x for x in datum.root_weights[entry.root]))
         w = refl * w
     # (w, v) is the translation by -lambda only for lambda in the root
     # lattice, so test where it sends the interior point rho/h of the

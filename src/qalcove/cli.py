@@ -96,12 +96,13 @@ def _chain_for(datum: RootDatum, lam: Weight, args) -> LambdaChain:
 
 
 def _guard(datum: RootDatum, lam: Weight, budget: int) -> None:
-    """Refuse jobs where |W| (read off the root heights) times the chain length
-    exceeds the budget; a chain has <beta^vee, lambda> entries per positive root."""
+    """Refuse jobs where |W| times the chain length exceeds the budget; |W| is
+    read off the root heights, with no Weyl group built, and a chain has
+    <beta^vee, lambda> entries per positive root."""
     if not datum.is_dominant(lam):
         raise InputError(f"weight {lam.coords} is not dominant")
     length = sum(datum.pairing(coroot, lam) for coroot in datum.positive_coroots)
-    _within_budget(len(datum.weyl) * max(length, 1), budget)
+    _within_budget(datum.weyl_order * max(length, 1), budget)
 
 
 def _within_budget(cost: int, budget: int) -> None:

@@ -4,7 +4,8 @@ Roots live as integer vectors in the simple-root basis, coroots in the
 simple-coroot basis, and weights in the fundamental-weight basis; every
 pairing is then an integer dot product through the Cartan matrix.  The
 affine marks/comarks come from the highest root, so level and perfectness
-need no tables, and the Weyl group is built one element at a time, as used.
+need no tables.  |W| and -w0 are read off the roots and weights too, so
+only a walk on W builds the Weyl group, one element at a time, as used.
 """
 
 from __future__ import annotations
@@ -104,7 +105,6 @@ class RootDatum:
         self._check_cartan()
         self.positive_roots, self.positive_coroots, self.root_weights = self._generate_roots()
         self._root_index = {r: k for k, r in enumerate(self.positive_roots)}
-        self._quantum_drops: dict[frozenset[int], dict[int, int]] = {}
         # quantum_bruhat's orbit graphs QB(W^J), keyed by lambda
         self._orbit_graphs: dict = {}
         self.simple_root_index: Vector = tuple(
@@ -130,8 +130,8 @@ class RootDatum:
         # and the affine node always carries mark = comark = 1.
         self.marks: Vector = (1,) + self.positive_roots[self.theta]
         self.comarks: Vector = (1,) + self.positive_coroots[self.theta]
-        for alpha in range(len(self.positive_roots)):
-            val = self.pairing_roots(self.theta, alpha)
+        for alpha, wt in enumerate(self.root_weights):
+            val = sum(map(mul, self.positive_coroots[self.theta], wt))
             expect = (2,) if alpha == self.theta else (0, 1)
             if val not in expect:
                 raise InternalError(f"<theta^vee, root {alpha}> = {val} out of range")
@@ -181,18 +181,9 @@ class RootDatum:
     def pairing_index(self, root_index: int, weight: Weight) -> int:
         return self.pairing(self.positive_coroots[root_index], weight)
 
-    def pairing_roots(self, coroot_index: int, root_index: int) -> int:
-        """<beta^vee, gamma> for two positive roots given by index."""
-        return sum(map(mul, self.positive_coroots[coroot_index], self.root_weights[root_index]))
-
     def root_index(self, coords: Vector) -> int | None:
         """Index of a positive root given in simple-root coordinates."""
         return self._root_index.get(tuple(coords))
-
-    def root_as_weight(self, root_index: int) -> Weight:
-        """Fundamental-weight coordinates of a positive root, read off
-        `root_weights`, which holds them for every root by index."""
-        return Weight(self.root_weights[root_index])
 
     @cached_property
     def _cartan_inverse(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -276,13 +267,11 @@ class RootDatum:
     def quantum_drops(self, J: frozenset[int] = frozenset()) -> dict[int, int]:
         """<alpha^vee, 2rho - 2rho_J> for every positive root alpha outside the
         parabolic subsystem of J, keyed by root index in increasing order."""
-        if J not in self._quantum_drops:
-            depth, inside = self.two_rho_minus_two_rho_J(J), self.parabolic_roots(J)
-            drops = {k: self.pairing(c, depth) for k, c in enumerate(self.positive_coroots) if k not in inside}
-            if min(drops.values(), default=1) <= 0:
-                raise InternalError("<alpha^vee, 2rho-2rho_J> must be positive")
-            self._quantum_drops[J] = drops
-        return self._quantum_drops[J]
+        depth, inside = self.two_rho_minus_two_rho_J(J), self.parabolic_roots(J)
+        drops = {k: self.pairing(c, depth) for k, c in enumerate(self.positive_coroots) if k not in inside}
+        if min(drops.values(), default=1) <= 0:
+            raise InternalError("<alpha^vee, 2rho-2rho_J> must be positive")
+        return drops
 
     # -------------------------------------------------------------------- affine
 
@@ -330,16 +319,6 @@ class RootDatum:
 
     # -------------------------------------------------------------------- output
 
-    def to_json_dict(self) -> dict:
-        return {
-            "type": self.type_label,
-            "rank": self.rank,
-            "cartan": [list(row) for row in self.cartan],
-            "positive_roots": [list(r) for r in self.positive_roots],
-            "marks": list(self.marks),
-            "comarks": list(self.comarks),
-        }
-
     def root_name(self, root_index: int, sign: int = 1) -> str:
         """Readable form like 'a1+2a2' of a (signed) positive root."""
         parts = []
@@ -349,6 +328,33 @@ class RootDatum:
             mag = f"a{i + 1}" if abs(c) == 1 else f"{abs(c)}a{i + 1}"
             parts.append(("-" if c < 0 else ("+" if parts else "")) + mag)
         return "".join(parts) or "0"
+
+    # ----------------------------------------------------------------- Weyl group
+
+    @cached_property
+    def weyl_order(self) -> int:
+        """|W| = prod over the positive roots of (ht + 1) / ht (Macdonald)."""
+        size = Fraction(1)
+        for root in self.positive_roots:
+            size *= Fraction(sum(root) + 1, sum(root))
+        return int(size)
+
+    @cached_property
+    def omega(self) -> Vector:
+        """-w0 on nodes, 1-based: -w0(omega_i) = omega_omega(i), so
+        w0(alpha_i) = -alpha_omega(i).  -w0(omega_i) is the dominant weight in
+        the orbit of -omega_i, reached by s_j at the first negative
+        coordinate j until none is left."""
+        simple = [self.root_weights[k] for k in self.simple_root_index]
+        out = []
+        for i in range(self.rank):
+            mu = [-int(j == i) for j in range(self.rank)]
+            while (j := next((j for j, c in enumerate(mu) if c < 0), None)) is not None:
+                mu = [m - mu[j] * a for m, a in zip(mu, simple[j])]
+            if sorted(mu) != [0] * (self.rank - 1) + [1]:
+                raise InternalError(f"-w0 of fundamental weight {i + 1} is {tuple(mu)}, not fundamental")
+            out.append(mu.index(1) + 1)
+        return tuple(out)
 
     @cached_property
     def weyl(self) -> "WeylGroup":
@@ -442,8 +448,8 @@ class WeylGroup:
     signed permutation, so elements compare by identity.  Construction
     interns only the identity and the simple reflections; every product,
     inverse or reflection is interned at first use, so only a walk that asks
-    for all of W (`coset_reps` of the empty set) enumerates it, and |W| is
-    read off the root heights.
+    for all of W (`coset_reps` of the empty set) enumerates it; |W| is
+    `RootDatum.weyl_order`, read off the root heights.
 
     The permutation of every reflection is built at construction, by
     conjugation: s_i(alpha) = alpha - wt(alpha)[i] alpha_i, and for a
@@ -496,13 +502,6 @@ class WeylGroup:
     def product(self, w: WeylElement, v: WeylElement) -> WeylElement:
         return self._intern(self._compose(w.perm, v.perm))
 
-    def __len__(self) -> int:
-        """|W| = prod over the positive roots of (ht + 1) / ht (Macdonald)."""
-        size = Fraction(1)
-        for root in self.datum.positive_roots:
-            size *= Fraction(sum(root) + 1, sum(root))
-        return int(size)
-
     def reflection(self, root_index: int) -> WeylElement:
         """The reflection r_beta for a positive root, as a group element."""
         el = self._reflections.get(root_index)
@@ -516,20 +515,6 @@ class WeylGroup:
         `quantum_bruhat.qbg_step` reads to decide an edge of QB(W)."""
         drops = self.datum.quantum_drops()
         return [(inversion_mask(perm), drops[k]) for k, perm in enumerate(self._perms)]
-
-    @cached_property
-    def longest(self) -> WeylElement:
-        """w_0, grown by right multiplication with simple ascents."""
-        w = self.identity
-        grown = True
-        while grown:
-            grown = False
-            for i, s in enumerate(self.simple, 1):
-                if not w.has_right_descent(i):
-                    w, grown = w * s, True
-        if w.length != len(self.datum.positive_roots):
-            raise InternalError("longest element length != number of positive roots")
-        return w
 
     def min_coset_rep(self, w: WeylElement, J: frozenset[int]) -> WeylElement:
         """Minimum-length element of the coset w W_J."""
@@ -557,18 +542,3 @@ class WeylGroup:
                     seen.add(u)
                     stack.append(u)
         return tuple(sorted(seen, key=lambda w: (w.length, w.perm)))
-
-    @cached_property
-    def omega(self) -> tuple[int, ...]:
-        """Diagram automorphism with w_0(alpha_i) = -alpha_{omega(i)}, 1-based."""
-        datum = self.datum
-        out = []
-        for i in range(datum.rank):
-            v = self.longest.perm[datum.simple_root_index[i]]
-            if v >= 0:
-                raise InternalError("longest element must negate simple roots")
-            image = datum.positive_roots[-v - 1]
-            if sum(image) != 1:
-                raise InternalError("w_0 image of a simple root is not simple")
-            out.append(image.index(1) + 1)
-        return tuple(out)

@@ -167,7 +167,7 @@ def qls_path(datum: RootDatum, lam: Weight, directions, breaks) -> QLSPath:
 
 def _vertex(graph: OrbitGraph, k: int, mu: Weight) -> int:
     """The index of direction k, the orbit point mu, in the orbit graph."""
-    n = graph.index.get(mu)
+    n = graph.coords_index.get(mu.coords)
     if n is None:
         raise InputError(f"direction {k} is not in the orbit of lambda")
     return n

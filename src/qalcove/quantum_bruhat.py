@@ -112,9 +112,8 @@ class OrbitGraph:
                     lengths.append(lengths[n] + 1)
         self.datum, self.lam = datum, lam
         self.points = tuple(Weight(mu) for mu in points)
-        self.index = {mu: n for n, mu in enumerate(self.points)}
         self.lengths = tuple(lengths)
-        # coords_index numbers the points by their coordinates
+        # coords_index, the one vertex index, numbers the points by their coordinates
         self.coords_index, self._carried = index, carried
         self._roots = tuple(zip(datum.positive_coroots, datum.root_weights))
         # the edges and searches per break denominator, and the label tables,
@@ -220,13 +219,13 @@ class OrbitGraph:
     @cached_property
     def omega_images(self) -> tuple[int, ...]:
         """The index of -w0(mu_n) in the graph of -w0(lambda), by vertex n."""
-        index, omega = self.dual.coords_index, self.datum.weyl.omega
+        index, omega = self.dual.coords_index, self.datum.omega
         return tuple(index[tuple(mu.coords[i - 1] for i in omega)] for mu in self.points)
 
 
 def minus_w0(datum: RootDatum, mu: Weight) -> Weight:
-    """-w0(mu): the diagram automorphism omega, an involution, permutes coordinates."""
-    return Weight(tuple(mu.coords[i - 1] for i in datum.weyl.omega))
+    """-w0(mu): the diagram automorphism `RootDatum.omega`, an involution, permutes coordinates."""
+    return Weight(tuple(mu.coords[i - 1] for i in datum.omega))
 
 
 def orbit_graph(datum: RootDatum, lam: Weight) -> OrbitGraph:
@@ -249,15 +248,16 @@ class QuantumBruhatGraph:
     def __init__(self, datum: RootDatum, J: frozenset[int] = frozenset()):
         self.datum = datum
         self.J = frozenset(J)
-        # the roots outside the parabolic subsystem
-        self.labels: tuple[int, ...] = tuple(datum.quantum_drops(self.J))
+        # the roots outside the parabolic subsystem, with their quantum drops
+        self.drops = datum.quantum_drops(self.J)
+        self.labels: tuple[int, ...] = tuple(self.drops)
         self.adjacency = {w: self._build_edges(w) for w in datum.weyl.coset_reps(self.J)}
         self.vertices = tuple(self.adjacency)
 
     def _build_edges(self, w: WeylElement) -> tuple[QBGEdge, ...]:
         # the target is min_coset_rep(w r_alpha), and its length decides the
         # edge with the drop <alpha^vee, 2rho - 2rho_J>
-        datum, weyl, drops = self.datum, self.datum.weyl, self.datum.quantum_drops(self.J)
+        datum, weyl, drops = self.datum, self.datum.weyl, self.drops
         zero = (0,) * datum.rank
         out = []
         for k in self.labels:

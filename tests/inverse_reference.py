@@ -20,11 +20,13 @@ from qalcove.alcove_model import AdmissibleSubset, LambdaChain, lex_chain, requi
 from qalcove.lie_data import InputError, InternalError, RootDatum, Vector, WeylElement
 from qalcove.qls_model import QLSPath
 from qalcove.quantum_bruhat import QBGEdge, QuantumBruhatGraph, build_qbg, minus_w0
+from qbg_reference import longest
 
 
 def parabolic_longest(weyl, J: frozenset[int]) -> WeylElement:
     """Longest element of W_J, via w_0 = min_coset_rep(w_0, J) * w_J."""
-    return weyl.min_coset_rep(weyl.longest, J).inverse * weyl.longest
+    w0 = longest(weyl)
+    return weyl.min_coset_rep(w0, J).inverse * w0
 
 
 # --------------------------------------------------------------- reflection order

@@ -3,11 +3,12 @@
     python3 tests/pins.py
 
 Each line of the table is `<sha256> <argv>`: the sha256 of what
-`python3 -m qalcove.cli <argv>` prints on stdout, with the argv split on
-whitespace and passed without a shell.  Blank lines and lines starting with
-`#` are comments.  A pin passes when its command exits 0 within the timeout
-and its stdout has the recorded digest.  Every failing pin is reported with
-both digests, and the script exits 1 if any failed.
+`python3 -W error -m qalcove.cli <argv>` prints on stdout, with the argv
+split on whitespace and passed without a shell, so a warning on a pinned
+path fails the pin.  Blank lines and lines starting with `#` are comments.
+A pin passes when its command exits 0 within the timeout and its stdout has
+the recorded digest.  Every failing pin is reported with both digests, and
+the script exits 1 if any failed.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ def check(pins: list[tuple[str, list[str]]]) -> list[str]:
     for digest, argv in pins:
         command = " ".join(argv)
         try:
-            run = subprocess.run([sys.executable, "-m", "qalcove.cli", *argv], env=env,
+            run = subprocess.run([sys.executable, "-W", "error", "-m", "qalcove.cli", *argv], env=env,
                                  stdout=subprocess.PIPE, timeout=TIMEOUT_S)
         except subprocess.TimeoutExpired:
             failures.append(f"{command}: no exit within {TIMEOUT_S} s")

@@ -1,6 +1,7 @@
 """Reference queries on quantum Bruhat graphs for the tests: plain searches
 over the adjacency lists, `QueryGraph`, the graph on Weyl elements with the
 shortest-path queries that the orbit graph of `quantum_bruhat` is checked
+against, `longest`, the element w_0 that `RootDatum.omega` is checked
 against, and `orbit_edges` and `orbit_reach`, the orbit graph's every edge
 and one BFS over all of them per source with the label gcd of each path,
 which its searches restricted per break denominator are checked against."""
@@ -99,6 +100,20 @@ class QueryGraph(QuantumBruhatGraph):
         if val < 0:
             raise InternalError("shortest-path weight must be nonnegative")
         return val
+
+
+def longest(weyl) -> WeylElement:
+    """w_0, grown by right multiplication with simple ascents."""
+    w = weyl.identity
+    grown = True
+    while grown:
+        grown = False
+        for i, s in enumerate(weyl.simple, 1):
+            if not w.has_right_descent(i):
+                w, grown = w * s, True
+    if w.length != len(weyl.datum.positive_roots):
+        raise InternalError("longest element length != number of positive roots")
+    return w
 
 
 def distances(graph, x):

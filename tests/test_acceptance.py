@@ -23,7 +23,7 @@ from qalcove.crystal import tensor
 from qalcove.qls_model import build_crystal, deg
 from qalcove.quantum_bruhat import build_qbg, orbit_graph
 from inverse_reference import increasing_paths_from, inverse, reflection_ordering
-from qbg_reference import is_strongly_connected, shortest_paths
+from qbg_reference import is_strongly_connected, longest, shortest_paths
 
 A1 = build_root_datum("A", 1)
 A2 = build_root_datum("A", 2)
@@ -65,7 +65,7 @@ def _verdict(number, fallback, func):
 
 
 def _mirror(datum, lam: Weight) -> Weight:
-    return -datum.weyl.longest.act_weight(lam)
+    return -longest(datum.weyl).act_weight(lam)
 
 
 def test_criterion_01_characters_agree():
@@ -197,8 +197,8 @@ def test_criterion_07_quantum_bruhat_properties():
                             )
                             for p in paths
                         }
-                        at = orbit.index
-                        assert vals == {orbit.path_weight(at[x.act_weight(lam)], at[y.act_weight(lam)], 1)}
+                        at = orbit.coords_index
+                        assert vals == {orbit.path_weight(at[x.act_weight(lam).coords], at[y.act_weight(lam).coords], 1)}
             # unique label-increasing path between every pair of elements
             order = reflection_ordering(datum, frozenset(), lex_chain(datum, rho))
             for x in full.vertices:

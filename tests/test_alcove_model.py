@@ -100,7 +100,7 @@ def fold(chain, positions):
         gammas.append(g)
         heights.append(sign * entry.level - c)
         if i in pos_set:
-            shift = w.act_weight(datum.root_as_weight(entry.root))
+            shift = w.act_weight(Weight(datum.root_weights[entry.root]))
             v = v - Weight(tuple(entry.level * x for x in shift.coords))
             w = w * weyl.reflection(entry.root)
     return FoldedChain(tuple(gammas), tuple(heights), w.act_weight(datum.rho), w, v)
@@ -640,14 +640,14 @@ def test_crystal_axioms_small_sweep():
         graph = build_crystal(subsets)  # postconditions run inside
         f_operator, e_operator = _operators(graph)
         index = {a.positions: a for a in subsets}
-        theta_wt = d.root_as_weight(d.theta)
+        theta_wt = Weight(d.root_weights[d.theta])
         for a in subsets:
             for p in range(0, d.rank + 1):
                 phi, epsilon = _string_lengths(a, p)
                 down = f_operator(a, p)
                 if down is not None:
                     assert down.positions in index
-                    step = theta_wt if p == 0 else d.root_as_weight(d.simple_root_index[p - 1])
+                    step = theta_wt if p == 0 else Weight(d.root_weights[d.simple_root_index[p - 1]])
                     if p == 0:
                         assert down.weight == a.weight + step
                     else:

@@ -17,7 +17,7 @@ from qalcove.characters import (
     weyl_character,
 )
 from qalcove.cli import main
-from qalcove.lie_data import InternalError, Weight, build_root_datum
+from qalcove.lie_data import InternalError, Weight, WeylGroup, build_root_datum
 from qalcove.qls_model import deg, qls_path
 from qalcove.quantum_bruhat import OrbitGraph, QuantumBruhatGraph
 
@@ -159,18 +159,15 @@ def test_qls_side_builds_no_graph_on_weyl_elements(capsys, monkeypatch, argv):
 
 @pytest.mark.parametrize("argv", [QLS_SIDE[0], QLS_SIDE[3], QLS_SIDE[5]])
 def test_qls_commands_compose_no_weyl_element(capsys, monkeypatch, argv):
-    # the size guard reads |W| off the root heights, which interns the
-    # identity and the simple reflections; the paths and their printed words
-    # are computed on weights, so no other element is ever made
-    data = []
+    # the size guard reads |W| off the root heights and the dual orbit reads
+    # -w0 off the weights; the paths and their printed words are computed on
+    # weights, so no Weyl group is ever built
+    def refused(self, datum):
+        raise AssertionError("a QLS command must not build a Weyl group")
 
-    def recorded(label, rank):
-        data.append(build_root_datum(label, rank))
-        return data[-1]
-
-    monkeypatch.setattr(cli, "build_root_datum", recorded)
-    code, _, _ = run(capsys, *argv)
-    assert code == 0 and len(data[0].weyl.elements) == data[0].rank + 1
+    monkeypatch.setattr(WeylGroup, "__init__", refused)
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
 
 
 def test_crystal_formats(capsys):

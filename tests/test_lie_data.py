@@ -10,6 +10,7 @@ import pytest
 from qalcove.crystal import shape_packing
 from qalcove.lie_data import InputError, Weight, build_root_datum
 from inverse_reference import parabolic_longest
+from qbg_reference import longest
 
 
 def test_positive_root_counts():
@@ -27,13 +28,13 @@ def test_highest_root_a1():
     d = build_root_datum("A", 1)
     assert d.positive_roots[d.theta] == (1,)
     assert d.rho.coords == (1,)
-    assert d.root_as_weight(d.theta).coords == (2,)
+    assert d.root_weights[d.theta] == (2,)
 
 
 def test_highest_root_pairing_is_two():
     for label, rank in [("A", 2), ("C", 2), ("G", 2), ("B", 3)]:
         d = build_root_datum(label, rank)
-        assert d.pairing_roots(d.theta, d.theta) == 2
+        assert d.pairing_index(d.theta, Weight(d.root_weights[d.theta])) == 2
 
 
 def test_theta_pairing_range():
@@ -42,7 +43,7 @@ def test_theta_pairing_range():
         d = build_root_datum(label, rank)
         for k in range(len(d.positive_roots)):
             if k != d.theta:
-                assert d.pairing_roots(d.theta, k) in (0, 1)
+                assert d.pairing_index(d.theta, Weight(d.root_weights[k])) in (0, 1)
 
 
 def test_cartan_matrices():
@@ -89,7 +90,7 @@ def test_affine_root_is_minus_theta_at_zero_and_simple_elsewhere(label, rank):
     top, sign = d.affine_root(0)
     assert sign == -1
     assert sum(d.positive_roots[top]) == max(sum(r) for r in d.positive_roots)
-    assert d.affine_root_weight(0) == -d.root_as_weight(top)
+    assert d.affine_root_weight(0) == -Weight(d.root_weights[top])
     for j in range(1, rank + 1):
         index, sign = d.affine_root(j)
         assert sign == 1
@@ -184,7 +185,7 @@ ALL_TYPES = (
 def test_root_coords_invert_root_as_weight(label, rank):
     d = build_root_datum(label, rank)
     for k, root in enumerate(d.positive_roots):
-        assert d.weight_in_root_coords(d.root_as_weight(k)) == root
+        assert d.weight_in_root_coords(Weight(d.root_weights[k])) == root
 
 
 THROUGH_RANK_8 = (
@@ -234,11 +235,22 @@ def test_reflection_tables_equal_the_direct_rule(label, rank):
             assert rest == 0
             perm.append(index[tuple(a - twice * b for a, b in zip(alpha, beta))])
         assert weyl.reflection(m).perm == tuple(perm)
-    weyl.longest
+    longest(weyl)
     for el in weyl.elements:
         negated = [k for k, v in enumerate(el.perm) if v < 0]
         assert [k for k in range(len(roots)) if el.mask >> k & 1] == negated
         assert bin(el.mask).count("1") == el.length == len(negated)
+
+
+@pytest.mark.parametrize("label,rank", THROUGH_RANK_8)
+def test_omega_equals_the_permutation_of_the_longest_element(label, rank):
+    # w_0(alpha_i) = -alpha_omega(i), read off the signed permutation of w_0
+    d = build_root_datum(label, rank)
+    w0 = longest(d.weyl)
+    assert all(w0.perm[k] < 0 for k in d.simple_root_index)
+    images = [d.positive_roots[-w0.perm[k] - 1] for k in d.simple_root_index]
+    assert all(sum(root) == 1 for root in images)
+    assert d.omega == tuple(root.index(1) + 1 for root in images)
 
 
 @pytest.mark.parametrize("label,rank", THROUGH_RANK_8)
@@ -274,12 +286,12 @@ def test_bad_inputs():
 def test_weyl_group_a2():
     d = build_root_datum("A", 2)
     w = d.weyl
-    assert len(w) == 6
-    assert w.longest.length == 3
+    assert d.weyl_order == 6
+    assert longest(w).length == 3
     reps = w.coset_reps(frozenset({2}))
     words = [r.reduced_word() for r in reps]
     assert words == [(), (1,), (2, 1)]
-    assert w.omega == (2, 1)
+    assert d.omega == (2, 1)
 
 
 def test_weyl_group_sizes():
@@ -287,8 +299,10 @@ def test_weyl_group_sizes():
         ("C", 2, 8), ("G", 2, 12), ("A", 3, 24), ("B", 3, 48), ("D", 4, 192), ("F", 4, 1152),
         ("E", 6, 51840), ("E", 7, 2903040), ("E", 8, 696729600),
     ]:
-        w = build_root_datum(label, rank).weyl
-        assert len(w) == size
+        d = build_root_datum(label, rank)
+        assert d.weyl_order == size
+        assert "weyl" not in vars(d)  # read off the root heights, with no group built
+        w = d.weyl
         assert len(w.elements) == rank + 1  # the identity and the simple reflections
         if size <= 5040:
             # the root-height formula against an enumeration of the whole group
@@ -309,17 +323,19 @@ def test_coset_reps_match_the_full_group(label, rank):
 def test_omega_involution_and_theta_fixed():
     for label, rank in [("A", 3), ("C", 2), ("B", 2), ("G", 2), ("D", 4)]:
         d = build_root_datum(label, rank)
-        om = d.weyl.omega
+        om = d.omega
         assert tuple(om[i - 1] for i in om) == tuple(range(1, rank + 1))
         # w_0 sends -theta to theta
-        assert d.weyl.longest.perm[d.theta] == -(d.theta + 1)
+        assert longest(d.weyl).perm[d.theta] == -(d.theta + 1)
 
 
 def test_omega_identity_on_c2_b2():
-    assert build_root_datum("C", 2).weyl.omega == (1, 2)
-    assert build_root_datum("B", 2).weyl.omega == (1, 2)
-    assert build_root_datum("A", 3).weyl.omega == (3, 2, 1)
-    assert build_root_datum("D", 4).weyl.omega == (1, 2, 3, 4)
+    assert build_root_datum("C", 2).omega == (1, 2)
+    assert build_root_datum("B", 2).omega == (1, 2)
+    assert build_root_datum("A", 3).omega == (3, 2, 1)
+    assert build_root_datum("D", 4).omega == (1, 2, 3, 4)
+    assert build_root_datum("D", 5).omega == (1, 2, 3, 5, 4)
+    assert build_root_datum("E", 6).omega == (6, 2, 5, 4, 3, 1)
 
 
 def test_elements_are_interned_and_compare_by_identity():
@@ -362,7 +378,7 @@ def test_reduced_words_are_reduced_and_lex_minimal():
             prod = prod * w.simple[i - 1]
         assert prod == el
     # s1 s2 s1 s2 = s2 s1 s2 s1 = longest, lex-min picks the former
-    assert w.longest.reduced_word() == (1, 2, 1, 2)
+    assert longest(w).reduced_word() == (1, 2, 1, 2)
 
 
 def test_min_coset_rep_projection_stable():
@@ -389,7 +405,7 @@ def test_parabolic_longest():
     w = d.weyl
     wj = parabolic_longest(w, frozenset({2}))
     assert wj == w.simple[1]
-    assert parabolic_longest(w, frozenset({1, 2})) == w.longest
+    assert parabolic_longest(w, frozenset({1, 2})) == longest(w)
     assert parabolic_longest(w, frozenset()) == w.identity
 
 
@@ -400,7 +416,7 @@ def test_weight_action():
     mu = a2.fundamental_weight(1)
     assert s1.act_weight(mu) == Weight((-1, 1))
     assert s2.act_weight(mu) == mu
-    assert w.longest.act_weight(a2.rho) == Weight((-1, -1))
+    assert longest(w).act_weight(a2.rho) == Weight((-1, -1))
     # action of the reflection element matches direct reflection
     for k in range(3):
         assert w.reflection(k).act_weight(a2.rho) == a2.reflect(a2.rho, k)
@@ -436,16 +452,7 @@ def bruhat_covers(weyl, w):
 def test_bruhat_covers_a2():
     w = build_root_datum("A", 2).weyl
     assert len(bruhat_covers(w, w.identity)) == 2
-    assert len(bruhat_covers(w, w.longest)) == 0
-
-
-def test_json_dict_shape():
-    d = build_root_datum("C", 2)
-    out = d.to_json_dict()
-    assert out["type"] == "C" and out["rank"] == 2
-    assert out["cartan"] == [[2, -2], [-1, 2]]
-    assert len(out["positive_roots"]) == 4
-    assert out["marks"] == [1, 2, 1] and out["comarks"] == [1, 1, 1]
+    assert len(bruhat_covers(w, longest(w))) == 0
 
 
 def test_root_name():
