@@ -211,8 +211,7 @@ def character_from_qls(datum: RootDatum, lam: Weight) -> GradedCharacter:
     terms = {}
     for key, c in counts.items():
         neg_deg, total = packing.split(key)
-        weight = qls_model._integral_weight(total, L)
-        terms[(weight.coords, -qls_model._whole(-neg_deg, L, "degree"))] = c
+        terms[(qls_model._integral_coords(total, L), -qls_model._whole(-neg_deg, L, "degree"))] = c
     return GradedCharacter(rank, terms)
 
 

@@ -357,6 +357,15 @@ class RootDatum:
         return tuple(out)
 
     @cached_property
+    def simple_perms(self) -> tuple[Vector, ...]:
+        """s_i by node i from 0 as signed perms: s_i beta = beta - wt(beta)[i] alpha_i."""
+        return tuple(
+            tuple(-(k + 1) if k == s else self._root_index[r[:i] + (r[i] - wt[i],) + r[i + 1 :]] + 1
+                  for k, (r, wt) in enumerate(zip(self.positive_roots, self.root_weights)))
+            for i, s in enumerate(self.simple_root_index)
+        )
+
+    @cached_property
     def weyl(self) -> "WeylGroup":
         return WeylGroup(self)
 
@@ -451,10 +460,9 @@ class WeylGroup:
     for all of W (`coset_reps` of the empty set) enumerates it; |W| is
     `RootDatum.weyl_order`, read off the root heights.
 
-    The permutation of every reflection is built at construction, by
-    conjugation: s_i(alpha) = alpha - wt(alpha)[i] alpha_i, and for a
-    non-simple root beta and a node i with wt(beta)[i] > 0, beta' = s_i beta
-    is a lower root and r_beta = s_i r_beta' s_i, two compositions.
+    The permutation of every reflection is built at construction from the
+    datum's `simple_perms`: for a non-simple root beta and a node i with
+    wt(beta)[i] > 0, beta' = s_i beta is lower and r_beta = s_i r_beta' s_i.
     `edge_table` holds N(r_beta) as a bitmask beside the quantum drop, so the
     alcove walk measures l(w r_beta) without composing w r_beta."""
 
@@ -484,17 +492,8 @@ class WeylGroup:
 
     def _reflection_perms(self) -> list[Vector]:
         # roots are sorted by height, so r_beta' is built before r_beta
-        datum, compose = self.datum, self._compose
-        roots = tuple(zip(datum.positive_roots, datum.root_weights))
-        simple = [
-            tuple(
-                -(k + 1) if k == s else datum._root_index[r[:i] + (r[i] - wt[i],) + r[i + 1 :]] + 1
-                for k, (r, wt) in enumerate(roots)
-            )
-            for i, s in enumerate(datum.simple_root_index)
-        ]
-        perms: list[Vector] = []
-        for k, wt in enumerate(datum.root_weights):
+        simple, compose, perms = self.datum.simple_perms, self._compose, []
+        for k, wt in enumerate(self.datum.root_weights):
             s = simple[next(i for i, c in enumerate(wt) if c > 0)]
             perms.append(s if s[k] < 0 else compose(s, compose(perms[s[k] - 1], s)))
         return perms

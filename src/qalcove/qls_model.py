@@ -112,7 +112,7 @@ class QLSPath:
         total, points = [0] * self.datum.rank, self.graph.points
         for a, b, n in zip(self.cuts, self.cuts[1:], self.points):
             total = [t + (b - a) * c for t, c in zip(total, points[n].coords)]
-        return _integral_weight(total, self.L)
+        return Weight(_integral_coords(total, self.L))
 
     def to_json_dict(self) -> dict:
         return {
@@ -202,11 +202,11 @@ def straight_path(datum: RootDatum, lam: Weight, x: WeylElement | None = None) -
     return grid_path(graph, (_vertex(graph, 1, lam if x is None else x.act_weight(lam)),), (0, 1), 1)
 
 
-def _integral_weight(total: list[int], L: int) -> Weight:
-    """The weight total / L, which must be integral."""
-    if any(c % L for c in total):
+def _integral_coords(total: list[int], L: int) -> tuple[int, ...]:
+    """The coordinates of the weight total / L, which must be integral."""
+    if any([c % L for c in total]):
         raise InternalError(f"weight {tuple(Fraction(c, L) for c in total)} is not integral")
-    return Weight(tuple(c // L for c in total))
+    return tuple([c // L for c in total])
 
 
 def _whole(n: int, L: int, what: str) -> int:
@@ -260,7 +260,7 @@ def enumerate_paths(datum: RootDatum, lam: Weight):
     while stack:
         x, start, wt, neg_deg, path, breaks = stack.pop()
         mu = points[x].coords
-        weight = _integral_weight([c + (L - start) * m for c, m in zip(wt, mu)], L)
+        weight = Weight(_integral_coords([c + (L - start) * m for c, m in zip(wt, mu)], L))
         yield path, breaks + (L,), weight, -_whole(-neg_deg, L, "degree")
         for a, v in reversed(cuts):
             if a <= start:

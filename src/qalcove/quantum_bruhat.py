@@ -18,14 +18,16 @@ each element's row `steps`; no command builds the graph on Weyl elements.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import compress
 from math import lcm
-from operator import mul
+from operator import itemgetter
 
+from qalcove.crystal import WeightPacking
 from qalcove.lie_data import (
     UNSEEN,
-    InputError,
     InternalError,
     RootDatum,
     Vector,
@@ -75,13 +77,12 @@ class OrbitGraph:
 
     x -> x(lambda) maps W^J onto the orbit.  The vertices mu = x(lambda) are
     grown from lambda by simple reflections at mu_i > 0, each raising the
-    length by one, so a vertex's length is its depth; beside mu rides
-    nu = x(2rho - 2rho_J), well defined as 2rho - 2rho_J is W_J-invariant.
-    For each root delta (either sign) with p = <delta^vee, mu> > 0, the label
-    alpha = x^-1(delta) has <alpha^vee, lambda> = p, and the edge goes to
-    s_delta(mu): Bruhat when the length rises by one, quantum when it changes
-    by 1 - |<delta^vee, nu>| = 1 - <alpha^vee, 2rho - 2rho_J>, and then its
-    weight pairs with lambda to p.
+    length by one, so a vertex's length is its depth.  For each root delta
+    (either sign) with p = <delta^vee, mu> > 0, the label alpha = x^-1(delta)
+    has <alpha^vee, lambda> = p, and the edge goes to s_delta(mu): Bruhat
+    when the length rises by one, quantum when it changes by
+    1 - |<delta^vee, x(2rho - 2rho_J)>| = 1 - <alpha^vee, 2rho - 2rho_J>, and
+    then its weight pairs with lambda to p.  Both pairings come from `rows`.
 
     A break b = u/v in lowest terms keeps the edges with v | p.  By the
     shortest-path lemma of Lenart-Naito-Sagaki-Schilling-Shimozono (part I,
@@ -93,49 +94,80 @@ class OrbitGraph:
     """
 
     def __init__(self, datum: RootDatum, lam: Weight):
-        if not datum.is_dominant(lam):
-            raise InputError(f"weight {lam.coords} is not dominant")
+        drops = datum.quantum_drops(datum.stabilizer(lam))  # refuses lam if not dominant
+        first = [datum.pairing(c, lam) for c in datum.positive_coroots]
         # the pairings <alpha^vee, lambda> > 0 of the labels, the roots outside Phi_J
-        self.pairings = tuple(sorted({p for c in datum.positive_coroots if (p := datum.pairing(c, lam))}))
+        self.pairings = tuple(sorted(set(first) - {0}))
         # every break of a path of shape lambda is a multiple of 1/L
         self.L = lcm(*self.pairings)
-        simple = [datum.root_weights[k] for k in datum.simple_root_index]
-        points, lengths = [lam.coords], [0]
-        carried = [datum.two_rho_minus_two_rho_J(datum.stabilizer(lam)).coords]
-        index = {lam.coords: 0}
+        self._first = first + [drops.get(k, 0) for k in range(len(first))]  # row 0
+        # a point is found by its packed key: the largest pairing bounds every
+        # coordinate, and s_beta moves the key by <beta^vee, mu> keys of beta
+        packing = WeightPacking(datum, max(self.pairings, default=0))
+        self._steps = steps = [packing.linear(wt) for wt in datum.root_weights]
+        simple = datum.affine_root_weights[1:]
+        points, keys, lengths, grown = [lam.coords], [packing.linear(lam.coords)], [0], []
+        index = {keys[0]: 0}
         for n, mu in enumerate(points):  # points grows as the search finds vertices
             for i, c in enumerate(mu):
-                if c > 0 and (image := tuple(m - c * a for m, a in zip(mu, simple[i]))) not in index:
-                    index[image] = len(points)
-                    points.append(image)
-                    carried.append(tuple(m - carried[n][i] * a for m, a in zip(carried[n], simple[i])))
+                if c > 0 and (key := keys[n] - c * steps[datum.simple_root_index[i]]) not in index:
+                    index[key] = len(points)
+                    points.append(tuple(m - c * a for m, a in zip(mu, simple[i])))
+                    keys.append(key)
+                    grown.append((n, i))  # the new point is s_i of point n
                     lengths.append(lengths[n] + 1)
         self.datum, self.lam = datum, lam
         self.points = tuple(Weight(mu) for mu in points)
         self.lengths = tuple(lengths)
-        # coords_index, the one vertex index, numbers the points by their coordinates
-        self.coords_index, self._carried = index, carried
-        self._roots = tuple(zip(datum.positive_coroots, datum.root_weights))
-        # the edges and searches per break denominator, and the label tables,
-        # filled on first use
+        self._keys, self._index, self._grown = keys, index, grown
+        # the edges, kept pairings and searches per break denominator, and the
+        # label tables, filled on first use
         self._edges: dict[int, list] = {}
+        self._kept: dict[int, set[int]] = {}
         self._searches: dict[tuple[int, int], dict[int, int]] = {}
         self._pairings: dict[int, list[int]] = {}
         self._reflections: dict[int, list[int]] = {}
 
+    @cached_property
+    def coords_index(self) -> dict[Vector, int]:
+        """The vertex of each point's coordinates."""
+        return {mu.coords: n for n, mu in enumerate(self.points)}
+
+    @cached_property
+    def rows(self) -> list:
+        """Per vertex, <beta^vee, mu> then <beta^vee, x(2rho - 2rho_J)> over
+        the positive roots beta.  As <beta^vee, s_i mu> = <s_i beta^vee, mu>,
+        a child's row is its parent's through `RootDatum.simple_perms[i]`, so
+        the narrowest array type holding row 0 holds all (a list past 64 bits)."""
+        first, half, bound = self._first, len(self._first) // 2, max(map(abs, self._first))
+        code = next((c for c in "bhiq" if bound < 1 << 8 * array(c).itemsize - 1), None)
+        new = partial(array, code) if code else list
+        moves = [(itemgetter(*[abs(v) - 1 + h for h in (0, half) for v in perm]),
+                  [k + h for h in (0, half) for k, v in enumerate(perm) if v < 0]) for perm in self.datum.simple_perms]
+        rows = [new(first)]
+        for parent, i in self._grown:
+            get, flips = moves[i]
+            rows.append(row := new(get(rows[parent])))
+            for k in flips:
+                row[k] = -row[k]
+        return rows
+
     def _out(self, n: int, v: int) -> tuple[tuple[int, int], ...]:
         """The edges leaving vertex n whose pairing v divides, as (target,
         weight) pairs; at v >= 2 no edge with p = 1 is built."""
-        mu, nu, length, out = self.points[n].coords, self._carried[n], self.lengths[n], []
-        for coroot, root in self._roots:
-            c = sum(map(mul, coroot, mu))
-            if c and c % v == 0:
-                target = self.coords_index[tuple([m - c * a for m, a in zip(mu, root)])]
-                gain = self.lengths[target] - length - 1
-                if gain == 0:
-                    out.append((target, 0))
-                elif gain == -abs(sum(map(mul, coroot, nu))):
-                    out.append((target, abs(c)))
+        row, key, length, out = self.rows[n], self._keys[n], self.lengths[n], []
+        half, steps, index, lengths = len(row) // 2, self._steps, self._index, self.lengths
+        kept = self._kept.get(v)
+        if kept is None:  # every row's pairings are row 0's up to sign
+            kept = self._kept[v] = {s * p for p in self._first[:half] if p and p % v == 0 for s in (1, -1)}
+        for k in compress(range(half), map(kept.__contains__, row)):
+            c = row[k]
+            target = index[key - c * steps[k]]
+            gain = lengths[target] - length - 1
+            if gain == 0:
+                out.append((target, 0))
+            elif gain == -abs(row[k + half]):
+                out.append((target, abs(c)))
         return tuple(out)
 
     def search(self, source: int, v: int) -> dict[int, int]:
@@ -197,10 +229,9 @@ class OrbitGraph:
         table = self._reflections.get(j)
         if table is None:
             root, sign = self.datum.affine_root(j)
-            alpha = self.datum.root_weights[root]
+            step = sign * self._steps[root]
             table = self._reflections[j] = [
-                self.coords_index[tuple(m - sign * c * a for m, a in zip(mu.coords, alpha))] if c else n
-                for n, (mu, c) in enumerate(zip(self.points, self.affine_pairings(j)))
+                self._index[key - c * step] if c else n for n, (key, c) in enumerate(zip(self._keys, self.affine_pairings(j)))
             ]
         return table
 
@@ -213,8 +244,9 @@ class OrbitGraph:
     @cached_property
     def negated(self) -> tuple[int, ...]:
         """The index of -mu_n in the graph of -w0(lambda), by vertex n."""
-        index = self.dual.coords_index
-        return tuple(index[tuple(-m for m in mu.coords)] for mu in self.points)
+        # the dual graph packs with the same bound, and packing is linear
+        index = self.dual._index
+        return tuple(index[-key] for key in self._keys)
 
     @cached_property
     def omega_images(self) -> tuple[int, ...]:

@@ -2,9 +2,10 @@
 over the adjacency lists, `QueryGraph`, the graph on Weyl elements with the
 shortest-path queries that the orbit graph of `quantum_bruhat` is checked
 against, `longest`, the element w_0 that `RootDatum.omega` is checked
-against, and `orbit_edges` and `orbit_reach`, the orbit graph's every edge
-and one BFS over all of them per source with the label gcd of each path,
-which its searches restricted per break denominator are checked against."""
+against, and `carried`, `orbit_edges` and `orbit_reach`, the orbit graph's
+x(2rho - 2rho_J) at a vertex, its every edge by dot products, and one BFS
+over all of them per source with the label gcd of each path, which its
+searches restricted per break denominator are checked against."""
 
 from collections import deque
 from fractions import Fraction
@@ -157,14 +158,31 @@ def shortest_paths(graph, x, y):
     return out
 
 
+def carried(graph: OrbitGraph, n: int) -> tuple[int, ...]:
+    """nu = x(2rho - 2rho_J) for the vertex mu = x(lambda), x in W^J: s_i at
+    a negative coordinate i lowers the length by one until mu is lambda, so
+    the nodes read x^-1 as a reduced word, which applied backwards to
+    2rho - 2rho_J gives nu."""
+    d, mu, word = graph.datum, graph.points[n], []
+    while (i := next((i for i, c in enumerate(mu.coords) if c < 0), None)) is not None:
+        mu = d.reflect(mu, d.simple_root_index[i])
+        word.append(i)
+    if mu != graph.lam or len(word) != graph.lengths[n]:
+        raise InternalError(f"vertex {n} is not reached from lambda by a reduced word")
+    nu = d.two_rho_minus_two_rho_J(d.stabilizer(graph.lam))
+    for i in reversed(word):
+        nu = d.reflect(nu, d.simple_root_index[i])
+    return nu.coords
+
+
 def orbit_edges(graph: OrbitGraph, n: int) -> tuple:
     """Every edge leaving vertex n of the orbit graph, whatever its pairing,
     as (target, kind, p, weight): for each root delta (either sign) with
     p = <delta^vee, mu> > 0, the edge to s_delta(mu) when the length rises
     by one (Bruhat, weight 0) or changes by 1 - |<delta^vee, nu>| (quantum,
-    weight p), nu the point carried beside mu."""
-    mu, nu, length, out = graph.points[n].coords, graph._carried[n], graph.lengths[n], []
-    for coroot, root in graph._roots:
+    weight p), nu = `carried(graph, n)`; every pairing is a dot product."""
+    d, mu, nu, length, out = graph.datum, graph.points[n].coords, carried(graph, n), graph.lengths[n], []
+    for coroot, root in zip(d.positive_coroots, d.root_weights):
         if c := sum(map(mul, coroot, mu)):
             target = graph.coords_index[tuple(m - c * a for m, a in zip(mu, root))]
             gain, p = graph.lengths[target] - length - 1, abs(c)

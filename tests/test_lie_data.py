@@ -243,6 +243,18 @@ def test_reflection_tables_equal_the_direct_rule(label, rank):
 
 
 @pytest.mark.parametrize("label,rank", THROUGH_RANK_8)
+def test_the_simple_table_is_the_simple_reflections(label, rank):
+    # the datum reads s_i off its roots without a group; the group's simple
+    # reflections, built from the table, are checked against the Gram rule
+    # by test_reflection_tables_equal_the_direct_rule
+    d = build_root_datum(label, rank)
+    table = d.simple_perms
+    assert "weyl" not in vars(d)
+    assert len(table) == rank
+    assert table == tuple(s.perm for s in d.weyl.simple)
+
+
+@pytest.mark.parametrize("label,rank", THROUGH_RANK_8)
 def test_omega_equals_the_permutation_of_the_longest_element(label, rank):
     # w_0(alpha_i) = -alpha_omega(i), read off the signed permutation of w_0
     d = build_root_datum(label, rank)

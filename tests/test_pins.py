@@ -69,3 +69,14 @@ def test_check_names_a_pin_that_exits_nonzero(capsys):
     failures = pins.check(pins.read_pins(table))
     assert len(failures) == 1
     assert failures[0].startswith(" ".join(bad) + ": exit 2")
+
+
+def test_check_reports_the_wall_time_of_every_pin(capsys):
+    # a passing and a failing pin are both timed, in table order
+    digest = _digest(capsys, CHAIN)
+    table = f"{digest} {' '.join(CHAIN)}\n{'0' * 64} {' '.join(CHAIN)} --node-order 1\n"
+    timings = []
+    failures = pins.check(pins.read_pins(table), lambda seconds, command: timings.append((seconds, command)))
+    assert len(failures) == 1
+    assert [command for _, command in timings] == [" ".join(CHAIN), " ".join(CHAIN) + " --node-order 1"]
+    assert all(0 < seconds < pins.TIMEOUT_S for seconds, _ in timings)

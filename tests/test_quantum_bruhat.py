@@ -2,6 +2,7 @@
 
 from collections import Counter
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -23,6 +24,7 @@ from qalcove.quantum_bruhat import (
 from inverse_reference import increasing_paths_from, reflection_ordering, tilted_minimum
 from qbg_reference import (
     QueryGraph,
+    carried,
     distance,
     is_strongly_connected,
     longest,
@@ -409,6 +411,34 @@ def test_orbit_graph_is_the_weyl_graph_read_on_the_orbit(label, rank, coords):
             for e in g.adjacency[x]
         )
         assert mapped == Counter((orbit.points[t], kind, p, w) for t, kind, p, w in orbit_edges(orbit, n))
+
+
+@pytest.mark.parametrize(
+    "label,rank,coords,code",
+    [
+        ("G", 2, (1, 1), "b"),
+        ("F", 4, (0, 1, 0, 0), "b"),
+        ("C", 4, (1, 0, 0, 1), "b"),
+        ("D", 5, (1, 0, 0, 1, 1), "b"),
+        ("E", 8, (0, 0, 0, 0, 0, 0, 0, 1), "b"),
+        ("A", 2, (200, 1), "h"),  # <theta^vee, lambda> = 201
+        ("A", 1, (2**70,), None),  # past 64 bits: a list
+    ],
+)
+def test_permuted_rows_equal_the_dot_products(label, rank, coords, code):
+    # each row is grown from its parent's by a signed permutation; here every
+    # entry is a dot product, nu read off a reduced word of the vertex
+    d = build_root_datum(label, rank)
+    graph = OrbitGraph(d, Weight(coords))
+    rows = graph.rows
+    assert len(rows) == len(graph.points)
+    for n, mu in enumerate(graph.points):
+        nu = carried(graph, n)
+        assert list(rows[n]) == [sum(map(mul, c, mu.coords)) for c in d.positive_coroots] + [
+            sum(map(mul, c, nu)) for c in d.positive_coroots
+        ]
+        assert getattr(rows[n], "typecode", None) == code
+    assert graph.pairings == tuple(sorted(set(rows[0][: len(d.positive_coroots)]) - {0}))
 
 
 def _denominators(graph):
