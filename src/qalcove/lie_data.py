@@ -359,11 +359,12 @@ class RootDatum:
     @cached_property
     def simple_perms(self) -> tuple[Vector, ...]:
         """s_i by node i from 0 as signed perms: s_i beta = beta - wt(beta)[i] alpha_i."""
-        return tuple(
-            tuple(-(k + 1) if k == s else self._root_index[r[:i] + (r[i] - wt[i],) + r[i + 1 :]] + 1
-                  for k, (r, wt) in enumerate(zip(self.positive_roots, self.root_weights)))
+        roots, index = tuple(zip(self.positive_roots, self.root_weights)), self._root_index
+        return tuple([
+            tuple([-(k + 1) if k == s else index[r[:i] + (r[i] - wt[i],) + r[i + 1 :]] + 1
+                   for k, (r, wt) in enumerate(roots)])
             for i, s in enumerate(self.simple_root_index)
-        )
+        ])
 
     @cached_property
     def weyl(self) -> "WeylGroup":

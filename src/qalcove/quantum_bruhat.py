@@ -82,7 +82,7 @@ class OrbitGraph:
     has <alpha^vee, lambda> = p, and the edge goes to s_delta(mu): Bruhat
     when the length rises by one, quantum when it changes by
     1 - |<delta^vee, x(2rho - 2rho_J)>| = 1 - <alpha^vee, 2rho - 2rho_J>, and
-    then its weight pairs with lambda to p.  Both pairings come from `rows`.
+    then its weight pairs with lambda to p.  Both pairings come from `row`.
 
     A break b = u/v in lowest terms keeps the edges with v | p.  By the
     shortest-path lemma of Lenart-Naito-Sagaki-Schilling-Shimozono (part I,
@@ -100,7 +100,7 @@ class OrbitGraph:
         self.pairings = tuple(sorted(set(first) - {0}))
         # every break of a path of shape lambda is a multiple of 1/L
         self.L = lcm(*self.pairings)
-        self._first = first + [drops.get(k, 0) for k in range(len(first))]  # row 0
+        self._first = first + [drops.get(k, 0) for k in range(len(first))]  # row(0)
         # a point is found by its packed key: the largest pairing bounds every
         # coordinate, and s_beta moves the key by <beta^vee, mu> keys of beta
         packing = WeightPacking(datum, max(self.pairings, default=0))
@@ -134,28 +134,36 @@ class OrbitGraph:
         return {mu.coords: n for n, mu in enumerate(self.points)}
 
     @cached_property
-    def rows(self) -> list:
-        """Per vertex, <beta^vee, mu> then <beta^vee, x(2rho - 2rho_J)> over
-        the positive roots beta.  As <beta^vee, s_i mu> = <s_i beta^vee, mu>,
-        a child's row is its parent's through `RootDatum.simple_perms[i]`, so
-        the narrowest array type holding row 0 holds all (a list past 64 bits)."""
+    def _rows(self) -> tuple:
+        """The rows built so far (row 0 at first), the narrowest array type
+        that holds row 0, and per node i the signed permutation of s_i on a
+        row as (getter, entries to negate)."""
         first, half, bound = self._first, len(self._first) // 2, max(map(abs, self._first))
         code = next((c for c in "bhiq" if bound < 1 << 8 * array(c).itemsize - 1), None)
         new = partial(array, code) if code else list
         moves = [(itemgetter(*[abs(v) - 1 + h for h in (0, half) for v in perm]),
                   [k + h for h in (0, half) for k, v in enumerate(perm) if v < 0]) for perm in self.datum.simple_perms]
-        rows = [new(first)]
-        for parent, i in self._grown:
+        return [new(first)] + [None] * (len(self.points) - 1), new, moves
+
+    def row(self, n: int):
+        """<beta^vee, mu_n> then <beta^vee, x(2rho - 2rho_J)> over the positive
+        roots beta, built on first use after its unbuilt ancestors'.  As
+        <beta^vee, s_i mu> = <s_i beta^vee, mu>, a child's row is its parent's
+        through `RootDatum.simple_perms[i]`, so every row is a signed
+        permutation of row 0 and fits its array type (a list past 64 bits)."""
+        rows, new, moves = self._rows
+        if rows[n] is None:  # recurses at most lengths[n] deep, to a built row
+            parent, i = self._grown[n - 1]
             get, flips = moves[i]
-            rows.append(row := new(get(rows[parent])))
+            rows[n] = row = new(get(self.row(parent)))
             for k in flips:
                 row[k] = -row[k]
-        return rows
+        return rows[n]
 
     def _out(self, n: int, v: int) -> tuple[tuple[int, int], ...]:
         """The edges leaving vertex n whose pairing v divides, as (target,
         weight) pairs; at v >= 2 no edge with p = 1 is built."""
-        row, key, length, out = self.rows[n], self._keys[n], self.lengths[n], []
+        row, key, length, out = self.row(n), self._keys[n], self.lengths[n], []
         half, steps, index, lengths = len(row) // 2, self._steps, self._index, self.lengths
         kept = self._kept.get(v)
         if kept is None:  # every row's pairings are row 0's up to sign

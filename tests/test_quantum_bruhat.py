@@ -430,8 +430,9 @@ def test_permuted_rows_equal_the_dot_products(label, rank, coords, code):
     # entry is a dot product, nu read off a reduced word of the vertex
     d = build_root_datum(label, rank)
     graph = OrbitGraph(d, Weight(coords))
-    rows = graph.rows
-    assert len(rows) == len(graph.points)
+    # from the last point down, so each row is built with its ancestors'
+    rows = [graph.row(n) for n in reversed(range(len(graph.points)))][::-1]
+    assert graph._rows[0] == rows
     for n, mu in enumerate(graph.points):
         nu = carried(graph, n)
         assert list(rows[n]) == [sum(map(mul, c, mu.coords)) for c in d.positive_coroots] + [
@@ -439,6 +440,24 @@ def test_permuted_rows_equal_the_dot_products(label, rank, coords, code):
         ]
         assert getattr(rows[n], "typecode", None) == code
     assert graph.pairings == tuple(sorted(set(rows[0][: len(d.positive_coroots)]) - {0}))
+
+
+@pytest.mark.parametrize(
+    "label,rank,coords", [("D", 4, (1, 1, 1, 1)), ("F", 4, (0, 1, 0, 0)), ("E", 7, (1, 0, 0, 0, 0, 0, 0))]
+)
+def test_a_search_builds_only_the_rows_of_its_vertices_and_their_ancestors(label, rank, coords):
+    # a row is grown from its parent's, so a search that reaches few vertices
+    # builds no row outside their chains back to lambda
+    graph = OrbitGraph(build_root_datum(label, rank), Weight(coords))
+    reached = set(graph.search(len(graph.points) - 1, max(graph.pairings)))
+    chains = set()
+    for n in reached:
+        while n not in chains:
+            chains.add(n)
+            n = graph._grown[n - 1][0] if n else 0
+    built = {n for n, row in enumerate(graph._rows[0]) if row is not None}
+    assert built == chains
+    assert len(built) < len(graph.points)
 
 
 def _denominators(graph):
