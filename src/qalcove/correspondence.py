@@ -23,7 +23,7 @@ from .alcove_model import AdmissibleSubset, LambdaChain, lex_chain, require_lex
 from .crystal import CrystalGraph, tensor
 from .lie_data import InputError, InternalError, RootDatum, Weight, WeylElement
 from .qls_model import QLSPath, grid_path
-from .quantum_bruhat import orbit_graph
+from .quantum_bruhat import OrbitGraph, orbit_graph
 
 
 class IsomorphismMismatch(InternalError):
@@ -82,7 +82,7 @@ def forgetful(A: AdmissibleSubset) -> CorrespondenceRecord:
         pi_star = grid_path(graph, points[::-1], star_breaks, L)
     except InputError as exc:
         raise InternalError(f"forgetful image failed validation: {exc}") from exc
-    if pi_star != qls_model.dual(pi):
+    if (pi_star.graph, pi_star.points, pi_star.cuts) != qls_model.dual_indices(pi):
         raise InternalError("the two path images are not dual to each other")
     if pi_star.weight != A.weight:
         raise InternalError("forgetful map changed the weight")
@@ -152,6 +152,25 @@ def verify_intertwining(
     }
 
 
+def graph_distances(graph: OrbitGraph, records: dict) -> dict[tuple[int, int], int]:
+    """`graph.path_weight(prev, nxt, 1)` for each pair (prev, nxt) of
+    consecutive points of a record's reversed pi_star, by one unkept search
+    per prev, so only the weights the records read are kept."""
+    wanted: dict[int, set[int]] = {}
+    for rec in records.values():
+        sigmas = rec.pi_star.points[::-1]
+        for prev, nxt in zip(sigmas, sigmas[1:]):
+            wanted.setdefault(prev, set()).add(nxt)
+    weights = {}
+    for prev, targets in wanted.items():
+        reached = graph.search(prev, 1)
+        for nxt in targets:
+            if nxt not in reached:
+                raise InternalError(f"vertex {nxt} is not reachable from vertex {prev} at denominator 1")
+            weights[prev, nxt] = reached[nxt]
+    return weights
+
+
 def verify_energy(
     datum: RootDatum, lam: Weight, chain: LambdaChain | None = None, records: dict | None = None
 ) -> dict:
@@ -159,23 +178,24 @@ def verify_energy(
 
     height(A) must equal the break-weighted sum of graph distances along the
     path image, minus the degree of that image, and minus the degree of the
-    reversed dual image.  records is the forgetful table of the chain (built
-    here when None).  The graph distances are read off the unrestricted
-    graph and `qls_model.deg` off the searches restricted at each break, so
-    only deg rests on the shortest-path lemma.
+    reversed dual image S(pi_star), which must be omega(pi).  records is the
+    forgetful table of the chain (built here when None).  The graph
+    distances are read off the unrestricted graph and `qls_model.deg` off
+    the searches restricted at each break, so only deg rests on the
+    shortest-path lemma.
     """
     if records is None:
         records = forgetful_table(chain if chain is not None else lex_chain(datum, lam))
-    graph = orbit_graph(datum, lam)
+    distances = graph_distances(orbit_graph(datum, lam), records)
     violations: list[dict] = []
     for rec in records.values():
         A = rec.subset
         sigmas, L = rec.pi_star.points[::-1], rec.pi.L
-        total = sum(
-            (L - c) * graph.path_weight(prev, nxt, 1)
-            for prev, nxt, c in zip(sigmas, sigmas[1:], rec.pi.cuts[1:])
-        )
-        reversed_dual = qls_model.lusztig_S(rec.pi_star)
+        total = sum((L - c) * distances[pair] for pair, c in zip(zip(sigmas, sigmas[1:]), rec.pi.cuts[1:]))
+        try:
+            reversed_dual = qls_model.lusztig_S(rec.pi_star)
+        except InputError as exc:
+            raise InternalError(f"Lusztig involution image failed validation: {exc}") from exc
         values = {
             "height": A.height,
             # printed as the fraction it is when L does not divide it
@@ -183,7 +203,7 @@ def verify_energy(
             "deg_pi": -qls_model.deg(rec.pi),
             "deg_reversed_dual": -qls_model.deg(reversed_dual),
         }
-        if reversed_dual != qls_model.omega(rec.pi):
+        if (reversed_dual.graph, reversed_dual.points, reversed_dual.cuts) != qls_model.omega_indices(rec.pi):
             violations.append({"positions": list(A.positions), "kind": "reversal"})
         if len(set(values.values())) != 1:
             violations.append(

@@ -186,7 +186,9 @@ class RootDatum:
         return self._root_index.get(tuple(coords))
 
     @cached_property
-    def _cartan_inverse(self) -> tuple[tuple[Fraction, ...], ...]:
+    def cartan_inverse(self) -> tuple[tuple[Vector, ...], int]:
+        """The inverse Cartan matrix as (M, d): an integer matrix M and the
+        least common denominator d of the inverse, which is M / d."""
         n = self.rank
         m = [[Fraction(self.cartan[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
         for col in range(n):
@@ -198,14 +200,16 @@ class RootDatum:
                 if r != col and m[r][col] != 0:
                     f = m[r][col]
                     m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-        return tuple(tuple(row[n:]) for row in m)
+        d = math.lcm(*(x.denominator for row in m for x in row[n:]))
+        return tuple(tuple(int(x * d) for x in row[n:]) for row in m), d
 
-    def weight_in_root_coords(self, weight: Weight) -> tuple[Fraction, ...]:
-        inv = self._cartan_inverse
-        return tuple(
-            sum(inv[i][j] * weight.coords[j] for j in range(self.rank))
-            for i in range(self.rank)
-        )
+    def weight_in_root_coords(self, weight: Weight, scaled: bool = False) -> tuple:
+        """The coordinates of weight in the simple roots, as fractions, or
+        with scaled as the integers d times them, d the denominator of
+        `cartan_inverse`."""
+        inv, d = self.cartan_inverse
+        coords = tuple(sum(map(mul, row, weight.coords)) for row in inv)
+        return coords if scaled else tuple(Fraction(c, d) for c in coords)
 
     # ----------------------------------------------------------------- reflections
 

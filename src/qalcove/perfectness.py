@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import lcm
 
 from . import qls_model
 from .crystal import CrystalGraph, tensor
@@ -106,11 +105,10 @@ def check_perfect(datum: RootDatum, node: int, level: int) -> PerfectnessReport:
     square_connected = tensor(graph, graph).is_connected()
 
     key_counts = Counter(graph.keys)
-    # the root coordinates of each distinct weight, solved for once and
-    # scaled into integers by the lcm of their denominators
-    fractions = {k: datum.weight_in_root_coords(graph.packing.unpack(k)) for k in key_counts}
-    scale = lcm(*(c.denominator for coords in fractions.values() for c in coords))
-    roots = {k: tuple(int(c * scale) for c in coords) for k, coords in fractions.items()}
+    # the root coordinates of each distinct weight, solved for once, as
+    # integers times the denominator of the inverse Cartan matrix
+    scale = datum.cartan_inverse[1]
+    roots = {k: datum.weight_in_root_coords(graph.packing.unpack(k), scaled=True) for k in key_counts}
     # a weight above every other one exceeds each by a nonzero sum of simple
     # roots, so it alone has the greatest height: one candidate decides
     top = max(roots, key=lambda k: sum(roots[k]))

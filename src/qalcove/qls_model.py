@@ -26,12 +26,12 @@ images are checked by lookup in that set.
 
 from __future__ import annotations
 
-import bisect
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate, groupby
 from math import gcd, lcm
+from operator import mul, sub
 
 from .lie_data import (
     InputError,
@@ -273,100 +273,85 @@ def enumerate_paths(datum: RootDatum, lam: Weight):
 # ----------------------------------------------------------------- operators
 
 
-def _h_breaks(eta: QLSPath, j: int) -> list[int]:
-    """L times the values of <alpha_tilde_j^vee, eta(t)> at the break points:
-    a running sum over the orbit graph's pairing table."""
-    pairings, cuts = eta.graph.affine_pairings(j), eta.cuts
-    vals = [0]
-    for k, n in enumerate(eta.points):
-        vals.append(vals[-1] + (cuts[k + 1] - cuts[k]) * pairings[n])
-    return vals
+def _h_breaks(pairings: list[int], points: tuple[int, ...], cuts: tuple[int, ...]) -> list[int]:
+    """L times the values of <alpha_tilde_j^vee, eta(t)> at the breaks of
+    (points, cuts): a running sum over `OrbitGraph.affine_pairings(j)`."""
+    return list(accumulate(map(mul, map(sub, cuts[1:], cuts), map(pairings.__getitem__, points)), initial=0))
 
 
 def _checked_minimum(vals: list[int], L: int) -> int:
     """The global minimum of H, after asserting every local minimum is
     integral: vals are L times H, so L must divide them."""
-    runs = [v for v, _ in itertools.groupby(vals)]
-    for i, v in enumerate(runs):
-        left_up = i == 0 or runs[i - 1] > v
-        right_up = i == len(runs) - 1 or runs[i + 1] > v
-        if left_up and right_up and v % L:
-            raise InternalError(f"local minimum {Fraction(v, L)} of H is not an integer")
+    if any(map(L.__rmod__, vals)):  # else every local minimum is integral
+        runs = [v for v, _ in groupby(vals)]
+        for i, v in enumerate(runs):
+            left_up = i == 0 or runs[i - 1] > v
+            right_up = i == len(runs) - 1 or runs[i + 1] > v
+            if left_up and right_up and v % L:
+                raise InternalError(f"local minimum {Fraction(v, L)} of H is not an integer")
     m = min(vals)
     if m % L or m > 0:
         raise InternalError(f"minimum {Fraction(m, L)} of H must be a nonpositive integer")
     return m // L
 
 
-def _reach(vals, cuts, target, i: int, step: int) -> int:
-    """The cut nearest cuts[i], scanning from it by step (+1 forwards, -1
-    backwards), where H * L == target; H is linear between breaks, and a
-    level it crosses between them must be crossed on the grid of 1/L."""
-    while 0 <= i < len(vals):
-        if vals[i] == target:
-            return cuts[i]
-        k = i + step
-        if 0 <= k < len(vals) and min(vals[i], vals[k]) < target < max(vals[i], vals[k]):
-            t, off = divmod((target - vals[i]) * (cuts[k] - cuts[i]), vals[k] - vals[i])
-            if off:
-                raise InternalError("H crosses the requested level between two points of the grid")
-            return cuts[i] + t
-        i = k
-    raise InternalError("H never attains the requested level")
+def _window(points: tuple[int, ...], cuts: tuple[int, ...], vals: list[int], m: int, L: int,
+            reflected: list[int], raising: bool):
+    """Littelmann's window rule for e_j (raising) or f_j on the path (points,
+    cuts): the image's (points, cuts), or None when the operator is undefined.
 
-
-def _window(eta: QLSPath, j: int, vals: list[int], m: int, raising: bool):
-    """Littelmann's window rule for e_j (raising) or f_j: the image's
-    (points, cuts), its points as orbit-graph indices, or None when the
-    operator is undefined.
-
-    vals are L times H_j = <alpha_tilde_j^vee, eta(t)> at the breaks and m
-    the checked minimum of H_j.  Scan from the first place H_j = m backwards
-    (e_j) or from the last one forwards (f_j) to the nearest place where
-    H_j = m + 1; the image reflects the window between them by s_j, read
-    off the orbit graph's reflection table, and equal neighbouring points
-    merge.  The operator is undefined when H_j stays below m + 1 all the
-    way to t = 0 (e_j) or t = 1 (f_j).
+    vals are L times H_j = <alpha_tilde_j^vee, eta(t)> at the breaks, m the
+    checked minimum of H_j and reflected `OrbitGraph.affine_reflections(j)`.
+    Scan from the first place H_j = m backwards (e_j) or from the last one
+    forwards (f_j) to the nearest place where H_j = m + 1; the image
+    reflects the window between them by s_j, and equal neighbouring points
+    merge.  The operator is undefined when H_j stays below m + 1 all the way
+    to t = 0 (e_j) or t = 1 (f_j).
     """
-    low, high = m * eta.L, (m + 1) * eta.L
+    # the window spans the segments a..b-1; where H_j crosses m + 1 inside
+    # segment a (e_j) or b-1 (f_j), that segment is cut on the grid of 1/L
+    low, high = m * L, m * L + L
     if (vals[0] if raising else vals[-1]) < high:
         return None
-    minima = [k for k, v in enumerate(vals) if v == low]
-    anchor, step = (minima[0], -1) if raising else (minima[-1], 1)
-    dirs, breaks = eta.points, eta.cuts
-    t0, t1 = sorted((breaks[anchor], _reach(vals, breaks, high, anchor, step)))
-    reflected = eta.graph.affine_reflections(j)
-    # segment i0 holds t0 and segment i1 - 1 holds t1
-    i0 = bisect.bisect_right(breaks, t0) - 1
-    i1 = bisect.bisect_left(breaks, t1)
-    pieces = [(dirs[k], breaks[k + 1]) for k in range(i0)]
-    if breaks[i0] < t0:
-        pieces.append((dirs[i0], t0))
-    pieces += [(reflected[dirs[k]], breaks[k + 1]) for k in range(i0, i1 - 1)]
-    pieces.append((reflected[dirs[i1 - 1]], t1))
-    if t1 < breaks[i1]:
-        pieces.append((dirs[i1 - 1], breaks[i1]))
-    pieces += [(dirs[k], breaks[k + 1]) for k in range(i1, len(dirs))]
-    points: list[int] = []
-    cuts = [breaks[0]]
-    for d, end in pieces:
-        if points and points[-1] == d:
-            cuts[-1] = end
-        else:
-            points.append(d)
-            cuts.append(end)
-    return tuple(points), tuple(cuts)
+    if raising:
+        b = vals.index(low)
+        a = b - 1
+        while vals[a] < high:
+            a -= 1
+        k = a if vals[a] > high else -1  # the segment cut at the level
+    else:
+        a = len(vals) - 1 - vals[::-1].index(low)
+        b = a + 1
+        while vals[b] < high:
+            b += 1
+        k = b - 1 if vals[b] > high else -1
+    pts = list(points[:a]) + [reflected[n] for n in points[a:b]] + list(points[b:])
+    start, end, image_cuts = a, b, list(cuts)
+    if k >= 0:
+        t, off = divmod((high - vals[k]) * (cuts[k + 1] - cuts[k]), vals[k + 1] - vals[k])
+        if off:
+            raise InternalError("H crosses the requested level between two points of the grid")
+        image_cuts.insert(k + 1, cuts[k] + t)
+        # segment k keeps its point on the side of the cut outside the window
+        pts.insert(a if raising else b, points[k])
+        start, end = (a + 1, b + 1) if raising else (a, b)
+    if end < len(pts) and pts[end - 1] == pts[end]:
+        del pts[end], image_cuts[end]
+    if start > 0 and pts[start - 1] == pts[start]:
+        del pts[start], image_cuts[start]
+    return tuple(pts), tuple(image_cuts)
 
 
 def _root_operator(eta: QLSPath, j: int, raising: bool) -> QLSPath | None:
     """Littelmann's root operator e_j (raising) or f_j on any path, or None
     when undefined; the image is validated from scratch."""
-    vals = _h_breaks(eta, j)
-    image = _window(eta, j, vals, _checked_minimum(vals, eta.L), raising)
+    graph, L = eta.graph, eta.L
+    vals = _h_breaks(graph.affine_pairings(j), eta.points, eta.cuts)
+    image = _window(eta.points, eta.cuts, vals, _checked_minimum(vals, L), L, graph.affine_reflections(j), raising)
     if image is None:
         return None
     try:
-        new = grid_path(eta.graph, *image)
+        new = grid_path(graph, *image)
     except InputError as exc:
         raise InternalError(f"root operator produced an invalid path: {exc}") from exc
     alpha = eta.datum.affine_root_weight(j)
@@ -388,12 +373,12 @@ def f_operator(eta: QLSPath, j: int) -> QLSPath | None:
 
 def epsilon(eta: QLSPath, j: int) -> int:
     """Number of times the raising operator applies: minus the minimum of H_j."""
-    return -_checked_minimum(_h_breaks(eta, j), eta.L)
+    return -_checked_minimum(_h_breaks(eta.graph.affine_pairings(j), eta.points, eta.cuts), eta.L)
 
 
 def phi(eta: QLSPath, j: int) -> int:
     """Number of times the lowering operator applies: H_j(1) minus its minimum."""
-    vals = _h_breaks(eta, j)
+    vals = _h_breaks(eta.graph.affine_pairings(j), eta.points, eta.cuts)
     return _whole(vals[-1], eta.L, "H(1) =") - _checked_minimum(vals, eta.L)
 
 
@@ -414,19 +399,28 @@ def deg(eta: QLSPath) -> int:
 # ------------------------------------------------------ duality and Lusztig S
 
 
+def dual_indices(eta: QLSPath) -> tuple[OrbitGraph, tuple[int, ...], tuple[int, ...]]:
+    """The (graph, points, cuts) of dual(eta), not validated."""
+    graph = eta.graph
+    dirs = tuple(graph.negated[n] for n in reversed(eta.points))
+    return graph.dual, dirs, tuple(eta.L - c for c in reversed(eta.cuts))
+
+
 def dual(eta: QLSPath) -> QLSPath:
     """Reverse the path and translate its endpoint to the origin: shape
     -w0(lambda), points -mu_k in reverse order."""
+    return grid_path(*dual_indices(eta), eta.L)
+
+
+def omega_indices(eta: QLSPath) -> tuple[OrbitGraph, tuple[int, ...], tuple[int, ...]]:
+    """The (graph, points, cuts) of omega(eta), not validated."""
     graph = eta.graph
-    dirs = tuple(graph.negated[n] for n in reversed(eta.points))
-    cuts = tuple(eta.L - c for c in reversed(eta.cuts))
-    return grid_path(graph.dual, dirs, cuts, eta.L)
+    return graph.dual, tuple(graph.omega_images[n] for n in eta.points), eta.cuts
 
 
 def omega(eta: QLSPath) -> QLSPath:
     """Apply the diagram automorphism: every point mu goes to -w0(mu)."""
-    graph = eta.graph
-    return grid_path(graph.dual, tuple(graph.omega_images[n] for n in eta.points), eta.cuts, eta.L)
+    return grid_path(*omega_indices(eta), eta.L)
 
 
 def lusztig_S(eta: QLSPath) -> QLSPath:
@@ -453,31 +447,33 @@ def build_crystal(datum: RootDatum, lam: Weight) -> CrystalGraph:
     Vertices are ordered by a BFS from the straight path over the arrows in
     (label, e then f) order, which must reach every enumerated path.
     """
+    # the BFS reads index tuples and each label's tables; only the final
+    # vertex list is made of paths
     graph = orbit_graph(datum, lam)
     L = graph.L
     rows = list(enumerate_paths(datum, lam))
     table = {(points, cuts): p for p, (points, cuts, _, _) in enumerate(rows)}
     n, labels = len(rows), range(datum.rank + 1)
+    tables = [(graph.affine_pairings(j), graph.affine_reflections(j)) for j in labels]
     order = [table[((0,), (0, L))]]  # enumeration positions in BFS order; vertex 0 is lambda
     found = [-1] * n  # each enumerated path's BFS index
     found[order[0]] = 0
-    e, f, vertices = [[-1] * n for _ in labels], [[-1] * n for _ in labels], []
+    e, f = [[-1] * n for _ in labels], [[-1] * n for _ in labels]
     for i, p in enumerate(order):  # order grows as the BFS finds vertices
-        v = QLSPath(graph, rows[p][0], rows[p][1])
-        vertices.append(v)
-        for j in labels:
-            vals = _h_breaks(v, j)
+        points, cuts = rows[p][0], rows[p][1]
+        for j, (pairings, reflected) in enumerate(tables):
+            vals = _h_breaks(pairings, points, cuts)
             m = _checked_minimum(vals, L)
             for arrows, raising in ((e, True), (f, False)):
-                image = _window(v, j, vals, m, raising)
+                image = _window(points, cuts, vals, m, L, reflected, raising)
                 if image is None:
                     continue
                 q = table.get(image)
                 if q is None:
                     op = "e" if raising else "f"
                     raise InternalError(
-                        f"root operator produced an invalid path: {op}_{j} of {v!r} "
-                        f"is not in QLS(lambda)"
+                        f"root operator produced an invalid path: {op}_{j} of "
+                        f"{QLSPath(graph, points, cuts)!r} is not in QLS(lambda)"
                     )
                 if found[q] < 0:
                     found[q] = len(order)
@@ -487,6 +483,7 @@ def build_crystal(datum: RootDatum, lam: Weight) -> CrystalGraph:
         raise InternalError(
             f"the root operators reach {len(order)} of the {n} paths of QLS(lambda)"
         )
+    vertices = [QLSPath(graph, rows[p][0], rows[p][1]) for p in order]
     packing = shape_packing(datum, lam)
     graph = CrystalGraph(datum, vertices, [packing.pack(rows[p][2].coords) for p in order], e, f, 0, packing)
     graph.check()

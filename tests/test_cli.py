@@ -424,6 +424,24 @@ def test_crystal_construction_failure_in_verify_crystal_exits_three(capsys, monk
                                "message": "f then e is not the identity at label 0"}
 
 
+def test_an_invalid_lusztig_image_in_verify_crystal_exits_three(capsys, monkeypatch):
+    # the energy check validates S(pi_star); rotated -w0 images make that
+    # fail, an internal failure (exit 3), not bad input (exit 2)
+    images = OrbitGraph.omega_images.func
+
+    def rotated(self):
+        table = images(self)
+        return table[1:] + table[:1]
+
+    monkeypatch.setattr(OrbitGraph, "omega_images", property(rotated))
+    code, out, err = run(capsys, "verify-crystal", "--type", "A", "--rank", "2",
+                         "--weight", "1,1")
+    assert code == 3 and out == "" and err.count("\n") == 1
+    blob = json.loads(err)
+    assert blob["error"] == "internal"
+    assert blob["message"].startswith("Lusztig involution image failed validation: segment")
+
+
 def test_tensor_arrow_mismatch_fails_verify_crystal(capsys, monkeypatch):
     real_tensor = correspondence.tensor
 

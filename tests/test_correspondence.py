@@ -18,6 +18,7 @@ from qalcove.correspondence import (
 )
 from qalcove.lie_data import InputError, InternalError, Weight, build_root_datum
 from qalcove.qls_model import build_crystal, deg, qls_path, straight_path
+from qalcove.quantum_bruhat import OrbitGraph, orbit_graph
 from crystal_reference import indexed
 from inverse_reference import inverse, reference_cache
 from qbg_reference import longest
@@ -276,6 +277,89 @@ def test_verify_crystal_reports_a_broken_bijection(monkeypatch, capsys, mutate):
     assert found == [{"kind": "bijection", **expected}]
     # the count adds no check
     assert blob["intertwining"]["counts"] == clean["counts"]
+
+
+def test_verify_crystal_validates_three_paths_per_subset(monkeypatch, capsys):
+    # pi and pi_star in the forgetful map, S(pi_star) in the energy check;
+    # their duality and omega(pi) are compared on the index tables
+    real, calls = qls_model.grid_path, []
+
+    def counted(graph, points, cuts, scale=0):
+        calls.append(points)
+        return real(graph, points, cuts, scale)
+
+    monkeypatch.setattr(qls_model, "grid_path", counted)
+    monkeypatch.setattr(correspondence, "grid_path", counted)
+    assert cli.main(VERIFY_A2) == 0
+    assert json.loads(capsys.readouterr().out)["energy"]["counts"]["subsets"] == 9
+    assert len(calls) == 3 * 9
+
+
+def test_forgetful_rejects_a_corrupted_negation(monkeypatch):
+    # -w0 fixes rho, so pi and pi_star share the graph and its negation table;
+    # the empty subset's pi is a single segment, valid at any point
+    lam = Weight((1, 1))
+    graph = orbit_graph(A2, lam)
+    table = list(graph.negated)
+    table[0] = table[1]
+    monkeypatch.setattr(graph, "negated", tuple(table))
+    with pytest.raises(InternalError, match="not dual to each other"):
+        forgetful(subset(lex_chain(A2, lam), ()))
+
+
+def test_verify_crystal_fails_on_a_corrupted_dual_negation(monkeypatch, capsys):
+    # the path images pi of A3 (1,1,0) live on the graph of (0,1,1); swap two
+    # entries of its negation table
+    negated = OrbitGraph.negated.func
+
+    def corrupted(self):
+        table = list(negated(self))
+        if self.lam.coords == (0, 1, 1):
+            table[0], table[1] = table[1], table[0]
+        return tuple(table)
+
+    monkeypatch.setattr(OrbitGraph, "negated", property(corrupted))
+    code = cli.main(["verify-crystal", "--type", "A", "--rank", "3", "--weight", "1,1,0"])
+    out, err = capsys.readouterr()
+    if code == 3:
+        assert json.loads(err)["error"] == "internal"
+    else:
+        assert code == 1
+        assert "reversal" in {v["kind"] for v in json.loads(out)["energy"]["violations"]}
+
+
+def test_verify_crystal_reports_a_corrupted_omega_as_a_reversal(monkeypatch, capsys):
+    # omega(pi) is read off the -w0 table of the graph of (0,1,1), which
+    # S(pi_star) does not read: S stays valid, and the two differ
+    images = OrbitGraph.omega_images.func
+
+    def corrupted(self):
+        table = list(images(self))
+        if self.lam.coords == (0, 1, 1):
+            table[0], table[1] = table[1], table[0]
+        return tuple(table)
+
+    monkeypatch.setattr(OrbitGraph, "omega_images", property(corrupted))
+    assert cli.main(["verify-crystal", "--type", "A", "--rank", "3", "--weight", "1,1,0"]) == 1
+    violations = json.loads(capsys.readouterr().out)["energy"]["violations"]
+    assert violations and {v["kind"] for v in violations} == {"reversal"}
+
+
+WORKLOAD_WEIGHTS = [("G", 2, (1, 1)), ("A", 3, (1, 1, 1)), ("C", 3, (1, 0, 1)), ("D", 4, (0, 1, 0, 0)), ("C", 2, (2, 1))]
+
+
+@pytest.mark.parametrize("label,rank,coords", WORKLOAD_WEIGHTS)
+def test_grouped_graph_distances_equal_path_weight(label, rank, coords):
+    datum, lam = build_root_datum(label, rank), Weight(coords)
+    records = correspondence.forgetful_table(lex_chain(datum, lam))
+    graph = orbit_graph(datum, lam)
+    assert verify_energy(datum, lam, records=records)["violations"] == []
+    # the energy check keeps no unrestricted search
+    assert all(v > 1 for _, v in graph._searches)
+    weights = correspondence.graph_distances(graph, records)
+    pairs = {pair for rec in records.values() for pair in zip(rec.pi_star.points[::-1], rec.pi_star.points[-2::-1])}
+    assert set(weights) == pairs
+    assert all(w == graph.path_weight(prev, nxt, 1) for (prev, nxt), w in weights.items())
 
 
 def test_energy_reports_are_clean():

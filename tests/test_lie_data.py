@@ -471,3 +471,20 @@ def test_root_name():
     c2 = build_root_datum("C", 2)
     assert c2.root_name(c2.theta) == "2a1+a2"
     assert c2.root_name(c2.simple_root_index[0], -1) == "-a1"
+
+
+@pytest.mark.parametrize("label,rank", THROUGH_RANK_8)
+def test_integer_inverse_cartan_over_its_denominator(label, rank):
+    d = build_root_datum(label, rank)
+    inverse, den = d.cartan_inverse
+    fractions = [[Fraction(x, den) for x in row] for row in inverse]
+    # the Fraction inverse: cartan times it is the identity
+    for i, row in enumerate(d.cartan):
+        assert [sum(a * f[j] for a, f in zip(row, fractions)) for j in range(rank)] == [int(i == j) for j in range(rank)]
+    # the least common denominator
+    assert den == math.lcm(*(f.denominator for row in fractions for f in row))
+    # the one solver reads it, as fractions and scaled into integers
+    for i in range(1, rank + 1):
+        omega = d.fundamental_weight(i)
+        assert d.weight_in_root_coords(omega) == tuple(row[i - 1] for row in fractions)
+        assert d.weight_in_root_coords(omega, scaled=True) == tuple(row[i - 1] for row in inverse)

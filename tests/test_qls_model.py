@@ -608,14 +608,14 @@ def test_public_operators_reproduce_every_arrow(label, rank, coords):
 def test_builder_rejects_an_image_outside_the_enumeration(monkeypatch):
     window = qls_model._window
 
-    def off_by_a_break(eta, j, vals, m, raising):
-        image = window(eta, j, vals, m, raising)
+    def off_by_a_break(points, cuts, vals, m, L, reflected, raising):
+        image = window(points, cuts, vals, m, L, reflected, raising)
         if image is None:
             return None
         points, cuts = image
-        assert all(0 <= n < len(eta.graph.points) for n in points)  # orbit-graph indices
+        assert all(0 <= n < len(reflected) for n in points)  # orbit-graph indices
         # the last break moved from 1 to 2
-        return points, cuts[:-1] + (2 * eta.L,)
+        return points, cuts[:-1] + (2 * L,)
 
     monkeypatch.setattr(qls_model, "_window", off_by_a_break)
     with pytest.raises(InternalError, match="root operator produced an invalid path"):
@@ -738,11 +738,12 @@ def test_integer_operator_rule_equals_the_rational_one(label, rank, coords):
         for j in graph.labels:
             vals = _h_breaks(v, j)
             m = _checked_minimum(vals)
-            assert qls_model._h_breaks(v, j) == [L * h for h in vals]
+            scaled = qls_model._h_breaks(orbit.affine_pairings(j), v.points, v.cuts)
+            assert scaled == [L * h for h in vals]
             assert (epsilon(v, j), phi(v, j)) == (-m, vals[-1] - m)
             for arrows, raising in ((graph.e_arrows, True), (graph.f_arrows, False)):
                 ref = _window(v, j, vals, m, raising)
-                image = qls_model._window(v, j, qls_model._h_breaks(v, j), m, raising)
+                image = qls_model._window(v.points, v.cuts, scaled, m, L, orbit.affine_reflections(j), raising)
                 assert (image is None) == (ref is None) == ((v, j) not in arrows)
                 if ref is not None:
                     # the integer rule's images are orbit-graph indices
