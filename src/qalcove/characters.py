@@ -15,6 +15,8 @@ weights by one rule, the simple reflection on fundamental-weight coordinates.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
+from functools import cache, partial
+from operator import add, mul, sub
 
 from . import alcove_model, qls_model
 from .alcove_model import LambdaChain, lex_chain
@@ -220,8 +222,8 @@ def character_from_qls(datum: RootDatum, lam: Weight) -> GradedCharacter:
 
 def _reflect(datum: RootDatum, coords: tuple[int, ...], i: int) -> tuple[int, ...]:
     """s_i(mu) = mu - <alpha_i^vee, mu> alpha_i on fundamental-weight coordinates."""
-    alpha = datum.root_weights[datum.simple_root_index[i]]
-    return tuple(m - coords[i] * a for m, a in zip(coords, alpha))
+    c, alpha = coords[i], datum.root_weights[datum.simple_root_index[i]]
+    return tuple([m - c * a for m, a in zip(coords, alpha)])
 
 
 def _root_supports(datum: RootDatum) -> list[list[tuple[int, int]]]:
@@ -257,60 +259,68 @@ def _layer_is_symmetric(layer: dict[tuple[int, ...], int], supports) -> bool:
     return True
 
 
-def dominant_representative(datum: RootDatum, wt: Weight) -> Weight:
-    current = wt.coords
+def _dominant(datum: RootDatum, coords: tuple[int, ...]) -> tuple[int, ...]:
+    """The dominant weight in the orbit of coords: s_i at the first negative coordinate i, repeated."""
     while True:
-        for i in range(datum.rank):
-            if current[i] < 0:
-                current = _reflect(datum, current, i)
+        for i, c in enumerate(coords):
+            if c < 0:
+                coords = _reflect(datum, coords, i)
                 break
         else:
-            return Weight(current)
+            return coords
 
 
-def _dominant_multiplicities(datum: RootDatum, lam: Weight) -> dict[Weight, int]:
-    """Multiplicity of every dominant weight of the module."""
+def dominant_representative(datum: RootDatum, wt: Weight) -> Weight:
+    return Weight(_dominant(datum, wt.coords))
+
+
+def _dominant_multiplicities(datum: RootDatum, lam: Weight) -> dict[tuple[int, ...], int]:
+    """Multiplicity of every dominant weight of the module, by its coordinates."""
     if not datum.is_dominant(lam):
         raise InputError(f"weight {lam.coords} is not dominant")
+    # the invariant form (mu, beta) = sum_j d_j mu_j beta_j of a weight and an
+    # element in root coordinates is an integer, since the symmetrizers d_j
+    # are; per positive root alpha: its weight, its root coordinates and the
+    # form's coefficients d_j alpha_j
+    sym = datum.symmetrizers
+    positive = [(wt, alpha, tuple(map(mul, sym, alpha)))
+                for wt, alpha in zip(datum.root_weights, datum.positive_roots)]
     # candidates: the dominant weights below lam, each reached from lam by
     # subtracting positive roots through dominant weights (Stembridge), with
     # its depth lam - mu in simple-root coordinates
-    positive = list(zip(datum.root_weights, datum.positive_roots))
-    candidates: dict[Weight, tuple[int, ...]] = {lam: (0,) * datum.rank}
-    stack = [lam]
+    candidates: dict[tuple[int, ...], tuple[int, ...]] = {lam.coords: (0,) * datum.rank}
+    stack = [lam.coords]
     while stack:
         wt = stack.pop()
-        for alpha_wt, alpha_coords in positive:
-            lower = Weight(tuple(m - a for m, a in zip(wt.coords, alpha_wt)))
-            if lower not in candidates and datum.is_dominant(lower):
-                candidates[lower] = tuple(d + a for d, a in zip(candidates[wt], alpha_coords))
+        for alpha_wt, alpha, _ in positive:
+            lower = tuple(map(sub, wt, alpha_wt))
+            if lower not in candidates and min(lower) >= 0:
+                candidates[lower] = tuple(map(add, candidates[wt], alpha))
                 stack.append(lower)
-    # the invariant form (mu, beta) = sum_j d_j mu_j beta_j of a weight and an
-    # element in root coordinates is an integer, since the symmetrizers d_j
-    # are; so is the denominator |lam+rho|^2 - |mu+rho|^2 = (lam-mu, lam+mu+2rho)
-    sym = datum.symmetrizers
-    lam_2rho = tuple(a + 2 * r for a, r in zip(lam.coords, datum.rho.coords))
-    mult: dict[Weight, int] = {}
+    dominant = cache(partial(_dominant, datum))  # one memo per call
+    mult: dict[tuple[int, ...], int] = {}
     for wt in sorted(candidates, key=lambda w: sum(candidates[w])):
         depth = candidates[wt]
-        if sum(depth) == 0:
+        if not any(depth):
             mult[wt] = 1
             continue
         acc = 0
-        for alpha_wt, alpha_coords in positive:
-            k = 1
-            while all(d - k * a >= 0 for d, a in zip(depth, alpha_coords)):
-                shifted = wt + Weight(tuple(k * x for x in alpha_wt))
-                m = mult.get(dominant_representative(datum, shifted), 0)
+        for alpha_wt, alpha, form in positive:
+            # wt + k alpha for 1 <= k while depth - k alpha stays nonnegative
+            shifted = wt
+            for _ in range(min(d // a for d, a in zip(depth, alpha) if a)):
+                shifted = tuple(map(add, shifted, alpha_wt))
+                m = mult.get(dominant(shifted))
                 if m:
-                    acc += m * sum(s * x * a for s, x, a in zip(sym, shifted.coords, alpha_coords))
-                k += 1
-        denominator = sum(s * x * (a + t) for s, x, a, t in zip(sym, depth, wt.coords, lam_2rho))
+                    acc += m * sum(map(mul, form, shifted))
+        # the denominator |lam+rho|^2 - |mu+rho|^2 = (lam-mu, lam+mu+2rho) is an
+        # integer too; rho is (1, ..., 1) in fundamental-weight coordinates
+        denominator = sum(s * x * (a + b + 2) for s, x, a, b in zip(sym, depth, wt, lam.coords))
         if denominator <= 0:
             raise InternalError("multiplicity recursion hit a nonpositive denominator")
         value, remainder = divmod(2 * acc, denominator)
         if remainder or value <= 0:
-            raise InternalError(f"multiplicity at {wt.coords} is not a positive integer")
+            raise InternalError(f"multiplicity at {wt} is not a positive integer")
         mult[wt] = value
     return mult
 
@@ -322,8 +332,8 @@ def weyl_character(datum: RootDatum, lam: Weight) -> GradedCharacter:
     """
     terms: dict[Key, int] = {}
     for wt, m in _dominant_multiplicities(datum, lam).items():
-        stack = [wt.coords]
-        terms[(wt.coords, 0)] = m
+        stack = [wt]
+        terms[(wt, 0)] = m
         while stack:
             mu = stack.pop()
             for i in (i for i, c in enumerate(mu) if c > 0):
@@ -341,16 +351,24 @@ def decompose(datum: RootDatum, character: GradedCharacter) -> list[tuple[int, t
     nothing.  Returns (q, highest weight, coefficient) triples, highest first by
     <2 rho^vee, nu>; fails if the input is not a nonnegative integer combination.
     """
+    layers, supports = character._layers(), _root_supports(datum)
+    for q, layer in sorted(layers.items()):
+        if not _layer_is_symmetric(layer, supports):
+            raise _not_a_combination(q)
+    return _brauer_klimyk(datum, layers)
+
+
+def _not_a_combination(q: int) -> InputError:
+    return InputError(f"layer q^{q} is not a nonnegative combination of irreducible characters")
+
+
+def _brauer_klimyk(datum: RootDatum, layers) -> list[tuple[int, tuple[int, ...], int]]:
+    """The expansion of `decompose`, for q-layers that passed its symmetry gate."""
     # <2 rho^vee, nu> is twice the height of nu in root coordinates
     unit = [sum(column) for column in zip(*datum.positive_coroots)]
     supports = _root_supports(datum)
     out: list[tuple[int, tuple[int, ...], int]] = []
-    for q, layer in sorted(character._layers().items()):
-        failure = InputError(
-            f"layer q^{q} is not a nonnegative combination of irreducible characters"
-        )
-        if not _layer_is_symmetric(layer, supports):
-            raise failure
+    for q, layer in sorted(layers.items()):
         mult: Counter = Counter()
         for mu, c in layer.items():
             # x = mu + rho; rho is (1, ..., 1) in fundamental-weight coordinates,
@@ -365,7 +383,7 @@ def decompose(datum: RootDatum, character: GradedCharacter) -> list[tuple[int, t
                     x[j] -= low * a
                 c = -c
         if any(m < 0 for m in mult.values()):
-            raise failure
+            raise _not_a_combination(q)
         height = {nu: sum(u * a for u, a in zip(unit, nu)) for nu, m in mult.items() if m}
         for nu in sorted(height, key=lambda nu: (height[nu], nu), reverse=True):
             out.append((q, nu, mult[nu]))
@@ -381,6 +399,14 @@ def format_decomposition(parts) -> str:
 
 def verify_p_equals_x(datum: RootDatum, lam: Weight, chain: LambdaChain | None = None) -> dict:
     """Compare the two model characters and cross-check them on four axes."""
+    report = px_report(datum, lam, chain)
+    report["character"] = report["character"].to_json_list()
+    return report
+
+
+def px_report(datum: RootDatum, lam: Weight, chain: LambdaChain | None = None) -> dict:
+    """The report of `verify_p_equals_x` with the QLS character itself as its
+    "character", for a writer that writes the terms."""
     if chain is None:
         chain = lex_chain(datum, lam)
     from_alcove = character_from_alcove(chain)
@@ -418,7 +444,7 @@ def verify_p_equals_x(datum: RootDatum, lam: Weight, chain: LambdaChain | None =
         mismatches.append({"kind": "tensor_factorization"})
 
     ok = models_agree and classical_ok and symmetric and factorization_ok
-    report = {
+    return {
         "lambda": list(lam.coords),
         "checks": {
             "models_agree": models_agree,
@@ -428,7 +454,7 @@ def verify_p_equals_x(datum: RootDatum, lam: Weight, chain: LambdaChain | None =
         },
         "pass": ok,
         "mismatches": mismatches,
-        "character": from_paths.to_json_list(),
-        "decomposition": format_decomposition(decompose(datum, from_paths)) if ok else None,
+        "character": from_paths,
+        # ok includes symmetric, decompose's gate
+        "decomposition": format_decomposition(_brauer_klimyk(datum, from_paths._layers())) if ok else None,
     }
-    return report

@@ -18,11 +18,12 @@ from pathlib import Path
 from . import correspondence, qls_model
 from .alcove_model import LambdaChain, chain_from_roots, enumerate_admissible, lex_chain, walk_admissible
 from .characters import (
+    GradedCharacter,
     character_from_alcove,
     character_from_qls,
     decompose,
     format_decomposition,
-    verify_p_equals_x,
+    px_report,
     weyl_character,
 )
 from .lie_data import InputError, InternalError, RootDatum, Weight, build_root_datum
@@ -110,8 +111,14 @@ def _within_budget(cost: int, budget: int) -> None:
         raise InputError(f"job size {cost} exceeds budget {budget}; raise --budget to proceed")
 
 
-def _emit(blob) -> None:
-    print(json.dumps(blob, indent=2))
+def _emit(blob: dict) -> None:
+    """Print json.dumps(blob, indent=2), with each GradedCharacter value
+    written as its terms by the character itself."""
+    # a value one level deep: each line after its first indented by two more spaces
+    fields = (f"  {json.dumps(key)}: " + (value.json_terms() if isinstance(value, GradedCharacter)
+                                          else json.dumps(value, indent=2).replace("\n", "\n  "))
+              for key, value in blob.items())
+    print("{\n" + ",\n".join(fields) + "\n}")
 
 
 # ------------------------------------------------------------ subcommands
@@ -185,11 +192,7 @@ def cmd_character(datum: RootDatum, args) -> int:
     elif args.format == "orbit":
         print(ch.orbit_line(datum))
     else:
-        # the text _emit would print for {"route", "terms", "decomposition"},
-        # with the terms written by the character itself
-        decomposition = json.dumps(format_decomposition(decompose(datum, ch)))
-        print(f'{{\n  "route": {json.dumps(args.route)},\n  "terms": {ch.json_terms()},\n'
-              f'  "decomposition": {decomposition}\n}}')
+        _emit({"route": args.route, "terms": ch, "decomposition": format_decomposition(decompose(datum, ch))})
     return 0
 
 
@@ -197,7 +200,7 @@ def cmd_verify_px(datum: RootDatum, args) -> int:
     lam = _parse_weight(datum, args.weight)
     _guard(datum, lam, args.budget)
     chain = _chain_for(datum, lam, args)
-    report = verify_p_equals_x(datum, lam, chain=chain)
+    report = px_report(datum, lam, chain)
     if report["pass"]:
         print(f"X = {report['decomposition']}")
     _emit(report)
@@ -262,7 +265,7 @@ def cmd_perfect(datum: RootDatum, args) -> int:
     reports = [check_perfect(datum, n, args.level) for n in nodes]
     for report in reports:
         print(report.summary())
-    _emit([r.to_json_dict() for r in reports])
+    print(json.dumps([r.to_json_dict() for r in reports], indent=2))
     return 0 if all(r.prediction_matches for r in reports) else 1
 
 

@@ -256,23 +256,24 @@ class RootDatum:
         """Indices of positive roots supported on the node set J."""
         if not all(1 <= j <= self.rank for j in J):
             raise InputError(f"node set {sorted(J)} out of range")
-        return frozenset(
-            k
-            for k, r in enumerate(self.positive_roots)
-            if all(c == 0 or (i + 1) in J for i, c in enumerate(r))
-        )
+        off = [i for i in range(self.rank) if i + 1 not in J]
+        return frozenset(k for k, r in enumerate(self.positive_roots) if not any(r[i] for i in off))
+
+    def _outside(self, J: frozenset[int]) -> tuple[list[int], Vector]:
+        """The positive roots not supported on J, by index, and their sum as a weight."""
+        inside = self.parabolic_roots(J)
+        outside = [k for k in range(len(self.positive_roots)) if k not in inside]
+        return outside, tuple(map(sum, zip((0,) * self.rank, *(self.root_weights[k] for k in outside))))
 
     def two_rho_minus_two_rho_J(self, J: frozenset[int]) -> Weight:
         """Sum of the positive roots not supported on J, as a weight."""
-        inside = self.parabolic_roots(J)
-        outside = [wt for k, wt in enumerate(self.root_weights) if k not in inside]
-        return Weight(tuple(map(sum, zip((0,) * self.rank, *outside))))
+        return Weight(self._outside(J)[1])
 
     def quantum_drops(self, J: frozenset[int] = frozenset()) -> dict[int, int]:
         """<alpha^vee, 2rho - 2rho_J> for every positive root alpha outside the
         parabolic subsystem of J, keyed by root index in increasing order."""
-        depth, inside = self.two_rho_minus_two_rho_J(J), self.parabolic_roots(J)
-        drops = {k: self.pairing(c, depth) for k, c in enumerate(self.positive_coroots) if k not in inside}
+        outside, depth = self._outside(J)
+        drops = {k: sum(map(mul, self.positive_coroots[k], depth)) for k in outside}
         if min(drops.values(), default=1) <= 0:
             raise InternalError("<alpha^vee, 2rho-2rho_J> must be positive")
         return drops
@@ -337,11 +338,13 @@ class RootDatum:
 
     @cached_property
     def weyl_order(self) -> int:
-        """|W| = prod over the positive roots of (ht + 1) / ht (Macdonald)."""
-        size = Fraction(1)
-        for root in self.positive_roots:
-            size *= Fraction(sum(root) + 1, sum(root))
-        return int(size)
+        """|W| = prod over the positive roots of (ht + 1) / ht (Macdonald),
+        as one exact integer quotient."""
+        heights = [sum(root) for root in self.positive_roots]
+        size, remainder = divmod(math.prod(h + 1 for h in heights), math.prod(heights))
+        if remainder:
+            raise InternalError("prod (ht + 1) is not a multiple of prod ht")
+        return size
 
     @cached_property
     def omega(self) -> Vector:

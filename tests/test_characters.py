@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from qalcove.characters import (
     verify_p_equals_x,
     weyl_character,
 )
-from qalcove.lie_data import InputError, RootDatum, Weight, build_root_datum
+from qalcove.lie_data import InputError, InternalError, RootDatum, Weight, build_root_datum
 
 A1 = build_root_datum("A", 1)
 A2 = build_root_datum("A", 2)
@@ -386,7 +387,8 @@ def _weyl_dimension(datum, lam):
     return dim
 
 
-# the alcove-ladder weights of the benchmark, then four beyond any workload
+# the alcove-ladder weights of the benchmark, then four beyond any workload,
+# then the big-group weights and the minuscule E7 omega_7
 ORACLE_CASES = [
     ("A", 3, (1, 1, 1)),
     ("G", 2, (1, 1)),
@@ -404,6 +406,11 @@ ORACLE_CASES = [
     ("F", 4, (1, 0, 0, 1)),
     ("A", 5, (1, 1, 1, 1, 1)),
     ("E", 8, (0, 0, 0, 0, 0, 0, 0, 1)),
+    ("F", 4, (1, 0, 0, 0)),
+    ("B", 5, (0, 0, 0, 0, 1)),
+    ("D", 5, (1, 0, 0, 0, 0)),
+    ("A", 6, (0, 0, 1, 0, 0, 0)),
+    ("E", 7, (0, 0, 0, 0, 0, 0, 1)),
 ]
 ORACLE_IDS = [f"{t}{n}-{''.join(map(str, lam))}" for t, n, lam in ORACLE_CASES]
 
@@ -412,9 +419,28 @@ ORACLE_IDS = [f"{t}{n}-{''.join(map(str, lam))}" for t, n, lam in ORACLE_CASES]
 def test_integer_oracle_equals_the_fraction_recursion(label, rank, lam):
     datum = RootDatum(label, rank)
     mult = characters._dominant_multiplicities(datum, Weight(lam))
-    assert mult == _fraction_multiplicities(datum, Weight(lam))
+    assert mult == {wt.coords: m for wt, m in _fraction_multiplicities(datum, Weight(lam)).items()}
     assert all(type(m) is int for m in mult.values())
     assert sum(weyl_character(datum, Weight(lam)).terms.values()) == _weyl_dimension(datum, lam)
+
+
+@pytest.mark.parametrize(
+    "label, rank, lam, symmetrizers, message",
+    [
+        ("G", 2, (1, 1), (1, 4), "multiplicity at (0, 1) is not a positive integer"),
+        ("F", 4, (1, 0, 0, 0), (2, 3, 1, 1), "multiplicity at (0, 0, 0, 0) is not a positive integer"),
+        ("G", 2, (1, 1), (1, -3), "nonpositive denominator"),
+    ],
+    ids=["G2-one-entry-off", "F4-one-entry-off", "G2-one-sign-off"],
+)
+def test_oracle_fails_on_a_corrupted_symmetrizer(label, rank, lam, symmetrizers, message):
+    # one entry of the invariant form's symmetrizers changed: the recursion no
+    # longer yields positive integers, and the oracle says so
+    datum = RootDatum(label, rank)
+    assert sum(a != b for a, b in zip(datum.symmetrizers, symmetrizers)) == 1
+    datum.__dict__["symmetrizers"] = symmetrizers
+    with pytest.raises(InternalError, match=re.escape(message)):
+        weyl_character(datum, Weight(lam))
 
 
 def test_decomposition_never_runs_the_oracle(monkeypatch):
@@ -462,7 +488,7 @@ def _peel(datum, character):
             if top not in known:
                 known[top] = characters._dominant_multiplicities(datum, Weight(top))
             for wt, m in known[top].items():
-                rest[wt.coords] = rest.get(wt.coords, 0) - coeff * m
+                rest[wt] = rest.get(wt, 0) - coeff * m
             rest = {w: c for w, c in rest.items() if c}
             out.append((q, top, coeff))
     return out

@@ -7,13 +7,14 @@ from fractions import Fraction
 
 import pytest
 
-from qalcove import cli, correspondence, qls_model
+from qalcove import characters, cli, correspondence, qls_model
 from qalcove.alcove_model import lex_chain
 from qalcove.characters import (
     character_from_alcove,
     character_from_qls,
     decompose,
     format_decomposition,
+    verify_p_equals_x,
     weyl_character,
 )
 from qalcove.cli import main
@@ -227,6 +228,47 @@ def test_character_json_is_the_json_module_text(capsys, letter, rank, lam, route
     code, out, _ = run(capsys, "character", "--type", letter, "--rank", str(rank),
                        "--weight", ",".join(map(str, lam)), "--route", route)
     assert (code, out) == (0, json.dumps(blob, indent=2) + "\n")
+
+
+@pytest.mark.parametrize(
+    "letter, rank, lam",
+    [
+        ("A", 1, (2,)),
+        ("G", 2, (1, 1)),
+        # the big-group weights of the benchmark
+        ("F", 4, (1, 0, 0, 0)),
+        ("B", 5, (0, 0, 0, 0, 1)),
+        ("D", 5, (1, 0, 0, 0, 0)),
+        ("A", 6, (0, 0, 1, 0, 0, 0)),
+    ],
+)
+def test_verify_px_json_is_the_json_module_text(capsys, letter, rank, lam):
+    # the X line, then the library's report as json.dumps(..., indent=2) prints it
+    datum = build_root_datum(letter, rank)
+    report = verify_p_equals_x(datum, Weight(lam))
+    assert report["pass"]
+    code, out, _ = run(capsys, "verify-px", "--type", letter, "--rank", str(rank),
+                       "--weight", ",".join(map(str, lam)))
+    assert (code, out) == (0, f"X = {report['decomposition']}\n" + json.dumps(report, indent=2) + "\n")
+
+
+def test_a_failing_verify_px_json_is_the_json_module_text(capsys, monkeypatch):
+    # one alcove coefficient off: a mismatch, no X line, no decomposition
+    real = characters.character_from_alcove
+
+    def altered(chain):
+        ch = real(chain)
+        key = max(ch.terms)
+        ch.terms[key] += 1
+        return ch
+
+    monkeypatch.setattr(characters, "character_from_alcove", altered)
+    datum = build_root_datum("G", 2)
+    report = verify_p_equals_x(datum, Weight((1, 1)))
+    assert not report["pass"] and report["mismatches"] and report["decomposition"] is None
+    code, out, _ = run(capsys, "verify-px", "--type", "G", "--rank", "2", "--weight", "1,1")
+    assert (code, out) == (1, json.dumps(report, indent=2) + "\n")
+    assert json.loads(out)["mismatches"] == report["mismatches"]
 
 
 def test_chain_file_round_trip(tmp_path, capsys):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from qalcove.crystal import shape_packing
-from qalcove.lie_data import InputError, Weight, build_root_datum
+from qalcove.lie_data import InputError, InternalError, Weight, build_root_datum
 from inverse_reference import parabolic_longest
 from qbg_reference import longest
 
@@ -319,6 +319,25 @@ def test_weyl_group_sizes():
         if size <= 5040:
             # the root-height formula against an enumeration of the whole group
             assert len(w.coset_reps(frozenset())) == size
+    # every classical family through rank 8 against its closed form
+    families = [
+        ("A", 1, lambda n: math.factorial(n + 1)),
+        ("B", 2, lambda n: 2**n * math.factorial(n)),
+        ("C", 2, lambda n: 2**n * math.factorial(n)),
+        ("D", 4, lambda n: 2 ** (n - 1) * math.factorial(n)),
+    ]
+    for label, first, closed_form in families:
+        for rank in range(first, 9):
+            size = build_root_datum(label, rank).weyl_order
+            assert type(size) is int and size == closed_form(rank), (label, rank)
+
+
+def test_weyl_order_refuses_a_fractional_quotient():
+    # a lone root of height 2 gives the quotient 3/2, which is no group order
+    d = build_root_datum("A", 1)
+    d.positive_roots = ((2,),)
+    with pytest.raises(InternalError, match="not a multiple"):
+        d.weyl_order
 
 
 @pytest.mark.parametrize("label, rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2)])
