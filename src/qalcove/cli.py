@@ -54,7 +54,7 @@ def _parse_node_order(text: str | None) -> tuple[int, ...] | None:
 
 
 def _parse_weyl(datum: RootDatum, text: str) -> tuple[int, ...]:
-    """A Weyl word as its node indices; qls_path turns it into an element."""
+    """A Weyl word as its node indices, which qls_path reads on weights."""
     if text == "e":
         return ()
     word = []

@@ -203,20 +203,24 @@ class RootDatum:
         d = math.lcm(*(x.denominator for row in m for x in row[n:]))
         return tuple(tuple(int(x * d) for x in row[n:]) for row in m), d
 
-    def weight_in_root_coords(self, weight: Weight, scaled: bool = False) -> tuple:
-        """The coordinates of weight in the simple roots, as fractions, or
-        with scaled as the integers d times them, d the denominator of
-        `cartan_inverse`."""
-        inv, d = self.cartan_inverse
-        coords = tuple(sum(map(mul, row, weight.coords)) for row in inv)
-        return coords if scaled else tuple(Fraction(c, d) for c in coords)
+    def weight_in_root_coords(self, weight: Weight) -> Vector:
+        """The coordinates of weight in the simple roots times d, the
+        denominator of `cartan_inverse`: integers."""
+        return tuple(sum(map(mul, row, weight.coords)) for row in self.cartan_inverse[0])
 
     # ----------------------------------------------------------------- reflections
 
-    def reflect(self, weight: Weight, root_index: int) -> Weight:
-        """s_beta(weight) = weight - <beta^vee, weight> beta."""
-        c = self.pairing_index(root_index, weight)
-        return Weight(tuple(m - c * b for m, b in zip(weight.coords, self.root_weights[root_index])))
+    def dominant_word(self, coords: Vector) -> tuple[tuple[int, ...], Vector]:
+        """Apply s_i at the first negative coordinate i until none is left:
+        the nodes i (1-based) in order, and the dominant coordinates reached.
+        With mu = coords and lam that end, the word is the lexicographically
+        smallest reduced word of the shortest x with x(lam) = mu: s_i is a
+        left descent of x exactly when <alpha_i^vee, mu> < 0."""
+        simple, mu, word = self.affine_root_weights[1:], list(coords), []
+        while (i := next((i for i, c in enumerate(mu) if c < 0), None)) is not None:
+            word.append(i + 1)
+            mu = [m - mu[i] * a for m, a in zip(mu, simple[i])]
+        return tuple(word), tuple(mu)
 
     def affine_root(self, j: int) -> tuple[int, int]:
         """alpha-tilde_j of the affine index set 0..rank as (positive-root
@@ -350,16 +354,12 @@ class RootDatum:
     def omega(self) -> Vector:
         """-w0 on nodes, 1-based: -w0(omega_i) = omega_omega(i), so
         w0(alpha_i) = -alpha_omega(i).  -w0(omega_i) is the dominant weight in
-        the orbit of -omega_i, reached by s_j at the first negative
-        coordinate j until none is left."""
-        simple = [self.root_weights[k] for k in self.simple_root_index]
+        the orbit of -omega_i, its `dominant_word` end."""
         out = []
         for i in range(self.rank):
-            mu = [-int(j == i) for j in range(self.rank)]
-            while (j := next((j for j, c in enumerate(mu) if c < 0), None)) is not None:
-                mu = [m - mu[j] * a for m, a in zip(mu, simple[j])]
+            mu = self.dominant_word(tuple(-int(j == i) for j in range(self.rank)))[1]
             if sorted(mu) != [0] * (self.rank - 1) + [1]:
-                raise InternalError(f"-w0 of fundamental weight {i + 1} is {tuple(mu)}, not fundamental")
+                raise InternalError(f"-w0 of fundamental weight {i + 1} is {mu}, not fundamental")
             out.append(mu.index(1) + 1)
         return tuple(out)
 
@@ -447,17 +447,12 @@ class WeylElement:
         """True iff length(w s_i) < length(w), nodes 1-based."""
         return self.perm[self.group.datum.simple_root_index[i - 1]] < 0
 
-    def has_left_descent(self, i: int) -> bool:
-        return self.inverse.perm[self.group.datum.simple_root_index[i - 1]] < 0
-
     def reduced_word(self) -> tuple[int, ...]:
-        """Lexicographically smallest reduced word (1-based node labels)."""
-        w, word = self, []
-        while w.length:
-            i = next(i for i in range(1, self.group.datum.rank + 1) if w.has_left_descent(i))
-            word.append(i)
-            w = self.group.simple[i - 1] * w
-        return tuple(word)
+        """Lexicographically smallest reduced word (1-based node labels), read
+        off w(rho): rho is regular, and s_i is a left descent of w exactly
+        when <alpha_i^vee, w(rho)> < 0."""
+        datum = self.group.datum
+        return datum.dominant_word(self.act_weight(datum.rho).coords)[0]
 
 
 class WeylGroup:

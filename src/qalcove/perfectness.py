@@ -108,7 +108,7 @@ def check_perfect(datum: RootDatum, node: int, level: int) -> PerfectnessReport:
     # the root coordinates of each distinct weight, solved for once, as
     # integers times the denominator of the inverse Cartan matrix
     scale = datum.cartan_inverse[1]
-    roots = {k: datum.weight_in_root_coords(graph.packing.unpack(k), scaled=True) for k in key_counts}
+    roots = {k: datum.weight_in_root_coords(graph.packing.unpack(k)) for k in key_counts}
     # a weight above every other one exceeds each by a nonzero sum of simple
     # roots, so it alone has the greatest height: one candidate decides
     top = max(roots, key=lambda k: sum(roots[k]))

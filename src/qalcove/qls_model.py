@@ -11,9 +11,9 @@ restricted parabolic quantum Bruhat graph, read on the orbit of lambda
 each point as its index in that graph: the operators read the graph's
 pairing and reflection tables, duality and the Lusztig involution its
 negation and -w0 tables, validation and the degree its searches of the
-subgraph restricted at each break.  A direction given as a Weight or a Weyl
-word is turned into its index at the boundary, and a point is printed as
-the word read off its coordinates.
+subgraph restricted at each break.  A direction given as a Weight or a word
+of nodes is turned into its index at the boundary, a word read on weights,
+and a point is printed as the word read off its coordinates.
 
 This module provides validation, the followers of each point at each break
 (`break_children`, which the QLS character sums over), a direct enumeration
@@ -33,13 +33,7 @@ from itertools import accumulate, groupby
 from math import gcd, lcm
 from operator import mul, sub
 
-from .lie_data import (
-    InputError,
-    InternalError,
-    RootDatum,
-    Weight,
-    WeylElement,
-)
+from .lie_data import InputError, InternalError, RootDatum, Vector, Weight
 from .crystal import CrystalGraph, shape_packing
 from .quantum_bruhat import OrbitGraph, QuantumBruhatGraph, build_qbg, orbit_graph
 
@@ -95,16 +89,8 @@ class QLSPath:
     @property
     def words(self) -> tuple[tuple[int, ...], ...]:
         """The lexicographically smallest reduced word of each x_k, read off
-        mu_k: s_i is a left descent of x_k exactly when <alpha_i^vee, mu_k> < 0,
-        so apply s_i at the least such i and repeat."""
-        datum, out = self.datum, []
-        for mu in self.directions:
-            word = []
-            while (i := next((i for i, c in enumerate(mu.coords) if c < 0), None)) is not None:
-                word.append(i + 1)
-                mu = datum.reflect(mu, datum.simple_root_index[i])
-            out.append(tuple(word))
-        return tuple(out)
+        mu_k by `RootDatum.dominant_word`."""
+        return tuple(self.datum.dominant_word(mu.coords)[0] for mu in self.directions)
 
     @cached_property
     def weight(self) -> Weight:
@@ -123,28 +109,41 @@ class QLSPath:
         }
 
 
-def _as_element(datum: RootDatum, x) -> WeylElement:
-    if isinstance(x, WeylElement):
-        return x
-    word = tuple(x)
-    out = datum.weyl.identity
-    for i in word:
+def _act(datum: RootDatum, word: tuple[int, ...], coords: Vector) -> Vector:
+    """s_i1 ... s_ik(mu) for the word (i1, ..., ik): the rightmost letter first."""
+    simple, mu = datum.affine_root_weights[1:], list(coords)
+    for i in reversed(word):
+        mu = [m - mu[i - 1] * a for m, a in zip(mu, simple[i - 1])]
+    return tuple(mu)
+
+
+def _direction(datum: RootDatum, lam: Weight, k: int, x) -> tuple[Vector, int | None]:
+    """Direction k as (its orbit point's coordinates, l(x)); a Weight has no
+    length to check.  A word names x = s_i1 ... s_ik, its point is
+    x(lambda) and l(x) the length of the word read off x(rho)."""
+    if isinstance(x, Weight):
+        return x.coords, None
+    if not isinstance(x, (tuple, list)) or not all(isinstance(i, int) for i in x):
+        raise InputError(f"direction {k} is neither a weight nor a word of nodes")
+    for i in x:
         if not 1 <= i <= datum.rank:
             raise InputError(f"node {i} outside 1..{datum.rank}")
-        out = out * datum.weyl.simple[i - 1]
-    return out
+    return _act(datum, x, lam.coords), len(datum.dominant_word(_act(datum, x, datum.rho.coords))[0])
 
 
 def qls_path(datum: RootDatum, lam: Weight, directions, breaks) -> QLSPath:
     """Validate raw direction/break data and return the path.
 
-    A direction is an orbit point x(lambda) given as a Weight, or a minimal
-    coset representative x given as a Weyl element or word.  Every pair of
-    consecutive directions must be joined by a directed path in the parabolic
-    graph restricted at the break between them.
+    A direction is an orbit point x(lambda) given as a Weight, or any word of
+    nodes (i1, ..., ik), which names x = s_i1 ... s_ik and is read on
+    weights: its point is x(lambda), and x must be a minimal coset
+    representative, that is l(x) must equal the depth of x(lambda) in the
+    orbit graph.  Every pair of consecutive directions must be joined by a
+    directed path in the parabolic graph restricted at the break between
+    them.
     """
     graph = orbit_graph(datum, lam)  # refuses a weight that is not dominant
-    dirs = tuple(x if isinstance(x, Weight) else _as_element(datum, x) for x in directions)
+    dirs = tuple(_direction(datum, lam, k, x) for k, x in enumerate(directions, start=1))
     if not dirs:
         raise InputError("a path needs at least one direction")
     cuts = tuple(Fraction(b) for b in breaks)
@@ -154,23 +153,13 @@ def qls_path(datum: RootDatum, lam: Weight, directions, breaks) -> QLSPath:
         raise InputError("breaks must start at 0 and end at 1")
     if any(a >= b for a, b in zip(cuts, cuts[1:])):
         raise InputError("breaks must be strictly increasing")
-    for k, x in enumerate(dirs, start=1):
-        if isinstance(x, WeylElement) and datum.weyl.min_coset_rep(x, datum.stabilizer(lam)) != x:
+    for k, (mu, length) in enumerate(dirs, start=1):
+        # a word's point is always in the orbit
+        if length is not None and length != graph.lengths[graph.coords_index[mu]]:
             raise InputError(f"direction {k} is not a minimal coset representative")
-    points = tuple(
-        _vertex(graph, k, x.act_weight(lam) if isinstance(x, WeylElement) else x)
-        for k, x in enumerate(dirs, start=1)
-    )
+    points = tuple(graph.coords_index.get(mu, -1) for mu, _ in dirs)  # grid_path refuses -1
     scale = lcm(graph.L, *(b.denominator for b in cuts))
     return grid_path(graph, points, tuple(b.numerator * (scale // b.denominator) for b in cuts), scale)
-
-
-def _vertex(graph: OrbitGraph, k: int, mu: Weight) -> int:
-    """The index of direction k, the orbit point mu, in the orbit graph."""
-    n = graph.coords_index.get(mu.coords)
-    if n is None:
-        raise InputError(f"direction {k} is not in the orbit of lambda")
-    return n
 
 
 def grid_path(graph: OrbitGraph, points: tuple[int, ...], cuts: tuple[int, ...], scale: int = 0) -> QLSPath:
@@ -196,10 +185,9 @@ def grid_path(graph: OrbitGraph, points: tuple[int, ...], cuts: tuple[int, ...],
     return QLSPath(graph, points, cuts)
 
 
-def straight_path(datum: RootDatum, lam: Weight, x: WeylElement | None = None) -> QLSPath:
-    """The single-segment path in direction x(lam) (default: lam itself)."""
-    graph = orbit_graph(datum, lam)
-    return grid_path(graph, (_vertex(graph, 1, lam if x is None else x.act_weight(lam)),), (0, 1), 1)
+def straight_path(datum: RootDatum, lam: Weight) -> QLSPath:
+    """The single-segment path in the direction lam, vertex 0 of its orbit graph."""
+    return grid_path(orbit_graph(datum, lam), (0,), (0, 1), 1)
 
 
 def _integral_coords(total: list[int], L: int) -> tuple[int, ...]:

@@ -20,7 +20,7 @@ from qalcove.alcove_model import AdmissibleSubset, LambdaChain, lex_chain, requi
 from qalcove.lie_data import InputError, InternalError, RootDatum, Vector, WeylElement
 from qalcove.qls_model import QLSPath
 from qalcove.quantum_bruhat import QBGEdge, QuantumBruhatGraph, build_qbg, minus_w0
-from qbg_reference import longest
+from qbg_reference import element, longest
 
 
 def parabolic_longest(weyl, J: frozenset[int]) -> WeylElement:
@@ -214,7 +214,7 @@ def inverse(eta: QLSPath, chain: LambdaChain | None = None) -> AdmissibleSubset:
     }
 
     # the minimal coset representatives, built from the words of the points
-    sigmas = [qls_model._as_element(datum, word) for word in qls_model.dual(eta).words[::-1]]
+    sigmas = [element(datum, word) for word in qls_model.dual(eta).words[::-1]]
     positions: list[int] = []
     current = datum.weyl.identity
     for sigma, c in zip(sigmas, eta.cuts):

@@ -2,6 +2,9 @@
 over the adjacency lists, `QueryGraph`, the graph on Weyl elements with the
 shortest-path queries that the orbit graph of `quantum_bruhat` is checked
 against, `longest`, the element w_0 that `RootDatum.omega` is checked
+against, `reflect`, `element` and `left_descent_word`, the reflection of a
+weight, the product of a word and the reduced word found by left descents
+of the element, which the word rule `RootDatum.dominant_word` is checked
 against, and `carried`, `orbit_edges` and `orbit_reach`, the orbit graph's
 x(2rho - 2rho_J) at a vertex, its every edge by dot products, and one BFS
 over all of them per source with the label gcd of each path, which its
@@ -12,7 +15,7 @@ from fractions import Fraction
 from math import gcd
 from operator import mul
 
-from qalcove.lie_data import InputError, InternalError, Weight, WeylElement
+from qalcove.lie_data import InputError, InternalError, RootDatum, Weight, WeylElement
 from qalcove.quantum_bruhat import BRUHAT, QUANTUM, OrbitGraph, QBGEdge, QuantumBruhatGraph
 
 
@@ -117,6 +120,31 @@ def longest(weyl) -> WeylElement:
     return w
 
 
+def reflect(datum: RootDatum, weight: Weight, root_index: int) -> Weight:
+    """s_beta(weight) = weight - <beta^vee, weight> beta."""
+    c = datum.pairing_index(root_index, weight)
+    return Weight(tuple(m - c * b for m, b in zip(weight.coords, datum.root_weights[root_index])))
+
+
+def element(datum: RootDatum, word) -> WeylElement:
+    """The product s_i1 ... s_ik of a word of nodes, composed in the group."""
+    out = datum.weyl.identity
+    for i in word:
+        out = out * datum.weyl.simple[i - 1]
+    return out
+
+
+def left_descent_word(w: WeylElement) -> tuple[int, ...]:
+    """The lexicographically smallest reduced word of w, found on the
+    element: strip the least left descent s_i, w^-1(alpha_i) < 0, and repeat."""
+    weyl, word = w.group, []
+    while w.length:
+        i = next(i for i, k in enumerate(weyl.datum.simple_root_index, 1) if w.inverse.perm[k] < 0)
+        word.append(i)
+        w = weyl.simple[i - 1] * w
+    return tuple(word)
+
+
 def distances(graph, x):
     """The BFS distance from x to every vertex it reaches."""
     dist = {x: 0}
@@ -165,13 +193,13 @@ def carried(graph: OrbitGraph, n: int) -> tuple[int, ...]:
     2rho - 2rho_J gives nu."""
     d, mu, word = graph.datum, graph.points[n], []
     while (i := next((i for i, c in enumerate(mu.coords) if c < 0), None)) is not None:
-        mu = d.reflect(mu, d.simple_root_index[i])
+        mu = reflect(d, mu, d.simple_root_index[i])
         word.append(i)
     if mu != graph.lam or len(word) != graph.lengths[n]:
         raise InternalError(f"vertex {n} is not reached from lambda by a reduced word")
     nu = d.two_rho_minus_two_rho_J(d.stabilizer(graph.lam))
     for i in reversed(word):
-        nu = d.reflect(nu, d.simple_root_index[i])
+        nu = reflect(d, nu, d.simple_root_index[i])
     return nu.coords
 
 

@@ -337,8 +337,13 @@ def _inner(datum, wt, root_coords):
     )
 
 
+def _root_coords(datum, wt):
+    """The coordinates of a weight in the simple roots, as fractions."""
+    return tuple(Fraction(c, datum.cartan_inverse[1]) for c in datum.weight_in_root_coords(wt))
+
+
 def _norm(datum, wt):
-    return _inner(datum, wt, datum.weight_in_root_coords(wt))
+    return _inner(datum, wt, _root_coords(datum, wt))
 
 
 def _fraction_multiplicities(datum, lam):
@@ -466,7 +471,7 @@ def _peel(datum, character):
     rule: subtract the irreducible character of the highest remaining dominant
     weight, found by Fraction heights in root coordinates, until none is left."""
     omegas = (datum.fundamental_weight(i) for i in range(1, datum.rank + 1))
-    heights = [sum(datum.weight_in_root_coords(omega)) for omega in omegas]
+    heights = [sum(_root_coords(datum, omega)) for omega in omegas]
     scale = math.lcm(*(h.denominator for h in heights))
     unit = [int(h * scale) for h in heights]
     known = {}

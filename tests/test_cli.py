@@ -103,13 +103,12 @@ def test_qls_accepts_explicit_directions(capsys):
     assert code == 0
     blob = json.loads(out)
     assert blob["weight"] == [0]
-    expected = qls_path(A1, Weight((2,)), (A1.weyl.simple[0], A1.weyl.identity),
-                        (Fraction(0), Fraction(1, 2), Fraction(1)))
+    expected = qls_path(A1, Weight((2,)), ((1,), ()), (Fraction(0), Fraction(1, 2), Fraction(1)))
     assert blob["deg"] == deg(expected)
 
 
 def test_qls_directions_are_read_as_words(capsys, monkeypatch):
-    # the CLI hands qls_path node indices, and qls_path alone makes elements
+    # the CLI hands qls_path node indices, which qls_path reads on weights
     assert cli._parse_weyl(build_root_datum("C", 3), "s2*s1*s3") == (2, 1, 3)
     assert cli._parse_weyl(A1, "e") == ()
     seen = []
@@ -158,11 +157,21 @@ def test_qls_side_builds_no_graph_on_weyl_elements(capsys, monkeypatch, argv):
     assert code == 0 and built == []
 
 
-@pytest.mark.parametrize("argv", [QLS_SIDE[0], QLS_SIDE[3], QLS_SIDE[5]])
+# the two pinned paths given by --directions: the words are read on weights
+QLS_DIRECTIONS = [
+    ("qls", "--type", "C", "--rank", "3", "--weight", "1,1,1", "--directions",
+     "s2*s1*s3*s2*s1*s3,s1*s3*s2*s1*s3,s2*s1*s3,s1*s2*s3*s2*s3,s2*s3*s2*s3,s1*s2*s1*s3*s2*s1*s3*s2*s3",
+     "--breaks", "0,1/5,1/3,1/2,3/5,2/3,1"),
+    ("qls", "--type", "B", "--rank", "3", "--weight", "0,1,1", "--directions",
+     "s3*s2*s1*s3*s2*s3,s1*s2*s3,s3,s2*s1*s3*s2*s1*s3*s2*s3", "--breaks", "0,1/3,1/2,2/3,1"),
+]
+
+
+@pytest.mark.parametrize("argv", [QLS_SIDE[0], QLS_SIDE[3], QLS_SIDE[5], *QLS_DIRECTIONS])
 def test_qls_commands_compose_no_weyl_element(capsys, monkeypatch, argv):
     # the size guard reads |W| off the root heights and the dual orbit reads
-    # -w0 off the weights; the paths and their printed words are computed on
-    # weights, so no Weyl group is ever built
+    # -w0 off the weights; the paths, the words given for their directions and
+    # their printed words are read on weights, so no Weyl group is ever built
     def refused(self, datum):
         raise AssertionError("a QLS command must not build a Weyl group")
 

@@ -10,7 +10,7 @@ import pytest
 from qalcove.crystal import shape_packing
 from qalcove.lie_data import InputError, InternalError, Weight, build_root_datum
 from inverse_reference import parabolic_longest
-from qbg_reference import longest
+from qbg_reference import element, left_descent_word, longest, reflect
 
 
 def test_positive_root_counts():
@@ -117,14 +117,32 @@ def test_pairing_examples():
 
 def test_reflections_a1():
     d = build_root_datum("A", 1)
-    assert d.reflect(Weight((1,)), 0) == Weight((-1,))
+    assert d.weyl.reflection(0).act_weight(Weight((1,))) == Weight((-1,))
 
 
 def test_reflect_is_involution():
+    # r_beta acts on a weight as mu - <beta^vee, mu> beta, twice as the identity
     d = build_root_datum("C", 2)
     for k in range(len(d.positive_roots)):
         mu = Weight((2, -1))
-        assert d.reflect(d.reflect(mu, k), k) == mu
+        r = d.weyl.reflection(k)
+        assert r.act_weight(mu) == reflect(d, mu, k)
+        assert r.act_weight(r.act_weight(mu)) == mu
+
+
+@pytest.mark.parametrize("label,rank,coords", [
+    ("G", 2, (0, 1)), ("B", 3, (0, 1, 0)), ("C", 3, (1, 0, 1)), ("D", 4, (0, 1, 0, 0)),
+])
+def test_dominant_word_is_the_left_descent_word_of_the_minimal_representative(label, rank, coords):
+    # every point w(lam) of the orbit reads back the word of its minimal
+    # representative, found on the element, and ends at lam
+    d = build_root_datum(label, rank)
+    lam = Weight(coords)
+    J = d.stabilizer(lam)
+    for w in d.weyl.coset_reps(frozenset()):
+        x = d.weyl.min_coset_rep(w, J)
+        assert d.dominant_word(w.act_weight(lam).coords) == (left_descent_word(x), lam.coords)
+    assert d.dominant_word(lam.coords) == ((), lam.coords)
 
 
 def test_levels():
@@ -167,10 +185,13 @@ def test_long_short_nodes():
 
 
 def test_weight_in_root_coords():
+    # the coordinates times the denominator of the inverse Cartan matrix
     a2 = build_root_datum("A", 2)
-    assert a2.weight_in_root_coords(a2.rho) == (Fraction(1), Fraction(1))
+    assert a2.cartan_inverse[1] == 3
+    assert a2.weight_in_root_coords(a2.rho) == (3, 3)
     c2 = build_root_datum("C", 2)
-    assert c2.weight_in_root_coords(c2.fundamental_weight(1)) == (Fraction(1), Fraction(1, 2))
+    assert c2.cartan_inverse[1] == 2
+    assert c2.weight_in_root_coords(c2.fundamental_weight(1)) == (2, 1)
 
 
 ALL_TYPES = (
@@ -184,8 +205,9 @@ ALL_TYPES = (
 @pytest.mark.parametrize("label,rank", ALL_TYPES)
 def test_root_coords_invert_root_as_weight(label, rank):
     d = build_root_datum(label, rank)
+    scale = d.cartan_inverse[1]
     for k, root in enumerate(d.positive_roots):
-        assert d.weight_in_root_coords(Weight(d.root_weights[k])) == root
+        assert d.weight_in_root_coords(Weight(d.root_weights[k])) == tuple(scale * c for c in root)
 
 
 THROUGH_RANK_8 = (
@@ -400,16 +422,17 @@ def test_inverse_and_product():
 
 
 def test_reduced_words_are_reduced_and_lex_minimal():
-    w = build_root_datum("C", 2).weyl
-    for el in w.coset_reps(frozenset()):
-        word = el.reduced_word()
-        assert len(word) == el.length
-        prod = w.identity
-        for i in word:
-            prod = prod * w.simple[i - 1]
-        assert prod == el
+    for label, rank in [("C", 2), ("G", 2), ("B", 3)]:
+        d = build_root_datum(label, rank)
+        for el in d.weyl.coset_reps(frozenset()):
+            word = el.reduced_word()
+            assert len(word) == el.length
+            assert element(d, word) == el
+            # the least left descent first, as the walk on the element finds it
+            assert word == left_descent_word(el)
+            assert repr(el) == ("*".join(f"s{i}" for i in word) or "e")
     # s1 s2 s1 s2 = s2 s1 s2 s1 = longest, lex-min picks the former
-    assert longest(w).reduced_word() == (1, 2, 1, 2)
+    assert longest(build_root_datum("C", 2).weyl).reduced_word() == (1, 2, 1, 2)
 
 
 def test_min_coset_rep_projection_stable():
@@ -450,7 +473,7 @@ def test_weight_action():
     assert longest(w).act_weight(a2.rho) == Weight((-1, -1))
     # action of the reflection element matches direct reflection
     for k in range(3):
-        assert w.reflection(k).act_weight(a2.rho) == a2.reflect(a2.rho, k)
+        assert w.reflection(k).act_weight(a2.rho) == reflect(a2, a2.rho, k)
 
 
 def test_stabilizer_and_parabolic_roots():
@@ -505,5 +528,6 @@ def test_integer_inverse_cartan_over_its_denominator(label, rank):
     # the one solver reads it, as fractions and scaled into integers
     for i in range(1, rank + 1):
         omega = d.fundamental_weight(i)
-        assert d.weight_in_root_coords(omega) == tuple(row[i - 1] for row in fractions)
-        assert d.weight_in_root_coords(omega, scaled=True) == tuple(row[i - 1] for row in inverse)
+        scaled = d.weight_in_root_coords(omega)
+        assert scaled == tuple(row[i - 1] for row in inverse)
+        assert tuple(Fraction(c, den) for c in scaled) == tuple(row[i - 1] for row in fractions)

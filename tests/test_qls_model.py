@@ -31,7 +31,7 @@ from qalcove.qls_model import (
     straight_path,
 )
 from qalcove.quantum_bruhat import OrbitGraph, orbit_graph
-from qbg_reference import longest
+from qbg_reference import element, longest, reflect
 
 A1 = build_root_datum("A", 1)
 A2 = build_root_datum("A", 2)
@@ -47,7 +47,7 @@ def path(datum, lam, directions, breaks):
 def cosets(eta):
     """The minimal coset representatives x_k with x_k(lambda) = mu_k, built
     from the printed words."""
-    return tuple(qls_model._as_element(eta.datum, word) for word in eta.words)
+    return tuple(element(eta.datum, word) for word in eta.words)
 
 
 def omega_affine(datum, j):
@@ -107,7 +107,7 @@ def test_straight_paths_always_valid():
         lam = Weight(lam)
         J = datum.stabilizer(lam)
         for x in datum.weyl.coset_reps(J):
-            eta = straight_path(datum, lam, x)
+            eta = qls_path(datum, lam, [x.reduced_word()], (0, 1))
             assert eta.directions == (x.act_weight(lam),)
             assert cosets(eta) == (x,)
 
@@ -153,6 +153,54 @@ def test_rejects_node_out_of_range():
         path(A1, (2,), [(3,)], (0, 1))
 
 
+def test_refuses_a_direction_that_is_neither_a_weight_nor_a_word():
+    for x in (A2.weyl.simple[0], ("a",), (1.0,), 1):
+        with pytest.raises(InputError, match="direction 1 is neither a weight nor a word of nodes"):
+            path(A2, (1, 1), [x], (0, 1))
+
+
+def test_refusals_keep_their_order():
+    # a node out of range before the breaks, the breaks before minimality,
+    # minimality before the orbit
+    with pytest.raises(InputError, match="outside"):
+        path(A2, (1, 0), [(3,)], (0, Fraction(1, 2)))
+    with pytest.raises(InputError, match="start at 0"):
+        path(A2, (1, 0), [(2,)], (Fraction(1, 2), 1))
+    with pytest.raises(InputError, match="direction 2 is not a minimal coset"):
+        path(A2, (1, 0), [Weight((0, 1)), (2,)], (0, Fraction(1, 2), 1))
+    with pytest.raises(InputError, match="direction 1 is not in the orbit"):
+        path(A2, (1, 0), [Weight((0, 1)), (1,)], (0, Fraction(1, 2), 1))
+
+
+def _words(rank, longest_word):
+    return itertools.chain.from_iterable(
+        itertools.product(range(1, rank + 1), repeat=n) for n in range(longest_word + 1)
+    )
+
+
+@pytest.mark.parametrize("label,rank,coords", [
+    ("A", 2, (1, 0)), ("B", 2, (0, 1)), ("G", 2, (1, 0)), ("G", 2, (0, 1)),
+    ("B", 3, (0, 1, 1)), ("C", 3, (1, 0, 1)), ("D", 4, (0, 1, 0, 0)),
+])
+def test_words_are_read_on_weights_as_the_group_reads_them(label, rank, coords):
+    # every word of length at most 5: accepted exactly when the product x is
+    # its own minimal coset representative, and then its point is x(lambda)
+    datum = build_root_datum(label, rank)
+    lam = Weight(coords)
+    J = datum.stabilizer(lam)
+    assert J
+    accepted = 0
+    for word in _words(rank, 5):
+        x = element(datum, word)
+        if datum.weyl.min_coset_rep(x, J) == x:
+            assert qls_path(datum, lam, [word], (0, 1)).directions == (x.act_weight(lam),)
+            accepted += 1
+        else:
+            with pytest.raises(InputError, match="direction 1 is not a minimal coset representative"):
+                qls_path(datum, lam, [word], (0, 1))
+    assert accepted > 1
+
+
 # ---------------------------------------------------------------------- weight
 
 
@@ -164,7 +212,7 @@ def test_half_break_path_has_zero_weight():
 def test_straight_path_weight_is_orbit_point():
     lam = Weight((1, 1))
     for x in A2.weyl.coset_reps(frozenset()):
-        assert straight_path(A2, lam, x).weight == x.act_weight(lam)
+        assert qls_path(A2, lam, [x.reduced_word()], (0, 1)).weight == x.act_weight(lam)
 
 
 # -------------------------------------------------------------- root operators
@@ -172,7 +220,7 @@ def test_straight_path_weight_is_orbit_point():
 
 def test_raising_simple_label_on_lowest_a1():
     lam = Weight((1,))
-    low = straight_path(A1, lam, A1.weyl.simple[0])
+    low = path(A1, (1,), [(1,)], (0, 1))
     assert e_operator(low, 1) == straight_path(A1, lam)
 
 
@@ -185,13 +233,13 @@ def test_raising_undefined_on_dominant_straight_path():
 
 def test_lowering_simple_label_on_dominant_a1():
     lam = Weight((1,))
-    assert f_operator(straight_path(A1, lam), 1) == straight_path(A1, lam, A1.weyl.simple[0])
+    assert f_operator(straight_path(A1, lam), 1) == path(A1, (1,), [(1,)], (0, 1))
 
 
 def test_affine_label_pair_on_a1_fundamental():
     lam = Weight((1,))
     top = straight_path(A1, lam)
-    low = straight_path(A1, lam, A1.weyl.simple[0])
+    low = path(A1, (1,), [(1,)], (0, 1))
     assert e_operator(top, 0) == low
     assert f_operator(low, 0) == top
 
@@ -214,7 +262,7 @@ def test_operator_rejects_label_outside_affine_set():
 def test_string_lengths_on_a1_fundamental():
     lam = Weight((1,))
     top = straight_path(A1, lam)
-    low = straight_path(A1, lam, A1.weyl.simple[0])
+    low = path(A1, (1,), [(1,)], (0, 1))
     assert (epsilon(top, 1), phi(top, 1)) == (0, 1)
     assert (epsilon(low, 1), phi(low, 1)) == (1, 0)
     assert (epsilon(top, 0), phi(top, 0)) == (1, 0)
@@ -278,7 +326,7 @@ def test_s_of_straight_dominant_path():
         lam = Weight(lam)
         J = datum.stabilizer(lam)
         expect = datum.weyl.min_coset_rep(longest(datum.weyl), J)
-        assert lusztig_S(straight_path(datum, lam)) == straight_path(datum, lam, expect)
+        assert lusztig_S(straight_path(datum, lam)) == qls_path(datum, lam, [expect.act_weight(lam)], (0, 1))
 
 
 def test_s_fixes_the_zero_weight_split_path():
@@ -443,7 +491,7 @@ def brute_force_paths(datum, lam):
     pairing of a positive coroot against lam."""
     lam = Weight(lam)
     J = datum.stabilizer(lam)
-    reps = datum.weyl.coset_reps(J)
+    reps = [x.reduced_word() for x in datum.weyl.coset_reps(J)]
     top = max(datum.pairing(c, lam) for c in datum.positive_coroots)
     values = sorted(
         {Fraction(p, q) for q in range(2, top + 1) for p in range(1, q)}
@@ -584,7 +632,7 @@ def test_builder_equals_the_closure(label, rank, coords):
 
 @pytest.mark.parametrize("label,rank,coords", [("A", 3, (1, 1, 0)), ("B", 3, (0, 1, 1))])
 def test_paths_read_in_equal_the_crystal_vertices(label, rank, coords):
-    # qls_path turns weights and Weyl words into orbit-graph indices; either
+    # qls_path turns weights and words of nodes into orbit-graph indices; either
     # way the path equals, and hashes as, the builder's vertex
     datum = build_root_datum(label, rank)
     lam = Weight(coords)
@@ -705,8 +753,8 @@ def _window(eta: QLSPath, j: int, vals: list[Fraction], m: int, raising: bool):
     pieces = [(dirs[k], breaks[k + 1]) for k in range(i0)]
     if breaks[i0] < t0:
         pieces.append((dirs[i0], t0))
-    pieces += [(datum.reflect(dirs[k], root), breaks[k + 1]) for k in range(i0, i1 - 1)]
-    pieces.append((datum.reflect(dirs[i1 - 1], root), t1))
+    pieces += [(reflect(datum, dirs[k], root), breaks[k + 1]) for k in range(i0, i1 - 1)]
+    pieces.append((reflect(datum, dirs[i1 - 1], root), t1))
     if t1 < breaks[i1]:
         pieces.append((dirs[i1 - 1], breaks[i1]))
     pieces += [(dirs[k], breaks[k + 1]) for k in range(i1, len(dirs))]
@@ -822,7 +870,7 @@ def test_tensor_lowering_acts_on_left_when_right_is_exhausted():
     b = build_crystal(A1, Weight((1,)))
     square = tensor(b, b)
     top = straight_path(A1, Weight((1,)))
-    low = straight_path(A1, Weight((1,)), A1.weyl.simple[0])
+    low = path(A1, (1,), [(1,)], (0, 1))
     assert square.f_arrows[((top, top), 1)] == (low, top)
 
 
@@ -830,7 +878,7 @@ def test_tensor_contains_the_classical_singlet():
     b = build_crystal(A1, Weight((1,)))
     square = tensor(b, b)
     top = straight_path(A1, Weight((1,)))
-    low = straight_path(A1, Weight((1,)), A1.weyl.simple[0])
+    low = path(A1, (1,), [(1,)], (0, 1))
     i = square.index[(top, low)]
     assert square.eps[1][i] == 0
     assert square.phi[1][i] == 0

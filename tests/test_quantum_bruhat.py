@@ -9,7 +9,7 @@ import pytest
 from qalcove.alcove_model import lex_chain
 from qalcove.characters import character_from_alcove
 from qalcove.lie_data import InputError, InternalError, Weight, WeylGroup, build_root_datum
-from qalcove.qls_model import straight_path
+from qalcove.qls_model import qls_path, straight_path
 from qalcove.quantum_bruhat import (
     BRUHAT,
     QUANTUM,
@@ -27,9 +27,11 @@ from qbg_reference import (
     carried,
     distance,
     is_strongly_connected,
+    left_descent_word,
     longest,
     orbit_edges,
     orbit_reach,
+    reflect,
     shortest_paths,
 )
 
@@ -569,7 +571,7 @@ def test_orbit_tables_equal_the_weight_rules(label, rank, coords):
         assert len(pairings) == len(images) == len(graph.points)
         for n, mu in enumerate(graph.points):
             assert pairings[n] == sign * d.pairing_index(root, mu)
-            assert graph.points[images[n]] == d.reflect(mu, root)
+            assert graph.points[images[n]] == reflect(d, mu, root)
     for n, mu in enumerate(graph.points):
         assert dual.points[graph.negated[n]] == -mu
         assert dual.points[graph.omega_images[n]] == minus_w0(d, mu) == -w0.act_weight(mu)
@@ -581,8 +583,8 @@ def test_orbit_tables_equal_the_weight_rules(label, rank, coords):
 
 def test_a_straight_path_builds_no_edge():
     d = build_root_datum("D", 4)
-    for x in (None, longest(d.weyl)):
-        straight_path(d, d.rho, x)
+    straight_path(d, d.rho)
+    qls_path(d, d.rho, [longest(d.weyl).reduced_word()], (0, 1))
     graph = orbit_graph(d, d.rho)
     assert len(graph.points) == 192 and not graph._edges
 
@@ -591,9 +593,12 @@ def test_a_straight_path_builds_no_edge():
 def test_words_read_off_the_weight_are_the_reduced_words(label, rank, coords):
     d = build_root_datum(label, rank)
     lam = Weight(coords)
+    # both rules read words off weights, so both are checked against the
+    # walk on the element itself
     for x in d.weyl.coset_reps(d.stabilizer(lam)):
-        eta = straight_path(d, lam, x)
-        assert eta.words == (x.reduced_word(),)
+        eta = qls_path(d, lam, [x.act_weight(lam)], (0, 1))
+        word = left_descent_word(x)
+        assert eta.words == (word,) and x.reduced_word() == word
         assert repr(eta) == f"({x!r}; 0, 1)"
 
 
