@@ -3,9 +3,10 @@
 The two model routes (heights folded over admissible subsets, weights and
 degrees summed per break over QLS paths) give the same graded character; the
 oracle computes irreducible characters by the multiplicity recursion on
-dominant weights and shares no code with the models.  It runs in integers:
-it pairs weights only with root-lattice elements, where the invariant form is
-integral.  The decomposition does not call the oracle: it reads multiplicities
+dominant weights and shares no code with the models beyond the root datum,
+whose word rule `dominant_word` gives its dominant representatives.  It runs
+in integers: it pairs weights only with root-lattice elements, where the
+invariant form is integral.  The decomposition does not call the oracle: it reads multiplicities
 off the terms by the Brauer-Klimyk rule, ordered by the integer heights
 <2 rho^vee, nu>.  Neither uses the Weyl group that the models walk: the
 oracle, the symmetry check, the orbit form and the decomposition act on
@@ -15,7 +16,7 @@ weights by one rule, the simple reflection on fundamental-weight coordinates.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from functools import cache, partial
+from functools import cache
 from operator import add, mul, sub
 
 from . import alcove_model, qls_model
@@ -259,19 +260,8 @@ def _layer_is_symmetric(layer: dict[tuple[int, ...], int], supports) -> bool:
     return True
 
 
-def _dominant(datum: RootDatum, coords: tuple[int, ...]) -> tuple[int, ...]:
-    """The dominant weight in the orbit of coords: s_i at the first negative coordinate i, repeated."""
-    while True:
-        for i, c in enumerate(coords):
-            if c < 0:
-                coords = _reflect(datum, coords, i)
-                break
-        else:
-            return coords
-
-
 def dominant_representative(datum: RootDatum, wt: Weight) -> Weight:
-    return Weight(_dominant(datum, wt.coords))
+    return Weight(datum.dominant_word(wt.coords)[1])
 
 
 def _dominant_multiplicities(datum: RootDatum, lam: Weight) -> dict[tuple[int, ...], int]:
@@ -297,7 +287,7 @@ def _dominant_multiplicities(datum: RootDatum, lam: Weight) -> dict[tuple[int, .
             if lower not in candidates and min(lower) >= 0:
                 candidates[lower] = tuple(map(add, candidates[wt], alpha))
                 stack.append(lower)
-    dominant = cache(partial(_dominant, datum))  # one memo per call
+    dominant = cache(lambda coords: datum.dominant_word(coords)[1])  # one memo per call
     mult: dict[tuple[int, ...], int] = {}
     for wt in sorted(candidates, key=lambda w: sum(candidates[w])):
         depth = candidates[wt]

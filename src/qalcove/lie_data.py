@@ -216,11 +216,15 @@ class RootDatum:
         With mu = coords and lam that end, the word is the lexicographically
         smallest reduced word of the shortest x with x(lam) = mu: s_i is a
         left descent of x exactly when <alpha_i^vee, mu> < 0."""
-        simple, mu, word = self.affine_root_weights[1:], list(coords), []
-        while (i := next((i for i, c in enumerate(mu) if c < 0), None)) is not None:
-            word.append(i + 1)
-            mu = [m - mu[i] * a for m, a in zip(mu, simple[i])]
-        return tuple(word), tuple(mu)
+        simple, mu, word = self.affine_root_weights[1:], coords, []
+        while True:
+            for i, c in enumerate(mu):
+                if c < 0:
+                    word.append(i + 1)
+                    mu = [m - c * a for m, a in zip(mu, simple[i])]
+                    break
+            else:
+                return tuple(word), tuple(mu)
 
     def affine_root(self, j: int) -> tuple[int, int]:
         """alpha-tilde_j of the affine index set 0..rank as (positive-root
@@ -443,10 +447,6 @@ class WeylElement:
             coords.append(val if v > 0 else -val)
         return Weight(tuple(coords))
 
-    def has_right_descent(self, i: int) -> bool:
-        """True iff length(w s_i) < length(w), nodes 1-based."""
-        return self.perm[self.group.datum.simple_root_index[i - 1]] < 0
-
     def reduced_word(self) -> tuple[int, ...]:
         """Lexicographically smallest reduced word (1-based node labels), read
         off w(rho): rho is regular, and s_i is a left descent of w exactly
@@ -459,9 +459,9 @@ class WeylGroup:
     """The finite Weyl group.  `_intern` makes every element, one object per
     signed permutation, so elements compare by identity.  Construction
     interns only the identity and the simple reflections; every product,
-    inverse or reflection is interned at first use, so only a walk that asks
-    for all of W (`coset_reps` of the empty set) enumerates it; |W| is
-    `RootDatum.weyl_order`, read off the root heights.
+    inverse or reflection is interned at first use, and the group enumerates
+    no coset: it serves the alcove walk, which takes only the elements its
+    steps reach; |W| is `RootDatum.weyl_order`, read off the root heights.
 
     The permutation of every reflection is built at construction from the
     datum's `simple_perms`: for a non-simple root beta and a node i with
@@ -517,30 +517,3 @@ class WeylGroup:
         `quantum_bruhat.qbg_step` reads to decide an edge of QB(W)."""
         drops = self.datum.quantum_drops()
         return [(inversion_mask(perm), drops[k]) for k, perm in enumerate(self._perms)]
-
-    def min_coset_rep(self, w: WeylElement, J: frozenset[int]) -> WeylElement:
-        """Minimum-length element of the coset w W_J."""
-        changed = True
-        while changed:
-            changed = False
-            for i in J:
-                if w.has_right_descent(i):
-                    w = w * self.simple[i - 1]
-                    changed = True
-        return w
-
-    def coset_reps(self, J: frozenset[int]) -> tuple[WeylElement, ...]:
-        """All of W^J in a canonical (length, permutation) order, grown from the
-        identity by left ascents: W^J is closed under removing a left descent."""
-        if not all(1 <= j <= self.datum.rank for j in J):
-            raise InputError(f"node set {sorted(J)} out of range")
-        seen = {self.identity}
-        stack = [self.identity]
-        while stack:
-            w = stack.pop()
-            for s in self.simple:
-                u = s * w
-                if u.length > w.length and u not in seen and not any(u.has_right_descent(i) for i in J):
-                    seen.add(u)
-                    stack.append(u)
-        return tuple(sorted(seen, key=lambda w: (w.length, w.perm)))

@@ -1,25 +1,26 @@
 """Parabolic quantum Bruhat graphs and their path combinatorics.
 
 QB(W^J) has, for each vertex x and positive root alpha outside the parabolic
-subsystem, at most one edge x -> min_coset_rep(x r_alpha): a Bruhat edge
-when the length goes up by one, a quantum edge when it drops by
+subsystem, at most one edge, to the shortest element of x r_alpha W_J: a
+Bruhat edge when the length goes up by one, a quantum edge when it drops by
 <alpha^vee, 2rho - 2rho_J> - 1, and then its weight is the coroot alpha^vee.
-The QLS side reads the graph on the orbit of lambda (`OrbitGraph`, J the
-stabilizer of lambda): vertices, edges and lengths come from weights alone,
-and one BFS per (source, denominator of b) over the b-restricted subgraph
-gives its reachability and the shortest-path weights.  The graph numbers its
-vertices, and a QLS path holds its points as those numbers: per affine
-label j the graph keeps the pairing of alpha_tilde_j^vee with every vertex
-and the index of its s_j-image, and across orbits the index of -mu and of
--w0(mu) in the graph of -w0(lambda), each table built on first use.  The
+The package builds QB(W^J) in one place, on the orbit of lambda
+(`OrbitGraph`, J the stabilizer of lambda): vertices, edges and lengths come
+from weights alone, and one BFS per (source, denominator of b) over the
+b-restricted subgraph gives its reachability and the shortest-path weights.
+The graph numbers its vertices, and a QLS path holds its points as those
+numbers: per affine label j the graph keeps the pairing of alpha_tilde_j^vee
+with every vertex and the index of its s_j-image, and across orbits the
+index of -mu and of -w0(mu) in the graph of -w0(lambda), each table built on
+first use.  The
 alcove walk takes single QB(W) steps on Weyl elements (`qbg_step`), kept in
-each element's row `steps`; no command builds the graph on Weyl elements.
+each element's row `steps`; the graph on Weyl elements, which composes
+every x r_alpha, is a test reference (`tests/qbg_reference.py`).
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import compress
 from math import lcm
@@ -37,15 +38,6 @@ from qalcove.lie_data import (
 
 BRUHAT = "bruhat"
 QUANTUM = "quantum"
-
-
-@dataclass(frozen=True)
-class QBGEdge:
-    source: WeylElement
-    target: WeylElement
-    label: int  # positive-root index in the root datum
-    kind: str  # BRUHAT or QUANTUM
-    weight: Vector  # coroot coordinates; zero vector on Bruhat edges
 
 
 def qbg_step(datum: RootDatum, w: WeylElement, root: int) -> tuple[WeylElement, str] | None:
@@ -274,48 +266,3 @@ def orbit_graph(datum: RootDatum, lam: Weight) -> OrbitGraph:
     if graph is None:
         graph = datum._orbit_graphs[lam] = OrbitGraph(datum, lam)
     return graph
-
-
-class QuantumBruhatGraph:
-    """Immutable quantum Bruhat graph on W^J, with Weyl elements as vertices.
-
-    Each edge is read off its definition, composing w r_alpha for every
-    label; nothing is kept on the elements.  No command builds it; it is kept
-    only for the benchmark replay, which times its build as the
-    `quantum_bruhat.qbg_*` metrics.
-    """
-
-    def __init__(self, datum: RootDatum, J: frozenset[int] = frozenset()):
-        self.datum = datum
-        self.J = frozenset(J)
-        # the roots outside the parabolic subsystem, with their quantum drops
-        self.drops = datum.quantum_drops(self.J)
-        self.labels: tuple[int, ...] = tuple(self.drops)
-        self.adjacency = {w: self._build_edges(w) for w in datum.weyl.coset_reps(self.J)}
-        self.vertices = tuple(self.adjacency)
-
-    def _build_edges(self, w: WeylElement) -> tuple[QBGEdge, ...]:
-        # the target is min_coset_rep(w r_alpha), and its length decides the
-        # edge with the drop <alpha^vee, 2rho - 2rho_J>
-        datum, weyl, drops = self.datum, self.datum.weyl, self.drops
-        zero = (0,) * datum.rank
-        out = []
-        for k in self.labels:
-            target = weyl.min_coset_rep(w * weyl.reflection(k), self.J)
-            gain = target.length - w.length - 1
-            if gain == 0:
-                out.append(QBGEdge(w, target, k, BRUHAT, zero))
-            elif gain == -drops[k]:
-                out.append(QBGEdge(w, target, k, QUANTUM, datum.positive_coroots[k]))
-        return tuple(out)
-
-    def edges(self):
-        for w in self.vertices:
-            yield from self.adjacency[w]
-
-    def edge_count(self) -> int:
-        return sum(len(self.adjacency[w]) for w in self.vertices)
-
-
-def build_qbg(datum: RootDatum, J: frozenset[int] = frozenset()) -> QuantumBruhatGraph:
-    return QuantumBruhatGraph(datum, J)

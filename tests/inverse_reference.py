@@ -19,14 +19,14 @@ from qalcove import qls_model
 from qalcove.alcove_model import AdmissibleSubset, LambdaChain, lex_chain, require_lex
 from qalcove.lie_data import InputError, InternalError, RootDatum, Vector, WeylElement
 from qalcove.qls_model import QLSPath
-from qalcove.quantum_bruhat import QBGEdge, QuantumBruhatGraph, build_qbg, minus_w0
-from qbg_reference import element, longest
+from qalcove.quantum_bruhat import minus_w0
+from qbg_reference import QBGEdge, QuantumBruhatGraph, build_qbg, element, longest, min_coset_rep
 
 
 def parabolic_longest(weyl, J: frozenset[int]) -> WeylElement:
     """Longest element of W_J, via w_0 = min_coset_rep(w_0, J) * w_J."""
     w0 = longest(weyl)
-    return weyl.min_coset_rep(w0, J).inverse * w0
+    return min_coset_rep(weyl, w0, J).inverse * w0
 
 
 # --------------------------------------------------------------- reflection order
@@ -143,7 +143,7 @@ def tilted_minimum(
         raise InputError("tilted minima are computed on the full graph")
     datum = graph.datum
     weyl = datum.weyl
-    rep = weyl.min_coset_rep(coset_rep, J)
+    rep = min_coset_rep(weyl, coset_rep, J)
     coset = frozenset(
         rep * u for u in _parabolic_elements(weyl, J)
     )

@@ -1,22 +1,116 @@
-"""Reference queries on quantum Bruhat graphs for the tests: plain searches
-over the adjacency lists, `QueryGraph`, the graph on Weyl elements with the
-shortest-path queries that the orbit graph of `quantum_bruhat` is checked
-against, `longest`, the element w_0 that `RootDatum.omega` is checked
-against, `reflect`, `element` and `left_descent_word`, the reflection of a
-weight, the product of a word and the reduced word found by left descents
-of the element, which the word rule `RootDatum.dominant_word` is checked
-against, and `carried`, `orbit_edges` and `orbit_reach`, the orbit graph's
-x(2rho - 2rho_J) at a vertex, its every edge by dot products, and one BFS
-over all of them per source with the label gcd of each path, which its
-searches restricted per break denominator are checked against."""
+"""Reference quantum Bruhat graphs for the tests.
+
+`QuantumBruhatGraph` is QB(W^J) on Weyl elements, each edge read off its
+definition: it composes x r_alpha for every label and takes the shortest
+element of its coset x r_alpha W_J (`min_coset_rep`), its vertices W^J grown
+by left ascents (`coset_reps`, all of W when J is empty).  The package
+builds QB(W^J) only on the orbit of lambda (`quantum_bruhat.OrbitGraph`);
+this graph, which shares none of its edge rule, is what it is checked
+against.  Beside it: plain searches over the adjacency lists; `QueryGraph`,
+the graph with the shortest-path queries that the orbit graph's searches
+are checked against; `longest`, the element w_0 that `RootDatum.omega` is
+checked against; `reflect`, `element` and `left_descent_word`, the
+reflection of a weight, the product of a word and the reduced word found by
+left descents of the element, which the word rule `RootDatum.dominant_word`
+is checked against; and `carried`, `orbit_edges` and `orbit_reach`, the
+orbit graph's x(2rho - 2rho_J) at a vertex, its every edge by dot products,
+and one BFS over all of them per source with the label gcd of each path,
+which its searches restricted per break denominator are checked against."""
 
 from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import mul
 
-from qalcove.lie_data import InputError, InternalError, RootDatum, Weight, WeylElement
-from qalcove.quantum_bruhat import BRUHAT, QUANTUM, OrbitGraph, QBGEdge, QuantumBruhatGraph
+from qalcove.lie_data import InputError, InternalError, RootDatum, Vector, Weight, WeylElement, WeylGroup
+from qalcove.quantum_bruhat import BRUHAT, QUANTUM, OrbitGraph
+
+
+def has_right_descent(w: WeylElement, i: int) -> bool:
+    """True iff length(w s_i) < length(w), nodes 1-based."""
+    return w.perm[w.group.datum.simple_root_index[i - 1]] < 0
+
+
+def min_coset_rep(weyl: WeylGroup, w: WeylElement, J: frozenset[int]) -> WeylElement:
+    """Minimum-length element of the coset w W_J."""
+    changed = True
+    while changed:
+        changed = False
+        for i in J:
+            if has_right_descent(w, i):
+                w = w * weyl.simple[i - 1]
+                changed = True
+    return w
+
+
+def coset_reps(weyl: WeylGroup, J: frozenset[int]) -> tuple[WeylElement, ...]:
+    """All of W^J in a canonical (length, permutation) order, grown from the
+    identity by left ascents: W^J is closed under removing a left descent."""
+    if not all(1 <= j <= weyl.datum.rank for j in J):
+        raise InputError(f"node set {sorted(J)} out of range")
+    seen = {weyl.identity}
+    stack = [weyl.identity]
+    while stack:
+        w = stack.pop()
+        for s in weyl.simple:
+            u = s * w
+            if u.length > w.length and u not in seen and not any(has_right_descent(u, i) for i in J):
+                seen.add(u)
+                stack.append(u)
+    return tuple(sorted(seen, key=lambda w: (w.length, w.perm)))
+
+
+@dataclass(frozen=True)
+class QBGEdge:
+    source: WeylElement
+    target: WeylElement
+    label: int  # positive-root index in the root datum
+    kind: str  # BRUHAT or QUANTUM
+    weight: Vector  # coroot coordinates; zero vector on Bruhat edges
+
+
+class QuantumBruhatGraph:
+    """Immutable quantum Bruhat graph on W^J, with Weyl elements as vertices.
+
+    Each edge is read off its definition, composing w r_alpha for every
+    label; nothing is kept on the elements.
+    """
+
+    def __init__(self, datum: RootDatum, J: frozenset[int] = frozenset()):
+        self.datum = datum
+        self.J = frozenset(J)
+        # the roots outside the parabolic subsystem, with their quantum drops
+        self.drops = datum.quantum_drops(self.J)
+        self.labels: tuple[int, ...] = tuple(self.drops)
+        self.adjacency = {w: self._build_edges(w) for w in coset_reps(datum.weyl, self.J)}
+        self.vertices = tuple(self.adjacency)
+
+    def _build_edges(self, w: WeylElement) -> tuple[QBGEdge, ...]:
+        # the target is min_coset_rep(w r_alpha), and its length decides the
+        # edge with the drop <alpha^vee, 2rho - 2rho_J>
+        datum, weyl, drops = self.datum, self.datum.weyl, self.drops
+        zero = (0,) * datum.rank
+        out = []
+        for k in self.labels:
+            target = min_coset_rep(weyl, w * weyl.reflection(k), self.J)
+            gain = target.length - w.length - 1
+            if gain == 0:
+                out.append(QBGEdge(w, target, k, BRUHAT, zero))
+            elif gain == -drops[k]:
+                out.append(QBGEdge(w, target, k, QUANTUM, datum.positive_coroots[k]))
+        return tuple(out)
+
+    def edges(self):
+        for w in self.vertices:
+            yield from self.adjacency[w]
+
+    def edge_count(self) -> int:
+        return sum(len(self.adjacency[w]) for w in self.vertices)
+
+
+def build_qbg(datum: RootDatum, J: frozenset[int] = frozenset()) -> QuantumBruhatGraph:
+    return QuantumBruhatGraph(datum, J)
 
 
 class QueryGraph(QuantumBruhatGraph):
@@ -113,7 +207,7 @@ def longest(weyl) -> WeylElement:
     while grown:
         grown = False
         for i, s in enumerate(weyl.simple, 1):
-            if not w.has_right_descent(i):
+            if not has_right_descent(w, i):
                 w, grown = w * s, True
     if w.length != len(weyl.datum.positive_roots):
         raise InternalError("longest element length != number of positive roots")

@@ -21,9 +21,9 @@ from qalcove.lie_data import Weight, build_root_datum
 from qalcove.perfectness import check_perfect
 from qalcove.crystal import tensor
 from qalcove.qls_model import build_crystal, deg
-from qalcove.quantum_bruhat import build_qbg, orbit_graph
+from qalcove.quantum_bruhat import orbit_graph
 from inverse_reference import increasing_paths_from, inverse, reflection_ordering
-from qbg_reference import is_strongly_connected, longest, shortest_paths
+from qbg_reference import build_qbg, is_strongly_connected, longest, shortest_paths
 
 A1 = build_root_datum("A", 1)
 A2 = build_root_datum("A", 2)

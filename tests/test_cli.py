@@ -20,7 +20,7 @@ from qalcove.characters import (
 from qalcove.cli import main
 from qalcove.lie_data import InternalError, Weight, WeylGroup, build_root_datum
 from qalcove.qls_model import deg, qls_path
-from qalcove.quantum_bruhat import OrbitGraph, QuantumBruhatGraph
+from qalcove.quantum_bruhat import OrbitGraph
 
 A1 = build_root_datum("A", 1)
 
@@ -142,19 +142,17 @@ QLS_SIDE = [
 
 @pytest.mark.parametrize("argv", QLS_SIDE)
 def test_qls_side_builds_no_graph_on_weyl_elements(capsys, monkeypatch, argv):
-    # the QLS side reads QB(W^J) on the orbit of lambda; only the benchmark
-    # replay and the tests' reference inverse build it on Weyl elements
-    built = []
-    init = QuantumBruhatGraph.__init__
+    # the package builds QB(W^J) only on orbits, and the graph on Weyl
+    # elements is a test reference; the commands read their orbit graphs
+    # through `orbit_graph`, and never the hook the benchmark replay times
+    def refused(datum, J):
+        raise AssertionError("a command must not call the benchmark replay's hook")
 
-    def counted(self, *args, **kwargs):
-        built.append(args)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(QuantumBruhatGraph, "__init__", counted)
+    monkeypatch.setattr(qls_model, "_parabolic_graph", refused)
     monkeypatch.setattr(qls_model, "_parabolic_cache", {})
-    code, _, _ = run(capsys, *argv)
-    assert code == 0 and built == []
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+    assert qls_model._parabolic_cache == {}
 
 
 # the two pinned paths given by --directions: the words are read on weights

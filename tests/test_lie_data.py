@@ -10,7 +10,7 @@ import pytest
 from qalcove.crystal import shape_packing
 from qalcove.lie_data import InputError, InternalError, Weight, build_root_datum
 from inverse_reference import parabolic_longest
-from qbg_reference import element, left_descent_word, longest, reflect
+from qbg_reference import coset_reps, element, has_right_descent, left_descent_word, longest, min_coset_rep, reflect
 
 
 def test_positive_root_counts():
@@ -139,8 +139,8 @@ def test_dominant_word_is_the_left_descent_word_of_the_minimal_representative(la
     d = build_root_datum(label, rank)
     lam = Weight(coords)
     J = d.stabilizer(lam)
-    for w in d.weyl.coset_reps(frozenset()):
-        x = d.weyl.min_coset_rep(w, J)
+    for w in coset_reps(d.weyl, frozenset()):
+        x = min_coset_rep(d.weyl, w, J)
         assert d.dominant_word(w.act_weight(lam).coords) == (left_descent_word(x), lam.coords)
     assert d.dominant_word(lam.coords) == ((), lam.coords)
 
@@ -322,7 +322,7 @@ def test_weyl_group_a2():
     w = d.weyl
     assert d.weyl_order == 6
     assert longest(w).length == 3
-    reps = w.coset_reps(frozenset({2}))
+    reps = coset_reps(w, frozenset({2}))
     words = [r.reduced_word() for r in reps]
     assert words == [(), (1,), (2, 1)]
     assert d.omega == (2, 1)
@@ -340,7 +340,7 @@ def test_weyl_group_sizes():
         assert len(w.elements) == rank + 1  # the identity and the simple reflections
         if size <= 5040:
             # the root-height formula against an enumeration of the whole group
-            assert len(w.coset_reps(frozenset())) == size
+            assert len(coset_reps(w, frozenset())) == size
     # every classical family through rank 8 against its closed form
     families = [
         ("A", 1, lambda n: math.factorial(n + 1)),
@@ -365,12 +365,12 @@ def test_weyl_order_refuses_a_fractional_quotient():
 @pytest.mark.parametrize("label, rank", [("A", 3), ("B", 3), ("C", 3), ("D", 4), ("G", 2)])
 def test_coset_reps_match_the_full_group(label, rank):
     w = build_root_datum(label, rank).weyl
-    full = w.coset_reps(frozenset())
+    full = coset_reps(w, frozenset())
     nodes = range(1, rank + 1)
     for size in range(rank + 1):
         for J in map(frozenset, itertools.combinations(nodes, size)):
-            expect = [x for x in full if not any(x.has_right_descent(i) for i in J)]
-            assert list(w.coset_reps(J)) == expect
+            expect = [x for x in full if not any(has_right_descent(x, i) for i in J)]
+            assert list(coset_reps(w, J)) == expect
 
 
 def test_omega_involution_and_theta_fixed():
@@ -393,7 +393,7 @@ def test_omega_identity_on_c2_b2():
 
 def test_elements_are_interned_and_compare_by_identity():
     d, twin = build_root_datum("B", 3), build_root_datum("B", 3)
-    group, twins = d.weyl.coset_reps(frozenset()), twin.weyl.coset_reps(frozenset())
+    group, twins = coset_reps(d.weyl, frozenset()), coset_reps(twin.weyl, frozenset())
     for u in group[::5]:
         for v in group[::7]:
             assert u * v is u * v
@@ -407,7 +407,7 @@ def test_elements_are_interned_and_compare_by_identity():
 def test_length_changes_by_one_under_simple_mult():
     for label, rank in [("A", 2), ("C", 2), ("G", 2)]:
         w = build_root_datum(label, rank).weyl
-        for el in w.coset_reps(frozenset()):
+        for el in coset_reps(w, frozenset()):
             for s in w.simple:
                 assert abs((el * s).length - el.length) == 1
                 assert abs((s * el).length - el.length) == 1
@@ -416,7 +416,7 @@ def test_length_changes_by_one_under_simple_mult():
 def test_inverse_and_product():
     for label, rank in [("C", 2), ("G", 2), ("B", 3)]:
         w = build_root_datum(label, rank).weyl
-        for el in w.coset_reps(frozenset()):
+        for el in coset_reps(w, frozenset()):
             assert el * el.inverse == w.identity
             assert el.inverse.length == el.length
 
@@ -424,7 +424,7 @@ def test_inverse_and_product():
 def test_reduced_words_are_reduced_and_lex_minimal():
     for label, rank in [("C", 2), ("G", 2), ("B", 3)]:
         d = build_root_datum(label, rank)
-        for el in d.weyl.coset_reps(frozenset()):
+        for el in coset_reps(d.weyl, frozenset()):
             word = el.reduced_word()
             assert len(word) == el.length
             assert element(d, word) == el
@@ -439,19 +439,19 @@ def test_min_coset_rep_projection_stable():
     d = build_root_datum("C", 2)
     w = d.weyl
     J = frozenset({2})
-    for el in w.coset_reps(frozenset()):
-        rep = w.min_coset_rep(el, J)
-        assert not any(rep.has_right_descent(i) for i in J)
+    for el in coset_reps(w, frozenset()):
+        rep = min_coset_rep(w, el, J)
+        assert not any(has_right_descent(rep, i) for i in J)
         for i in J:
-            assert w.min_coset_rep(rep * w.simple[i - 1], J) == rep
+            assert min_coset_rep(w, rep * w.simple[i - 1], J) == rep
 
 
 def test_coset_reps_counts():
     c2 = build_root_datum("C", 2)
-    assert len(c2.weyl.coset_reps(frozenset({2}))) == 4
-    assert len(c2.weyl.coset_reps(frozenset())) == 8
+    assert len(coset_reps(c2.weyl, frozenset({2}))) == 4
+    assert len(coset_reps(c2.weyl, frozenset())) == 8
     g2 = build_root_datum("G", 2)
-    assert len(g2.weyl.coset_reps(frozenset({1}))) == 6
+    assert len(coset_reps(g2.weyl, frozenset({1}))) == 6
 
 
 def test_parabolic_longest():

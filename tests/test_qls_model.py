@@ -14,7 +14,7 @@ from crystal_reference import indexed
 from qalcove import qls_model
 from qalcove.characters import character_from_qls
 from qalcove.crystal import WeightPacking, tensor
-from qalcove.lie_data import InputError, InternalError, Weight, build_root_datum
+from qalcove.lie_data import InputError, InternalError, Weight, WeylGroup, build_root_datum
 from qalcove.qls_model import (
     QLSPath,
     build_crystal,
@@ -31,7 +31,7 @@ from qalcove.qls_model import (
     straight_path,
 )
 from qalcove.quantum_bruhat import OrbitGraph, orbit_graph
-from qbg_reference import element, longest, reflect
+from qbg_reference import build_qbg, coset_reps, element, longest, min_coset_rep, reflect
 
 A1 = build_root_datum("A", 1)
 A2 = build_root_datum("A", 2)
@@ -106,7 +106,7 @@ def test_straight_paths_always_valid():
     for datum, lam in [(A1, (1,)), (A2, (1, 1)), (C2, (0, 1))]:
         lam = Weight(lam)
         J = datum.stabilizer(lam)
-        for x in datum.weyl.coset_reps(J):
+        for x in coset_reps(datum.weyl, J):
             eta = qls_path(datum, lam, [x.reduced_word()], (0, 1))
             assert eta.directions == (x.act_weight(lam),)
             assert cosets(eta) == (x,)
@@ -192,7 +192,7 @@ def test_words_are_read_on_weights_as_the_group_reads_them(label, rank, coords):
     accepted = 0
     for word in _words(rank, 5):
         x = element(datum, word)
-        if datum.weyl.min_coset_rep(x, J) == x:
+        if min_coset_rep(datum.weyl, x, J) == x:
             assert qls_path(datum, lam, [word], (0, 1)).directions == (x.act_weight(lam),)
             accepted += 1
         else:
@@ -211,7 +211,7 @@ def test_half_break_path_has_zero_weight():
 
 def test_straight_path_weight_is_orbit_point():
     lam = Weight((1, 1))
-    for x in A2.weyl.coset_reps(frozenset()):
+    for x in coset_reps(A2.weyl, frozenset()):
         assert qls_path(A2, lam, [x.reduced_word()], (0, 1)).weight == x.act_weight(lam)
 
 
@@ -325,7 +325,7 @@ def test_s_of_straight_dominant_path():
     for datum, lam in [(A2, (1, 1)), (C2, (0, 1)), (A2, (1, 0))]:
         lam = Weight(lam)
         J = datum.stabilizer(lam)
-        expect = datum.weyl.min_coset_rep(longest(datum.weyl), J)
+        expect = min_coset_rep(datum.weyl, longest(datum.weyl), J)
         assert lusztig_S(straight_path(datum, lam)) == qls_path(datum, lam, [expect.act_weight(lam)], (0, 1))
 
 
@@ -404,9 +404,9 @@ def test_points_and_representatives_agree():
 
         for eta in build_crystal(datum, Weight(lam)).vertices:
             assert eta.directions == tuple(x.act_weight(eta.lam) for x in cosets(eta))
-            assert all(weyl.min_coset_rep(x, J) == x for x in cosets(eta))
-            assert cosets(dual(eta)) == tuple(weyl.min_coset_rep(x * w0, om_J) for x in reversed(cosets(eta)))
-            assert cosets(lusztig_S(eta)) == tuple(weyl.min_coset_rep(w0 * x, J) for x in reversed(cosets(eta)))
+            assert all(min_coset_rep(weyl, x, J) == x for x in cosets(eta))
+            assert cosets(dual(eta)) == tuple(min_coset_rep(weyl, x * w0, om_J) for x in reversed(cosets(eta)))
+            assert cosets(lusztig_S(eta)) == tuple(min_coset_rep(weyl, w0 * x, J) for x in reversed(cosets(eta)))
             assert cosets(omega(eta)) == tuple(omega_image(x) for x in cosets(eta))
 
 
@@ -491,7 +491,7 @@ def brute_force_paths(datum, lam):
     pairing of a positive coroot against lam."""
     lam = Weight(lam)
     J = datum.stabilizer(lam)
-    reps = [x.reduced_word() for x in datum.weyl.coset_reps(J)]
+    reps = [x.reduced_word() for x in coset_reps(datum.weyl, J)]
     top = max(datum.pairing(c, lam) for c in datum.positive_coroots)
     values = sorted(
         {Fraction(p, q) for q in range(2, top + 1) for p in range(1, q)}
@@ -1013,3 +1013,30 @@ def test_larger_rank_two_closures_stay_consistent():
         for s in datum.weyl.simple:
             image = sorted(s.act_weight(graph.weights[v]).coords for v in graph.vertices)
             assert image == weights
+
+
+# J over the empty set, {1}, all nodes but 1 and all nodes but the last
+PARABOLIC_HOOK = sorted({
+    (label, rank, J)
+    for label, rank in [("A", 2), ("A", 3), ("B", 3), ("C", 3), ("G", 2), ("D", 4), ("F", 4), ("B", 5), ("A", 6), ("D", 5)]
+    for J in ((), (1,), tuple(range(2, rank + 1)), tuple(range(1, rank)))
+})
+
+
+@pytest.mark.parametrize("label, rank, J", PARABOLIC_HOOK)
+def test_parabolic_hook_is_qbg_on_the_orbit(monkeypatch, label, rank, J):
+    # the benchmark replay's hook reads QB(W^J) as the orbit graph of the sum
+    # of omega_i outside J, and builds no Weyl group
+    def refused(self, datum):
+        raise AssertionError("the parabolic hook must not build a Weyl group")
+
+    datum, J = build_root_datum(label, rank), frozenset(J)
+    with monkeypatch.context() as m:
+        m.setattr(WeylGroup, "__init__", refused)
+        m.setattr(qls_model, "_parabolic_cache", {})
+        graph = qls_model._parabolic_graph(datum, J)
+    reference = build_qbg(datum, J)
+    lam = Weight(tuple(int(i not in J) for i in range(1, rank + 1)))
+    assert len(graph.vertices) == len(reference.vertices)
+    assert set(graph.vertices) == {x.act_weight(lam) for x in reference.vertices}
+    assert graph.edge_count() == reference.edge_count()

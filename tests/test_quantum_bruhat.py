@@ -15,20 +15,22 @@ from qalcove.quantum_bruhat import (
     QUANTUM,
     UNSEEN,
     OrbitGraph,
-    QuantumBruhatGraph,
-    build_qbg,
     minus_w0,
     qbg_step,
     orbit_graph,
 )
 from inverse_reference import increasing_paths_from, reflection_ordering, tilted_minimum
 from qbg_reference import (
+    QuantumBruhatGraph,
     QueryGraph,
+    build_qbg,
     carried,
+    coset_reps,
     distance,
     is_strongly_connected,
     left_descent_word,
     longest,
+    min_coset_rep,
     orbit_edges,
     orbit_reach,
     reflect,
@@ -88,7 +90,7 @@ def _direct_step(d, w, root, J, depth=None):
     # the edge rule read off its definition: w r_beta, its minimal coset
     # representative, then the two length conditions; depth is
     # 2rho - 2rho_J, summed here unless a caller passes it
-    target = d.weyl.min_coset_rep(w * d.weyl.reflection(root), J)
+    target = min_coset_rep(d.weyl, w * d.weyl.reflection(root), J)
     if target.length == w.length + 1:
         return target, BRUHAT
     if depth is None:
@@ -102,7 +104,7 @@ def _direct_step(d, w, root, J, depth=None):
 @pytest.mark.parametrize("label, rank, J", [("B", 3, frozenset({2})), ("G", 2, frozenset({1}))])
 def test_step_memo_equals_the_direct_rule(label, rank, J, monkeypatch):
     d = build_root_datum(label, rank)
-    group = d.weyl.coset_reps(frozenset())
+    group = coset_reps(d.weyl, frozenset())
     # the graph composes every step and keeps nothing on the elements
     for K in (frozenset(), J):
         graph, drops = QuantumBruhatGraph(d, K), d.quantum_drops(K)
@@ -142,7 +144,7 @@ def test_inversion_set_rule_equals_the_direct_rule(label, rank):
     # on W the step reads l(w r_beta) off N(w) and N(r_beta) and composes
     # only along an edge; the direct rule composes every w r_beta first
     d = build_root_datum(label, rank)
-    group = d.weyl.coset_reps(frozenset())
+    group = coset_reps(d.weyl, frozenset())
     assert len(group) == d.weyl_order
     depth = d.two_rho_minus_two_rho_J(frozenset())
     for w in group:
@@ -595,7 +597,7 @@ def test_words_read_off_the_weight_are_the_reduced_words(label, rank, coords):
     lam = Weight(coords)
     # both rules read words off weights, so both are checked against the
     # walk on the element itself
-    for x in d.weyl.coset_reps(d.stabilizer(lam)):
+    for x in coset_reps(d.weyl, d.stabilizer(lam)):
         eta = qls_path(d, lam, [x.act_weight(lam)], (0, 1))
         word = left_descent_word(x)
         assert eta.words == (word,) and x.reduced_word() == word
@@ -626,7 +628,7 @@ def test_weight_recursions_under_affine_reflections():
         J = d.stabilizer(lam)
         g = build_qbg(d, J)
         _, weight = _on_weyl_elements(d, lam)
-        proj = lambda w: d.weyl.min_coset_rep(w, J)
+        proj = lambda w: min_coset_rep(d.weyl, w, J)
         for j in range(0, d.rank + 1):
             s = _s_j(d, j)
             delta = 1 if j == 0 else 0
@@ -667,7 +669,7 @@ def test_edge_projection_lemma():
         free = [i for i in range(d.rank) if (i + 1) not in J]
         full = _restricted(build_qbg(d), b, lam)
         para = _restricted(build_qbg(d, J), b, lam)
-        proj = lambda w: d.weyl.min_coset_rep(w, J)
+        proj = lambda w: min_coset_rep(d.weyl, w, J)
         for edge in (e for edges in full.values() for e in edges):
             src, dst = proj(edge.source), proj(edge.target)
             want = tuple(edge.weight[i] for i in free)
@@ -796,9 +798,9 @@ def test_tilted_minimum_matches_distance_oracle():
         d = build_root_datum(label, rank)
         g = build_qbg(d)
         order = reflection_ordering(d, J, lex_chain(d, lam))
-        reps = d.weyl.coset_reps(J)
-        full = d.weyl.coset_reps(frozenset())
-        parabolic = [w for w in full if d.weyl.min_coset_rep(w, J) == d.weyl.identity]
+        reps = coset_reps(d.weyl, J)
+        full = coset_reps(d.weyl, frozenset())
+        parabolic = [w for w in full if min_coset_rep(d.weyl, w, J) == d.weyl.identity]
         for v in full:
             for rep in reps:
                 end, path = tilted_minimum(g, v, rep, J, order)
